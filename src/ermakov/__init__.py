@@ -29,7 +29,6 @@ from .catalog import (
 )
 from .errors import EngineError
 from .fields import (
-    BohmSector,
     FluxLedger,
     flux_constraint_check,
     momentum_field,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisKind",
-    "BohmSector",
     "CATALOG_KEYS",
     "CertificationReport",
     "Column",

@@ -582,7 +582,7 @@ class BasisKind:
         if self.tag == "weber":
             return weber_basis(self.param("nu"), grid, settings)
         if self.tag == "whittaker":
-            return whittaker_basis(self.param("kappa"), grid, self.param("lam"))
+            return whittaker_basis(self.param("kappa"), grid, self.param("lam"), settings)
         return mathieu_pair(
             self.param("ell"),
             self.param("q"),

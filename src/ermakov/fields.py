@@ -2,18 +2,20 @@
 
 The stationary continuity equation integrates to p = C / R^2 per sector,
 with R = rho / sqrt(s) the physical amplitude.  C = 0 marks bound
-(zero-current) sectors; C != 0 marks open ones.  Trajectories follow from
-the first-order quadrature x' = C / (m R^2(x)).
+(zero-current) sectors; C != 0 marks open ones.  Trajectories of
+x' = C / (m R^2(x)) are the quadrature t(x) = t0 + (m/C) int_{x0}^{x} R^2 dx,
+evaluated exactly on a cubic spline of R^2 and inverted by Newton steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
+# Not called here: bound only so that the benchmark's tracer
+# (perfbench/tracing.py), which wraps fields.solve_ivp, finds the name.
+from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.interpolate import CubicSpline
 
 from .catalog import SectorSpec
 from .errors import (
@@ -24,26 +26,14 @@ from .errors import (
     PathExitsGridError,
     SingularEndpointError,
 )
-from .linear import DEFAULT_SETTINGS, IntegrationSettings
 from .pinney import ErmakovAmplitude
 
+FLUX_TOLERANCE = 1e-12  # default bound on |sum C_i|
 _WEIGHT_FLOOR = 1e-12
 _NODE_FLOOR = 1e-10
 _TRAJECTORY_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class BohmSector:
-    """Per-coordinate guiding-field bundle."""
-
-    label: str
-    C: float
-    grid: np.ndarray
-    R: np.ndarray
-    p: np.ndarray
-    Q: np.ndarray
-    E_sector: float
-    invariant: np.ndarray
+_NEWTON_STEPS = 8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -130,13 +120,15 @@ def trajectory(
     m: float,
     x0: float,
     t_grid: np.ndarray,
-    settings: IntegrationSettings | None = None,
 ) -> np.ndarray:
-    """Solve x' = C / (m R^2(x)) from x(t0) = x0 on the given time grid.
+    """Path of x' = C / (m R^2(x)) from x(t0) = x0 on the given time grid.
 
-    R is interpolated with a monotone-preserving cubic, which cannot invent
-    spurious nodes between samples.  The integration stops with an error if
-    the path leaves the field grid or approaches a node of R.
+    The equation integrates to the quadrature t(x) - t0 = (m/C) S(x) with
+    S(x) = int_{x0}^{x} R^2.  R^2 is taken as a not-a-knot cubic spline and
+    integrated exactly cell by cell; the node values of S are summed outward
+    from x0's cell, so no large partial sum is subtracted near x0.  S(x) = s
+    is then solved by Newton steps from a linear-interpolation guess.  The
+    path stops with an error if it meets a node of R or leaves the grid.
     """
     grid = np.asarray(grid, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -146,66 +138,92 @@ def trajectory(
         raise ConfigurationError(f"x0 = {x0!r} outside the field grid [{lo}, {hi}]")
     if C == 0.0:
         return np.full_like(t_grid, float(x0))
-    settings = settings or DEFAULT_SETTINGS
 
-    interp = PchipInterpolator(grid, R, extrapolate=True)
+    c = CubicSpline(grid, R * R).c  # c[0] (x - x_i)^3 + ... + c[3] on cell i
+    h = np.diff(grid)
+
+    def cell_integral(i, d):
+        return (((c[0, i] * d / 4.0 + c[1, i] / 3.0) * d + c[2, i] / 2.0) * d + c[3, i]) * d
+
+    def cell_r2(i, d):
+        return ((c[0, i] * d + c[1, i]) * d + c[2, i]) * d + c[3, i]
+
+    def locate(x):
+        i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+        return i, x - grid[i]
+
+    # S at the nodes, accumulated outward from x0's cell in both directions
+    k, d0 = locate(float(x0))
+    cells = cell_integral(np.arange(h.size), h)
+    head = cell_integral(k, d0)
+    S = np.empty_like(grid)
+    S[k::-1] = -head - np.concatenate(([0.0], np.cumsum(cells[:k][::-1])))
+    S[k + 1:] = cells[k] - head + np.concatenate(([0.0], np.cumsum(cells[k + 1:])))
+
+    def S_at(x):
+        i, d = locate(x)
+        return S[i] + cell_integral(i, d), cell_r2(i, d)
+
+    # Nodes: samples, interior cell minima of the R^2 spline (which can ring
+    # below zero between positive samples) and x0 itself where R^2 is at the
+    # floor, and sign changes of R.  S is monotone between x0 and the nearest
+    # node on either side.
+    with np.errstate(divide="ignore", invalid="ignore"):  # local-minimum offsets
+        d_min = -c[2] / (c[1] + np.sqrt(c[1] ** 2 - 3.0 * c[0] * c[2]))
+    inner = np.flatnonzero((d_min > 0.0) & (d_min < h))
+    at = np.concatenate((grid, grid[inner] + d_min[inner], [x0]))
+    r2 = np.concatenate((R * R, cell_r2(inner, d_min[inner]), [S_at(float(x0))[1]]))
+    j = np.flatnonzero(R[1:] * R[:-1] < 0.0)
+    nodes = np.concatenate((
+        at[r2 <= _TRAJECTORY_FLOOR**2], grid[j] - R[j] * h[j] / (R[j + 1] - R[j])
+    ))
+    x_left = nodes[nodes <= x0].max(initial=-np.inf)
+    x_right = nodes[nodes >= x0].min(initial=np.inf)
+    s_left = S_at(x_left)[0] if np.isfinite(x_left) else -np.inf
+    s_right = S_at(x_right)[0] if np.isfinite(x_right) else np.inf
+
     v = C / m
+    t0 = float(t_grid[0])
+    s = v * (t_grid - t0)
+    s_lo, s_hi = min(0.0, float(s.min())), max(0.0, float(s.max()))
+    for x_n, s_n, reached in ((x_right, s_right, s_hi > 0.0 and s_hi >= s_right),
+                              (x_left, s_left, s_lo < 0.0 and s_lo <= s_left)):
+        if reached:
+            t_n = t0 + float(np.clip(s_n, s_lo, s_hi)) / v
+            raise NodeApproachError(
+                float(x_n), f"trajectory approached an amplitude node at t = {t_n!r}"
+            )
+    # S on the stretch the path can reach; flat beyond the nearest nodes
+    table = np.where(grid <= x_left, s_left, np.where(grid >= x_right, s_right, S))
     # Rounding pad: a path landing exactly on the grid boundary is not an exit.
     pad = 1e-9 * (hi - lo)
+    if s_hi > table[-1] + pad * R[-1] ** 2:
+        raise PathExitsGridError(t0 + float(table[-1]) / v, hi)
+    if s_lo < table[0] - pad * R[0] ** 2:
+        raise PathExitsGridError(t0 + float(table[0]) / v, lo)
 
-    def rhs(t, y):
-        return (v / float(interp(y[0])) ** 2,)
-
-    def exit_lo(t, y):
-        return y[0] - (lo - pad)
-
-    def exit_hi(t, y):
-        return (hi + pad) - y[0]
-
-    def node(t, y):
-        return abs(float(interp(y[0]))) - _TRAJECTORY_FLOOR
-
-    for ev in (exit_lo, exit_hi, node):
-        ev.terminal = True
-
-    kwargs = {}
-    if math.isfinite(settings.max_step):
-        kwargs["max_step"] = settings.max_step
-    # dense output instead of t_eval: on failure the internal steps still
-    # expose the last reached state
-    sol = solve_ivp(
-        rhs,
-        (float(t_grid[0]), float(t_grid[-1])),
-        (float(x0),),
-        method="DOP853",
-        dense_output=True,
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        events=(exit_lo, exit_hi, node),
-        **kwargs,
-    )
-    if sol.t_events[0].size or sol.t_events[1].size:
-        which = 0 if sol.t_events[0].size else 1
-        t_exit = float(sol.t_events[which][0])
-        raise PathExitsGridError(t_exit, float(sol.y_events[which][0][0]))
-    if sol.t_events[2].size:
-        raise NodeApproachError(
-            float(sol.y_events[2][0][0]),
-            f"trajectory approached an amplitude node at t = {float(sol.t_events[2][0])!r}",
+    x = np.interp(s, table, grid)
+    for _ in range(_NEWTON_STEPS):
+        f, slope = S_at(x)
+        step = (f - s) / slope
+        x = x - step
+        if not np.any(np.abs(step) > _EPS * (hi - lo)):  # also stops on nan
+            break
+    f, slope = S_at(x)
+    roundoff = 64.0 * _EPS * (max(abs(S[0]), abs(S[-1])) + np.abs(x * slope))
+    bad = ~(np.abs(f - s) <= roundoff)
+    if np.any(bad):
+        worst = int(np.argmax(bad))
+        raise IntegrationFailureError(
+            f"trajectory inversion left residual {float(f[worst] - s[worst])!r} in int R^2 dx",
+            float(x[worst]),
         )
-    if not sol.success:
-        # The velocity C/(m R^2) blows up near a node; the solver may stall
-        # on vanishing steps before the node event gets a clean root.
-        x_last = float(sol.y[0][-1]) if sol.y.size else float(x0)
-        if abs(float(interp(x_last))) <= 1e3 * _TRAJECTORY_FLOOR:
-            raise NodeApproachError(
-                x_last, f"trajectory stalled at an amplitude node near x = {x_last!r}"
-            )
-        raise IntegrationFailureError(f"trajectory integration failed: {sol.message}")
-    return np.asarray(sol.sol(t_grid))[0]
+    return x
 
 
-def flux_constraint_check(ledger: FluxLedger, enforce: bool = True) -> FluxCheck:
+def flux_constraint_check(
+    ledger: FluxLedger, enforce: bool = True, tolerance: float = FLUX_TOLERANCE
+) -> FluxCheck:
     """Residual |sum C_i| against the stationary global constraint."""
     if not ledger.entries:
         raise ConfigurationError("flux ledger is empty")
@@ -214,4 +232,4 @@ def flux_constraint_check(ledger: FluxLedger, enforce: bool = True) -> FluxCheck
         return FluxCheck(
             residual, True, False, "constraint not enforced (open/scattering sectors)"
         )
-    return FluxCheck(residual, residual <= 1e-12, True)
+    return FluxCheck(residual, residual <= tolerance, True)

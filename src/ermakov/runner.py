@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import (
+    FLUX_TOLERANCE,
     FluxCheck,
     FluxLedger,
     flux_constraint_check,
@@ -50,7 +51,7 @@ class Tolerances:
     wronskian: float = 1e-9
     pinney: float = 1e-10
     continuity: float = 1e-10
-    flux: float = 1e-12
+    flux: float = FLUX_TOLERANCE
     ode_residual: float = 1e-3
 
     def as_dict(self) -> dict:
@@ -301,7 +302,7 @@ def execute_sector(
     for request in trajectory_requests or []:
         x0, t_end, n = request
         t_grid = np.linspace(0.0, t_end, int(n))
-        x_t = trajectory(setup.C, pair.grid, big_r, setup.profile.m, x0, t_grid, settings)
+        x_t = trajectory(setup.C, pair.grid, big_r, setup.profile.m, x0, t_grid)
         trajs.append((request, t_grid, x_t))
     return SectorResult(
         label=setup.label,
@@ -386,9 +387,8 @@ def certify(results: list[SectorResult], tolerances: Tolerances, flux_enforce: b
             problem_kind: str) -> CertificationReport:
     sector_reports = tuple(_sector_report(r, tolerances) for r in results)
     ledger = FluxLedger(tuple((r.label, r.setup.C) for r in results))
-    flux = flux_constraint_check(ledger, enforce=flux_enforce)
-    flux_ok = flux.passed or flux.residual <= tolerances.flux or not flux_enforce
-    verdict = "pass" if all(s["pass"] for s in sector_reports) and flux_ok else "fail"
+    flux = flux_constraint_check(ledger, enforce=flux_enforce, tolerance=tolerances.flux)
+    verdict = "pass" if all(s["pass"] for s in sector_reports) and flux.passed else "fail"
     return CertificationReport(problem_kind, tolerances, sector_reports, flux, verdict)
 
 

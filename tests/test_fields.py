@@ -23,7 +23,6 @@ from ermakov.fields import (
     quantum_potential_from_frequency,
     trajectory,
 )
-from ermakov.linear import IntegrationSettings
 from ermakov.pinney import ErmakovAmplitude, PinneyCoefficients, pinney_amplitude, symmetric_coefficients
 from ermakov.problems import ProblemSpec, build_problem
 from ermakov.runner import execute_sector
@@ -149,18 +148,16 @@ def test_trajectory_static_for_zero_flux():
     )
 
 
-def test_trajectory_against_refined_reference():
+def test_trajectory_against_closed_form():
     grid = np.linspace(-5.0, 5.0, 2001)
-    R = np.sqrt(1.0 + grid**2)  # R^2 = 1 + x^2, velocity 1/(1+x^2) at x0 = 0
+    R = np.sqrt(1.0 + grid**2)  # R^2 = 1 + x^2, so t(x) = x + x^3/3 from x0 = 0
     t = np.linspace(0.0, 3.0, 61)
     x = trajectory(1.0, grid, R, 1.0, 0.0, t)
-    ref = trajectory(
-        1.0, grid, R, 1.0, 0.0, t,
-        IntegrationSettings(rel_tol=1e-13, abs_tol=1e-14),
-    )
-    v0 = (x[1] - x[0]) / (t[1] - t[0])
-    assert v0 == pytest.approx(1.0, rel=5e-2)
-    np.testing.assert_allclose(x, ref, atol=1e-8)
+    # real root of x^3 + 3x - 3t = 0 (Cardano)
+    root = np.sqrt(2.25 * t**2 + 1.0)
+    exact = np.cbrt(1.5 * t + root) + np.cbrt(1.5 * t - root)
+    np.testing.assert_allclose(x, exact, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(x + x**3 / 3.0, t, rtol=0.0, atol=1e-12)
 
 
 def test_trajectory_time_reversal():
@@ -179,7 +176,24 @@ def test_trajectory_exit_reports_time():
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(PathExitsGridError) as err:
         trajectory(1.0, grid, np.ones_like(grid), 1.0, 0.5, t)
-    assert err.value.t_exit == pytest.approx(0.5, abs=1e-6)
+    assert err.value.t_exit == pytest.approx(0.5, abs=1e-12)
+    assert err.value.x_exit == 1.0
+
+
+def test_trajectory_leftward_exit_for_negative_flux():
+    grid = np.linspace(0.0, 1.0, 101)
+    R = np.sqrt(1.0 + grid)  # t_exit = (m/|C|) int_0^{x0} (1 + x) dx
+    t = np.linspace(0.0, 10.0, 101)
+    with pytest.raises(PathExitsGridError) as err:
+        trajectory(-2.0, grid, R, 1.0, 0.6, t)
+    assert err.value.t_exit == pytest.approx((0.6 + 0.18) / 2.0, abs=1e-12)
+    assert err.value.x_exit == 0.0
+    # a shorter leftward path stays on the grid and follows the same quadrature
+    t_in = np.linspace(0.0, 0.3, 31)
+    x = trajectory(-2.0, grid, R, 1.0, 0.6, t_in)
+    assert np.all(np.diff(x) < 0.0)
+    np.testing.assert_allclose((0.6 + 0.18) - (x + x**2 / 2.0), 2.0 * t_in,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_trajectory_node_approach():
@@ -188,6 +202,29 @@ def test_trajectory_node_approach():
     t = np.linspace(0.0, 1.0, 11)
     with pytest.raises(NodeApproachError):
         trajectory(1.0, grid, R, 1.0, 0.2, t)
+
+
+def test_trajectory_node_between_samples():
+    grid = np.linspace(0.0, 1.0, 100)  # R = x - 0.5 changes sign between two samples
+    with pytest.raises(NodeApproachError):
+        trajectory(1.0, grid, grid - 0.5, 1.0, 0.2, np.linspace(0.0, 1.0, 11))
+    with pytest.raises(NodeApproachError):
+        trajectory(-1.0, grid, grid - 0.5, 1.0, 0.8, np.linspace(0.0, 1.0, 11))
+
+
+def test_trajectory_spline_dip_counts_as_node():
+    # One unresolved spike makes the cubic spline of R^2 ring below zero
+    # between positive samples; a path into the ringing meets a node.
+    grid = np.linspace(0.0, 1.0, 51)
+    R = np.ones_like(grid)
+    R[25] = 3.0
+    with pytest.raises(NodeApproachError):
+        trajectory(1.0, grid, R, 1.0, 0.1, np.linspace(0.0, 0.5, 11))
+    with pytest.raises(NodeApproachError):  # starts where the spline is negative
+        trajectory(-1.0, grid, R, 1.0, 0.471, np.linspace(0.0, 0.1, 5))
+    # far from the spike the ringing is below 1e-9 and the path is x0 + t
+    t = np.linspace(0.0, 0.1, 11)
+    np.testing.assert_allclose(trajectory(1.0, grid, R, 1.0, 0.1, t), 0.1 + t, atol=1e-9)
 
 
 def test_trajectory_x0_validation():

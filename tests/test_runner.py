@@ -165,6 +165,32 @@ def test_flux_enforcement_in_verdict():
     assert report.verdict == "pass"
 
 
+@pytest.mark.parametrize(
+    "flux, tolerance, passed",
+    [(1e-9, 1e-6, True),     # residual inside a loose user tolerance
+     (1e-13, 1e-16, False)],  # residual above a user tolerance below the default
+)
+def test_flux_certificate_uses_configured_tolerance(flux, tolerance, passed):
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0}, flux={"x": flux})
+    (setup,) = build_problem(spec)
+    report = certify([execute_sector(setup)], Tolerances(flux=tolerance), flux_enforce=True,
+                     problem_kind="free_particle")
+    assert report.flux.residual == pytest.approx(flux)
+    assert report.flux.passed is passed
+    assert report.verdict == ("pass" if passed else "fail")
+
+
+def test_coulomb_pair_honours_integration_settings(tmp_path):
+    base = "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n"
+    drifts = []
+    for extra in ("", "integration.rel_tol = 1e-6\n"):
+        report, _ = run_config(parse_config_text(base + extra), output_dir=tmp_path / "o")
+        (sector,) = report.as_dict()["sectors"]
+        drifts.append((sector["wronskian_drift"], sector["invariant_drift"]))
+    (w_default, i_default), (w_loose, i_loose) = drifts
+    assert w_loose > 100.0 * w_default and i_loose > 100.0 * i_default
+
+
 def test_unknown_sector_reference_rejected(tmp_path):
     config = parse_config_text(FREE_CFG + "sector.y.k = 1.0\n")
     with pytest.raises(ConfigurationError):
