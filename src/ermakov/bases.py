@@ -75,12 +75,6 @@ def inv_gamma(x: float) -> float:
 # Trigonometric pair
 # ---------------------------------------------------------------------------
 
-def trig_profile(k0: float) -> FrequencyProfile:
-    return FrequencyProfile.from_omega2(
-        lambda q: np.full_like(np.asarray(q, dtype=float), k0**2), constants={"k0": k0}
-    )
-
-
 def trig_pair(k0: float, grid: np.ndarray) -> FundamentalPair:
     """Exact pair (cos k0 q, sin k0 q) sampled analytically; W = k0."""
     if k0 == 0.0 or not math.isfinite(k0):
@@ -115,7 +109,7 @@ def _is_nonneg_integer(nu: float, tol: float = 1e-9) -> bool:
 
 
 def weber_column(
-    nu: float, grid: np.ndarray, settings: IntegrationSettings | None = None
+    nu: float, grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
 ) -> Column:
     """D_nu sampled on ``grid`` by outward integration from the origin."""
     if not math.isfinite(nu):
@@ -125,13 +119,12 @@ def weber_column(
     lo = min(float(grid[0]), 0.0)
     hi = max(float(grid[-1]), 0.0)
     return integrate_normal_form(
-        weber_profile(nu), (lo, hi), (y0, dy0), settings or DEFAULT_SETTINGS,
-        grid=grid, anchor=0.0,
+        weber_profile(nu), (lo, hi), (y0, dy0), settings, grid=grid, anchor=0.0
     )
 
 
 def weber_pair(
-    nu: float, xi_grid: np.ndarray, settings: IntegrationSettings | None = None
+    nu: float, xi_grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
 ) -> FundamentalPair:
     """Pair (D_nu(xi), D_nu(-xi)).
 
@@ -154,8 +147,7 @@ def weber_pair(
         lo = min(float(grid[0]), 0.0)
         hi = max(float(grid[-1]), 0.0)
         c2 = integrate_normal_form(
-            weber_profile(nu), (lo, hi), (y0, -dy0), settings or DEFAULT_SETTINGS,
-            grid=grid, anchor=0.0,
+            weber_profile(nu), (lo, hi), (y0, -dy0), settings, grid=grid, anchor=0.0
         )
         y2, dy2 = c2.y, c2.dy
     y0, dy0 = weber_seed(nu)
@@ -170,7 +162,7 @@ def weber_pair(
 
 
 def weber_basis(
-    nu: float, xi_grid: np.ndarray, settings: IntegrationSettings | None = None
+    nu: float, xi_grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
 ) -> FundamentalPair:
     """Weber pair, falling back to a second-kind companion at integer order."""
     try:
@@ -245,18 +237,11 @@ def whittaker_m_column(
     return Column(x, m, 2.0 * lam * dm_dz)
 
 
-def _whittaker_w_settings() -> IntegrationSettings:
-    # The seed magnitude e^{-z/2} z^kappa is far below 1, so the inward
-    # integration is run at tight relative tolerance with a vanishing
-    # absolute floor; accuracy then tracks the solution scale throughout.
-    return IntegrationSettings(rel_tol=1e-12, abs_tol=1e-280)
-
-
 def whittaker_pair(
     kappa: float,
     x_grid: np.ndarray,
     lam: float,
-    settings: IntegrationSettings | None = None,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
     anchor_x: float | None = None,
 ) -> FundamentalPair:
     """Pair (M_{kappa,1/2}(2 lam x), W_{kappa,1/2}(2 lam x)).
@@ -277,37 +262,36 @@ def whittaker_pair(
     if anchor_x is None:
         anchor_x = max(30.0 / (2.0 * lam), 2.0 * float(x[-1]))
     z_a = 2.0 * lam * anchor_x
+    # The seed e^{-z/2} z^kappa is far below 1, so the column is integrated
+    # at unit scale and rescaled: the absolute tolerance then acts relative
+    # to the column, and the equation is linear, so the rescaling is exact.
     w_a = math.exp(-0.5 * z_a) * z_a**kappa
-    dw_a = 2.0 * lam * math.exp(-0.5 * z_a) * z_a ** (kappa - 1.0) * (kappa - 0.5 * z_a)
-    w_col = integrate_normal_form(
+    unit = integrate_normal_form(
         whittaker_profile(kappa, lam),
         (float(x[0]), anchor_x),
-        (w_a, dw_a),
-        settings or _whittaker_w_settings(),
+        (1.0, 2.0 * lam * (kappa - 0.5 * z_a) / z_a),
+        settings,
         grid=x,
         anchor=anchor_x,
     )
+    w_y, w_dy = w_a * unit.y, w_a * unit.dy
     mid = len(x) // 2
-    wronskian = float(
-        m_col.y[mid] * w_col.dy[mid] - m_col.dy[mid] * w_col.y[mid]
-    )
-    return FundamentalPair(x, m_col.y, m_col.dy, w_col.y, w_col.dy, wronskian)
+    wronskian = float(m_col.y[mid] * w_dy[mid] - m_col.dy[mid] * w_y[mid])
+    return FundamentalPair(x, m_col.y, m_col.dy, w_y, w_dy, wronskian)
 
 
 def whittaker_basis(
     kappa: float,
     x_grid: np.ndarray,
     lam: float,
-    settings: IntegrationSettings | None = None,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
 ) -> FundamentalPair:
     """Whittaker pair, falling back to a companion at quantized kappa."""
     try:
         return whittaker_pair(kappa, x_grid, lam, settings)
     except DegeneratePairError:
         column = whittaker_m_column(kappa, np.asarray(x_grid, dtype=float), lam)
-        return companion_pair(
-            whittaker_profile(kappa, lam), column, settings or DEFAULT_SETTINGS
-        )
+        return companion_pair(whittaker_profile(kappa, lam), column, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +487,7 @@ def mathieu_pair(
     grid: np.ndarray,
     modified: bool = False,
     parity: str = "even",
-    settings: IntegrationSettings | None = None,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
     size: int | None = None,
 ) -> FundamentalPair:
     """Mathieu fundamental pair of the requested order and parity.
@@ -514,7 +498,7 @@ def mathieu_pair(
     to a different characteristic value whenever q != 0).
     """
     column, a = mathieu_column(ell, q, grid, modified=modified, parity=parity, size=size)
-    return companion_pair(mathieu_profile(a, q, modified), column, settings or DEFAULT_SETTINGS)
+    return companion_pair(mathieu_profile(a, q, modified), column, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +546,8 @@ class BasisKind:
         tag = "mathieu_modified" if modified else "mathieu"
         return cls(tag, (("ell", int(ell)), ("parity", parity), ("q", float(q))))
 
-    def profile(self) -> FrequencyProfile:
-        if self.tag == "trig":
-            return trig_profile(self.param("k0"))
-        if self.tag == "weber":
-            return weber_profile(self.param("nu"))
-        if self.tag == "whittaker":
-            return whittaker_profile(self.param("kappa"), self.param("lam"))
-        a = mathieu_char_value(self.param("ell"), self.param("parity"), self.param("q"))
-        return mathieu_profile(a, self.param("q"), self.tag == "mathieu_modified")
-
     def build(
-        self, grid: np.ndarray, settings: IntegrationSettings | None = None
+        self, grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
     ) -> FundamentalPair:
         """Construct the pair on ``grid``, with automatic second-kind
         companions at degenerate (quantized) parameter values."""

@@ -4,8 +4,10 @@ The equation has no first-derivative term, so the Wronskian of any two
 solutions is exactly constant; the engine certifies each integrated pair by
 measuring the pointwise drift of y1*y2' - y1'*y2 against its anchor value.
 
-Integration uses an adaptive embedded Runge-Kutta method of order 8(5,3)
-(DOP853) with output sampled on the caller's grid.
+:func:`integrate_outward` is the package's one integration seam: every pair
+column and every directly integrated amplitude runs through it.  It applies
+an adaptive embedded Runge-Kutta method of order 8(5,3) (DOP853) outward
+from an anchor, with output sampled on the caller's grid.
 """
 
 from __future__ import annotations
@@ -16,12 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ConfigurationError, IntegrationFailureError, SingularEndpointError
+from .errors import (
+    ConfigurationError,
+    IntegrationFailureError,
+    NodeApproachError,
+    SingularEndpointError,
+)
+
+GRID_POINTS = 2001  # samples of the output grid when a library caller gives none
 
 
 @dataclass(frozen=True)
 class IntegrationSettings:
-    """Tolerances and output density for one integration run.
+    """Tolerances and step bound for one integration run.
 
     The defaults are tight because integrated pairs feed the invariant
     certificates: at 1e-10 relative tolerance the parabolic-cylinder pair
@@ -32,15 +41,12 @@ class IntegrationSettings:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_step: float = math.inf
-    dense_output: int = 2001
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigurationError("tolerances must be positive")
-        if self.max_step <= 0:
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ConfigurationError("tolerances must be positive and finite")
+        if not self.max_step > 0:
             raise ConfigurationError("max_step must be positive")
-        if self.dense_output < 2:
-            raise ConfigurationError("dense_output must be at least 2")
 
 
 DEFAULT_SETTINGS = IntegrationSettings()
@@ -95,42 +101,113 @@ def wronskian_check(pair: FundamentalPair) -> float:
     return float(np.max(np.abs(pair.wronskian_samples() - pair.W)))
 
 
-def _rhs(profile):
+def normal_form_system(profile, k: float = 0.0):
+    """Right-hand side of y'' = -Omega^2(q) y + k / y^3 as a first-order system.
+
+    The state stacks n columns as (y_1 .. y_n, y_1' .. y_n').  k = 0 is the
+    linear partner equation; k > 0 is the amplitude equation, one column.
+    A frequency that cannot be evaluated gives NaN, which
+    :func:`integrate_outward` reports as an integration failure.
+    """
     omega2 = profile.omega2_array
 
-    def rhs(t, y):
+    def rhs(q, y):
         try:
-            w2 = float(omega2(np.asarray(t)))
+            w2 = float(omega2(np.asarray(q)))
         except (SingularEndpointError, FloatingPointError, ZeroDivisionError):
             w2 = math.nan
-        return (y[1], -w2 * y[0])
+        n = y.size // 2
+        accel = -w2 * y[:n]
+        if k != 0.0:
+            accel += k / y[:n] ** 3
+        # a list of floats converts faster than a concatenated array
+        return [*y[n:].tolist(), *accel.tolist()]
 
     return rhs
 
 
-def _run_ivp(profile, span, y0, t_eval, settings):
-    if span[0] == span[1]:
-        return np.asarray([]), np.zeros((2, 0))
+def integrate_outward(
+    rhs,
+    grid: np.ndarray,
+    anchor: float,
+    y0,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
+    span: tuple[float, float] | None = None,
+    node_floor: float | None = None,
+) -> np.ndarray:
+    """Solve y' = rhs(q, y) with y(anchor) = y0 outward to both ends of ``grid``.
+
+    The half-ranges right and left of the anchor are integrated separately
+    and sampled on the grid points they hold; each runs to the farther of
+    the grid end and the matching end of ``span``.  Returns the state at
+    every grid point, shape (len(y0), grid.size).
+
+    Raises :class:`NodeApproachError` where y[0] falls below ``node_floor``
+    (when given) and :class:`IntegrationFailureError` when the solver fails
+    or leaves the finite range.
+    """
+    lo, hi = (grid[0], grid[-1]) if span is None else span
+    y0 = np.asarray(y0, dtype=float)
     kwargs = {}
     if math.isfinite(settings.max_step):
         kwargs["max_step"] = settings.max_step
-    sol = solve_ivp(
-        _rhs(profile),
-        span,
-        y0,
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        dense_output=False,
-        **kwargs,
-    )
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        last = float(sol.t[-1]) if sol.t.size else float(span[0])
-        raise IntegrationFailureError(
-            f"integration failed: {sol.message}", last_q=last
+    if node_floor is not None:
+
+        def node(q, y):
+            return y[0] - node_floor
+
+        node.terminal = True
+        node.direction = -1.0
+        kwargs["events"] = node
+
+    out = np.empty((y0.size, grid.size))
+    right = grid >= anchor
+    for mask, end in ((right, max(float(hi), grid[-1])), (~right, min(float(lo), grid[0]))):
+        if not np.any(mask):
+            continue
+        if end == anchor:  # the half-range is the anchor itself
+            out[:, mask] = y0[:, None]
+            continue
+        order = slice(None) if end > anchor else slice(None, None, -1)
+        sol = solve_ivp(
+            rhs,
+            (anchor, end),
+            y0,
+            method="DOP853",
+            t_eval=grid[mask][order],
+            rtol=settings.rel_tol,
+            atol=settings.abs_tol,
+            **kwargs,
         )
-    return sol.t, sol.y
+        if node_floor is not None and sol.t_events[0].size:
+            raise NodeApproachError(float(sol.t_events[0][0]))
+        if not sol.success or not np.all(np.isfinite(sol.y)):
+            last = float(sol.t[-1]) if sol.t.size else float(anchor)
+            raise IntegrationFailureError(f"integration failed: {sol.message}", last_q=last)
+        out[:, mask] = sol.y[:, order]
+    return out
+
+
+def _integrate_columns(profile, interval, anchor, ics, settings, grid):
+    """(grid, stacked state) of the columns with data ``ics`` at ``anchor``."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo < hi:
+        raise ConfigurationError(f"empty integration interval {interval!r}")
+    if grid is None:
+        grid = np.linspace(lo, hi, GRID_POINTS)
+    else:
+        grid = np.asarray(grid, dtype=float)
+        if np.any(np.diff(grid) <= 0):
+            raise ConfigurationError("output grid must be strictly increasing")
+        if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
+            raise ConfigurationError("output grid exceeds the integration interval")
+    if not lo <= anchor <= hi:
+        raise ConfigurationError(f"anchor {anchor!r} outside interval {interval!r}")
+    y0 = [float(ic[0]) for ic in ics] + [float(ic[1]) for ic in ics]
+    state = integrate_outward(
+        normal_form_system(profile), grid, float(anchor), y0, settings, span=(lo, hi)
+    )
+    return grid, state
 
 
 def integrate_normal_form(
@@ -147,35 +224,10 @@ def integrate_normal_form(
     the interior the two half-ranges are integrated outward separately, so
     the returned samples cover the whole grid.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ConfigurationError(f"empty integration interval {interval!r}")
     if ic[0] == 0.0 and ic[1] == 0.0:
         raise ConfigurationError("initial data (0, 0) only generates the trivial solution")
-    if grid is None:
-        grid = np.linspace(lo, hi, settings.dense_output)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(np.diff(grid) <= 0):
-            raise ConfigurationError("output grid must be strictly increasing")
-        if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
-            raise ConfigurationError("output grid exceeds the integration interval")
-    a = lo if anchor is None else float(anchor)
-    if not lo <= a <= hi:
-        raise ConfigurationError(f"anchor {a!r} outside interval {interval!r}")
-
-    y = np.empty_like(grid)
-    dy = np.empty_like(grid)
-    y0 = (float(ic[0]), float(ic[1]))
-
-    right = grid >= a
-    if np.any(right):
-        t, ys = _run_ivp(profile, (a, max(hi, grid[right][-1])), y0, grid[right], settings)
-        y[right], dy[right] = ys[0], ys[1]
-    left = ~right
-    if np.any(left):
-        t, ys = _run_ivp(profile, (a, min(lo, grid[left][0])), y0, grid[left][::-1], settings)
-        y[left], dy[left] = ys[0][::-1], ys[1][::-1]
+    a = interval[0] if anchor is None else anchor
+    grid, (y, dy) = _integrate_columns(profile, interval, a, [ic], settings, grid)
     return Column(grid, y, dy)
 
 
@@ -188,22 +240,23 @@ def fundamental_pair(
     ic1: tuple[float, float] = (1.0, 0.0),
     ic2: tuple[float, float] = (0.0, 1.0),
 ) -> FundamentalPair:
-    """Pair with data ic1/ic2 at the anchor (identity data by default, W = 1)."""
-    lo, hi = interval
-    if not lo <= anchor <= hi:
-        raise ConfigurationError(f"anchor {anchor!r} outside interval {interval!r}")
-    c1 = integrate_normal_form(profile, interval, ic1, settings, grid=grid, anchor=anchor)
-    c2 = integrate_normal_form(profile, interval, ic2, settings, grid=c1.grid, anchor=anchor)
+    """Pair with data ic1/ic2 at the anchor (identity data by default, W = 1).
+
+    Both columns are integrated together as one four-component system.
+    """
     w = ic1[0] * ic2[1] - ic1[1] * ic2[0]
     if w == 0.0:
         raise ConfigurationError("initial data sets are linearly dependent")
-    return FundamentalPair(c1.grid, c1.y, c1.dy, c2.y, c2.dy, float(w))
+    grid, (y1, y2, dy1, dy2) = _integrate_columns(
+        profile, interval, anchor, [ic1, ic2], settings, grid
+    )
+    return FundamentalPair(grid, y1, dy1, y2, dy2, float(w))
 
 
 def companion_pair(
     profile,
     column: Column,
-    settings: IntegrationSettings | None = None,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
 ) -> FundamentalPair:
     """Complete a single solution column with a second-kind companion.
 
@@ -212,19 +265,13 @@ def companion_pair(
     from zero.
     """
     idx = int(np.argmax(np.abs(column.y)))
-    anchor = float(column.grid[idx])
     w = float(column.y[idx])
     if w == 0.0:
         raise ConfigurationError("column vanishes identically; no companion exists")
-    c2 = integrate_normal_form(
-        profile,
-        (float(column.grid[0]), float(column.grid[-1])),
-        (0.0, 1.0),
-        settings or DEFAULT_SETTINGS,
-        grid=column.grid,
-        anchor=anchor,
+    y2, dy2 = integrate_outward(
+        normal_form_system(profile), column.grid, float(column.grid[idx]), (0.0, 1.0), settings
     )
-    return FundamentalPair(column.grid, column.y, column.dy, c2.y, c2.dy, w)
+    return FundamentalPair(column.grid, column.y, column.dy, y2, dy2, w)
 
 
 def clip_interval(

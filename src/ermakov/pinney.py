@@ -20,17 +20,22 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ConfigurationError,
     ConstraintViolationError,
     GridMismatchError,
-    IntegrationFailureError,
-    NodeApproachError,
     NonpositiveFormError,
 )
-from .linear import DEFAULT_SETTINGS, Column, FundamentalPair, IntegrationSettings
+from .linear import (
+    DEFAULT_SETTINGS,
+    GRID_POINTS,
+    Column,
+    FundamentalPair,
+    IntegrationSettings,
+    integrate_outward,
+    normal_form_system,
+)
 
 CONSTRAINT_TOL = 1e-10
 NODE_FLOOR = 1e-8
@@ -165,59 +170,11 @@ def solve_ep_direct(
     if k < 0.0:
         raise ConfigurationError(f"k must be >= 0, got {k!r}")
     lo, hi = float(interval[0]), float(interval[1])
-    if grid is None:
-        grid = np.linspace(lo, hi, settings.dense_output)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(lo, hi, GRID_POINTS) if grid is None else np.asarray(grid, dtype=float)
     a = 0.5 * (lo + hi) if anchor is None else float(anchor)
-
-    omega2 = profile.omega2_array
-
-    def rhs(t, y):
-        w2 = float(omega2(np.asarray(t)))
-        rho = y[0]
-        source = k / rho**3 if k != 0.0 else 0.0
-        return (y[1], -w2 * rho + source)
-
-    def node_event(t, y):
-        return y[0] - NODE_FLOOR
-
-    node_event.terminal = True
-    node_event.direction = -1.0
-
-    def run(span, t_eval):
-        kwargs = {}
-        if math.isfinite(settings.max_step):
-            kwargs["max_step"] = settings.max_step
-        sol = solve_ivp(
-            rhs,
-            span,
-            (float(ic[0]), float(ic[1])),
-            method="DOP853",
-            t_eval=t_eval,
-            rtol=settings.rel_tol,
-            atol=settings.abs_tol,
-            events=node_event,
-            **kwargs,
-        )
-        if sol.t_events[0].size:
-            raise NodeApproachError(float(sol.t_events[0][0]))
-        if not sol.success or not np.all(np.isfinite(sol.y)):
-            last = float(sol.t[-1]) if sol.t.size else float(span[0])
-            raise IntegrationFailureError(
-                f"amplitude integration failed: {sol.message}", last_q=last
-            )
-        return sol.y
-
-    rho = np.empty_like(grid)
-    drho = np.empty_like(grid)
-    right = grid >= a
-    if np.any(right):
-        ys = run((a, max(hi, grid[right][-1])), grid[right])
-        rho[right], drho[right] = ys[0], ys[1]
-    if np.any(~right):
-        ys = run((a, min(lo, grid[~right][0])), grid[~right][::-1])
-        rho[~right], drho[~right] = ys[0][::-1], ys[1][::-1]
+    rho, drho = integrate_outward(
+        normal_form_system(profile, k), grid, a, ic, settings, span=(lo, hi), node_floor=NODE_FLOOR
+    )
     return ErmakovAmplitude(grid, rho, drho)
 
 

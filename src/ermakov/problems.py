@@ -108,16 +108,12 @@ class SectorSetup:
     basis: BasisKind | None
     note: str = ""
 
-    def build_pair(
-        self, settings: IntegrationSettings | None = None
-    ) -> FundamentalPair:
+    def build_pair(self, settings: IntegrationSettings = DEFAULT_SETTINGS) -> FundamentalPair:
         if self.basis is not None:
             return self.basis.build(self.grid, settings)
         lo, hi = float(self.grid[0]), float(self.grid[-1])
         anchor = float(self.grid[len(self.grid) // 2])
-        return fundamental_pair(
-            self.profile, (lo, hi), anchor, settings or DEFAULT_SETTINGS, grid=self.grid
-        )
+        return fundamental_pair(self.profile, (lo, hi), anchor, settings, grid=self.grid)
 
 
 def _resolve_grid(spec: ProblemSpec, label: str, default: tuple[float, float, int]):

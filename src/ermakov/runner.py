@@ -29,7 +29,7 @@ from .fields import (
     quantum_potential_ep,
     trajectory,
 )
-from .linear import FundamentalPair, IntegrationSettings, wronskian_check
+from .linear import DEFAULT_SETTINGS, FundamentalPair, IntegrationSettings, wronskian_check
 from .pinney import (
     ErmakovAmplitude,
     PinneyCoefficients,
@@ -54,6 +54,13 @@ class Tolerances:
     flux: float = FLUX_TOLERANCE
     ode_residual: float = 1e-3
 
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"tolerance.{name} must be positive and finite, got {value!r}"
+                )
+
     def as_dict(self) -> dict:
         return {
             "invariant": self.invariant,
@@ -68,7 +75,7 @@ class Tolerances:
 @dataclass(frozen=True)
 class RunConfig:
     problem: ProblemSpec
-    settings: IntegrationSettings | None = None  # None: per-component defaults
+    settings: IntegrationSettings = DEFAULT_SETTINGS
     tolerances: Tolerances = Tolerances()
     pinney: dict = field(default_factory=dict)  # label -> {"A":..,"B":..,"D":..}
     trajectories: dict = field(default_factory=dict)  # label -> [(x0, t_end, n)]
@@ -87,28 +94,28 @@ class RunConfig:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(text: str):
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
+def _parse_real(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        return text
+        raise ConfigurationError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
-def _parse_triplet(text: str, key: str) -> tuple[float, float, float]:
+def _parse_triplet(text: str, key: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigurationError(f"{key}: expected lo:hi:n, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise ConfigurationError(f"{key}: non-numeric entry in {text!r}") from None
+    lo, hi, n = (_parse_real(part, key) for part in parts)
+    if n < 1 or n != int(n):
+        raise ConfigurationError(f"{key}: count must be a positive integer, got {parts[2]!r}")
+    return lo, hi, int(n)
 
 
 _SECTOR_KEYS = ("C", "k", "A", "B", "D", "grid")
-_INTEGRATION_KEYS = ("rel_tol", "abs_tol", "max_step", "samples")
+_INTEGRATION_KEYS = ("rel_tol", "abs_tol", "max_step")
 _TOLERANCE_KEYS = ("invariant", "wronskian", "pinney", "continuity", "flux", "ode_residual")
 
 
@@ -148,37 +155,34 @@ def parse_config_text(text: str) -> RunConfig:
         section = parts[0]
         if section == "problem" and len(parts) == 2:
             name = parts[1]
-            value = _parse_scalar(raw_value)
             if name == "kind":
-                problem_kind = str(raw_value)
+                problem_kind = raw_value
+            elif name == "parity":
+                params[name] = raw_value
             elif name in ("m", "hbar"):
-                problem_mh[name] = float(value)
+                problem_mh[name] = _parse_real(raw_value, key)
             else:
-                params[name] = value
+                params[name] = _parse_real(raw_value, key)
         elif section == "sector" and len(parts) == 3 and parts[2] in _SECTOR_KEYS:
             label, what = parts[1], parts[2]
             if what == "grid":
-                lo, hi, n = _parse_triplet(raw_value, key)
-                grids[label] = (lo, hi, int(n))
+                grids[label] = _parse_triplet(raw_value, key)
             elif what == "C":
-                flux[label] = float(_parse_scalar(raw_value))
+                flux[label] = _parse_real(raw_value, key)
             elif what == "k":
-                k_sector[label] = float(_parse_scalar(raw_value))
+                k_sector[label] = _parse_real(raw_value, key)
             else:
-                pinney.setdefault(label, {})[what] = float(_parse_scalar(raw_value))
+                pinney.setdefault(label, {})[what] = _parse_real(raw_value, key)
         elif section == "trajectory" and len(parts) == 3:
-            label = parts[1]
-            x0, t_end, n = _parse_triplet(raw_value, key)
-            trajectories.setdefault(label, []).append((x0, t_end, int(n)))
+            trajectories.setdefault(parts[1], []).append(_parse_triplet(raw_value, key))
         elif section == "integration" and len(parts) == 2 and parts[1] in _INTEGRATION_KEYS:
-            integration[parts[1]] = float(_parse_scalar(raw_value))
+            integration[parts[1]] = _parse_real(raw_value, key)
         elif section == "tolerance" and len(parts) == 2 and parts[1] in _TOLERANCE_KEYS:
-            tol_kw[parts[1]] = float(_parse_scalar(raw_value))
+            tol_kw[parts[1]] = _parse_real(raw_value, key)
         elif key == "flux.enforce":
-            value = _parse_scalar(raw_value)
-            if not isinstance(value, bool):
+            if raw_value.lower() not in ("true", "false"):
                 raise ConfigurationError(f"flux.enforce must be true/false, got {raw_value!r}")
-            flux_enforce = value
+            flux_enforce = raw_value.lower() == "true"
         elif key == "output.dir":
             output_dir = raw_value
         elif key == "output.format":
@@ -197,18 +201,9 @@ def parse_config_text(text: str) -> RunConfig:
         k_sector=k_sector,
         grids=grids,
     )
-    settings_kw = {}
-    if "rel_tol" in integration:
-        settings_kw["rel_tol"] = integration["rel_tol"]
-    if "abs_tol" in integration:
-        settings_kw["abs_tol"] = integration["abs_tol"]
-    if "max_step" in integration:
-        settings_kw["max_step"] = integration["max_step"]
-    if "samples" in integration:
-        settings_kw["dense_output"] = int(integration["samples"])
     return RunConfig(
         problem=spec,
-        settings=IntegrationSettings(**settings_kw) if settings_kw else None,
+        settings=IntegrationSettings(**integration),
         tolerances=Tolerances(**tol_kw),
         pinney=pinney,
         trajectories=trajectories,
@@ -280,7 +275,7 @@ def _ode_residual(grid: np.ndarray, y: np.ndarray, omega2: np.ndarray) -> float:
 
 def execute_sector(
     setup: SectorSetup,
-    settings: IntegrationSettings | None = None,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
     pinney_override: dict | None = None,
     trajectory_requests: list[tuple[float, float, int]] | None = None,
 ) -> SectorResult:

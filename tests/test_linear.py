@@ -103,9 +103,10 @@ def test_residual_second_order_in_grid_spacing():
 
 def test_tolerance_monotonicity_against_closed_form():
     errors = []
+    grid = np.linspace(0.0, math.pi / 2, 41)
     for rel in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
-        settings = IntegrationSettings(rel_tol=rel, abs_tol=rel * 1e-2, dense_output=41)
-        sol = integrate_normal_form(CONST_ONE, (0.0, math.pi / 2), (0.0, 1.0), settings)
+        settings = IntegrationSettings(rel_tol=rel, abs_tol=rel * 1e-2)
+        sol = integrate_normal_form(CONST_ONE, (0.0, math.pi / 2), (0.0, 1.0), settings, grid)
         errors.append(abs(sol.y[-1] - 1.0))
     for coarse, fine in zip(errors, errors[1:]):
         # ties to within round-off happen when both runs take the same steps
@@ -114,13 +115,14 @@ def test_tolerance_monotonicity_against_closed_form():
 
 def test_endpoint_reproducible_under_refinement():
     rel = 1e-8
+    grid = np.linspace(0.0, 4.0, 41)
     base = integrate_normal_form(
         weber_profile(0.5), (0.0, 4.0), (1.0, 0.0),
-        IntegrationSettings(rel_tol=rel, abs_tol=1e-12, dense_output=41),
+        IntegrationSettings(rel_tol=rel, abs_tol=1e-12), grid,
     )
     refined = integrate_normal_form(
         weber_profile(0.5), (0.0, 4.0), (1.0, 0.0),
-        IntegrationSettings(rel_tol=rel / 2, abs_tol=5e-13, dense_output=41),
+        IntegrationSettings(rel_tol=rel / 2, abs_tol=5e-13), grid,
     )
     assert abs(base.y[-1] - refined.y[-1]) <= 10 * rel * max(1.0, abs(base.y[-1]))
 
@@ -141,8 +143,6 @@ def test_settings_validation():
         IntegrationSettings(rel_tol=0.0)
     with pytest.raises(ConfigurationError):
         IntegrationSettings(abs_tol=-1.0)
-    with pytest.raises(ConfigurationError):
-        IntegrationSettings(dense_output=1)
     with pytest.raises(ConfigurationError):
         IntegrationSettings(max_step=0.0)
 
@@ -176,6 +176,16 @@ def test_companion_pair_builds_independent_second_solution():
     pair = companion_pair(CONST_ONE, Column(grid, base.y, base.dy))
     assert pair.W != 0.0
     assert wronskian_check(pair) <= 1e-9 * max(1.0, abs(pair.W))
+
+
+def test_companion_pair_anchored_at_grid_end():
+    # A growing column peaks at the right end, so that half-range is empty.
+    grid = np.linspace(0.0, 2.0, 201)
+    growing = FrequencyProfile.from_omega2(lambda q: -np.ones_like(np.asarray(q, float)))
+    pair = companion_pair(growing, Column(grid, np.cosh(grid), np.sinh(grid)))
+    assert pair.W == np.cosh(2.0)
+    np.testing.assert_allclose(pair.y2, np.sinh(grid - 2.0), atol=1e-9)
+    assert wronskian_check(pair) <= 1e-9 * pair.W
 
 
 def test_clip_interval_moves_off_singular_endpoints():

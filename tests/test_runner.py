@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,26 @@ def test_coulomb_pair_honours_integration_settings(tmp_path):
     assert w_loose > 100.0 * w_default and i_loose > 100.0 * i_default
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        "problem.kind = free_particle\nproblem.k0 = 1.0\n",
+        "problem.kind = harmonic_oscillator\nproblem.omega = 1.0\nproblem.E = 1.0\n",
+        "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n",
+        "problem.kind = two_center_elliptic\nproblem.a = 1.0\nproblem.Z = 1.0\n"
+        "problem.k_sq = 2.0\nproblem.ell = 0\nproblem.parity = even\n",
+    ],
+    ids=["free", "harmonic", "coulomb", "two_center"],
+)
+def test_explicit_default_integration_settings_change_nothing(tmp_path, cfg):
+    defaults = "integration.rel_tol = 1e-12\nintegration.abs_tol = 1e-14\n"
+    _, plain = run_config(parse_config_text(cfg), output_dir=tmp_path / "plain")
+    _, explicit = run_config(parse_config_text(cfg + defaults), output_dir=tmp_path / "explicit")
+    assert [p.name for p in plain] == [p.name for p in explicit]
+    for a, b in zip(plain, explicit):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
 def test_unknown_sector_reference_rejected(tmp_path):
     config = parse_config_text(FREE_CFG + "sector.y.k = 1.0\n")
     with pytest.raises(ConfigurationError):
@@ -231,6 +252,28 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
 
 
+FREE = "problem.kind = free_particle\nproblem.k0 = 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        FREE + "trajectory.x.1 = 0:1:0",
+        FREE + "trajectory.x.1 = 0:1:2.5",
+        "problem.kind = harmonic_oscillator\nproblem.omega = 1.0\nproblem.E = abc",
+        FREE + "sector.x.k = nan",
+        FREE + "sector.x.C = inf",
+        FREE + "tolerance.invariant = -1",
+    ],
+    ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol"],
+)
+def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path, f"{text}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 1
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_code_tolerance_breach(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -260,3 +303,22 @@ def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
     assert "spherical" in out and "confocal_quadric" in out
+
+
+def test_benchmark_tracer_sees_one_solve_per_half_range(tmp_path, monkeypatch):
+    # The benchmark's tracer wraps linear.solve_ivp and fields.solve_ivp by
+    # name; a refactor that unbinds either breaks `perfbench/run.py --trace 1`.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracing import Tracer
+
+    config = parse_config_text(
+        "problem.kind = two_center_elliptic\nproblem.a = 1.0\nproblem.Z = 1.0\n"
+        "problem.k_sq = 2.0\nproblem.Gamma = -1.5\n"
+    )
+    tracer = Tracer()
+    with tracer.installed():
+        report, _ = run_config(config, output_dir=tmp_path)
+    assert report.verdict == "pass"
+    # no Mathieu basis: both sectors integrate a fundamental pair, one
+    # stacked solve per half-range
+    assert tracer.counters[tracer.iteration]["linear.ivp_calls"] == 4
