@@ -249,6 +249,8 @@ def whittaker_pair(
     The W column is anchored at large argument by its leading exponential
     asymptotic term only, so its absolute normalization is approximate by
     O(1/z_anchor); downstream quadratic-form coefficients absorb the scale.
+    The column is integrated scaled to 1 at its anchor, so ``settings.abs_tol``
+    bounds the error relative to the anchor value W(z_anchor), not absolutely.
     At quantized kappa = n + 1 the two functions are proportional and a
     :class:`DegeneratePairError` is raised.
     """

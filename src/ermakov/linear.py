@@ -132,21 +132,18 @@ def integrate_outward(
     anchor: float,
     y0,
     settings: IntegrationSettings = DEFAULT_SETTINGS,
-    span: tuple[float, float] | None = None,
     node_floor: float | None = None,
 ) -> np.ndarray:
     """Solve y' = rhs(q, y) with y(anchor) = y0 outward to both ends of ``grid``.
 
-    The half-ranges right and left of the anchor are integrated separately
-    and sampled on the grid points they hold; each runs to the farther of
-    the grid end and the matching end of ``span``.  Returns the state at
-    every grid point, shape (len(y0), grid.size).
+    The half-ranges right and left of the anchor are integrated separately,
+    each to its grid end, and sampled on the grid points they hold.  Returns
+    the state at every grid point, shape (len(y0), grid.size).
 
     Raises :class:`NodeApproachError` where y[0] falls below ``node_floor``
     (when given) and :class:`IntegrationFailureError` when the solver fails
     or leaves the finite range.
     """
-    lo, hi = (grid[0], grid[-1]) if span is None else span
     y0 = np.asarray(y0, dtype=float)
     kwargs = {}
     if math.isfinite(settings.max_step):
@@ -162,7 +159,7 @@ def integrate_outward(
 
     out = np.empty((y0.size, grid.size))
     right = grid >= anchor
-    for mask, end in ((right, max(float(hi), grid[-1])), (~right, min(float(lo), grid[0]))):
+    for mask, end in ((right, float(grid[-1])), (~right, float(grid[0]))):
         if not np.any(mask):
             continue
         if end == anchor:  # the half-range is the anchor itself
@@ -204,10 +201,7 @@ def _integrate_columns(profile, interval, anchor, ics, settings, grid):
     if not lo <= anchor <= hi:
         raise ConfigurationError(f"anchor {anchor!r} outside interval {interval!r}")
     y0 = [float(ic[0]) for ic in ics] + [float(ic[1]) for ic in ics]
-    state = integrate_outward(
-        normal_form_system(profile), grid, float(anchor), y0, settings, span=(lo, hi)
-    )
-    return grid, state
+    return grid, integrate_outward(normal_form_system(profile), grid, float(anchor), y0, settings)
 
 
 def integrate_normal_form(

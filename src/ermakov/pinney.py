@@ -173,7 +173,7 @@ def solve_ep_direct(
     grid = np.linspace(lo, hi, GRID_POINTS) if grid is None else np.asarray(grid, dtype=float)
     a = 0.5 * (lo + hi) if anchor is None else float(anchor)
     rho, drho = integrate_outward(
-        normal_form_system(profile, k), grid, a, ic, settings, span=(lo, hi), node_floor=NODE_FLOOR
+        normal_form_system(profile, k), grid, a, ic, settings, node_floor=NODE_FLOOR
     )
     return ErmakovAmplitude(grid, rho, drho)
 

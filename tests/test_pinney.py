@@ -11,6 +11,7 @@ from ermakov.errors import (
     ConfigurationError,
     ConstraintViolationError,
     GridMismatchError,
+    IntegrationFailureError,
     NodeApproachError,
     NonpositiveFormError,
 )
@@ -87,6 +88,20 @@ def test_direct_integration_node_approach():
     with pytest.raises(NodeApproachError) as err:
         solve_ep_direct(CONST_ONE, 0.0, (1.0, 0.0), (0.0, 5.0), anchor=0.0)
     assert err.value.q == pytest.approx(math.pi / 2.0, abs=1e-6)
+
+
+def test_direct_integration_unevaluable_frequency():
+    # a frequency that raises past q = 1 ends the run as an integration failure
+    def omega2(q):
+        q = np.asarray(q, float)
+        if np.any(q > 1.0):
+            raise FloatingPointError("overflow")
+        return np.ones_like(q)
+
+    profile = FrequencyProfile.from_omega2(omega2)
+    with pytest.raises(IntegrationFailureError) as err:
+        solve_ep_direct(profile, 1.0, (1.0, 0.0), (0.0, 2.0), anchor=0.0)
+    assert 0.0 <= err.value.last_q <= 1.0 + 1e-6
 
 
 def test_direct_integration_validation():
