@@ -141,7 +141,7 @@ def weber_pair(
     grid = np.asarray(xi_grid, dtype=float)
     c1 = weber_column(nu, grid, settings)
     if np.allclose(grid, -grid[::-1], rtol=0.0, atol=1e-12):
-        y2, dy2 = c1.y[::-1].copy(), -c1.dy[::-1].copy()
+        c2 = Column(grid, c1.y[::-1].copy(), -c1.dy[::-1].copy(), c1.error)
     else:
         y0, dy0 = weber_seed(nu)
         lo = min(float(grid[0]), 0.0)
@@ -149,7 +149,6 @@ def weber_pair(
         c2 = integrate_normal_form(
             weber_profile(nu), (lo, hi), (y0, -dy0), settings, grid=grid, anchor=0.0
         )
-        y2, dy2 = c2.y, c2.dy
     y0, dy0 = weber_seed(nu)
     w = -2.0 * y0 * dy0
     # Transcription check: the same Wronskian by the duplication identity.
@@ -158,7 +157,7 @@ def weber_pair(
         raise EngineError(
             f"parabolic-cylinder seed values inconsistent: W = {w!r} vs {w_identity!r}"
         )
-    return FundamentalPair(grid, c1.y, c1.dy, y2, dy2, w)
+    return FundamentalPair(grid, c1.y, c1.dy, c2.y, c2.dy, w, max(c1.error, c2.error))
 
 
 def weber_basis(
@@ -279,7 +278,7 @@ def whittaker_pair(
     w_y, w_dy = w_a * unit.y, w_a * unit.dy
     mid = len(x) // 2
     wronskian = float(m_col.y[mid] * w_dy[mid] - m_col.dy[mid] * w_y[mid])
-    return FundamentalPair(x, m_col.y, m_col.dy, w_y, w_dy, wronskian)
+    return FundamentalPair(x, m_col.y, m_col.dy, w_y, w_dy, wronskian, unit.error)
 
 
 def whittaker_basis(

@@ -62,7 +62,8 @@ def _cmd_run(path: str) -> int:
         status = "pass" if sector["pass"] else "FAIL"
         print(
             f"sector {sector['label']}: invariant drift {sector['invariant_drift']:.3e}, "
-            f"wronskian drift {sector['wronskian_drift']:.3e} [{status}]"
+            f"wronskian drift {sector['wronskian_drift']:.3e}, "
+            f"integration error {sector['integration_error']:.3e} [{status}]"
         )
     print(f"flux residual {report.flux.residual:.3e} "
           f"({'enforced' if report.flux.enforced else 'not enforced'})")

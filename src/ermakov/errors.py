@@ -49,7 +49,7 @@ class SingularEndpointError(EngineError):
 
 
 class IntegrationFailureError(EngineError):
-    """Adaptive integration stalled (step-size underflow or bad state)."""
+    """Integration failed: refinement cap, solver stall or a non-finite state."""
 
     def __init__(self, message: str, last_q: float | None = None):
         self.last_q = last_q

@@ -44,6 +44,14 @@ _REQUIRED = {
     "two_center_elliptic": ("a", "Z"),
 }
 
+# every parameter each kind accepts (README, "Problem parameters by kind")
+_PARAMETERS = {
+    "free_particle": ("k0",),
+    "harmonic_oscillator": ("omega", "E"),
+    "coulomb_halfline": ("alpha", "E"),
+    "two_center_elliptic": ("a", "Z", "E", "k_sq", "Gamma", "ell", "parity", "e2"),
+}
+
 _DEFAULT_GRIDS = {
     "free_particle": {"x": (-10.0, 10.0, 2001)},
     "harmonic_oscillator": {"xi": (-6.0, 6.0, 2001)},
@@ -71,6 +79,12 @@ class ProblemSpec:
             )
         if self.m <= 0 or self.hbar <= 0:
             raise ConfigurationError("m and hbar must be positive")
+        unknown = sorted(set(self.params) - set(_PARAMETERS[self.kind]))
+        if unknown:
+            raise ConfigurationError(
+                f"{self.kind}: unknown parameters {unknown};"
+                f" accepted: {', '.join(_PARAMETERS[self.kind])}"
+            )
         missing = [n for n in _REQUIRED[self.kind] if n not in self.params]
         if self.kind == "two_center_elliptic":
             if "E" not in self.params and "k_sq" not in self.params:
@@ -80,6 +94,11 @@ class ProblemSpec:
             if "Gamma" in self.params and "ell" in self.params:
                 raise ConfigurationError(
                     "two-center spec: give either Gamma or (ell, parity), not both"
+                )
+            ell = self.params.get("ell", 0)
+            if ell < 0 or ell != int(ell):
+                raise ConfigurationError(
+                    f"two-center order ell must be a nonnegative integer, got {ell!r}"
                 )
         if missing:
             raise ConfigurationError(f"{self.kind}: missing parameters {missing}")

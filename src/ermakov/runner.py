@@ -49,6 +49,7 @@ OUTPUT_FORMATS = ("csv", "json-lines")
 class Tolerances:
     invariant: float = 1e-8
     wronskian: float = 1e-9
+    integration: float = 1e-9
     pinney: float = 1e-10
     continuity: float = 1e-10
     flux: float = FLUX_TOLERANCE
@@ -65,6 +66,7 @@ class Tolerances:
         return {
             "invariant": self.invariant,
             "wronskian": self.wronskian,
+            "integration": self.integration,
             "pinney": self.pinney,
             "continuity": self.continuity,
             "flux": self.flux,
@@ -104,6 +106,11 @@ def _parse_real(text: str, key: str) -> float:
     return value
 
 
+# Largest sample count n of a lo:hi:n entry (sector grids and trajectory
+# samples): a pair integration allocates a few dozen doubles per grid point.
+MAX_SAMPLES = 1_000_001
+
+
 def _parse_triplet(text: str, key: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -111,12 +118,16 @@ def _parse_triplet(text: str, key: str) -> tuple[float, float, int]:
     lo, hi, n = (_parse_real(part, key) for part in parts)
     if n < 1 or n != int(n):
         raise ConfigurationError(f"{key}: count must be a positive integer, got {parts[2]!r}")
+    if n > MAX_SAMPLES:
+        raise ConfigurationError(f"{key}: count {parts[2]!r} exceeds the cap of {MAX_SAMPLES}")
     return lo, hi, int(n)
 
 
 _SECTOR_KEYS = ("C", "k", "A", "B", "D", "grid")
 _INTEGRATION_KEYS = ("rel_tol", "abs_tol", "max_step")
-_TOLERANCE_KEYS = ("invariant", "wronskian", "pinney", "continuity", "flux", "ode_residual")
+_TOLERANCE_KEYS = (
+    "invariant", "wronskian", "integration", "pinney", "continuity", "flux", "ode_residual"
+)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -353,6 +364,7 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
     checks = {
         "invariant": result.invariant_drift <= tol.invariant,
         "wronskian": result.wronskian_drift <= tol.wronskian * max(1.0, abs(result.pair.W)),
+        "integration": result.pair.error <= tol.integration,
         "pinney": result.pinney_residual <= tol.pinney * max(1.0, abs(target)),
         "continuity": result.continuity_residual <= tol.continuity,
         "ode_residual": (
@@ -370,6 +382,7 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
         "invariant_drift": result.invariant_drift,
         "invariant_drift_absolute": result.invariant_absolute,
         "wronskian_drift": result.wronskian_drift,
+        "integration_error": result.pair.error,
         "pinney_residual": result.pinney_residual,
         "continuity_residual": result.continuity_residual,
         "ode_residual": result.ode_residual,

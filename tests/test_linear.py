@@ -15,6 +15,7 @@ from ermakov.linear import (
     companion_pair,
     fundamental_pair,
     integrate_normal_form,
+    magnus_outward,
     wronskian_check,
 )
 
@@ -195,3 +196,108 @@ def test_clip_interval_moves_off_singular_endpoints():
     lo, hi = clip_interval(sector, (0.0, 10.0))
     assert lo == pytest.approx(0.01)
     assert hi == 10.0
+
+
+# ---------------------------------------------------------------------------
+# Magnus propagator
+# ---------------------------------------------------------------------------
+
+
+def constant_propagator(w2, t):
+    """Exact (y, y') propagator entries of y'' + w2 y = 0 over a span t."""
+    if w2 > 0:
+        w = math.sqrt(w2)
+        return np.cos(w * t), np.sin(w * t) / w, -w * np.sin(w * t), np.cos(w * t)
+    if w2 < 0:
+        g = math.sqrt(-w2)
+        return np.cosh(g * t), np.sinh(g * t) / g, g * np.sinh(g * t), np.cosh(g * t)
+    return np.ones_like(t), t, np.zeros_like(t), np.ones_like(t)
+
+
+@pytest.mark.parametrize("w2", [4.0, -1.0, 0.0])
+def test_magnus_constant_frequency_closed_form(w2):
+    profile = FrequencyProfile.from_omega2(lambda q: np.full_like(np.asarray(q, float), w2))
+    grid = np.linspace(-3.0, 5.0, 81)
+    anchor = 0.33  # not a grid point: it is added as a node and dropped again
+    state, error = magnus_outward(profile, grid, anchor, (1.0, 0.0, 0.0, 1.0))
+    m11, m12, m21, m22 = constant_propagator(w2, grid - anchor)
+    # rows: y1, y2 (data (1, 0) and (0, 1)), then y1', y2'
+    for row, exact in zip(state, (m11, m12, m21, m22)):
+        assert np.max(np.abs(row - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
+    assert error <= 1e-13
+
+
+def ground_state_column(max_step, grid=np.linspace(0.0, 4.0, 5)):
+    """D_0(x) = exp(-x^2/4) under loose tolerances, so the substep count is
+    the one max_step starts with: the first Richardson check passes."""
+    (y, dy), error = magnus_outward(
+        weber_profile(0.0), grid, 0.0, (1.0, 0.0),
+        IntegrationSettings(rel_tol=1e-2, max_step=max_step),
+    )
+    exact = np.exp(-(grid**2) / 4.0)
+    true = max(np.max(np.abs(y - exact)) / np.max(exact),
+               np.max(np.abs(dy + 0.5 * grid * exact)) / np.max(np.abs(0.5 * grid * exact)))
+    return true, error
+
+
+def test_magnus_error_falls_16x_per_halving():
+    errors = [ground_state_column(step) for step in (1 / 4, 1 / 8, 1 / 16)]
+    for (coarse, _), (fine, _) in zip(errors, errors[1:]):
+        assert 14.0 <= coarse / fine <= 18.0
+    for true, estimate in errors:
+        # the global Richardson estimate tracks the true error
+        assert 0.5 * true <= estimate <= 2.0 * true
+
+
+def test_magnus_honours_max_step():
+    seen = []
+
+    def omega2(q):
+        seen.append(np.array(q, dtype=float))
+        return np.ones_like(seen[-1])
+
+    grid = np.linspace(0.0, 2.0, 5)
+    # the anchor splits the first cell, so cells start at different counts
+    (y, dy), _ = magnus_outward(
+        FrequencyProfile.from_omega2(omega2), grid, 0.3, (1.0, 0.0),
+        IntegrationSettings(max_step=0.01),
+    )
+    first = np.sort(seen[0])  # the starting substeps, two Gauss points each
+    assert first.size >= 2 * 200
+    assert np.max(np.diff(np.concatenate(([0.0], first, [2.0])))) <= 0.01
+    np.testing.assert_allclose(y, np.cos(grid - 0.3), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(dy, -np.sin(grid - 0.3), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("anchor, bad, side", [(0.0, 0.5, 1.0), (0.0, -0.5, -1.0)])
+def test_magnus_nan_frequency_reports_last_q(anchor, bad, side):
+    # the frequency cannot be evaluated beyond q = bad on one side of the anchor
+    profile = FrequencyProfile.from_omega2(
+        lambda q: np.where(side * (np.asarray(q, float) - bad) < 0.0, 1.0, np.nan)
+    )
+    grid = np.linspace(-2.0, 2.0, 81)
+    with pytest.raises(IntegrationFailureError) as err:
+        magnus_outward(profile, grid, anchor, (1.0, 0.0))
+    assert err.value.last_q is not None
+    # the last node reached lies between the anchor and the first NaN
+    assert 0.0 <= side * err.value.last_q <= side * bad
+    assert abs(err.value.last_q - bad) <= 0.05 + 1e-12
+
+
+def test_integrated_pairs_carry_error_estimate():
+    grid = np.linspace(-4.0, 4.0, 401)
+    pair = fundamental_pair(weber_profile(0.3), (-4.0, 4.0), 0.0, grid=grid)
+    assert 0.0 < pair.error <= 1e-12
+    assert pair.subgrid(np.arange(0, 401, 4)).error == pair.error
+    loose = fundamental_pair(
+        weber_profile(0.3), (-4.0, 4.0), 0.0, IntegrationSettings(rel_tol=1e-3), grid=grid
+    )
+    true = max(
+        np.max(np.abs(a - b)) / np.max(np.abs(b))
+        for a, b in ((loose.y1, pair.y1), (loose.y2, pair.y2),
+                     (loose.dy1, pair.dy1), (loose.dy2, pair.dy2))
+    )
+    assert true > 1e-10
+    assert 0.5 * true <= loose.error <= 2.0 * true
+    # every Magnus step has determinant 1: the Wronskian cannot see the loss
+    assert wronskian_check(loose) <= 1e-12

@@ -18,6 +18,7 @@ from ermakov.runner import (
     parse_config_text,
     run_config,
 )
+from ermakov.pinney import solve_ep_direct
 from ermakov.problems import ProblemSpec, build_problem
 
 FREE_CFG = """
@@ -253,6 +254,10 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
 
 
 FREE = "problem.kind = free_particle\nproblem.k0 = 1.0\n"
+TWO_CENTER = (
+    "problem.kind = two_center_elliptic\nproblem.a = 1.0\nproblem.Z = 1.0\n"
+    "problem.k_sq = 2.0\nproblem.ell = 0\nproblem.parity = even\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -264,11 +269,17 @@ FREE = "problem.kind = free_particle\nproblem.k0 = 1.0\n"
         FREE + "sector.x.k = nan",
         FREE + "sector.x.C = inf",
         FREE + "tolerance.invariant = -1",
+        TWO_CENTER.replace("ell = 0", "ell = 0.5"),
+        FREE + "sector.x.grid = -1:1:1e12",
+        FREE + "trajectory.x.1 = 0:1:1000002",
+        FREE + "problem.junk = 1",
     ],
-    ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol"],
+    ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol",
+         "fractional_ell", "grid_over_cap", "samples_over_cap", "unknown_parameter"],
 )
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
     cfg = write_cfg(tmp_path, f"{text}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["check", cfg]) == 1
     assert main(["run", cfg]) == 1
     assert "configuration error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -315,10 +326,37 @@ def test_benchmark_tracer_sees_one_solve_per_half_range(tmp_path, monkeypatch):
         "problem.kind = two_center_elliptic\nproblem.a = 1.0\nproblem.Z = 1.0\n"
         "problem.k_sq = 2.0\nproblem.Gamma = -1.5\n"
     )
+    (setup, _) = build_problem(config.problem)
     tracer = Tracer()
     with tracer.installed():
         report, _ = run_config(config, output_dir=tmp_path)
+        # no Mathieu basis: both sectors build a fundamental pair, by Magnus
+        # steps, without the solver
+        pair_solves = tracer.counters[tracer.iteration]["linear.ivp_calls"]
+        # the direct amplitude from an interior anchor: one solve per half-range
+        solve_ep_direct(setup.profile, 1.0, (1.0, 0.0), (0.0, 1.0))
     assert report.verdict == "pass"
-    # no Mathieu basis: both sectors integrate a fundamental pair, one
-    # stacked solve per half-range
-    assert tracer.counters[tracer.iteration]["linear.ivp_calls"] == 4
+    assert pair_solves == 0
+    assert tracer.counters[tracer.iteration]["linear.ivp_calls"] == 2
+
+
+SEEDED_PAIRS = {
+    "harmonic_companion": "problem.kind = harmonic_oscillator\nproblem.omega = 1.0\n"
+                          "problem.E = 1.5\nsector.xi.grid = -6:6:41\n",
+    "coulomb": "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n"
+               "sector.x.grid = 0.025:15:41\n",
+    "two_center_mu": TWO_CENTER + "sector.mu.grid = 0:3:41\nsector.nu.grid = 0:6.2:41\n",
+}
+
+
+@pytest.mark.parametrize("cfg", SEEDED_PAIRS.values(), ids=SEEDED_PAIRS.keys())
+def test_loose_integration_fails_integration_check(tmp_path, cfg):
+    # Magnus pairs keep the Wronskian at roundoff, so only the Richardson
+    # estimate can see a loose integration tolerance.
+    checks = {}
+    for name, extra in (("default", ""), ("loose", "integration.rel_tol = 1e-3\n")):
+        report, _ = run_config(parse_config_text(cfg + extra), output_dir=tmp_path / name)
+        sector = report.sectors[-1]  # the harmonic, Coulomb or two-center mu pair
+        checks[name] = sector["checks"]["integration"], sector["integration_error"]
+    assert checks["default"][0] is True and checks["default"][1] <= 1e-9
+    assert checks["loose"][0] is False and checks["loose"][1] > 1e-9
