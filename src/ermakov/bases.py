@@ -41,11 +41,13 @@ from .linear import (
     FundamentalPair,
     IntegrationSettings,
     companion_pair,
+    fundamental_pair,
     integrate_normal_form,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_M_TAIL_TOL = 1e-12  # Whittaker M series tail, relative to the sum
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +130,8 @@ def weber_pair(
 ) -> FundamentalPair:
     """Pair (D_nu(xi), D_nu(-xi)).
 
+    Both columns are integrated outward from xi = 0, from the seeds
+    (D_nu(0), +-D_nu'(0)), by the same cell matrices; W = -2 D_nu(0) D_nu'(0).
     For nonnegative integer nu the reflection D_n(-xi) = (-1)^n D_n(xi)
     makes the pair dependent; a :class:`DegeneratePairError` is raised and
     the caller should complete the D_n column with an identity-data
@@ -139,16 +143,6 @@ def weber_pair(
             " use a second-kind companion generated by identity-data integration"
         )
     grid = np.asarray(xi_grid, dtype=float)
-    c1 = weber_column(nu, grid, settings)
-    if np.allclose(grid, -grid[::-1], rtol=0.0, atol=1e-12):
-        c2 = Column(grid, c1.y[::-1].copy(), -c1.dy[::-1].copy(), c1.error)
-    else:
-        y0, dy0 = weber_seed(nu)
-        lo = min(float(grid[0]), 0.0)
-        hi = max(float(grid[-1]), 0.0)
-        c2 = integrate_normal_form(
-            weber_profile(nu), (lo, hi), (y0, -dy0), settings, grid=grid, anchor=0.0
-        )
     y0, dy0 = weber_seed(nu)
     w = -2.0 * y0 * dy0
     # Transcription check: the same Wronskian by the duplication identity.
@@ -157,7 +151,10 @@ def weber_pair(
         raise EngineError(
             f"parabolic-cylinder seed values inconsistent: W = {w!r} vs {w_identity!r}"
         )
-    return FundamentalPair(grid, c1.y, c1.dy, c2.y, c2.dy, w, max(c1.error, c2.error))
+    interval = (min(float(grid[0]), 0.0), max(float(grid[-1]), 0.0))
+    return fundamental_pair(
+        weber_profile(nu), interval, 0.0, settings, grid=grid, ic1=(y0, dy0), ic2=(y0, -dy0)
+    )
 
 
 def weber_basis(
@@ -186,13 +183,13 @@ def whittaker_profile(kappa: float, lam: float) -> FrequencyProfile:
 
 
 def _whittaker_m_series(
-    kappa: float, z: np.ndarray, tail_tol: float, term_cap: int
+    kappa: float, z: np.ndarray, term_cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kummer series S(z) = 1F1(1 - kappa; 2; z) and S'(z), term-wise.
 
     The tail is bounded by the geometric estimate once the term ratio drops
-    below 1/2; failing to reach that within ``term_cap`` terms raises
-    :class:`SeriesConvergenceError`.
+    below 1/2 and must fall to _M_TAIL_TOL of the sum; failing to reach that
+    within ``term_cap`` terms raises :class:`SeriesConvergenceError`.
     """
     s = np.ones_like(z)
     ds = np.zeros_like(z)
@@ -208,7 +205,7 @@ def _whittaker_m_series(
         bound = abs(next_ratio) * zmax
         if bound < 0.5:
             tail = float(np.max(np.abs(term))) * bound / (1.0 - bound)
-            if tail <= tail_tol * max(1.0, float(np.max(np.abs(s)))):
+            if tail <= _M_TAIL_TOL * max(1.0, float(np.max(np.abs(s)))):
                 return s, ds
     raise SeriesConvergenceError(
         f"Whittaker M series did not meet its tail bound within {term_cap} terms"
@@ -216,11 +213,7 @@ def _whittaker_m_series(
 
 
 def whittaker_m_column(
-    kappa: float,
-    x_grid: np.ndarray,
-    lam: float,
-    tail_tol: float = 1e-12,
-    term_cap: int = 2000,
+    kappa: float, x_grid: np.ndarray, lam: float, term_cap: int = 2000
 ) -> Column:
     """M_{kappa,1/2}(2 lam x) with the leading series coefficient fixed to 1."""
     x = np.asarray(x_grid, dtype=float)
@@ -229,7 +222,7 @@ def whittaker_m_column(
     if lam <= 0.0:
         raise ConfigurationError(f"lambda must be positive, got {lam!r}")
     z = 2.0 * lam * x
-    s, ds = _whittaker_m_series(kappa, z, tail_tol, term_cap)
+    s, ds = _whittaker_m_series(kappa, z, term_cap)
     expo = np.exp(-0.5 * z)
     m = z * expo * s
     dm_dz = expo * ((1.0 - 0.5 * z) * s + z * ds)
@@ -241,17 +234,17 @@ def whittaker_pair(
     x_grid: np.ndarray,
     lam: float,
     settings: IntegrationSettings = DEFAULT_SETTINGS,
-    anchor_x: float | None = None,
 ) -> FundamentalPair:
     """Pair (M_{kappa,1/2}(2 lam x), W_{kappa,1/2}(2 lam x)).
 
-    The W column is anchored at large argument by its leading exponential
-    asymptotic term only, so its absolute normalization is approximate by
-    O(1/z_anchor); downstream quadratic-form coefficients absorb the scale.
-    The column is integrated scaled to 1 at its anchor, so ``settings.abs_tol``
-    bounds the error relative to the anchor value W(z_anchor), not absolutely.
-    At quantized kappa = n + 1 the two functions are proportional and a
-    :class:`DegeneratePairError` is raised.
+    The W column is anchored at z_a = max(30, 4 lam x_max) by its leading
+    exponential asymptotic term e^{-z/2} z^kappa only, so its absolute
+    normalization is approximate by O(1/z_a); downstream quadratic-form
+    coefficients absorb the scale.  It is integrated inward from that seed,
+    and, as for every integrated column, ``settings.abs_tol`` bounds each
+    cell matrix's Richardson estimate, which does not depend on the
+    column's scale.  At quantized kappa = n + 1 the two functions are
+    proportional and a :class:`DegeneratePairError` is raised.
     """
     if kappa >= 0.5 and abs(kappa - round(kappa)) < 1e-9:
         raise DegeneratePairError(
@@ -260,25 +253,20 @@ def whittaker_pair(
         )
     x = np.asarray(x_grid, dtype=float)
     m_col = whittaker_m_column(kappa, x, lam)
-    if anchor_x is None:
-        anchor_x = max(30.0 / (2.0 * lam), 2.0 * float(x[-1]))
+    anchor_x = max(30.0 / (2.0 * lam), 2.0 * float(x[-1]))
     z_a = 2.0 * lam * anchor_x
-    # The seed e^{-z/2} z^kappa is far below 1, so the column is integrated
-    # at unit scale and rescaled: the absolute tolerance then acts relative
-    # to the column, and the equation is linear, so the rescaling is exact.
     w_a = math.exp(-0.5 * z_a) * z_a**kappa
-    unit = integrate_normal_form(
+    w_col = integrate_normal_form(
         whittaker_profile(kappa, lam),
         (float(x[0]), anchor_x),
-        (1.0, 2.0 * lam * (kappa - 0.5 * z_a) / z_a),
+        (w_a, w_a * 2.0 * lam * (kappa - 0.5 * z_a) / z_a),
         settings,
         grid=x,
         anchor=anchor_x,
     )
-    w_y, w_dy = w_a * unit.y, w_a * unit.dy
     mid = len(x) // 2
-    wronskian = float(m_col.y[mid] * w_dy[mid] - m_col.dy[mid] * w_y[mid])
-    return FundamentalPair(x, m_col.y, m_col.dy, w_y, w_dy, wronskian, unit.error)
+    wronskian = float(m_col.y[mid] * w_col.dy[mid] - m_col.dy[mid] * w_col.y[mid])
+    return FundamentalPair(x, m_col.y, m_col.dy, w_col.y, w_col.dy, wronskian, w_col.error)
 
 
 def whittaker_basis(

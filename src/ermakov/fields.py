@@ -89,13 +89,6 @@ def quantum_potential(
     return -(hbar**2 / (2.0 * m)) * d2psi / psi
 
 
-def quantum_potential_from_frequency(
-    omega2: np.ndarray, m: float = 1.0, hbar: float = 1.0
-) -> np.ndarray:
-    """Curvature potential of a linear solution via psi'' = -Omega^2 psi."""
-    return (hbar**2 / (2.0 * m)) * np.asarray(omega2, dtype=float)
-
-
 def quantum_potential_ep(
     omega2: np.ndarray,
     k: float,

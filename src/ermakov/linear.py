@@ -511,18 +511,3 @@ def companion_pair(
         column.grid, column.y, column.dy, y2, dy2, w, max(column.error, error)
     )
 
-
-def clip_interval(
-    sector, interval: tuple[float, float], offset_fraction: float = 1e-3
-) -> tuple[float, float]:
-    """Pull the interval off singular sector endpoints by a fixed fraction."""
-    lo, hi = float(interval[0]), float(interval[1])
-    span = hi - lo
-    pad = offset_fraction * span
-    if lo in sector.singular_endpoints:
-        lo += pad
-    if hi in sector.singular_endpoints:
-        hi -= pad
-    if not lo < hi:
-        raise ConfigurationError("interval collapsed while clipping singular endpoints")
-    return lo, hi

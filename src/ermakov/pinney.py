@@ -112,11 +112,7 @@ class ErmakovAmplitude:
     nodes: tuple[float, ...] = ()
 
 
-def pinney_amplitude(
-    coeffs: PinneyCoefficients,
-    pair: FundamentalPair,
-    constraint_tol: float = CONSTRAINT_TOL,
-) -> ErmakovAmplitude:
+def pinney_amplitude(coeffs: PinneyCoefficients, pair: FundamentalPair) -> ErmakovAmplitude:
     """Amplitude rho = sqrt(A y1^2 + B y2^2 + 2 D y1 y2) on the pair's grid.
 
     The derivative comes from the chain rule on the pair's exact derivative
@@ -124,7 +120,7 @@ def pinney_amplitude(
     For k = 0 the form may touch zero (bound-sector nodes); node locations
     are reported in the result instead of raising.
     """
-    coeffs.validate(pair.W, constraint_tol)
+    coeffs.validate(pair.W)
     a, b, d = coeffs.A, coeffs.B, coeffs.D
     form = a * pair.y1**2 + b * pair.y2**2 + 2.0 * d * pair.y1 * pair.y2
     scale = float(np.max(form)) if form.size else 0.0

@@ -205,9 +205,7 @@ def two_center_frequencies(
     return TwoCenterFrequencies(omega2_mu, omega2_nu, -(Gamma + 0.5 * ak2), 0.25 * ak2)
 
 
-def build_problem(
-    spec: ProblemSpec, mathieu_tol: float = 1e-10
-) -> list[SectorSetup]:
+def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
     """Wire a problem spec into per-sector setups ready for the pipeline."""
     m, hbar = spec.m, spec.hbar
 
@@ -286,7 +284,7 @@ def build_problem(
     parity = spec.params.get("parity", "even")
     if ell is not None:
         ell = int(ell)
-        a_m = mathieu_char_value(ell, parity, q_m, tol=mathieu_tol)
+        a_m = mathieu_char_value(ell, parity, q_m)
         big_gamma = -a_m - 0.5 * a**2 * k_sq
     else:
         big_gamma = spec.param("Gamma")
@@ -296,19 +294,13 @@ def build_problem(
     nu_sector = SectorSpec("nu", (0.0, 2.0 * math.pi), Weight.unit())
     nu_profile = FrequencyProfile(
         sector=nu_sector,
-        E_sector=-0.5 * big_gamma,
-        V_sector=lambda nu: 0.5 * a**2 * k_sq * np.cos(np.asarray(nu, dtype=float)) ** 2,
+        V_sector=lambda nu: -0.5 * freqs.omega2_nu(nu),
         constants={"a_M": a_m, "q_M": q_m, "Gamma": big_gamma},
     )
     mu_sector = SectorSpec("mu", (0.0, math.inf), Weight.unit())
     mu_profile = FrequencyProfile(
         sector=mu_sector,
-        E_sector=0.5 * big_gamma,
-        V_sector=lambda mu: -0.5
-        * (
-            a**2 * k_sq * np.cosh(np.asarray(mu, dtype=float)) ** 2
-            + 2.0 * gamma * z_charge * np.cosh(np.asarray(mu, dtype=float))
-        ),
+        V_sector=lambda mu: -0.5 * freqs.omega2_mu(mu),
         constants={"Gamma": big_gamma, "gamma": gamma, "Z": z_charge, "q_M": q_m},
     )
     nu_grid = _resolve_grid(spec, "nu", _DEFAULT_GRIDS[spec.kind]["nu"])

@@ -2,10 +2,11 @@
 
 Reads a flat key=value run description, executes each sector pipeline
 (profile -> pair -> quadratic form -> invariant -> fields -> trajectories),
-and emits field tables plus a certification report.  Outputs are
-deterministic: fixed column and key order, reals rendered with 17
-significant digits, and write-then-rename file emission so failures leave
-no partial files.
+and emits field tables plus a certification report.  Every sector is
+computed and certified before any file is written; each file is then
+rendered and atomically written (write-then-rename), one at a time, so a
+failure leaves no partial file.  Outputs are deterministic: fixed column
+and key order, reals rendered with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +64,7 @@ class Tolerances:
                 )
 
     def as_dict(self) -> dict:
-        return {
-            "invariant": self.invariant,
-            "wronskian": self.wronskian,
-            "integration": self.integration,
-            "pinney": self.pinney,
-            "continuity": self.continuity,
-            "flux": self.flux,
-            "ode_residual": self.ode_residual,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -124,10 +117,8 @@ def _parse_triplet(text: str, key: str) -> tuple[float, float, int]:
 
 
 _SECTOR_KEYS = ("C", "k", "A", "B", "D", "grid")
-_INTEGRATION_KEYS = ("rel_tol", "abs_tol", "max_step")
-_TOLERANCE_KEYS = (
-    "invariant", "wronskian", "integration", "pinney", "continuity", "flux", "ode_residual"
-)
+_INTEGRATION_KEYS = tuple(f.name for f in fields(IntegrationSettings))
+_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -406,11 +397,7 @@ def certify(results: list[SectorResult], tolerances: Tolerances, flux_enforce: b
 
 def format_real(x: float) -> str:
     """Reals with 17 significant digits (round-trip exact for doubles)."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 def _json_render(value, indent: int = 0) -> str:
@@ -471,25 +458,21 @@ def _field_rows(result: SectorResult) -> np.ndarray:
 
 
 def _table_text(columns: tuple[str, ...], rows: np.ndarray, fmt: str) -> str:
+    """One line per row, each filled from one per-format row template."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(format_real(v) for v in row))
-        return "\n".join(lines) + "\n"
-    lines = []
-    for row in rows:
-        body = ", ".join(
-            f"{json.dumps(name)}: {format_real(v)}" for name, v in zip(columns, row)
-        )
-        lines.append("{" + body + "}")
-    return "\n".join(lines) + "\n"
+        head, row = ",".join(columns) + "\n", ",".join(["%.17g"] * len(columns))
+    else:
+        head, row = "", "{" + ", ".join(f"{json.dumps(n)}: %.17g" for n in columns) + "}"
+    row += "\n"
+    return head + "".join([row % tuple(values) for values in rows.tolist()])
 
 
 def run_config(config: RunConfig, output_dir: str | Path | None = None):
     """Execute every sector, certify, and emit field files plus the report.
 
-    Returns (report, written paths).  Files are rendered in memory first and
-    written only after the whole run succeeded, each atomically.
+    Returns (report, written paths).  Every sector is computed and certified
+    before the first write; then each file is rendered and atomically
+    written, one at a time, the report last.
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
     setups = build_problem(config.problem)
@@ -516,22 +499,18 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
     ]
     report = certify(results, config.tolerances, config.flux_enforce, config.problem.kind)
 
-    suffix = "csv" if config.output_format == "csv" else "jsonl"
-    rendered: dict[str, str] = {}
-    for result in results:
-        rendered[f"{result.label}_fields.{suffix}"] = _table_text(
-            FIELD_COLUMNS, _field_rows(result), config.output_format
-        )
-        for i, (request, t_grid, x_t) in enumerate(result.trajectories, start=1):
-            rendered[f"{result.label}_trajectory_{i}.{suffix}"] = _table_text(
-                ("t", "x"), np.column_stack([t_grid, x_t]), config.output_format
-            )
-
     out.mkdir(parents=True, exist_ok=True)
+    suffix = "csv" if config.output_format == "csv" else "jsonl"
     written = []
-    for name, text in rendered.items():
-        path = out / name
-        _atomic_write(path, text)
+
+    def emit(stem: str, columns: tuple[str, ...], rows: np.ndarray) -> None:
+        path = out / f"{stem}.{suffix}"
+        _atomic_write(path, _table_text(columns, rows, config.output_format))
         written.append(path)
+
+    for result in results:
+        emit(f"{result.label}_fields", FIELD_COLUMNS, _field_rows(result))
+        for i, (_, t_grid, x_t) in enumerate(result.trajectories, start=1):
+            emit(f"{result.label}_trajectory_{i}", ("t", "x"), np.column_stack([t_grid, x_t]))
     written.append(emit_report(report, out / "report.json"))
     return report, written

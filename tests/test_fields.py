@@ -20,7 +20,6 @@ from ermakov.fields import (
     momentum_field,
     physical_amplitude,
     quantum_potential,
-    quantum_potential_from_frequency,
     trajectory,
 )
 from ermakov.pinney import ErmakovAmplitude, PinneyCoefficients, pinney_amplitude, symmetric_coefficients
@@ -83,10 +82,6 @@ def test_quantum_potential_free_particle():
     mask = np.abs(psi) > 1e-3
     q = quantum_potential(psi[mask], -psi[mask])
     np.testing.assert_allclose(q, 0.5, rtol=1e-14)
-
-
-def test_quantum_potential_zero_frequency():
-    np.testing.assert_array_equal(quantum_potential_from_frequency(np.zeros(5)), np.zeros(5))
 
 
 def test_quantum_potential_gaussian_analytic():

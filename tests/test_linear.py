@@ -11,7 +11,6 @@ from ermakov.linear import (
     Column,
     FundamentalPair,
     IntegrationSettings,
-    clip_interval,
     companion_pair,
     fundamental_pair,
     integrate_normal_form,
@@ -187,15 +186,6 @@ def test_companion_pair_anchored_at_grid_end():
     assert pair.W == np.cosh(2.0)
     np.testing.assert_allclose(pair.y2, np.sinh(grid - 2.0), atol=1e-9)
     assert wronskian_check(pair) <= 1e-9 * pair.W
-
-
-def test_clip_interval_moves_off_singular_endpoints():
-    from ermakov.catalog import lookup_system
-
-    sector = lookup_system("cylindrical").sector("r")
-    lo, hi = clip_interval(sector, (0.0, 10.0))
-    assert lo == pytest.approx(0.01)
-    assert hi == 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ermakov.runner import (
     Tolerances,
     certify,
     execute_sector,
+    _table_text,
     format_real,
     parse_config_text,
     run_config,
@@ -147,6 +148,35 @@ def test_real_rendering_17_digits():
     assert format_real(math.pi) == "3.1415926535897931"
     assert format_real(1.0) == "1"
     assert format_real(float("nan")) == "nan"
+    assert format_real(math.inf) == "inf"
+    assert format_real(-math.inf) == "-inf"
+    assert format_real(-0.0) == "-0"
+
+
+def _reference_table_text(columns, rows, fmt):
+    """The per-value rendering rule the row templates must reproduce."""
+    lines = [",".join(columns)] if fmt == "csv" else []
+    for row in rows:
+        values = [format(float(v), ".17g") for v in row]
+        if fmt == "csv":
+            lines.append(",".join(values))
+        else:
+            body = ", ".join(f"{json.dumps(n)}: {v}" for n, v in zip(columns, values))
+            lines.append("{" + body + "}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_table_rendering_matches_per_value_rule(fmt):
+    rng = np.random.default_rng(5)
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, size=200 * len(FIELD_COLUMNS) - len(special))
+    signs = rng.choice([-1.0, 1.0], size=magnitudes.size)
+    values = np.concatenate([special, signs * magnitudes]).reshape(200, len(FIELD_COLUMNS))
+    one_row = np.array([[math.nan, -0.0]])
+    for columns, rows in ((FIELD_COLUMNS, values), (("t", "x"), one_row)):
+        text = _table_text(columns, rows, fmt)
+        assert text == _reference_table_text(columns, rows, fmt)
 
 
 def test_json_lines_format(tmp_path):
