@@ -25,7 +25,6 @@ from .catalog import (
     effective_frequency,
     geometric_frequency,
     lookup_system,
-    sector_profile,
 )
 from .errors import EngineError
 from .fields import (
@@ -92,7 +91,6 @@ __all__ = [
     "pinney_amplitude",
     "quantum_potential",
     "run_config",
-    "sector_profile",
     "solve_ep_direct",
     "trajectory",
     "trig_pair",

@@ -108,14 +108,6 @@ class Weight:
         p, dp, d2p = self._cubic(q)
         return d2p / (2.0 * p) - dp**2 / (2.0 * p**2)
 
-    def deriv(self, q):
-        """s'(q), reconstructed from the exact log-derivative."""
-        return self.value(q) * self.dlog(q)
-
-    def deriv2(self, q):
-        """s''(q)."""
-        return self.value(q) * (self.d2log(q) + self.dlog(q) ** 2)
-
     def geometric_omega2(self, q):
         """-(ln s)''/2 - ((ln s)')^2/4, the curvature shift of the rescaling."""
         return -0.5 * self.d2log(q) - 0.25 * self.dlog(q) ** 2
@@ -324,12 +316,6 @@ def effective_frequency(profile: FrequencyProfile, q: float) -> float:
 _INF = math.inf
 
 
-def _require(constants: Mapping[str, float], names: tuple[str, ...], context: str) -> None:
-    missing = [n for n in names if n not in constants]
-    if missing:
-        raise ConfigurationError(f"{context}: missing constants {missing}")
-
-
 def _cartesian() -> CoordinateSystem:
     sectors = tuple(
         SectorSpec(label, (-_INF, _INF), Weight.unit()) for label in ("x", "y", "z")
@@ -444,116 +430,3 @@ def lookup_system(name: str) -> CoordinateSystem:
     except KeyError:
         raise UnknownSystemError(name, CATALOG_KEYS) from None
     return builder()
-
-
-# ---------------------------------------------------------------------------
-# Tabulated physical frequency parts
-# ---------------------------------------------------------------------------
-
-def sector_profile(
-    system_name: str,
-    label: str,
-    constants: Mapping[str, float],
-    m: float = 1.0,
-    hbar: float = 1.0,
-    kappa: float = 0.0,
-) -> FrequencyProfile:
-    """Build the tabulated effective-frequency profile for a catalog sector.
-
-    The tabulated constants (wavenumbers and separation constants) are the
-    dimensionless combinations 2 m E / hbar^2 etc.; E_sector and V_sector
-    are chosen so that (2 m / hbar^2)(E - V) reproduces the table entry.
-    """
-    system = lookup_system(system_name)
-    sector = system.sector(label)
-    scale = hbar**2 / (2.0 * m)  # converts a tabulated frequency into an energy
-    name = f"{system_name}.{label}"
-
-    def profile(E_const: float, V: Callable | None, used: tuple[str, ...]) -> FrequencyProfile:
-        return FrequencyProfile(
-            sector=sector,
-            m=m,
-            hbar=hbar,
-            E_sector=scale * E_const,
-            V_sector=V,
-            kappa=kappa,
-            constants={k: float(constants[k]) for k in used},
-        )
-
-    if system_name == "cartesian":
-        key = f"k_{label}"
-        _require(constants, (key,), name)
-        return profile(constants[key] ** 2, None, (key,))
-
-    if system_name == "cylindrical":
-        if label == "r":
-            _require(constants, ("k0", "kz", "m_theta"), name)
-            k0, kz, mt = constants["k0"], constants["kz"], constants["m_theta"]
-            return profile(
-                k0**2 - kz**2, lambda r: scale * mt**2 / r**2, ("k0", "kz", "m_theta")
-            )
-        if label == "theta":
-            _require(constants, ("m_theta",), name)
-            return profile(constants["m_theta"] ** 2, None, ("m_theta",))
-        _require(constants, ("kz",), name)
-        return profile(constants["kz"] ** 2, None, ("kz",))
-
-    if system_name == "spherical":
-        if label == "r":
-            _require(constants, ("k0", "l"), name)
-            k0, ell = constants["k0"], constants["l"]
-            return profile(k0**2, lambda r: scale * ell * (ell + 1) / r**2, ("k0", "l"))
-        if label == "theta":
-            _require(constants, ("l", "m_phi"), name)
-            ell, mphi = constants["l"], constants["m_phi"]
-            return profile(
-                ell * (ell + 1), lambda t: scale * mphi**2 / np.sin(t) ** 2, ("l", "m_phi")
-            )
-        _require(constants, ("m_phi",), name)
-        return profile(constants["m_phi"] ** 2, None, ("m_phi",))
-
-    if system_name == "parabolic3d":
-        if label in ("u", "v"):
-            sign = 1.0 if label == "u" else -1.0
-            key = f"m_{label}"
-            _require(constants, ("k0", "lambda_sep", key), name)
-            k0, lam, mq = constants["k0"], constants["lambda_sep"], constants[key]
-            return profile(
-                sign * lam,
-                lambda q: scale * (mq**2 / q**2 - k0**2 * q**2),
-                ("k0", "lambda_sep", key),
-            )
-        _require(constants, ("m_phi",), name)
-        return profile(constants["m_phi"] ** 2, None, ("m_phi",))
-
-    if system_name == "elliptic_cylinder":
-        if label in ("mu", "nu"):
-            _require(constants, ("k0", "kz", "a", "c_sep"), name)
-            k0, kz, a, c = constants["k0"], constants["kz"], constants["a"], constants["c_sep"]
-            big_q = a**2 * (k0**2 - kz**2)
-            if label == "mu":
-                return profile(
-                    c, lambda q: -scale * big_q * np.sinh(q) ** 2, ("k0", "kz", "a", "c_sep")
-                )
-            return profile(
-                -c, lambda q: -scale * big_q * np.sin(q) ** 2, ("k0", "kz", "a", "c_sep")
-            )
-        _require(constants, ("kz",), name)
-        return profile(constants["kz"] ** 2, None, ("kz",))
-
-    if system_name == "parabolic_cylinder":
-        if label in ("u", "v"):
-            sign = -1.0 if label == "u" else 1.0
-            _require(constants, ("k_perp", "lambda_sep"), name)
-            kp, lam = constants["k_perp"], constants["lambda_sep"]
-            return profile(
-                sign * lam, lambda q: -scale * kp**2 * q**2, ("k_perp", "lambda_sep")
-            )
-        _require(constants, ("kz",), name)
-        return profile(constants["kz"] ** 2, None, ("kz",))
-
-    # confocal_quadric: the separated potential is problem specific, so only
-    # a user-supplied (E, V) makes sense here.
-    raise ConfigurationError(
-        f"{name}: no tabulated physical part; build a FrequencyProfile directly"
-    )

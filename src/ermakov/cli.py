@@ -27,7 +27,7 @@ from .errors import (
     PathExitsGridError,
     SingularEndpointError,
 )
-from .runner import parse_config, run_config
+from .runner import check_output_dir, parse_config, run_config
 
 _PATH_ERRORS = (NodeApproachError, NodeSingularityError, PathExitsGridError, SingularEndpointError)
 
@@ -46,6 +46,7 @@ def _cmd_catalog() -> int:
 
 def _cmd_check(path: str) -> int:
     config = parse_config(path)
+    check_output_dir(os.environ.get("ERMAKOV_OUT") or config.output_dir)
     # Wiring the problem validates kind-specific parameter completeness.
     from .problems import build_problem
 

@@ -4,7 +4,8 @@ The stationary continuity equation integrates to p = C / R^2 per sector,
 with R = rho / sqrt(s) the physical amplitude.  C = 0 marks bound
 (zero-current) sectors; C != 0 marks open ones.  Trajectories of
 x' = C / (m R^2(x)) are the quadrature t(x) = t0 + (m/C) int_{x0}^{x} R^2 dx,
-evaluated exactly on a cubic spline of R^2 and inverted by Newton steps.
+evaluated exactly on cubic Hermite cells of R^2 (the samples of R^2 and of
+its exact slope) and inverted by Newton steps.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# Not called here: bound only so that the benchmark's tracer
-# (perfbench/tracing.py), which wraps fields.solve_ivp, finds the name.
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.interpolate import CubicSpline
 
 from .catalog import SectorSpec
 from .errors import (
@@ -26,6 +23,9 @@ from .errors import (
     PathExitsGridError,
     SingularEndpointError,
 )
+# Not called here: bound only so that the benchmark's tracer
+# (perfbench/tracing.py), which wraps fields.solve_ivp, finds the name.
+from .linear import solve_ivp  # noqa: F401
 from .pinney import ErmakovAmplitude
 
 FLUX_TOLERANCE = 1e-12  # default bound on |sum C_i|
@@ -110,21 +110,25 @@ def trajectory(
     C: float,
     grid: np.ndarray,
     R: np.ndarray,
+    dR2: np.ndarray,
     m: float,
     x0: float,
     t_grid: np.ndarray,
 ) -> np.ndarray:
     """Path of x' = C / (m R^2(x)) from x(t0) = x0 on the given time grid.
 
-    The equation integrates to the quadrature t(x) - t0 = (m/C) S(x) with
-    S(x) = int_{x0}^{x} R^2.  R^2 is taken as a not-a-knot cubic spline and
-    integrated exactly cell by cell; the node values of S are summed outward
-    from x0's cell, so no large partial sum is subtracted near x0.  S(x) = s
-    is then solved by Newton steps from a linear-interpolation guess.  The
-    path stops with an error if it meets a node of R or leaves the grid.
+    ``dR2`` is the slope of R^2 at the grid points.  The equation integrates
+    to the quadrature t(x) - t0 = (m/C) S(x) with S(x) = int_{x0}^{x} R^2.
+    On each cell R^2 is taken as the cubic Hermite interpolant of its values
+    and slopes at the cell's ends (error O(h^4)) and integrated exactly; the
+    node values of S are summed outward from x0's cell, so no large partial
+    sum is subtracted near x0.  S(x) = s is then solved by Newton steps from
+    a linear-interpolation guess.  The path stops with an error if it meets
+    a node of R or leaves the grid.
     """
     grid = np.asarray(grid, dtype=float)
     R = np.asarray(R, dtype=float)
+    dR2 = np.asarray(dR2, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     lo, hi = float(grid[0]), float(grid[-1])
     if not lo <= x0 <= hi:
@@ -132,8 +136,16 @@ def trajectory(
     if C == 0.0:
         return np.full_like(t_grid, float(x0))
 
-    c = CubicSpline(grid, R * R).c  # c[0] (x - x_i)^3 + ... + c[3] on cell i
+    # c[0] (x - x_i)^3 + ... + c[3] on cell i: the Hermite cubic of R^2
     h = np.diff(grid)
+    r2 = R * R
+    secant = np.diff(r2) / h
+    c = np.stack((
+        (dR2[:-1] + dR2[1:] - 2.0 * secant) / h**2,
+        (3.0 * secant - 2.0 * dR2[:-1] - dR2[1:]) / h,
+        dR2[:-1],
+        r2[:-1],
+    ))
 
     def cell_integral(i, d):
         return (((c[0, i] * d / 4.0 + c[1, i] / 3.0) * d + c[2, i] / 2.0) * d + c[3, i]) * d
@@ -157,7 +169,7 @@ def trajectory(
         i, d = locate(x)
         return S[i] + cell_integral(i, d), cell_r2(i, d)
 
-    # Nodes: samples, interior cell minima of the R^2 spline (which can ring
+    # Nodes: samples, interior cell minima of the R^2 cubic (which can dip
     # below zero between positive samples) and x0 itself where R^2 is at the
     # floor, and sign changes of R.  S is monotone between x0 and the nearest
     # node on either side.
@@ -165,10 +177,10 @@ def trajectory(
         d_min = -c[2] / (c[1] + np.sqrt(c[1] ** 2 - 3.0 * c[0] * c[2]))
     inner = np.flatnonzero((d_min > 0.0) & (d_min < h))
     at = np.concatenate((grid, grid[inner] + d_min[inner], [x0]))
-    r2 = np.concatenate((R * R, cell_r2(inner, d_min[inner]), [S_at(float(x0))[1]]))
+    r2_at = np.concatenate((r2, cell_r2(inner, d_min[inner]), [S_at(float(x0))[1]]))
     j = np.flatnonzero(R[1:] * R[:-1] < 0.0)
     nodes = np.concatenate((
-        at[r2 <= _TRAJECTORY_FLOOR**2], grid[j] - R[j] * h[j] / (R[j + 1] - R[j])
+        at[r2_at <= _TRAJECTORY_FLOOR**2], grid[j] - R[j] * h[j] / (R[j + 1] - R[j])
     ))
     x_left = nodes[nodes <= x0].max(initial=-np.inf)
     x_right = nodes[nodes >= x0].min(initial=np.inf)

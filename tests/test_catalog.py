@@ -15,7 +15,6 @@ from ermakov.catalog import (
     effective_frequency,
     geometric_frequency,
     lookup_system,
-    sector_profile,
 )
 from ermakov.errors import ConfigurationError, SingularEndpointError, UnknownSystemError
 
@@ -134,8 +133,9 @@ def test_geometric_frequency_matches_finite_differences(weight, points, step):
 def test_weight_derivatives_match_finite_differences(weight, points, step):
     for q in points:
         d1, d2 = hi_order_fd(weight.value, q, step(q))
-        assert weight.deriv(q) == pytest.approx(d1, rel=1e-6)
-        assert weight.deriv2(q) == pytest.approx(d2, rel=1e-6, abs=1e-7)
+        s, dlog = weight.value(q), weight.dlog(q)
+        assert s * dlog == pytest.approx(d1, rel=1e-6)  # s' = s (ln s)'
+        assert s * (weight.d2log(q) + dlog**2) == pytest.approx(d2, rel=1e-6, abs=1e-7)
 
 
 def test_effective_frequency_free_particle_constant():
@@ -161,7 +161,11 @@ def test_effective_frequency_harmonic_form():
 
 def test_effective_frequency_cylindrical_radial_table_form():
     k0, kz, mt = 1.7, 0.4, 2.0
-    profile = sector_profile("cylindrical", "r", {"k0": k0, "kz": kz, "m_theta": mt})
+    profile = FrequencyProfile(
+        sector=lookup_system("cylindrical").sector("r"),
+        E_sector=0.5 * (k0**2 - kz**2),
+        V_sector=lambda r: 0.5 * mt**2 / r**2,
+    )
     for r in (0.3, 1.0, 7.0):
         expected = (k0**2 - kz**2) - (mt**2 - 0.25) / r**2
         assert effective_frequency(profile, r) == pytest.approx(expected, rel=1e-12)
@@ -169,7 +173,11 @@ def test_effective_frequency_cylindrical_radial_table_form():
 
 def test_effective_frequency_polar_table_form():
     ell, mphi = 2.0, 1.5
-    profile = sector_profile("spherical", "theta", {"l": ell, "m_phi": mphi})
+    profile = FrequencyProfile(
+        sector=lookup_system("spherical").sector("theta"),
+        E_sector=0.5 * ell * (ell + 1),
+        V_sector=lambda t: 0.5 * mphi**2 / np.sin(t) ** 2,
+    )
     for theta in np.linspace(0.2, math.pi - 0.2, 33):
         expected = ell * (ell + 1) + 0.25 - (mphi**2 - 0.25) / math.sin(theta) ** 2
         assert effective_frequency(profile, float(theta)) == pytest.approx(
@@ -192,12 +200,6 @@ def test_singular_endpoint_reported():
     with pytest.raises(SingularEndpointError) as err:
         geometric_frequency(sector, 0.0)
     assert err.value.endpoint == 0.0
-
-
-def test_missing_constants_listed():
-    with pytest.raises(ConfigurationError) as err:
-        sector_profile("cylindrical", "r", {"k0": 1.0})
-    assert "kz" in str(err.value) and "m_theta" in str(err.value)
 
 
 def test_quadric_interval_with_root_rejected():

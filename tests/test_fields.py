@@ -131,7 +131,7 @@ def test_energy_balance_cartesian_sector():
 def test_trajectory_free_particle_linear_motion():
     grid = np.linspace(-10.0, 10.0, 2001)
     t = np.linspace(0.0, 10.0, 101)
-    x = trajectory(1.0, grid, np.ones_like(grid), 1.0, 0.0, t)
+    x = trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 0.0, t)
     np.testing.assert_allclose(x, t, atol=1e-9)
 
 
@@ -139,7 +139,8 @@ def test_trajectory_static_for_zero_flux():
     grid = np.linspace(-1.0, 1.0, 51)
     t = np.linspace(0.0, 5.0, 21)
     np.testing.assert_array_equal(
-        trajectory(0.0, grid, np.ones_like(grid), 1.0, 0.3, t), np.full_like(t, 0.3)
+        trajectory(0.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 0.3, t),
+        np.full_like(t, 0.3),
     )
 
 
@@ -147,7 +148,7 @@ def test_trajectory_against_closed_form():
     grid = np.linspace(-5.0, 5.0, 2001)
     R = np.sqrt(1.0 + grid**2)  # R^2 = 1 + x^2, so t(x) = x + x^3/3 from x0 = 0
     t = np.linspace(0.0, 3.0, 61)
-    x = trajectory(1.0, grid, R, 1.0, 0.0, t)
+    x = trajectory(1.0, grid, R, 2.0 * grid, 1.0, 0.0, t)
     # real root of x^3 + 3x - 3t = 0 (Cardano)
     root = np.sqrt(2.25 * t**2 + 1.0)
     exact = np.cbrt(1.5 * t + root) + np.cbrt(1.5 * t - root)
@@ -161,8 +162,9 @@ def test_trajectory_time_reversal():
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
     t = np.linspace(0.0, 2.0, 41)
-    fwd = trajectory(setup.C, result.pair.grid, result.R, 1.0, 0.25, t)
-    back = trajectory(-setup.C, result.pair.grid, result.R, 1.0, float(fwd[-1]), t)
+    dR2 = 2.0 * result.amplitude.rho * result.amplitude.drho  # unit weight: R = rho
+    fwd = trajectory(setup.C, result.pair.grid, result.R, dR2, 1.0, 0.25, t)
+    back = trajectory(-setup.C, result.pair.grid, result.R, dR2, 1.0, float(fwd[-1]), t)
     assert abs(back[-1] - 0.25) <= 1e-8
 
 
@@ -170,7 +172,7 @@ def test_trajectory_exit_reports_time():
     grid = np.linspace(0.0, 1.0, 101)
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(PathExitsGridError) as err:
-        trajectory(1.0, grid, np.ones_like(grid), 1.0, 0.5, t)
+        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 0.5, t)
     assert err.value.t_exit == pytest.approx(0.5, abs=1e-12)
     assert err.value.x_exit == 1.0
 
@@ -180,12 +182,12 @@ def test_trajectory_leftward_exit_for_negative_flux():
     R = np.sqrt(1.0 + grid)  # t_exit = (m/|C|) int_0^{x0} (1 + x) dx
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(PathExitsGridError) as err:
-        trajectory(-2.0, grid, R, 1.0, 0.6, t)
+        trajectory(-2.0, grid, R, np.ones_like(grid), 1.0, 0.6, t)
     assert err.value.t_exit == pytest.approx((0.6 + 0.18) / 2.0, abs=1e-12)
     assert err.value.x_exit == 0.0
     # a shorter leftward path stays on the grid and follows the same quadrature
     t_in = np.linspace(0.0, 0.3, 31)
-    x = trajectory(-2.0, grid, R, 1.0, 0.6, t_in)
+    x = trajectory(-2.0, grid, R, np.ones_like(grid), 1.0, 0.6, t_in)
     assert np.all(np.diff(x) < 0.0)
     np.testing.assert_allclose((0.6 + 0.18) - (x + x**2 / 2.0), 2.0 * t_in,
                                rtol=0.0, atol=1e-12)
@@ -196,36 +198,56 @@ def test_trajectory_node_approach():
     R = np.abs(grid - 0.5) + 1e-12
     t = np.linspace(0.0, 1.0, 11)
     with pytest.raises(NodeApproachError):
-        trajectory(1.0, grid, R, 1.0, 0.2, t)
+        trajectory(1.0, grid, R, 2.0 * R * np.sign(grid - 0.5), 1.0, 0.2, t)
 
 
 def test_trajectory_node_between_samples():
     grid = np.linspace(0.0, 1.0, 100)  # R = x - 0.5 changes sign between two samples
+    R, dR2 = grid - 0.5, 2.0 * (grid - 0.5)
     with pytest.raises(NodeApproachError):
-        trajectory(1.0, grid, grid - 0.5, 1.0, 0.2, np.linspace(0.0, 1.0, 11))
+        trajectory(1.0, grid, R, dR2, 1.0, 0.2, np.linspace(0.0, 1.0, 11))
     with pytest.raises(NodeApproachError):
-        trajectory(-1.0, grid, grid - 0.5, 1.0, 0.8, np.linspace(0.0, 1.0, 11))
+        trajectory(-1.0, grid, R, dR2, 1.0, 0.8, np.linspace(0.0, 1.0, 11))
 
 
-def test_trajectory_spline_dip_counts_as_node():
-    # One unresolved spike makes the cubic spline of R^2 ring below zero
-    # between positive samples; a path into the ringing meets a node.
+def test_trajectory_cell_dip_counts_as_node():
+    # Small samples of R^2 at x = 0.5 and 0.52 with slopes of opposite sign:
+    # the Hermite cubic between them dips below zero (to 1e-6 - 0.005 at
+    # the cell's middle), so a path into that cell meets a node.
     grid = np.linspace(0.0, 1.0, 51)
-    R = np.ones_like(grid)
-    R[25] = 3.0
+    r2, dR2 = np.ones_like(grid), np.zeros_like(grid)
+    r2[25:27], dR2[25:27] = 1e-6, (-1.0, 1.0)
+    R = np.sqrt(r2)
     with pytest.raises(NodeApproachError):
-        trajectory(1.0, grid, R, 1.0, 0.1, np.linspace(0.0, 0.5, 11))
-    with pytest.raises(NodeApproachError):  # starts where the spline is negative
-        trajectory(-1.0, grid, R, 1.0, 0.471, np.linspace(0.0, 0.1, 5))
-    # far from the spike the ringing is below 1e-9 and the path is x0 + t
+        trajectory(1.0, grid, R, dR2, 1.0, 0.1, np.linspace(0.0, 0.5, 11))
+    with pytest.raises(NodeApproachError):  # starts where the cubic is negative
+        trajectory(-1.0, grid, R, dR2, 1.0, 0.51, np.linspace(0.0, 0.1, 5))
+    # far from the dip the cells are flat and the path is x0 + t
     t = np.linspace(0.0, 0.1, 11)
-    np.testing.assert_allclose(trajectory(1.0, grid, R, 1.0, 0.1, t), 0.1 + t, atol=1e-9)
+    np.testing.assert_allclose(trajectory(1.0, grid, R, dR2, 1.0, 0.1, t), 0.1 + t, atol=1e-9)
+
+
+def test_trajectory_hermite_cells_converge_at_fourth_order():
+    # R^2 = e^x: t - t0 = (m/C)(e^x - e^x0), so x(t) = log(e^x0 + C t / m)
+    C, m, x0 = 1.5, 2.0, 0.1
+    t = np.linspace(0.0, 2.0, 41)
+    exact = np.log(np.exp(x0) + C * t / m)
+    errors = []
+    for cells in (10, 20, 40, 80):
+        grid = np.linspace(0.0, 2.0, cells + 1)
+        R2 = np.exp(grid)
+        x = trajectory(C, grid, np.sqrt(R2), R2, m, x0, t)
+        errors.append(float(np.max(np.abs(x - exact))))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((ratios > 13.0) & (ratios < 19.0)), ratios
+    assert errors[-1] <= 1e-8
 
 
 def test_trajectory_x0_validation():
     grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ConfigurationError):
-        trajectory(1.0, grid, np.ones_like(grid), 1.0, 2.0, np.linspace(0, 1, 5))
+        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 2.0,
+                   np.linspace(0, 1, 5))
 
 
 def test_flux_constraint_checks():

@@ -162,14 +162,6 @@ def test_anchor_splits_interval():
     np.testing.assert_allclose(sol.y, np.cos(grid), atol=1e-9)
 
 
-def test_subgrid_restriction():
-    grid = np.linspace(0.0, 6.0, 601)
-    pair = fundamental_pair(CONST_ONE, (0.0, 6.0), 0.0, grid=grid)
-    sub = pair.subgrid(np.arange(0, 601, 7))
-    assert sub.grid.size == len(range(0, 601, 7))
-    assert wronskian_check(sub) <= wronskian_check(pair) + 1e-15
-
-
 def test_companion_pair_builds_independent_second_solution():
     grid = np.linspace(-4.0, 4.0, 801)
     base = integrate_normal_form(CONST_ONE, (-4.0, 4.0), (1.0, 0.0), grid=grid, anchor=0.0)
@@ -278,7 +270,6 @@ def test_integrated_pairs_carry_error_estimate():
     grid = np.linspace(-4.0, 4.0, 401)
     pair = fundamental_pair(weber_profile(0.3), (-4.0, 4.0), 0.0, grid=grid)
     assert 0.0 < pair.error <= 1e-12
-    assert pair.subgrid(np.arange(0, 401, 4)).error == pair.error
     loose = fundamental_pair(
         weber_profile(0.3), (-4.0, 4.0), 0.0, IntegrationSettings(rel_tol=1e-3), grid=grid
     )

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ermakov
 from ermakov.cli import main
 from ermakov.errors import ConfigurationError, ConstraintViolationError
 from ermakov.runner import (
@@ -303,12 +307,20 @@ TWO_CENTER = (
         FREE + "sector.x.grid = -1:1:1e12",
         FREE + "trajectory.x.1 = 0:1:1000002",
         FREE + "problem.junk = 1",
+        FREE + "sector.x.C = 1e300",
+        FREE + "output.dir = {file}/out",
     ],
     ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol",
-         "fractional_ell", "grid_over_cap", "samples_over_cap", "unknown_parameter"],
+         "fractional_ell", "grid_over_cap", "samples_over_cap", "unknown_parameter",
+         "overflowing_k", "output_under_a_file"],
 )
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
-    cfg = write_cfg(tmp_path, f"{text}\noutput.dir = {tmp_path / 'out'}\n")
+    (tmp_path / "file").write_text("")
+    if "output.dir" in text:
+        text = text.replace("{file}", str(tmp_path / "file"))
+    else:
+        text += f"\noutput.dir = {tmp_path / 'out'}"
+    cfg = write_cfg(tmp_path, text + "\n")
     assert main(["check", cfg]) == 1
     assert main(["run", cfg]) == 1
     assert "configuration error:" in capsys.readouterr().err
@@ -368,6 +380,45 @@ def test_benchmark_tracer_sees_one_solve_per_half_range(tmp_path, monkeypatch):
     assert report.verdict == "pass"
     assert pair_solves == 0
     assert tracer.counters[tracer.iteration]["linear.ivp_calls"] == 2
+
+
+COLD_START = """
+import json, sys
+import ermakov
+from ermakov import cli, fields, linear
+codes = [cli.main([cmd, path]) for path in sys.argv[1:] for cmd in ("check", "run")]
+print(json.dumps({
+    "codes": codes,
+    "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
+    "solve_ivp": [callable(vars(m).get("solve_ivp")) for m in (linear, fields)],
+}))
+"""
+
+
+def test_check_and_run_load_no_scipy(tmp_path):
+    # A fresh interpreter: the package, check and run need numpy only.  The
+    # benchmark's tracer still finds both solve_ivp bindings to wrap.
+    texts = [
+        FREE,
+        "problem.kind = harmonic_oscillator\nproblem.omega = 1.0\nproblem.E = 1.0\n"
+        "trajectory.xi.1 = 0.25:2.0:41\n",
+        "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n",
+        TWO_CENTER,
+    ]
+    paths = [
+        write_cfg(tmp_path, f"{text}output.dir = {tmp_path / str(i)}\n", f"{i}.cfg")
+        for i, text in enumerate(texts)
+    ]
+    src = str(Path(ermakov.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("ERMAKOV_OUT", None)
+    proc = subprocess.run([sys.executable, "-c", COLD_START, *paths], capture_output=True,
+                          text=True, env=env, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 8
+    assert result["scipy"] == []
+    assert result["solve_ivp"] == [True, True]
+    assert (tmp_path / "1" / "xi_trajectory_1.csv").exists()
 
 
 SEEDED_PAIRS = {
