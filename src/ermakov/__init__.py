@@ -8,7 +8,6 @@ coordinate.
 """
 
 from .bases import (
-    BasisKind,
     gamma,
     mathieu_char_value,
     mathieu_pair,
@@ -57,7 +56,6 @@ from .runner import CertificationReport, RunConfig, parse_config, run_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisKind",
     "CATALOG_KEYS",
     "CertificationReport",
     "Column",

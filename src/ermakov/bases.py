@@ -1,14 +1,20 @@
 """Closed-form-anchored fundamental pairs for the named problem bases.
 
-Four families are provided:
+Each builder that integrates a column takes the frequency profile of the
+equation it solves (in a preset, the sector's own) and integrates against
+it; no builder restates Omega^2.  Four families are provided:
 
 * trigonometric pairs (cos k0 q, sin k0 q) for constant frequency,
 * Weber / parabolic-cylinder pairs (D_nu(xi), D_nu(-xi)) for the equation
   y'' + (nu + 1/2 - xi^2/4) y = 0, seeded at xi = 0 from the classical
-  gamma-function values and extended by normal-form integration,
+  gamma-function values and extended by normal-form integration; at
+  nonnegative integer nu, where the reflection is dependent, D_n is
+  completed by a second-kind companion,
 * Whittaker pairs (M_{kappa,1/2}(2 lambda x), W_{kappa,1/2}(2 lambda x)),
   the M column from its regular power series at the origin and the W
-  column integrated inward from a large-argument exponential seed,
+  column integrated inward from a large-argument exponential seed; at
+  quantized kappa = n + 1, where the two are proportional, M is completed
+  by a second-kind companion,
 * Mathieu pairs: the periodic solution of requested order and parity from
   the truncated Fourier-coefficient ladder, paired with a numerically
   integrated second-kind companion (for q != 0 the even and odd periodic
@@ -21,7 +27,6 @@ differentiation, never by numeric differencing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +34,6 @@ from .catalog import FrequencyProfile
 from .errors import (
     CharValueConvergenceError,
     ConfigurationError,
-    DegeneratePairError,
     EngineError,
     PoleError,
     SeriesConvergenceError,
@@ -92,19 +96,19 @@ def trig_pair(k0: float, grid: np.ndarray) -> FundamentalPair:
 # Weber / parabolic-cylinder basis
 # ---------------------------------------------------------------------------
 
-def weber_profile(nu: float) -> FrequencyProfile:
-    """Frequency nu + 1/2 - xi^2/4 of the parabolic-cylinder equation."""
-    return FrequencyProfile.from_omega2(
-        lambda xi: nu + 0.5 - 0.25 * np.asarray(xi, dtype=float) ** 2,
-        label="xi",
-        constants={"nu": nu},
-    )
-
-
 def weber_seed(nu: float) -> tuple[float, float]:
-    """(D_nu(0), D_nu'(0)) from the classical gamma-function expressions."""
-    y0 = _SQRT_PI * 2.0 ** (0.5 * nu) * inv_gamma(0.5 * (1.0 - nu))
-    dy0 = -_SQRT_PI * 2.0 ** (0.5 * (nu + 1.0)) * inv_gamma(-0.5 * nu)
+    """(D_nu(0), D_nu'(0)) from the classical gamma-function expressions.
+
+    Orders too large for these values in floating point raise
+    :class:`EngineError`.
+    """
+    try:
+        y0 = _SQRT_PI * 2.0 ** (0.5 * nu) * inv_gamma(0.5 * (1.0 - nu))
+        dy0 = -_SQRT_PI * 2.0 ** (0.5 * (nu + 1.0)) * inv_gamma(-0.5 * nu)
+    except (OverflowError, ZeroDivisionError):
+        y0 = dy0 = math.inf
+    if not (math.isfinite(y0) and math.isfinite(dy0)):
+        raise EngineError(f"parabolic-cylinder seed values overflow at order nu = {nu!r}")
     return y0, dy0
 
 
@@ -112,40 +116,24 @@ def _is_nonneg_integer(nu: float, tol: float = 1e-9) -> bool:
     return nu > -tol and abs(nu - round(nu)) < tol
 
 
-def weber_column(
-    nu: float, grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
-) -> Column:
-    """D_nu sampled on ``grid`` by outward integration from the origin."""
-    if not math.isfinite(nu):
-        raise ConfigurationError(f"weber order must be finite, got {nu!r}")
-    grid = np.asarray(grid, dtype=float)
-    y0, dy0 = weber_seed(nu)
-    lo = min(float(grid[0]), 0.0)
-    hi = max(float(grid[-1]), 0.0)
-    return integrate_normal_form(
-        weber_profile(nu), (lo, hi), (y0, dy0), settings, grid=grid, anchor=0.0
-    )
-
-
 def weber_pair(
-    nu: float, xi_grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
+    nu: float,
+    profile: FrequencyProfile,
+    grid: np.ndarray,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
 ) -> FundamentalPair:
-    """Pair (D_nu(xi), D_nu(-xi)).
+    """Pair (D_nu(xi), D_nu(-xi)) of ``profile``, which poses nu + 1/2 - xi^2/4.
 
     Both columns are integrated outward from xi = 0, from the seeds
     (D_nu(0), +-D_nu'(0)), by the same cell matrices; W = -2 D_nu(0) D_nu'(0).
     For nonnegative integer nu the reflection D_n(-xi) = (-1)^n D_n(xi)
-    makes the pair dependent; a :class:`DegeneratePairError` is raised and
-    the caller should complete the D_n column with an identity-data
-    second-kind companion instead (see :func:`weber_basis`).
+    makes that pair dependent, so the D_n column is completed instead by a
+    second-kind companion from identity-data integration.
     """
-    if _is_nonneg_integer(nu):
-        raise DegeneratePairError(
-            f"D_nu(-xi) is proportional to D_nu(xi) for integer nu = {nu!r};"
-            " use a second-kind companion generated by identity-data integration"
-        )
-    grid = np.asarray(xi_grid, dtype=float)
     y0, dy0 = weber_seed(nu)
+    if _is_nonneg_integer(nu):
+        column = integrate_normal_form(profile, grid, 0.0, (y0, dy0), settings)
+        return companion_pair(profile, column, settings)
     w = -2.0 * y0 * dy0
     # Transcription check: the same Wronskian by the duplication identity.
     w_identity = _SQRT_2PI * inv_gamma(-nu)
@@ -153,36 +141,12 @@ def weber_pair(
         raise EngineError(
             f"parabolic-cylinder seed values inconsistent: W = {w!r} vs {w_identity!r}"
         )
-    interval = (min(float(grid[0]), 0.0), max(float(grid[-1]), 0.0))
-    return fundamental_pair(
-        weber_profile(nu), interval, 0.0, settings, grid=grid, ic1=(y0, dy0), ic2=(y0, -dy0)
-    )
-
-
-def weber_basis(
-    nu: float, xi_grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
-) -> FundamentalPair:
-    """Weber pair, falling back to a second-kind companion at integer order."""
-    try:
-        return weber_pair(nu, xi_grid, settings)
-    except DegeneratePairError:
-        column = weber_column(nu, np.asarray(xi_grid, dtype=float), settings)
-        return companion_pair(weber_profile(nu), column, settings)
+    return fundamental_pair(profile, grid, 0.0, settings, ic1=(y0, dy0), ic2=(y0, -dy0))
 
 
 # ---------------------------------------------------------------------------
 # Whittaker basis (mu = 1/2)
 # ---------------------------------------------------------------------------
-
-def whittaker_profile(kappa: float, lam: float) -> FrequencyProfile:
-    """Frequency -lam^2 + 2 lam kappa / x of the half-line equation."""
-    return FrequencyProfile.from_omega2(
-        lambda x: -(lam**2) + 2.0 * lam * kappa / np.asarray(x, dtype=float),
-        domain=(0.0, math.inf),
-        label="x",
-        constants={"kappa": kappa, "lam": lam},
-    )
-
 
 def _whittaker_m_series(
     kappa: float, z: np.ndarray, term_cap: int
@@ -233,11 +197,13 @@ def whittaker_m_column(
 
 def whittaker_pair(
     kappa: float,
-    x_grid: np.ndarray,
     lam: float,
+    profile: FrequencyProfile,
+    grid: np.ndarray,
     settings: IntegrationSettings = DEFAULT_SETTINGS,
 ) -> FundamentalPair:
-    """Pair (M_{kappa,1/2}(2 lam x), W_{kappa,1/2}(2 lam x)).
+    """Pair (M_{kappa,1/2}(2 lam x), W_{kappa,1/2}(2 lam x)) of ``profile``,
+    which poses -lam^2 + 2 lam kappa / x.
 
     The W column is anchored at z_a = max(30, 4 lam x_max) by its leading
     exponential asymptotic term e^{-z/2} z^kappa only, so its absolute
@@ -246,43 +212,22 @@ def whittaker_pair(
     and, as for every integrated column, ``settings.abs_tol`` bounds each
     cell matrix's Richardson estimate, which does not depend on the
     column's scale.  At quantized kappa = n + 1 the two functions are
-    proportional and a :class:`DegeneratePairError` is raised.
+    proportional, so the M column is completed instead by a second-kind
+    companion from identity-data integration.
     """
-    if kappa >= 0.5 and abs(kappa - round(kappa)) < 1e-9:
-        raise DegeneratePairError(
-            f"M and W are proportional at quantized kappa = {kappa!r};"
-            " use a second-kind companion generated by identity-data integration"
-        )
-    x = np.asarray(x_grid, dtype=float)
+    x = np.asarray(grid, dtype=float)
     m_col = whittaker_m_column(kappa, x, lam)
+    if kappa >= 0.5 and abs(kappa - round(kappa)) < 1e-9:
+        return companion_pair(profile, m_col, settings)
     anchor_x = max(30.0 / (2.0 * lam), 2.0 * float(x[-1]))
     z_a = 2.0 * lam * anchor_x
     w_a = math.exp(-0.5 * z_a) * z_a**kappa
     w_col = integrate_normal_form(
-        whittaker_profile(kappa, lam),
-        (float(x[0]), anchor_x),
-        (w_a, w_a * 2.0 * lam * (kappa - 0.5 * z_a) / z_a),
-        settings,
-        grid=x,
-        anchor=anchor_x,
+        profile, x, anchor_x, (w_a, w_a * 2.0 * lam * (kappa - 0.5 * z_a) / z_a), settings
     )
     mid = len(x) // 2
     wronskian = float(m_col.y[mid] * w_col.dy[mid] - m_col.dy[mid] * w_col.y[mid])
     return FundamentalPair(x, m_col.y, m_col.dy, w_col.y, w_col.dy, wronskian, w_col.error)
-
-
-def whittaker_basis(
-    kappa: float,
-    x_grid: np.ndarray,
-    lam: float,
-    settings: IntegrationSettings = DEFAULT_SETTINGS,
-) -> FundamentalPair:
-    """Whittaker pair, falling back to a companion at quantized kappa."""
-    try:
-        return whittaker_pair(kappa, x_grid, lam, settings)
-    except DegeneratePairError:
-        column = whittaker_m_column(kappa, np.asarray(x_grid, dtype=float), lam)
-        return companion_pair(whittaker_profile(kappa, lam), column, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +379,12 @@ def mathieu_coefficients(
     return harmonics, c
 
 
-def mathieu_profile(a: float, q: float, modified: bool) -> FrequencyProfile:
-    """Frequency a - 2q cos 2nu, or its hyperbolic continuation 2q cosh 2mu - a."""
-    if modified:
-        fn = lambda mu: 2.0 * q * np.cosh(2.0 * np.asarray(mu, dtype=float)) - a
-    else:
-        fn = lambda nu: a - 2.0 * q * np.cos(2.0 * np.asarray(nu, dtype=float))
-    return FrequencyProfile.from_omega2(fn, constants={"a_M": a, "q_M": q})
-
-
 def mathieu_column(
     ell: int,
     q: float,
     grid: np.ndarray,
     modified: bool = False,
     parity: str = "even",
-    size: int | None = None,
 ) -> tuple[Column, float]:
     """Periodic (or hyperbolically continued) Mathieu column and its char value.
 
@@ -458,7 +393,7 @@ def mathieu_column(
     """
     grid = np.asarray(grid, dtype=float)
     a = mathieu_char_value(ell, parity, q)
-    harmonics, coeffs = mathieu_coefficients(ell, parity, q, a=a, size=size)
+    harmonics, coeffs = mathieu_coefficients(ell, parity, q, a=a)
     if modified and float(np.max(harmonics)) * float(np.max(np.abs(grid))) > 700.0:
         raise ConfigurationError(
             "hyperbolic-sum terms would overflow on this grid; reduce the grid"
@@ -491,84 +426,20 @@ def mathieu_column(
 def mathieu_pair(
     ell: int,
     q: float,
+    profile: FrequencyProfile,
     grid: np.ndarray,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
     modified: bool = False,
     parity: str = "even",
-    settings: IntegrationSettings = DEFAULT_SETTINGS,
-    size: int | None = None,
 ) -> FundamentalPair:
-    """Mathieu fundamental pair of the requested order and parity.
+    """Mathieu fundamental pair of ``profile``, which poses a - 2q cos 2nu
+    (or its hyperbolic continuation 2q cosh 2mu - a when ``modified``),
+    with a the characteristic value of the requested order and parity.
 
     The first column is the periodic solution built from the coefficient
     ladder; the second is a second-kind companion of the same equation from
     identity-data integration (the opposite-parity periodic function belongs
     to a different characteristic value whenever q != 0).
     """
-    column, a = mathieu_column(ell, q, grid, modified=modified, parity=parity, size=size)
-    return companion_pair(mathieu_profile(a, q, modified), column, settings)
-
-
-# ---------------------------------------------------------------------------
-# Basis descriptors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasisKind:
-    """Named fundamental-pair recipe with its parameters.
-
-    Tags: "trig", "weber", "whittaker" (second index fixed to 1/2),
-    "mathieu", "mathieu_modified".
-    """
-
-    tag: str
-    params: tuple[tuple[str, float | str], ...]
-
-    def __post_init__(self):
-        for _, v in self.params:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigurationError(f"basis parameter {v!r} must be finite")
-
-    def param(self, name: str):
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise ConfigurationError(f"basis {self.tag!r} has no parameter {name!r}")
-
-    @classmethod
-    def trig(cls, k0: float) -> "BasisKind":
-        return cls("trig", (("k0", float(k0)),))
-
-    @classmethod
-    def weber(cls, nu: float) -> "BasisKind":
-        return cls("weber", (("nu", float(nu)),))
-
-    @classmethod
-    def whittaker(cls, kappa: float, lam: float) -> "BasisKind":
-        return cls("whittaker", (("kappa", float(kappa)), ("lam", float(lam))))
-
-    @classmethod
-    def mathieu(cls, ell: int, parity: str, q: float, modified: bool = False) -> "BasisKind":
-        if parity not in _PARITIES:
-            raise ConfigurationError(f"parity must be 'even' or 'odd', got {parity!r}")
-        tag = "mathieu_modified" if modified else "mathieu"
-        return cls(tag, (("ell", int(ell)), ("parity", parity), ("q", float(q))))
-
-    def build(
-        self, grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
-    ) -> FundamentalPair:
-        """Construct the pair on ``grid``, with automatic second-kind
-        companions at degenerate (quantized) parameter values."""
-        if self.tag == "trig":
-            return trig_pair(self.param("k0"), grid)
-        if self.tag == "weber":
-            return weber_basis(self.param("nu"), grid, settings)
-        if self.tag == "whittaker":
-            return whittaker_basis(self.param("kappa"), grid, self.param("lam"), settings)
-        return mathieu_pair(
-            self.param("ell"),
-            self.param("q"),
-            grid,
-            modified=self.tag == "mathieu_modified",
-            parity=self.param("parity"),
-            settings=settings,
-        )
+    column, _ = mathieu_column(ell, q, grid, modified=modified, parity=parity)
+    return companion_pair(profile, column, settings)

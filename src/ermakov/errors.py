@@ -57,10 +57,6 @@ class IntegrationFailureError(EngineError):
         super().__init__(message + detail)
 
 
-class DegeneratePairError(EngineError):
-    """The requested closed-form pair is linearly dependent."""
-
-
 class SeriesConvergenceError(EngineError):
     """A truncated series did not meet its tail bound within the term cap."""
 

@@ -14,6 +14,11 @@ Richardson estimate, the difference between the columns propagated with the
 final and with the halved substep counts, stored as
 :attr:`FundamentalPair.error`.
 
+:func:`integrate_normal_form`, :func:`fundamental_pair` and
+:func:`companion_pair` take the frequency profile, the output grid and an
+anchor; the grid and the anchor alone fix the range integrated.  In a
+preset the profile is the sector's own (see :mod:`ermakov.problems`).
+
 :func:`integrate_outward` runs scipy's adaptive DOP853 on a nonlinear
 right-hand side; only the direct amplitude integration
 (:func:`ermakov.pinney.solve_ep_direct`, the independent cross-check) uses
@@ -35,7 +40,7 @@ from .errors import (
     SingularEndpointError,
 )
 
-GRID_POINTS = 2001  # samples of the output grid when a library caller gives none
+GRID_POINTS = 2001  # samples of the direct amplitude's grid when a caller gives none
 
 # Gauss-Legendre nodes on [0, 1] and the commutator weight of the Magnus step.
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
@@ -427,64 +432,52 @@ def integrate_outward(
 # Pair and column builders
 # ---------------------------------------------------------------------------
 
-def _integrate_columns(profile, interval, anchor, ics, settings, grid):
+def _integrate_columns(profile, grid, anchor, ics, settings):
     """(grid, stacked state, error) of the columns with data ``ics`` at ``anchor``."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ConfigurationError(f"empty integration interval {interval!r}")
-    if grid is None:
-        grid = np.linspace(lo, hi, GRID_POINTS)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(np.diff(grid) <= 0):
-            raise ConfigurationError("output grid must be strictly increasing")
-        if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
-            raise ConfigurationError("output grid exceeds the integration interval")
-    if not lo <= anchor <= hi:
-        raise ConfigurationError(f"anchor {anchor!r} outside interval {interval!r}")
+    grid = np.asarray(grid, dtype=float)
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigurationError("output grid must be strictly increasing")
     y0 = [float(ic[0]) for ic in ics] + [float(ic[1]) for ic in ics]
     return (grid, *magnus_outward(profile, grid, float(anchor), y0, settings))
 
 
 def integrate_normal_form(
     profile,
-    interval: tuple[float, float],
+    grid: np.ndarray,
+    anchor: float,
     ic: tuple[float, float],
     settings: IntegrationSettings = DEFAULT_SETTINGS,
-    grid: np.ndarray | None = None,
-    anchor: float | None = None,
 ) -> Column:
     """Integrate y'' + Omega^2 y = 0 with data ``ic`` posed at ``anchor``.
 
-    The anchor defaults to the left end of ``interval``.  When it lies in
-    the interior the two half-ranges are integrated outward separately, so
-    the returned samples cover the whole grid.
+    The solution is carried outward from the anchor to both ends of
+    ``grid``, which fix the range integrated; an anchor off the grid, or
+    beyond either end, is added as a node.
     """
     if ic[0] == 0.0 and ic[1] == 0.0:
         raise ConfigurationError("initial data (0, 0) only generates the trivial solution")
-    a = interval[0] if anchor is None else anchor
-    grid, (y, dy), error = _integrate_columns(profile, interval, a, [ic], settings, grid)
+    grid, (y, dy), error = _integrate_columns(profile, grid, anchor, [ic], settings)
     return Column(grid, y, dy, error)
 
 
 def fundamental_pair(
     profile,
-    interval: tuple[float, float],
+    grid: np.ndarray,
     anchor: float,
     settings: IntegrationSettings = DEFAULT_SETTINGS,
-    grid: np.ndarray | None = None,
     ic1: tuple[float, float] = (1.0, 0.0),
     ic2: tuple[float, float] = (0.0, 1.0),
 ) -> FundamentalPair:
     """Pair with data ic1/ic2 at the anchor (identity data by default, W = 1).
 
-    Both columns are propagated by the same cell matrices.
+    Both columns are propagated by the same cell matrices, outward from the
+    anchor to both ends of ``grid``.
     """
     w = ic1[0] * ic2[1] - ic1[1] * ic2[0]
     if w == 0.0:
         raise ConfigurationError("initial data sets are linearly dependent")
     grid, (y1, y2, dy1, dy2), error = _integrate_columns(
-        profile, interval, anchor, [ic1, ic2], settings, grid
+        profile, grid, anchor, [ic1, ic2], settings
     )
     return FundamentalPair(grid, y1, dy1, y2, dy2, float(w), error)
 

@@ -1,7 +1,9 @@
 """Preset assembly of the worked problems.
 
 Maps physical parameters onto per-sector frequency profiles, fundamental
-pair recipes, and default quadratic-form data:
+pair recipes, and default quadratic-form data.  Each sector has one
+Omega^2, its ``profile``, and one pair builder bound here, which integrates
+every column without a closed form against that profile:
 
 * free_particle       cartesian x, trigonometric basis, Omega^2 = k0^2
 * harmonic_oscillator dimensionless xi = sqrt(m w / hbar) x, Weber basis of
@@ -10,7 +12,13 @@ pair recipes, and default quadratic-form data:
                       and index kappa = m alpha / (hbar^2 lam), E < 0
 * two_center_elliptic confocal elliptic (mu, nu); angular sector rewrites to
                       the Mathieu form a_M - 2 q_M cos 2nu with
-                      a_M = -(Gamma + a^2 k^2 / 2), q_M = a^2 k^2 / 4
+                      a_M = -(Gamma + a^2 k^2 / 2), q_M = a^2 k^2 / 4;
+                      Mathieu pairs given (ell, parity), identity-data pairs
+                      given Gamma or a charge term in the radial sector
+
+Every parameter derived from the physical ones (nu, lam, kappa, q_M, ...)
+must come out finite: an overflow or a division by zero while deriving it
+is a configuration error.
 
 The harmonic and two-center sectors work in their dimensionless coordinates,
 so their sector flux constants are interpreted in the same normalized units.
@@ -21,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .bases import BasisKind, mathieu_char_value
+from .bases import mathieu_char_value, mathieu_pair, trig_pair, weber_pair, whittaker_pair
 from .catalog import FrequencyProfile, SectorSpec, Weight
 from .errors import ConfigurationError
 from .linear import (
@@ -114,9 +123,20 @@ class ProblemSpec:
         return default
 
 
+def _midpoint_pair(
+    profile: FrequencyProfile, grid: np.ndarray, settings: IntegrationSettings = DEFAULT_SETTINGS
+) -> FundamentalPair:
+    """Identity-data pair of ``profile`` anchored at the middle grid point."""
+    return fundamental_pair(profile, grid, float(grid[len(grid) // 2]), settings)
+
+
 @dataclass(frozen=True)
 class SectorSetup:
-    """Everything needed to run one sector pipeline."""
+    """Everything needed to run one sector pipeline.
+
+    ``pair_builder(profile, grid, settings)`` builds the sector's fundamental
+    pair; :meth:`build_pair` calls it with this sector's own profile and grid.
+    """
 
     label: str
     sector: SectorSpec
@@ -124,15 +144,23 @@ class SectorSetup:
     grid: np.ndarray
     C: float
     k: float
-    basis: BasisKind | None
+    pair_builder: Callable[..., FundamentalPair]
     note: str = ""
 
     def build_pair(self, settings: IntegrationSettings = DEFAULT_SETTINGS) -> FundamentalPair:
-        if self.basis is not None:
-            return self.basis.build(self.grid, settings)
-        lo, hi = float(self.grid[0]), float(self.grid[-1])
-        anchor = float(self.grid[len(self.grid) // 2])
-        return fundamental_pair(self.profile, (lo, hi), anchor, settings, grid=self.grid)
+        return self.pair_builder(self.profile, self.grid, settings)
+
+
+def _finite(name: str, derive: Callable[[], float]) -> float:
+    """The derived parameter ``derive()``: one that overflows, divides by
+    zero or is not finite is a configuration error."""
+    try:
+        value = derive()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigurationError(f"derived parameter {name} is out of range")
+    return value
 
 
 def _resolve_grid(spec: ProblemSpec, label: str, default: tuple[float, float, int]):
@@ -216,23 +244,25 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         k0 = spec.param("k0")
         if k0 == 0:
             raise ConfigurationError("free particle needs k0 != 0")
+        k0_sq = _finite("k0^2", lambda: k0**2)
         sector = SectorSpec("x", (-math.inf, math.inf), Weight.unit())
         profile = FrequencyProfile(
             sector=sector,
             m=m,
             hbar=hbar,
-            E_sector=hbar**2 * k0**2 / (2.0 * m),
+            E_sector=_finite("E_sector", lambda: hbar**2 * k0_sq / (2.0 * m)),
             constants={"k0": k0},
         )
         grid = _resolve_grid(spec, "x", _DEFAULT_GRIDS[spec.kind]["x"])
-        c, k = _resolve_flux(spec, "x", default_k=k0**2, hbar_sector=hbar)
-        return [SectorSetup("x", sector, profile, grid, c, k, BasisKind.trig(k0))]
+        c, k = _resolve_flux(spec, "x", default_k=k0_sq, hbar_sector=hbar)
+        pair = lambda _profile, grid, _settings: trig_pair(k0, grid)  # closed form
+        return [SectorSetup("x", sector, profile, grid, c, k, pair)]
 
     if spec.kind == "harmonic_oscillator":
         omega, energy = spec.param("omega"), spec.param("E")
         if omega <= 0:
             raise ConfigurationError("harmonic oscillator needs omega > 0")
-        nu = energy / (hbar * omega) - 0.5
+        nu = _finite("nu", lambda: energy / (hbar * omega) - 0.5)
         sector = SectorSpec("xi", (-math.inf, math.inf), Weight.unit())
         profile = FrequencyProfile(
             sector=sector,
@@ -243,7 +273,7 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         grid = _resolve_grid(spec, "xi", _DEFAULT_GRIDS[spec.kind]["xi"])
         c, k = _resolve_flux(spec, "xi", default_k=1.0, hbar_sector=1.0)
         note = "dimensionless coordinate xi = sqrt(m omega / hbar) x"
-        return [SectorSetup("xi", sector, profile, grid, c, k, BasisKind.weber(nu), note)]
+        return [SectorSetup("xi", sector, profile, grid, c, k, partial(weber_pair, nu), note)]
 
     if spec.kind == "coulomb_halfline":
         alpha, energy = spec.param("alpha"), spec.param("E")
@@ -251,8 +281,8 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
             raise ConfigurationError(
                 "coulomb preset expects a bound-branch energy E < 0 (sets lam)"
             )
-        lam = math.sqrt(-2.0 * m * energy) / hbar
-        kappa = m * alpha / (hbar**2 * lam)
+        lam = _finite("lam", lambda: math.sqrt(-2.0 * m * energy) / hbar)
+        kappa = _finite("kappa", lambda: m * alpha / (hbar**2 * lam))
         sector = SectorSpec("x", (0.0, math.inf), Weight.unit())
         profile = FrequencyProfile(
             sector=sector,
@@ -269,7 +299,7 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         c, k = _resolve_flux(spec, "x", default_k=1.0, hbar_sector=hbar)
         return [
             SectorSetup(
-                "x", sector, profile, grid, c, k, BasisKind.whittaker(kappa, lam),
+                "x", sector, profile, grid, c, k, partial(whittaker_pair, kappa, lam),
                 note="Whittaker argument z = 2 lam x",
             )
         ]
@@ -280,18 +310,22 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
     e2 = spec.param("e2", 1.0)
     if a <= 0:
         raise ConfigurationError("two-center spec needs focal half-distance a > 0")
-    k_sq = spec.params.get("k_sq", 2.0 * m * spec.params.get("E", 0.0) / hbar**2)
-    gamma = 2.0 * m * e2 * a / hbar**2
-    q_m = a**2 * k_sq / 4.0
+    if "k_sq" in spec.params:
+        k_sq = spec.params["k_sq"]
+    else:
+        k_sq = _finite("k_sq", lambda: 2.0 * m * spec.params["E"] / hbar**2)
+    gamma = _finite("gamma", lambda: 2.0 * m * e2 * a / hbar**2)
+    ak2 = _finite("a^2 k^2", lambda: a**2 * k_sq)
+    q_m = ak2 / 4.0
     ell = spec.params.get("ell")
     parity = spec.params.get("parity", "even")
     if ell is not None:
         ell = int(ell)
         a_m = mathieu_char_value(ell, parity, q_m)
-        big_gamma = -a_m - 0.5 * a**2 * k_sq
+        big_gamma = -a_m - 0.5 * ak2
     else:
         big_gamma = spec.param("Gamma")
-        a_m = -(big_gamma + 0.5 * a**2 * k_sq)
+        a_m = -(big_gamma + 0.5 * ak2)
     freqs = two_center_frequencies(a, k_sq, gamma, z_charge, big_gamma)
 
     nu_sector = SectorSpec("nu", (0.0, 2.0 * math.pi), Weight.unit())
@@ -311,16 +345,17 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
     c_nu, k_nu = _resolve_flux(spec, "nu", default_k=1.0, hbar_sector=1.0)
     c_mu, k_mu = _resolve_flux(spec, "mu", default_k=1.0, hbar_sector=1.0)
 
-    nu_basis = BasisKind.mathieu(ell, parity, q_m) if ell is not None else None
-    mu_basis = None
-    if ell is not None and (z_charge == 0.0 or e2 == 0.0):
-        # Without the charge term the radial equation is pure modified Mathieu.
-        mu_basis = BasisKind.mathieu(ell, parity, q_m, modified=True)
+    nu_pair = mu_pair = _midpoint_pair
+    if ell is not None:
+        nu_pair = partial(mathieu_pair, ell, q_m, parity=parity)
+        if z_charge == 0.0 or e2 == 0.0:
+            # Without the charge term the radial equation is pure modified Mathieu.
+            mu_pair = partial(mathieu_pair, ell, q_m, modified=True, parity=parity)
 
     return [
-        SectorSetup("nu", nu_sector, nu_profile, nu_grid, c_nu, k_nu, nu_basis),
+        SectorSetup("nu", nu_sector, nu_profile, nu_grid, c_nu, k_nu, nu_pair),
         SectorSetup(
-            "mu", mu_sector, mu_profile, mu_grid, c_mu, k_mu, mu_basis,
+            "mu", mu_sector, mu_profile, mu_grid, c_mu, k_mu, mu_pair,
             note="radial sector; charge term makes it non-Mathieu unless Z = 0",
         ),
     ]

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from ermakov.bases import mathieu_char_value, mathieu_char_value_truncated, weber_column, whittaker_m_column
+from ermakov.bases import mathieu_char_value, mathieu_char_value_truncated, whittaker_m_column
 from ermakov.catalog import lookup_system, geometric_frequency
 from ermakov.fields import trajectory
 from ermakov.linear import wronskian_check
@@ -123,10 +123,14 @@ def test_criterion_4_weber_hermite_reduction():
     hermites = {0: lambda x: 1.0 + 0 * x, 1: lambda x: 2 * x, 2: lambda x: 4 * x**2 - 2}
     worst = 0.0
     for n, h in hermites.items():
-        col = weber_column(float(n), xi)
+        # the harmonic preset at E = n + 1/2: its first column is D_n
+        spec = ProblemSpec(kind="harmonic_oscillator", params={"omega": 1.0, "E": n + 0.5},
+                           grids={"xi": (-4.0, 4.0, 801)})
+        (setup,) = build_problem(spec)
+        y = setup.build_pair().y1
         ref = np.exp(-(xi**2) / 4.0) * h(xi / math.sqrt(2.0))
-        c = float(np.dot(col.y, ref) / np.dot(ref, ref))
-        worst = max(worst, float(np.max(np.abs(col.y - c * ref)) / np.max(np.abs(c * ref))))
+        c = float(np.dot(y, ref) / np.dot(ref, ref))
+        worst = max(worst, float(np.max(np.abs(y - c * ref)) / np.max(np.abs(c * ref))))
     report(4, "Weber -> Hermite reduction", worst <= 1e-6, f"max scaled dev {worst:.2e}")
 
 

@@ -1,6 +1,7 @@
 """Special-function bases: gamma, Weber, Whittaker, Mathieu."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from scipy.special import mathieu_a, mathieu_b, pbdv
 
 from ermakov.bases import (
-    BasisKind,
     gamma,
     inv_gamma,
     mathieu_char_value,
@@ -16,18 +16,16 @@ from ermakov.bases import (
     mathieu_coefficients,
     mathieu_column,
     mathieu_pair,
-    weber_basis,
-    weber_column,
+    trig_pair,
     weber_pair,
     weber_seed,
-    whittaker_basis,
     whittaker_m_column,
     whittaker_pair,
 )
+from ermakov.catalog import FrequencyProfile
 from ermakov.errors import (
     CharValueConvergenceError,
     ConfigurationError,
-    DegeneratePairError,
     PoleError,
     SeriesConvergenceError,
 )
@@ -37,6 +35,29 @@ from ermakov.linear import wronskian_check
 def wronskian_drift_at(pair, idx):
     """Wronskian drift of the pair on the grid points ``idx`` only."""
     return float(np.max(np.abs(pair.wronskian_samples()[idx] - pair.W)))
+
+
+# The equations each pair builder is handed, posed directly as Omega^2.
+def weber_profile(nu):
+    return FrequencyProfile.from_omega2(lambda xi: nu + 0.5 - 0.25 * np.asarray(xi, float) ** 2)
+
+
+def whittaker_profile(kappa, lam):
+    return FrequencyProfile.from_omega2(
+        lambda x: -(lam**2) + 2.0 * lam * kappa / np.asarray(x, float), domain=(0.0, math.inf)
+    )
+
+
+def mathieu_profile(ell, parity, q, modified=False):
+    a = mathieu_char_value(ell, parity, q)
+    if modified:
+        return FrequencyProfile.from_omega2(lambda mu: 2.0 * q * np.cosh(2.0 * mu) - a)
+    return FrequencyProfile.from_omega2(lambda nu: a - 2.0 * q * np.cos(2.0 * nu))
+
+
+def weber_d(nu, xi):
+    """D_nu sampled on ``xi``: the first column of the Weber pair."""
+    return weber_pair(nu, weber_profile(nu), xi).y1
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +94,15 @@ def test_gamma_against_mpmath_across_range():
 
 def test_weber_ground_state_closed_form():
     xi = np.linspace(-4.0, 4.0, 401)
-    col = weber_column(0.0, xi)
-    np.testing.assert_allclose(col.y, np.exp(-(xi**2) / 4.0), atol=1e-9)
-    assert col.y[np.searchsorted(xi, 2.0)] == pytest.approx(math.exp(-1.0), abs=1e-8)
+    y = weber_d(0.0, xi)
+    np.testing.assert_allclose(y, np.exp(-(xi**2) / 4.0), atol=1e-9)
+    assert y[np.searchsorted(xi, 2.0)] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
 
 def test_weber_first_state_closed_form():
     # D_1(xi) = xi exp(-xi^2/4), so D_1(2) = 2/e
-    col = weber_column(1.0, np.array([0.0, 1.0, 2.0]))
-    assert col.y[-1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-8)
+    y = weber_d(1.0, np.array([0.0, 1.0, 2.0]))
+    assert y[-1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-8)
 
 
 def test_weber_seeds_match_pbdv():
@@ -95,25 +116,25 @@ def test_weber_seeds_match_pbdv():
 def test_weber_column_matches_pbdv():
     xi = np.linspace(-5.0, 5.0, 21)
     for nu in (0.5, 1.7, -0.3):
-        col = weber_column(nu, xi)
         ref = np.array([float(pbdv(nu, float(x))[0]) for x in xi])
-        np.testing.assert_allclose(col.y, ref, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(weber_d(nu, xi), ref, rtol=1e-6, atol=1e-9)
 
 
 def test_weber_pair_wronskian_constancy():
     xi = np.linspace(-4.0, 4.0, 801)
-    pair = weber_pair(0.5, xi)
+    pair = weber_pair(0.5, weber_profile(0.5), xi)
     assert wronskian_check(pair) <= 1e-9 * max(1.0, abs(pair.W))
     # known value sqrt(2 pi) / Gamma(-nu)
     assert pair.W == pytest.approx(math.sqrt(2 * math.pi) / math.gamma(-0.5), rel=1e-12)
 
 
 def test_weber_integer_order_degenerates():
+    # D_1(-xi) = -D_1(xi), so D_1 = xi exp(-xi^2/4) is completed by a
+    # second-kind companion with data (0, 1) where |D_1| peaks: W = D_1 there
     xi = np.linspace(-3.0, 3.0, 101)
-    with pytest.raises(DegeneratePairError):
-        weber_pair(1.0, xi)
-    pair = weber_basis(1.0, xi)  # second-kind companion route
-    assert pair.W != 0.0
+    pair = weber_pair(1.0, weber_profile(1.0), xi)
+    np.testing.assert_allclose(pair.y1, xi * np.exp(-(xi**2) / 4.0), atol=1e-9)
+    assert abs(pair.W) == np.max(np.abs(pair.y1)) > 0.0
     assert wronskian_check(pair) <= 1e-9 * max(1.0, abs(pair.W))
 
 
@@ -122,10 +143,10 @@ def test_weber_integer_order_degenerates():
                                         (2, lambda x: 4.0 * x**2 - 2.0)])
 def test_weber_hermite_reduction(n, hermite):
     xi = np.linspace(-4.0, 4.0, 801)
-    col = weber_column(float(n), xi)
+    y = weber_d(float(n), xi)
     ref = np.exp(-(xi**2) / 4.0) * hermite(xi / math.sqrt(2.0))
-    c = float(np.dot(col.y, ref) / np.dot(ref, ref))
-    assert np.max(np.abs(col.y - c * ref)) <= 1e-6 * np.max(np.abs(c * ref))
+    c = float(np.dot(y, ref) / np.dot(ref, ref))
+    assert np.max(np.abs(y - c * ref)) <= 1e-6 * np.max(np.abs(c * ref))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +182,7 @@ def test_whittaker_m_matches_mpmath():
 
 def test_whittaker_w_column_is_w_up_to_scale():
     x = np.linspace(0.05, 10.0, 401)
-    pair = whittaker_pair(1.3, x, lam=1.0)
+    pair = whittaker_pair(1.3, 1.0, whittaker_profile(1.3, 1.0), x)
     idx = [20, 150, 300]
     ref = np.array([float(mpmath.whitw(1.3, 0.5, 2.0 * x[i])) for i in idx])
     ratio = pair.y2[idx] / ref
@@ -171,7 +192,7 @@ def test_whittaker_w_column_is_w_up_to_scale():
 
 def test_whittaker_pair_wronskian_on_subgrids():
     x = np.linspace(0.025, 15.0, 2001)
-    pair = whittaker_pair(1.3, x, lam=1.0)
+    pair = whittaker_pair(1.3, 1.0, whittaker_profile(1.3, 1.0), x)
     assert wronskian_check(pair) <= 1e-8 * max(1.0, abs(pair.W))
     rng = np.random.default_rng(3)
     idx = np.sort(rng.choice(x.size, size=200, replace=False))
@@ -179,10 +200,12 @@ def test_whittaker_pair_wronskian_on_subgrids():
 
 
 def test_whittaker_quantized_kappa_degenerates():
+    # M and W are proportional at kappa = 2, so M is completed by a
+    # second-kind companion with data (0, 1) where |M| peaks: W = M there
     x = np.linspace(0.1, 10.0, 101)
-    with pytest.raises(DegeneratePairError):
-        whittaker_pair(2.0, x, lam=0.5)
-    pair = whittaker_basis(2.0, x, lam=0.5)
+    pair = whittaker_pair(2.0, 0.5, whittaker_profile(2.0, 0.5), x)
+    np.testing.assert_array_equal(pair.y1, whittaker_m_column(2.0, x, lam=0.5).y)
+    assert abs(pair.W) == np.max(np.abs(pair.y1)) > 0.0
     assert wronskian_check(pair) <= 1e-8 * max(1.0, abs(pair.W))
 
 
@@ -316,10 +339,11 @@ def test_mathieu_coefficients_decay_and_normalization():
 
 def test_mathieu_pair_certified():
     nu = np.linspace(0.0, 2.0 * math.pi, 1001)
-    pair = mathieu_pair(0, 0.5, nu)
+    pair = mathieu_pair(0, 0.5, mathieu_profile(0, "even", 0.5), nu)
     assert wronskian_check(pair) <= 1e-8 * max(1.0, abs(pair.W))
     mu = np.linspace(0.0, 3.0, 1001)
-    pair_mod = mathieu_pair(1, 0.25, mu, modified=True, parity="odd")
+    profile = mathieu_profile(1, "odd", 0.25, modified=True)
+    pair_mod = mathieu_pair(1, 0.25, profile, mu, modified=True, parity="odd")
     assert wronskian_check(pair_mod) <= 1e-8 * max(1.0, abs(pair_mod.W))
 
 
@@ -337,29 +361,26 @@ def test_modified_column_solves_hyperbolic_equation():
 
 
 # ---------------------------------------------------------------------------
-# Basis descriptors and the subgrid invariant
+# The subgrid invariant
 # ---------------------------------------------------------------------------
-
-
-def test_basis_kind_validation():
-    with pytest.raises(ConfigurationError):
-        BasisKind.weber(math.inf)
-    with pytest.raises(ConfigurationError):
-        BasisKind.mathieu(1, "sideways", 0.5)
 
 
 @pytest.mark.parametrize(
     "kind, grid",
     [
-        (BasisKind.trig(1.0), np.linspace(-10, 10, 801)),
-        (BasisKind.weber(0.5), np.linspace(-5, 5, 801)),
-        (BasisKind.whittaker(1.3, 1.0), np.linspace(0.05, 12.0, 801)),
-        (BasisKind.mathieu(0, "even", 0.5), np.linspace(0, 2 * math.pi, 801)),
-        (BasisKind.mathieu(1, "odd", 0.25, modified=True), np.linspace(0, 3, 801)),
+        (partial(trig_pair, 1.0), np.linspace(-10, 10, 801)),
+        (partial(weber_pair, 0.5, weber_profile(0.5)), np.linspace(-5, 5, 801)),
+        (partial(whittaker_pair, 1.3, 1.0, whittaker_profile(1.3, 1.0)),
+         np.linspace(0.05, 12.0, 801)),
+        (partial(mathieu_pair, 0, 0.5, mathieu_profile(0, "even", 0.5)),
+         np.linspace(0, 2 * math.pi, 801)),
+        (partial(mathieu_pair, 1, 0.25, mathieu_profile(1, "odd", 0.25, modified=True),
+                 modified=True, parity="odd"),
+         np.linspace(0, 3, 801)),
     ],
 )
 def test_every_basis_pair_passes_wronskian_on_subgrids(kind, grid):
-    pair = kind.build(grid)
+    pair = kind(grid)
     tol = 1e-8 * max(1.0, abs(pair.W))
     assert wronskian_check(pair) <= tol
     rng = np.random.default_rng(11)

@@ -29,25 +29,25 @@ def weber_profile(nu):
 
 
 def test_sine_endpoint():
-    sol = integrate_normal_form(CONST_ONE, (0.0, math.pi / 2), (0.0, 1.0))
+    sol = integrate_normal_form(CONST_ONE, np.linspace(0.0, math.pi / 2, 2001), 0.0, (0.0, 1.0))
     assert abs(sol.y[-1] - 1.0) <= 1e-9
     assert abs(sol.dy[-1]) <= 1e-9
 
 
 def test_linear_endpoint():
-    sol = integrate_normal_form(CONST_ZERO, (0.0, 3.0), (0.0, 1.0))
+    sol = integrate_normal_form(CONST_ZERO, np.linspace(0.0, 3.0, 2001), 0.0, (0.0, 1.0))
     assert abs(sol.y[-1] - 3.0) <= 1e-10
 
 
 def test_weber_ground_state_value():
     # D_0(xi) = exp(-xi^2/4); data (1, 0) at 0 gives y(2) = e^{-1}
-    sol = integrate_normal_form(weber_profile(0.0), (0.0, 2.0), (1.0, 0.0))
+    sol = integrate_normal_form(weber_profile(0.0), np.linspace(0.0, 2.0, 2001), 0.0, (1.0, 0.0))
     assert abs(sol.y[-1] - math.exp(-1.0)) <= 1e-8
 
 
 def test_fundamental_pair_trig():
     grid = np.linspace(-2.0, 5.0, 701)
-    pair = fundamental_pair(CONST_ONE, (-2.0, 5.0), 0.0, grid=grid)
+    pair = fundamental_pair(CONST_ONE, grid, 0.0)
     assert pair.W == 1.0
     np.testing.assert_allclose(pair.y1, np.cos(grid), atol=1e-9)
     np.testing.assert_allclose(pair.y2, np.sin(grid), atol=1e-9)
@@ -56,14 +56,14 @@ def test_fundamental_pair_trig():
 
 def test_fundamental_pair_zero_frequency():
     grid = np.linspace(-1.0, 4.0, 501)
-    pair = fundamental_pair(CONST_ZERO, (-1.0, 4.0), 0.0, grid=grid)
+    pair = fundamental_pair(CONST_ZERO, grid, 0.0)
     np.testing.assert_allclose(pair.y1, np.ones_like(grid), atol=1e-12)
     np.testing.assert_allclose(pair.y2, grid, atol=1e-11)
 
 
 def test_wronskian_drift_harmonic_pair():
     grid = np.linspace(-4.0, 4.0, 1001)
-    pair = fundamental_pair(weber_profile(0.5), (-4.0, 4.0), 0.0, grid=grid)
+    pair = fundamental_pair(weber_profile(0.5), grid, 0.0)
     assert wronskian_check(pair) <= 1e-9 * max(1.0, abs(pair.W))
 
 
@@ -95,7 +95,7 @@ def test_residual_second_order_in_grid_spacing():
     res = {}
     for n in (801, 1601):
         grid = np.linspace(0.0, 3.0, n)
-        sol = integrate_normal_form(profile, (0.0, 3.0), (1.0, 0.0), grid=grid)
+        sol = integrate_normal_form(profile, grid, 0.0, (1.0, 0.0))
         res[n] = fd_residual(grid, sol.y, profile.omega2_array(grid))
     ratio = res[801] / res[1601]
     assert 3.5 <= ratio <= 4.5
@@ -106,7 +106,7 @@ def test_tolerance_monotonicity_against_closed_form():
     grid = np.linspace(0.0, math.pi / 2, 41)
     for rel in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
         settings = IntegrationSettings(rel_tol=rel, abs_tol=rel * 1e-2)
-        sol = integrate_normal_form(CONST_ONE, (0.0, math.pi / 2), (0.0, 1.0), settings, grid)
+        sol = integrate_normal_form(CONST_ONE, grid, 0.0, (0.0, 1.0), settings)
         errors.append(abs(sol.y[-1] - 1.0))
     for coarse, fine in zip(errors, errors[1:]):
         # ties to within round-off happen when both runs take the same steps
@@ -117,12 +117,11 @@ def test_endpoint_reproducible_under_refinement():
     rel = 1e-8
     grid = np.linspace(0.0, 4.0, 41)
     base = integrate_normal_form(
-        weber_profile(0.5), (0.0, 4.0), (1.0, 0.0),
-        IntegrationSettings(rel_tol=rel, abs_tol=1e-12), grid,
+        weber_profile(0.5), grid, 0.0, (1.0, 0.0), IntegrationSettings(rel_tol=rel, abs_tol=1e-12)
     )
     refined = integrate_normal_form(
-        weber_profile(0.5), (0.0, 4.0), (1.0, 0.0),
-        IntegrationSettings(rel_tol=rel / 2, abs_tol=5e-13), grid,
+        weber_profile(0.5), grid, 0.0, (1.0, 0.0),
+        IntegrationSettings(rel_tol=rel / 2, abs_tol=5e-13),
     )
     assert abs(base.y[-1] - refined.y[-1]) <= 10 * rel * max(1.0, abs(base.y[-1]))
 
@@ -133,7 +132,7 @@ def test_integration_failure_carries_last_q():
         lambda q: np.where(np.asarray(q, float) < 0.5, 1.0, np.nan)
     )
     with pytest.raises(IntegrationFailureError) as err:
-        integrate_normal_form(profile, (0.0, 2.0), (1.0, 0.0))
+        integrate_normal_form(profile, np.linspace(0.0, 2.0, 2001), 0.0, (1.0, 0.0))
     assert err.value.last_q is not None
     assert err.value.last_q <= 0.75
 
@@ -148,23 +147,24 @@ def test_settings_validation():
 
 
 def test_trivial_data_rejected():
+    grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ConfigurationError):
-        integrate_normal_form(CONST_ONE, (0.0, 1.0), (0.0, 0.0))
+        integrate_normal_form(CONST_ONE, grid, 0.0, (0.0, 0.0))
+    with pytest.raises(ConfigurationError):  # the grid must increase strictly
+        integrate_normal_form(CONST_ONE, grid[::-1], 0.0, (1.0, 0.0))
     with pytest.raises(ConfigurationError):
-        integrate_normal_form(CONST_ONE, (1.0, 0.0), (1.0, 0.0))
-    with pytest.raises(ConfigurationError):
-        fundamental_pair(CONST_ONE, (0.0, 1.0), 2.0)
+        fundamental_pair(CONST_ONE, grid, 0.0, ic1=(1.0, 2.0), ic2=(0.5, 1.0))
 
 
 def test_anchor_splits_interval():
     grid = np.linspace(-3.0, 3.0, 301)
-    sol = integrate_normal_form(CONST_ONE, (-3.0, 3.0), (1.0, 0.0), grid=grid, anchor=0.0)
+    sol = integrate_normal_form(CONST_ONE, grid, 0.0, (1.0, 0.0))
     np.testing.assert_allclose(sol.y, np.cos(grid), atol=1e-9)
 
 
 def test_companion_pair_builds_independent_second_solution():
     grid = np.linspace(-4.0, 4.0, 801)
-    base = integrate_normal_form(CONST_ONE, (-4.0, 4.0), (1.0, 0.0), grid=grid, anchor=0.0)
+    base = integrate_normal_form(CONST_ONE, grid, 0.0, (1.0, 0.0))
     pair = companion_pair(CONST_ONE, Column(grid, base.y, base.dy))
     assert pair.W != 0.0
     assert wronskian_check(pair) <= 1e-9 * max(1.0, abs(pair.W))
@@ -268,11 +268,9 @@ def test_magnus_nan_frequency_reports_last_q(anchor, bad, side):
 
 def test_integrated_pairs_carry_error_estimate():
     grid = np.linspace(-4.0, 4.0, 401)
-    pair = fundamental_pair(weber_profile(0.3), (-4.0, 4.0), 0.0, grid=grid)
+    pair = fundamental_pair(weber_profile(0.3), grid, 0.0)
     assert 0.0 < pair.error <= 1e-12
-    loose = fundamental_pair(
-        weber_profile(0.3), (-4.0, 4.0), 0.0, IntegrationSettings(rel_tol=1e-3), grid=grid
-    )
+    loose = fundamental_pair(weber_profile(0.3), grid, 0.0, IntegrationSettings(rel_tol=1e-3))
     true = max(
         np.max(np.abs(a - b)) / np.max(np.abs(b))
         for a, b in ((loose.y1, pair.y1), (loose.y2, pair.y2),

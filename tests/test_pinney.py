@@ -113,7 +113,7 @@ def test_direct_integration_validation():
 
 def test_superposition_matches_direct_integration_weber():
     xi = np.linspace(-4.0, 4.0, 1201)
-    pair = weber_pair(0.5, xi)
+    pair = weber_pair(0.5, weber_profile(0.5), xi)
     coeffs = coefficients_from_ab(2.0, 1.0, 1.0, pair.W)
     amp = pinney_amplitude(coeffs, pair)
     mid = xi.size // 2
@@ -176,7 +176,7 @@ def test_invariant_drift_reports_location():
 
 def test_scaling_covariance_of_quadratic_form():
     grid = np.linspace(-4.0, 4.0, 801)
-    pair = weber_pair(0.5, grid)
+    pair = weber_pair(0.5, weber_profile(0.5), grid)
     coeffs = coefficients_from_ab(1.5, 1.2, 0.7, pair.W)
     amp = pinney_amplitude(coeffs, pair)
     c = 1.9

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ermakov.bases import mathieu_char_value, mathieu_column
+from ermakov.catalog import FrequencyProfile
 from ermakov.errors import ConfigurationError
-from ermakov.bases import mathieu_char_value, mathieu_profile
 from ermakov.pinney import symmetric_coefficients
 from ermakov.problems import ProblemSpec, build_problem, two_center_frequencies
 
@@ -61,9 +62,9 @@ def test_coulomb_parameter_map():
 
 
 def test_coulomb_quantized_index_assembles_laguerre_column():
-    # alpha = 2, E = -1/2 gives lam = 1 and index kappa = 2; the basis pair
-    # degenerates there and the preset completes the regular column with a
-    # companion. The regular column must still be the Laguerre form.
+    # alpha = 2, E = -1/2 gives lam = 1 and index kappa = 2; M and W are
+    # proportional there and the Whittaker pair completes the regular column
+    # with a companion. The regular column must still be the Laguerre form.
     spec = ProblemSpec(kind="coulomb_halfline", params={"alpha": 2.0, "E": -0.5})
     (setup,) = build_problem(spec)
     assert setup.profile.constants["kappa"] == pytest.approx(2.0)
@@ -119,12 +120,12 @@ def test_two_center_gamma_from_order():
     a_m = mathieu_char_value(0, "even", 0.5)
     assert setups["nu"].profile.constants["a_M"] == pytest.approx(a_m, abs=1e-12)
     assert setups["nu"].profile.constants["Gamma"] == pytest.approx(-a_m - 1.0, abs=1e-12)
-    assert setups["nu"].basis is not None
-    # angular profile and the Mathieu-basis equation agree pointwise
+    # the angular pair starts from the periodic Mathieu column
     grid = setups["nu"].grid
+    np.testing.assert_array_equal(setups["nu"].build_pair().y1, mathieu_column(0, 0.5, grid)[0].y)
+    # angular profile and the Mathieu equation a_M - 2 q_M cos 2nu agree pointwise
     direct = setups["nu"].profile.omega2_array(grid)
-    basis_profile = mathieu_profile(a_m, 0.5, modified=False)
-    np.testing.assert_allclose(direct, basis_profile.omega2_array(grid), atol=1e-12)
+    np.testing.assert_allclose(direct, a_m - 2.0 * 0.5 * np.cos(2.0 * grid), atol=1e-12)
 
 
 def test_two_center_radial_charge_free_is_modified_mathieu():
@@ -133,8 +134,41 @@ def test_two_center_radial_charge_free_is_modified_mathieu():
         params={"a": 1.0, "Z": 0.0, "k_sq": 2.0, "ell": 1, "parity": "odd"},
     )
     setups = {s.label: s for s in build_problem(spec)}
-    assert setups["mu"].basis is not None
-    assert setups["mu"].basis.tag == "mathieu_modified"
+    grid = setups["mu"].grid
+    column, _ = mathieu_column(1, 0.5, grid, modified=True, parity="odd")
+    np.testing.assert_array_equal(setups["mu"].build_pair().y1, column.y)
+
+
+TWO_CENTER = {"a": 1.0, "k_sq": 2.0}
+ONE_PROFILE_SPECS = {
+    "free": ("free_particle", {"k0": 1.0}),
+    "harmonic_nu_half": ("harmonic_oscillator", {"omega": 1.0, "E": 1.0}),
+    "harmonic_nu_1": ("harmonic_oscillator", {"omega": 1.0, "E": 1.5}),
+    "coulomb_kappa_1.3": ("coulomb_halfline", {"alpha": 1.3, "E": -0.5}),
+    "coulomb_kappa_2": ("coulomb_halfline", {"alpha": 2.0, "E": -0.5}),
+    "two_center_ell": ("two_center_elliptic", {**TWO_CENTER, "Z": 1.0, "ell": 1, "parity": "odd"}),
+    "two_center_ell_z0": ("two_center_elliptic", {**TWO_CENTER, "Z": 0.0, "ell": 2}),
+    "two_center_gamma": ("two_center_elliptic", {**TWO_CENTER, "Z": 1.0, "Gamma": -1.5}),
+}
+
+
+@pytest.mark.parametrize("kind, params", ONE_PROFILE_SPECS.values(), ids=ONE_PROFILE_SPECS.keys())
+def test_pair_integrates_against_the_sector_profile(monkeypatch, kind, params):
+    # One Omega^2 per sector: every frequency evaluation while a sector's
+    # pair is built is one of that sector's own profile.
+    seen = []
+    omega2_array = FrequencyProfile.omega2_array
+
+    def recording(self, q):
+        seen.append(self)
+        return omega2_array(self, q)
+
+    monkeypatch.setattr(FrequencyProfile, "omega2_array", recording)
+    for setup in build_problem(ProblemSpec(kind=kind, params=params)):
+        seen.clear()
+        setup.build_pair()
+        assert all(profile is setup.profile for profile in seen)
+        assert seen or kind == "free_particle"  # only the trig pair integrates nothing
 
 
 def test_incomplete_specs_list_missing():

@@ -309,10 +309,16 @@ TWO_CENTER = (
         FREE + "problem.junk = 1",
         FREE + "sector.x.C = 1e300",
         FREE + "output.dir = {file}/out",
+        "problem.kind = harmonic_oscillator\nproblem.omega = 1e-300\nproblem.E = 1e300",
+        "problem.kind = free_particle\nproblem.k0 = 1e300",
+        TWO_CENTER.replace("a = 1.0", "a = 1e300"),
+        "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n"
+        "problem.hbar = 1e-300",
     ],
     ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol",
          "fractional_ell", "grid_over_cap", "samples_over_cap", "unknown_parameter",
-         "overflowing_k", "output_under_a_file"],
+         "overflowing_k", "output_under_a_file", "infinite_nu", "overflowing_k0_sq",
+         "overflowing_a_sq", "kappa_division_by_zero"],
 )
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
     (tmp_path / "file").write_text("")
@@ -324,6 +330,20 @@ def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
     assert main(["check", cfg]) == 1
     assert main(["run", cfg]) == 1
     assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_weber_seed_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # nu = 1e6 - 1/2 is a valid order, but D_nu(0) = sqrt(pi) 2^(nu/2) / ...
+    # overflows a double, so the pair cannot be seeded.
+    cfg = write_cfg(
+        tmp_path,
+        "problem.kind = harmonic_oscillator\nproblem.omega = 1.0\nproblem.E = 1e6\n"
+        f"output.dir = {tmp_path / 'out'}\n",
+    )
+    assert main(["check", cfg]) == 0
+    assert main(["run", cfg]) == 2
+    assert "numerical failure: parabolic-cylinder seed values overflow" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
