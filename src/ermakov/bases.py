@@ -385,14 +385,18 @@ def mathieu_column(
     grid: np.ndarray,
     modified: bool = False,
     parity: str = "even",
+    a: float | None = None,
 ) -> tuple[Column, float]:
     """Periodic (or hyperbolically continued) Mathieu column and its char value.
 
     Plain:    sum_k c_k cos(h_k nu)   or  sum_k c_k sin(h_k nu)
     Modified: sum_k c_k cosh(h_k mu)  or  sum_k c_k sinh(h_k mu)
+
+    ``a`` is the characteristic value when the caller has already solved it.
     """
     grid = np.asarray(grid, dtype=float)
-    a = mathieu_char_value(ell, parity, q)
+    if a is None:
+        a = mathieu_char_value(ell, parity, q)
     harmonics, coeffs = mathieu_coefficients(ell, parity, q, a=a)
     if modified and float(np.max(harmonics)) * float(np.max(np.abs(grid))) > 700.0:
         raise ConfigurationError(
@@ -431,15 +435,17 @@ def mathieu_pair(
     settings: IntegrationSettings = DEFAULT_SETTINGS,
     modified: bool = False,
     parity: str = "even",
+    a: float | None = None,
 ) -> FundamentalPair:
     """Mathieu fundamental pair of ``profile``, which poses a - 2q cos 2nu
     (or its hyperbolic continuation 2q cosh 2mu - a when ``modified``),
-    with a the characteristic value of the requested order and parity.
+    with a the characteristic value of the requested order and parity
+    (solved here unless given).
 
     The first column is the periodic solution built from the coefficient
     ladder; the second is a second-kind companion of the same equation from
     identity-data integration (the opposite-parity periodic function belongs
     to a different characteristic value whenever q != 0).
     """
-    column, _ = mathieu_column(ell, q, grid, modified=modified, parity=parity)
+    column, _ = mathieu_column(ell, q, grid, modified=modified, parity=parity, a=a)
     return companion_pair(profile, column, settings)

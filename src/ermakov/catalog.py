@@ -256,6 +256,12 @@ class FrequencyProfile:
             raise ConfigurationError(f"kappa must be nonnegative, got {self.kappa!r}")
         if self.m <= 0 or self.hbar <= 0:
             raise ConfigurationError("m and hbar must be positive")
+        try:
+            scale = 2.0 * self.m / self.hbar**2
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ConfigurationError("derived parameter 2 m / hbar^2 is out of range")
 
     def geometric(self, q):
         return self.sector.weight.geometric_omega2(q)

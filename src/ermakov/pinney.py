@@ -131,7 +131,8 @@ def pinney_amplitude(coeffs: PinneyCoefficients, pair: FundamentalPair) -> Ermak
         bad |= form <= 0.0
     if np.any(bad):
         raise NonpositiveFormError(float(pair.grid[int(np.argmax(bad))]))
-    node_mask = form <= 1e-14 * scale
+    # With k > 0 the form is strictly positive: nodes exist only at k = 0.
+    node_mask = (form <= 1e-14 * scale) & (coeffs.k == 0.0)
     form = np.where(node_mask, 0.0, form)
     rho = np.sqrt(form)
     dform = (

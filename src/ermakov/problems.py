@@ -245,6 +245,8 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         if k0 == 0:
             raise ConfigurationError("free particle needs k0 != 0")
         k0_sq = _finite("k0^2", lambda: k0**2)
+        if k0_sq == 0.0:  # the pair's Wronskian is k0, and W^2 would be 0
+            raise ConfigurationError("derived parameter k0^2 underflows to 0")
         sector = SectorSpec("x", (-math.inf, math.inf), Weight.unit())
         profile = FrequencyProfile(
             sector=sector,
@@ -347,10 +349,10 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
 
     nu_pair = mu_pair = _midpoint_pair
     if ell is not None:
-        nu_pair = partial(mathieu_pair, ell, q_m, parity=parity)
+        nu_pair = partial(mathieu_pair, ell, q_m, parity=parity, a=a_m)
         if z_charge == 0.0 or e2 == 0.0:
             # Without the charge term the radial equation is pure modified Mathieu.
-            mu_pair = partial(mathieu_pair, ell, q_m, modified=True, parity=parity)
+            mu_pair = partial(mathieu_pair, ell, q_m, modified=True, parity=parity, a=a_m)
 
     return [
         SectorSetup("nu", nu_sector, nu_profile, nu_grid, c_nu, k_nu, nu_pair),

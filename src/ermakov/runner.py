@@ -6,7 +6,7 @@ and emits field tables plus a certification report.  Every sector is
 computed and certified before any file is written; each file is then
 rendered and atomically written (write-then-rename), one at a time, so a
 failure leaves no partial file.  Outputs are deterministic: fixed column
-and key order, reals rendered with 17 significant digits.
+and key order, reals rendered with 17 significant digits (:mod:`.render`).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .pinney import (
     symmetric_coefficients,
 )
 from .problems import ProblemSpec, SectorSetup, build_problem
+from .render import format_real, render_table
 
 FIELD_COLUMNS = ("q", "omega2", "y1", "y2", "wronskian", "rho", "R", "p", "Q", "invariant")
 OUTPUT_FORMATS = ("csv", "json-lines")
@@ -398,11 +399,6 @@ def certify(results: list[SectorResult], tolerances: Tolerances, flux_enforce: b
 # Deterministic serialization
 # ---------------------------------------------------------------------------
 
-def format_real(x: float) -> str:
-    """Reals with 17 significant digits (round-trip exact for doubles)."""
-    return "%.17g" % x
-
-
 def _json_render(value, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
@@ -430,16 +426,16 @@ def _json_render(value, indent: int = 0) -> str:
     return json.dumps(str(value))
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
 def emit_report(report: CertificationReport, path: str | Path) -> Path:
     """Serialize the report deterministically (fixed key order, 17 digits)."""
     path = Path(path)
-    _atomic_write(path, _json_render(report.as_dict()) + "\n")
+    _atomic_write(path, (_json_render(report.as_dict()) + "\n").encode())
     return path
 
 
@@ -461,13 +457,8 @@ def _field_rows(result: SectorResult) -> np.ndarray:
 
 
 def _table_text(columns: tuple[str, ...], rows: np.ndarray, fmt: str) -> str:
-    """One line per row, each filled from one per-format row template."""
-    if fmt == "csv":
-        head, row = ",".join(columns) + "\n", ",".join(["%.17g"] * len(columns))
-    else:
-        head, row = "", "{" + ", ".join(f"{json.dumps(n)}: %.17g" for n in columns) + "}"
-    row += "\n"
-    return head + "".join([row % tuple(values) for values in rows.tolist()])
+    """The table that :func:`run_config` writes, as text."""
+    return render_table(columns, rows, fmt).decode("ascii")
 
 
 def check_output_dir(path: str | Path) -> Path:
@@ -522,7 +513,7 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
 
     def emit(stem: str, columns: tuple[str, ...], rows: np.ndarray) -> None:
         path = out / f"{stem}.{suffix}"
-        _atomic_write(path, _table_text(columns, rows, config.output_format))
+        _atomic_write(path, render_table(columns, rows, config.output_format))
         written.append(path)
 
     try:

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from ermakov import bases, problems
 from ermakov.bases import mathieu_char_value, mathieu_column
 from ermakov.catalog import FrequencyProfile
 from ermakov.errors import ConfigurationError
 from ermakov.pinney import symmetric_coefficients
 from ermakov.problems import ProblemSpec, build_problem, two_center_frequencies
+from ermakov.runner import parse_config_text, run_config
 
 
 def test_free_particle_defaults():
@@ -220,3 +222,24 @@ def test_grid_override():
             ProblemSpec(kind="free_particle", params={"k0": 1.0},
                         grids={"x": (1.0, -1.0, 101)})
         )
+
+
+def test_mathieu_char_value_solved_once_per_run(tmp_path, monkeypatch):
+    # build_problem solves a_M for Gamma; the nu and (at Z = 0) mu Mathieu
+    # pairs reuse it instead of solving it again.
+    calls = []
+    original = bases.mathieu_char_value
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bases, "mathieu_char_value", counted)
+    monkeypatch.setattr(problems, "mathieu_char_value", counted)
+    config = parse_config_text(
+        "problem.kind = two_center_elliptic\nproblem.a = 1.0\nproblem.Z = 0.0\n"
+        "problem.k_sq = 2.0\nproblem.ell = 2\nproblem.parity = even\n"
+    )
+    report, _ = run_config(config, output_dir=tmp_path)
+    assert report.verdict == "pass"
+    assert calls == [(2, "even", 0.5)]

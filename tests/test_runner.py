@@ -314,11 +314,16 @@ TWO_CENTER = (
         TWO_CENTER.replace("a = 1.0", "a = 1e300"),
         "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n"
         "problem.hbar = 1e-300",
+        "problem.kind = free_particle\nproblem.k0 = 1e-300",
+        "problem.kind = free_particle\nproblem.k0 = 5e-324",
+        FREE + "problem.hbar = 1e-300",
+        FREE + "problem.hbar = 5e-324",
     ],
     ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol",
          "fractional_ell", "grid_over_cap", "samples_over_cap", "unknown_parameter",
          "overflowing_k", "output_under_a_file", "infinite_nu", "overflowing_k0_sq",
-         "overflowing_a_sq", "kappa_division_by_zero"],
+         "overflowing_a_sq", "kappa_division_by_zero", "underflowing_k0_sq",
+         "subnormal_k0", "underflowing_hbar_sq", "subnormal_hbar"],
 )
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
     (tmp_path / "file").write_text("")
@@ -345,6 +350,25 @@ def test_cli_weber_seed_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert main(["run", cfg]) == 2
     assert "numerical failure: parabolic-cylinder seed values overflow" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_no_spurious_nodes_when_k_is_positive(tmp_path):
+    # On this grid the pair spans about e^60, so A y1^2 + B y2^2 falls below
+    # 1e-14 of its maximum over most of the range; with k > 0 the form is
+    # still positive everywhere, so the amplitude has no nodes and the run
+    # reaches its certificate instead of a singularity exit.
+    text = (
+        "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n"
+        "sector.x.grid = 0.05:30:201\n"
+    )
+    (setup,) = build_problem(parse_config_text(text).problem)
+    result = execute_sector(setup)
+    assert setup.k > 0.0
+    assert result.amplitude.nodes == () and np.all(result.amplitude.rho > 0.0)
+    assert np.all(np.isfinite(result.p))
+    cfg = write_cfg(tmp_path, f"{text}output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) != 3
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_exit_code_tolerance_breach(tmp_path):
