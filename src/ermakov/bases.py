@@ -65,10 +65,7 @@ def gamma(x: float) -> float:
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x = {x!r}")
-    try:
-        return math.gamma(x)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise PoleError(str(exc)) from None
+    return math.gamma(x)
 
 
 def inv_gamma(x: float) -> float:
@@ -320,7 +317,7 @@ def mathieu_char_value(
 
 
 def mathieu_coefficients(
-    ell: int, parity: str, q: float, a: float | None = None, size: int | None = None
+    ell: int, parity: str, q: float, a: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(harmonics, coefficients) of the periodic solution of order ``ell``.
 
@@ -331,8 +328,7 @@ def mathieu_coefficients(
     Euclidean norm with the order-``ell`` harmonic coefficient positive.
     """
     first, step, index = _mathieu_ladder(ell, parity)
-    if size is None:
-        size = max(40, index + 25)
+    size = max(40, index + 25)
     if a is None:
         a = mathieu_char_value(ell, parity, q)
     harmonics = (first + step * np.arange(size)).astype(float)
@@ -403,27 +399,19 @@ def mathieu_column(
             "hyperbolic-sum terms would overflow on this grid; reduce the grid"
             " extent or the coefficient count"
         )
+    f, df = {
+        (False, True): (np.cos, lambda x: -np.sin(x)),
+        (False, False): (np.sin, np.cos),
+        (True, True): (np.cosh, np.sinh),
+        (True, False): (np.sinh, np.cosh),
+    }[modified, parity == "even"]
     y = np.zeros_like(grid)
     dy = np.zeros_like(grid)
-    even_fn = parity == "even"
     for h, c in zip(harmonics, coeffs):
-        if c == 0.0:
-            continue
-        arg = h * grid
-        if modified:
-            if even_fn:
-                y += c * np.cosh(arg)
-                dy += c * h * np.sinh(arg)
-            else:
-                y += c * np.sinh(arg)
-                dy += c * h * np.cosh(arg)
-        else:
-            if even_fn:
-                y += c * np.cos(arg)
-                dy += -c * h * np.sin(arg)
-            else:
-                y += c * np.sin(arg)
-                dy += c * h * np.cos(arg)
+        if c != 0.0:
+            arg = h * grid
+            y += c * f(arg)
+            dy += c * h * df(arg)
     return Column(grid, y, dy), a
 
 

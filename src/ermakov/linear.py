@@ -19,11 +19,11 @@ final and with the halved substep counts, stored as
 anchor; the grid and the anchor alone fix the range integrated.  In a
 preset the profile is the sector's own (see :mod:`ermakov.problems`).
 
-:func:`integrate_outward` runs scipy's adaptive DOP853 on a nonlinear
-right-hand side; only the direct amplitude integration
-(:func:`ermakov.pinney.solve_ep_direct`, the independent cross-check) uses
-it.  :func:`solve_ivp` imports ``scipy.integrate`` on its first call, so the
-rest of the package runs on numpy alone and never loads scipy.
+:func:`direct_amplitude` runs scipy's adaptive DOP853 on the nonlinear
+amplitude equation rho'' + Omega^2 rho = k / rho^3 for the independent
+cross-check :func:`ermakov.pinney.solve_ep_direct`.  It is the package's only
+:func:`solve_ivp` call, which imports ``scipy.integrate`` on first use, so
+the rest of the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .errors import (
     NodeApproachError,
     SingularEndpointError,
 )
-
-GRID_POINTS = 2001  # samples of the direct amplitude's grid when a caller gives none
 
 # Gauss-Legendre nodes on [0, 1] and the commutator weight of the Magnus step.
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
@@ -114,8 +112,8 @@ class FundamentalPair:
     error: float = 0.0
 
     def __post_init__(self):
-        if self.W == 0.0:
-            raise ConfigurationError("fundamental pair requires a nonzero Wronskian")
+        if self.W**2 == 0.0:  # the quadratic form's constraint divides by W^2
+            raise ConfigurationError(f"pair Wronskian {self.W!r} squares to 0")
         if np.any(np.diff(self.grid) <= 0):
             raise ConfigurationError("pair grid must be strictly increasing")
 
@@ -133,6 +131,14 @@ class FundamentalPair:
 def wronskian_check(pair: FundamentalPair) -> float:
     """Max absolute drift of the pointwise Wronskian from the pair's W."""
     return float(np.max(np.abs(pair.wronskian_samples() - pair.W)))
+
+
+def _increasing(grid) -> np.ndarray:
+    """``grid`` as floats; a grid not strictly increasing is a configuration error."""
+    grid = np.asarray(grid, dtype=float)
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigurationError("output grid must be strictly increasing")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +297,7 @@ def magnus_outward(
 
     counts = np.ones(widths.size, dtype=np.int64)
     if math.isfinite(settings.max_step):
-        counts = np.ceil(np.minimum(widths / settings.max_step, MAX_SUBSTEPS + 1))
+        counts = np.ceil(np.clip(widths / settings.max_step, 1, MAX_SUBSTEPS + 1))  # >= 1 step
         counts = counts.astype(np.int64)
     cells = np.empty((4, 2, widths.size))  # axis 1: final (fine, coarse) cell matrices
     todo, coarse = np.arange(widths.size), None
@@ -348,59 +354,40 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def normal_form_system(profile, k: float = 0.0):
-    """Right-hand side of y'' = -Omega^2(q) y + k / y^3 for the state (y, y').
+NODE_FLOOR = 1e-8  # amplitude at which the direct integration stops at a node
 
-    A frequency that cannot be evaluated gives NaN, which
-    :func:`integrate_outward` reports as an integration failure.
+
+def direct_amplitude(
+    profile, k: float, grid, anchor: float, y0, settings: IntegrationSettings = DEFAULT_SETTINGS
+) -> np.ndarray:
+    """(rho, rho') at every point of ``grid``, shape (2, grid.size), solving
+    rho'' = -Omega^2 rho + k / rho^3 from data ``y0`` at ``anchor``.
+
+    DOP853 integrates the half-ranges right and left of the anchor
+    separately, each to its grid end.  Raises :class:`ConfigurationError`
+    unless the grid is strictly increasing, :class:`NodeApproachError` where
+    rho falls to :data:`NODE_FLOOR`, and :class:`IntegrationFailureError`
+    when the solver fails, leaves the finite range or cannot evaluate the
+    frequency.
     """
+    grid = _increasing(grid)
+    y0 = np.asarray(y0, dtype=float)
     omega2 = profile.omega2_array
 
     def rhs(q, y):
         try:
             w2 = float(omega2(np.asarray(q)))
         except (SingularEndpointError, FloatingPointError, ZeroDivisionError):
-            w2 = math.nan
-        accel = -w2 * y[0]
-        if k != 0.0:
-            accel += k / y[0] ** 3
-        return [y[1], accel]
+            w2 = math.nan  # the solver then fails, reported below
+        return [y[1], -w2 * y[0] + (k / y[0] ** 3 if k != 0.0 else 0.0)]
 
-    return rhs
+    def node(q, y):
+        return y[0] - NODE_FLOOR
 
+    node.terminal = True
+    node.direction = -1.0
 
-def integrate_outward(
-    rhs,
-    grid: np.ndarray,
-    anchor: float,
-    y0,
-    settings: IntegrationSettings = DEFAULT_SETTINGS,
-    node_floor: float | None = None,
-) -> np.ndarray:
-    """Solve y' = rhs(q, y) with y(anchor) = y0 outward to both ends of ``grid``.
-
-    The half-ranges right and left of the anchor are integrated separately
-    by DOP853, each to its grid end, and sampled on the grid points they
-    hold.  Returns the state at every grid point, shape (len(y0), grid.size).
-
-    Raises :class:`NodeApproachError` where y[0] falls below ``node_floor``
-    (when given) and :class:`IntegrationFailureError` when the solver fails
-    or leaves the finite range.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    kwargs = {}
-    if math.isfinite(settings.max_step):
-        kwargs["max_step"] = settings.max_step
-    if node_floor is not None:
-
-        def node(q, y):
-            return y[0] - node_floor
-
-        node.terminal = True
-        node.direction = -1.0
-        kwargs["events"] = node
-
-    out = np.empty((y0.size, grid.size))
+    out = np.empty((2, grid.size))
     right = grid >= anchor
     for mask, end in ((right, float(grid[-1])), (~right, float(grid[0]))):
         if not np.any(mask):
@@ -417,9 +404,10 @@ def integrate_outward(
             t_eval=grid[mask][order],
             rtol=settings.rel_tol,
             atol=settings.abs_tol,
-            **kwargs,
+            max_step=settings.max_step,
+            events=node,
         )
-        if node_floor is not None and sol.t_events[0].size:
+        if sol.t_events[0].size:
             raise NodeApproachError(float(sol.t_events[0][0]))
         if not sol.success or not np.all(np.isfinite(sol.y)):
             last = float(sol.t[-1]) if sol.t.size else float(anchor)
@@ -434,9 +422,7 @@ def integrate_outward(
 
 def _integrate_columns(profile, grid, anchor, ics, settings):
     """(grid, stacked state, error) of the columns with data ``ics`` at ``anchor``."""
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise ConfigurationError("output grid must be strictly increasing")
+    grid = _increasing(grid)
     y0 = [float(ic[0]) for ic in ics] + [float(ic[1]) for ic in ics]
     return (grid, *magnus_outward(profile, grid, float(anchor), y0, settings))
 

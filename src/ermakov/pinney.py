@@ -11,6 +11,8 @@ A B - D^2 = k / W^2.  The conserved quantity certified here is
     I = ((rho y' - rho' y)^2 + k y^2 / rho^2) / 2,
 
 constant in q for any partner solution y of the linear equation.
+:func:`solve_ep_direct` integrates the nonlinear equation on a grid instead,
+as the cross-check of the quadratic form.
 """
 
 from __future__ import annotations
@@ -29,16 +31,13 @@ from .errors import (
 )
 from .linear import (
     DEFAULT_SETTINGS,
-    GRID_POINTS,
     Column,
     FundamentalPair,
     IntegrationSettings,
-    integrate_outward,
-    normal_form_system,
+    direct_amplitude,
 )
 
 CONSTRAINT_TOL = 1e-10
-NODE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -147,41 +146,44 @@ def pinney_amplitude(coeffs: PinneyCoefficients, pair: FundamentalPair) -> Ermak
 
 
 def solve_ep_direct(
-    profile,
-    k: float,
-    ic: tuple[float, float],
-    interval: tuple[float, float],
+    profile, k: float, ic: tuple[float, float], grid, anchor: float | None = None,
     settings: IntegrationSettings = DEFAULT_SETTINGS,
-    grid: np.ndarray | None = None,
-    anchor: float | None = None,
 ) -> ErmakovAmplitude:
     """Integrate rho'' + Omega^2 rho = k/rho^3 directly (cross-check route).
 
-    Initial data is posed at ``anchor`` (interval midpoint by default) and
-    integrated outward.  Integration halts with :class:`NodeApproachError`
-    if rho falls below the node floor, which k = 0 trajectories passing
-    through zeros of the linear solution will do.
+    Initial data ``ic`` = (rho, rho') is posed at ``anchor`` (the middle of
+    the grid's range by default) and integrated outward to both ends of
+    ``grid``, which must be strictly increasing.  Integration halts with
+    :class:`NodeApproachError` if rho falls to the node floor, which k = 0
+    trajectories passing through zeros of the linear solution will do.
     """
     if ic[0] <= 0.0:
         raise ConfigurationError(f"initial amplitude must be positive, got {ic[0]!r}")
     if k < 0.0:
         raise ConfigurationError(f"k must be >= 0, got {k!r}")
-    lo, hi = float(interval[0]), float(interval[1])
-    grid = np.linspace(lo, hi, GRID_POINTS) if grid is None else np.asarray(grid, dtype=float)
-    a = 0.5 * (lo + hi) if anchor is None else float(anchor)
-    rho, drho = integrate_outward(
-        normal_form_system(profile, k), grid, a, ic, settings, node_floor=NODE_FLOOR
-    )
+    grid = np.asarray(grid, dtype=float)
+    a = 0.5 * (float(grid[0]) + float(grid[-1])) if anchor is None else float(anchor)
+    rho, drho = direct_amplitude(profile, k, grid, a, ic, settings)
     return ErmakovAmplitude(grid, rho, drho)
 
 
 def el_invariant(amplitude: ErmakovAmplitude, partner: Column, k: float) -> np.ndarray:
-    """Invariant samples I(q) = ((rho y' - rho' y)^2 + k y^2/rho^2) / 2."""
+    """Invariant samples I(q) = ((rho y' - rho' y)^2 + k y^2/rho^2) / 2.
+
+    With a quadratic-form amplitude and its pair's first column as partner,
+    rho y1' - rho' y1 = -(B y2 + D y1) W(q) / rho (W(q) the pointwise
+    Wronskian) avoids the general formula's cancellation of two products.
+    """
     if amplitude.grid.shape != partner.grid.shape or not np.array_equal(
         amplitude.grid, partner.grid
     ):
         raise GridMismatchError("amplitude and partner column grids differ")
-    cross = amplitude.rho * partner.dy - amplitude.drho * partner.y
+    pair, coeffs = amplitude.pair, amplitude.coefficients
+    if pair is not None and coeffs is not None and partner.y is pair.y1:
+        rho = np.where(amplitude.rho > 0.0, amplitude.rho, np.nan)  # NaN at nodes
+        cross = -(coeffs.B * pair.y2 + coeffs.D * pair.y1) * pair.wronskian_samples() / rho
+    else:
+        cross = amplitude.rho * partner.dy - amplitude.drho * partner.y
     out = 0.5 * cross**2
     if k != 0.0:
         out = out + 0.5 * k * partner.y**2 / amplitude.rho**2

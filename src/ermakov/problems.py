@@ -145,7 +145,6 @@ class SectorSetup:
     C: float
     k: float
     pair_builder: Callable[..., FundamentalPair]
-    note: str = ""
 
     def build_pair(self, settings: IntegrationSettings = DEFAULT_SETTINGS) -> FundamentalPair:
         return self.pair_builder(self.profile, self.grid, settings)
@@ -274,8 +273,7 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         )
         grid = _resolve_grid(spec, "xi", _DEFAULT_GRIDS[spec.kind]["xi"])
         c, k = _resolve_flux(spec, "xi", default_k=1.0, hbar_sector=1.0)
-        note = "dimensionless coordinate xi = sqrt(m omega / hbar) x"
-        return [SectorSetup("xi", sector, profile, grid, c, k, partial(weber_pair, nu), note)]
+        return [SectorSetup("xi", sector, profile, grid, c, k, partial(weber_pair, nu))]
 
     if spec.kind == "coulomb_halfline":
         alpha, energy = spec.param("alpha"), spec.param("E")
@@ -300,10 +298,7 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
             raise ConfigurationError("coulomb grid must start at x > 0")
         c, k = _resolve_flux(spec, "x", default_k=1.0, hbar_sector=hbar)
         return [
-            SectorSetup(
-                "x", sector, profile, grid, c, k, partial(whittaker_pair, kappa, lam),
-                note="Whittaker argument z = 2 lam x",
-            )
+            SectorSetup("x", sector, profile, grid, c, k, partial(whittaker_pair, kappa, lam))
         ]
 
     # two_center_elliptic
@@ -356,8 +351,5 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
 
     return [
         SectorSetup("nu", nu_sector, nu_profile, nu_grid, c_nu, k_nu, nu_pair),
-        SectorSetup(
-            "mu", mu_sector, mu_profile, mu_grid, c_mu, k_mu, mu_pair,
-            note="radial sector; charge term makes it non-Mathieu unless Z = 0",
-        ),
+        SectorSetup("mu", mu_sector, mu_profile, mu_grid, c_mu, k_mu, mu_pair),
     ]

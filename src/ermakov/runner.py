@@ -265,13 +265,14 @@ def _resolve_coefficients(
     return symmetric_coefficients(setup.k, pair.W)
 
 
+@np.errstate(over="ignore")  # a step whose square overflows leaves y'' = 0
 def _ode_residual(grid: np.ndarray, y: np.ndarray, omega2: np.ndarray) -> float:
-    """Scaled max residual of the second divided difference against -Omega^2 y."""
+    """Scaled max residual of the second divided difference against -Omega^2 y
+    (NaN, not measured, below 3 points or on a non-uniform grid)."""
     h = np.diff(grid)
-    if not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
+    if grid.size < 3 or not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
         return math.nan
-    step = float(h[0])
-    interior = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / step**2 + omega2[1:-1] * y[1:-1]
+    interior = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h[0] ** 2 + omega2[1:-1] * y[1:-1]
     scale = max(1.0, float(np.max(np.abs(omega2 * y))))
     return float(np.max(np.abs(interior))) / scale
 
@@ -454,11 +455,6 @@ def _field_rows(result: SectorResult) -> np.ndarray:
             result.invariant,
         ]
     )
-
-
-def _table_text(columns: tuple[str, ...], rows: np.ndarray, fmt: str) -> str:
-    """The table that :func:`run_config` writes, as text."""
-    return render_table(columns, rows, fmt).decode("ascii")
 
 
 def check_output_dir(path: str | Path) -> Path:

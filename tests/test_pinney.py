@@ -16,6 +16,7 @@ from ermakov.errors import (
     NonpositiveFormError,
 )
 from ermakov.linear import Column, FundamentalPair
+from ermakov.problems import ProblemSpec, build_problem
 from ermakov.pinney import (
     ErmakovAmplitude,
     PinneyCoefficients,
@@ -74,19 +75,19 @@ def test_nonpositive_form_detected():
 
 def test_direct_integration_fixed_points():
     # constant solution when rho0^4 = k / Omega^2
-    amp = solve_ep_direct(CONST_ONE, 1.0, (1.0, 0.0), (0.0, 5.0))
+    amp = solve_ep_direct(CONST_ONE, 1.0, (1.0, 0.0), np.linspace(0.0, 5.0, 2001))
     np.testing.assert_allclose(amp.rho, 1.0, atol=1e-10)
     const_four = FrequencyProfile.from_omega2(
         lambda q: 4.0 * np.ones_like(np.asarray(q, float))
     )
-    amp = solve_ep_direct(const_four, 4.0, (1.0, 0.0), (0.0, 5.0))
+    amp = solve_ep_direct(const_four, 4.0, (1.0, 0.0), np.linspace(0.0, 5.0, 2001))
     np.testing.assert_allclose(amp.rho, 1.0, atol=1e-10)
 
 
 def test_direct_integration_node_approach():
     # k = 0 turns the equation linear; data (1, 0) is cos and hits zero
     with pytest.raises(NodeApproachError) as err:
-        solve_ep_direct(CONST_ONE, 0.0, (1.0, 0.0), (0.0, 5.0), anchor=0.0)
+        solve_ep_direct(CONST_ONE, 0.0, (1.0, 0.0), np.linspace(0.0, 5.0, 2001), anchor=0.0)
     assert err.value.q == pytest.approx(math.pi / 2.0, abs=1e-6)
 
 
@@ -100,15 +101,32 @@ def test_direct_integration_unevaluable_frequency():
 
     profile = FrequencyProfile.from_omega2(omega2)
     with pytest.raises(IntegrationFailureError) as err:
-        solve_ep_direct(profile, 1.0, (1.0, 0.0), (0.0, 2.0), anchor=0.0)
+        solve_ep_direct(profile, 1.0, (1.0, 0.0), np.linspace(0.0, 2.0, 2001), anchor=0.0)
     assert 0.0 <= err.value.last_q <= 1.0 + 1e-6
 
 
 def test_direct_integration_validation():
     with pytest.raises(ConfigurationError):
-        solve_ep_direct(CONST_ONE, 1.0, (0.0, 1.0), (0.0, 1.0))
+        solve_ep_direct(CONST_ONE, 1.0, (0.0, 1.0), np.linspace(0.0, 1.0, 11))
     with pytest.raises(ConfigurationError):
-        solve_ep_direct(CONST_ONE, -1.0, (1.0, 0.0), (0.0, 1.0))
+        solve_ep_direct(CONST_ONE, -1.0, (1.0, 0.0), np.linspace(0.0, 1.0, 11))
+
+
+def test_direct_integration_rejects_unordered_grids():
+    for grid in ([0.0, 0.5, 0.5, 1.0], [1.0, 0.5, 0.0]):  # repeated, decreasing
+        with pytest.raises(ConfigurationError):
+            solve_ep_direct(CONST_ONE, 1.0, (1.0, 0.0), grid)
+
+
+def test_direct_integration_default_anchor_is_range_midpoint():
+    # Omega^2 = 1 + q: the solution depends on where the data is posed
+    profile = FrequencyProfile.from_omega2(lambda q: 1.0 + np.asarray(q, float))
+    grid = 3.0 * np.linspace(0.0, 1.0, 41) ** 2  # the midpoint 1.5 is no grid point
+    default = solve_ep_direct(profile, 1.0, (1.0, 0.0), grid)
+    midpoint = solve_ep_direct(profile, 1.0, (1.0, 0.0), grid, anchor=1.5)
+    np.testing.assert_array_equal(default.rho, midpoint.rho)
+    middle_sample = solve_ep_direct(profile, 1.0, (1.0, 0.0), grid, anchor=float(grid[20]))
+    assert np.max(np.abs(middle_sample.rho - default.rho)) > 1e-3
 
 
 def test_superposition_matches_direct_integration_weber():
@@ -118,8 +136,7 @@ def test_superposition_matches_direct_integration_weber():
     amp = pinney_amplitude(coeffs, pair)
     mid = xi.size // 2
     direct = solve_ep_direct(
-        weber_profile(0.5), 1.0, (float(amp.rho[mid]), float(amp.drho[mid])),
-        (float(xi[0]), float(xi[-1])), grid=xi,
+        weber_profile(0.5), 1.0, (float(amp.rho[mid]), float(amp.drho[mid])), xi
     )
     rel = np.max(np.abs(direct.rho - amp.rho) / np.abs(amp.rho))
     assert rel <= 1e-6
@@ -140,6 +157,25 @@ def test_el_invariant_degenerate_parallel_solution():
     pair_like = ErmakovAmplitude(grid, gauss, dgauss, PinneyCoefficients(1, 0, 0, 0))
     inv = el_invariant(pair_like, Column(grid, gauss, dgauss), 0.0)
     np.testing.assert_allclose(inv, 0.0, atol=1e-16)
+
+
+def test_el_invariant_keeps_its_digits_across_a_wide_pair():
+    # Coulomb columns span about e^60 on z in [0.05, 30]: the general formula
+    # cancels two products there (invariant drift 9e9), the pair form does not
+    spec = ProblemSpec(kind="coulomb_halfline", params={"alpha": 1.3, "E": -0.5},
+                       grids={"x": (0.05, 30.0, 2001)})
+    (setup,) = build_problem(spec)
+    pair = setup.build_pair()
+    amp = pinney_amplitude(symmetric_coefficients(setup.k, pair.W), pair)
+    assert invariant_drift(el_invariant(amp, pair.column(1), setup.k)).drift <= 1e-12
+    # where nothing cancels, the pair form agrees with the general formula
+    xi = np.linspace(-4.0, 4.0, 801)
+    pair = weber_pair(0.5, weber_profile(0.5), xi)
+    amp = pinney_amplitude(coefficients_from_ab(2.0, 1.0, 1.0, pair.W, sign=-1.0), pair)
+    general = Column(xi, pair.y1.copy(), pair.dy1.copy())
+    np.testing.assert_allclose(
+        el_invariant(amp, pair.column(1), 1.0), el_invariant(amp, general, 1.0), rtol=1e-12
+    )
 
 
 def test_el_invariant_grid_mismatch():

@@ -18,13 +18,13 @@ from ermakov.runner import (
     Tolerances,
     certify,
     execute_sector,
-    _table_text,
     format_real,
     parse_config_text,
     run_config,
 )
 from ermakov.pinney import solve_ep_direct
 from ermakov.problems import ProblemSpec, build_problem
+from ermakov.render import render_table
 
 FREE_CFG = """
 # plane-wave sector
@@ -179,7 +179,7 @@ def test_table_rendering_matches_per_value_rule(fmt):
     values = np.concatenate([special, signs * magnitudes]).reshape(200, len(FIELD_COLUMNS))
     one_row = np.array([[math.nan, -0.0]])
     for columns, rows in ((FIELD_COLUMNS, values), (("t", "x"), one_row)):
-        text = _table_text(columns, rows, fmt)
+        text = render_table(columns, rows, fmt).decode("ascii")
         assert text == _reference_table_text(columns, rows, fmt)
 
 
@@ -338,6 +338,24 @@ def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (FREE + "sector.x.grid = 0:10:2\n", 0),
+        ("problem.kind = harmonic_oscillator\nproblem.omega = 1.0\nproblem.E = 1.0\n"
+         "sector.xi.grid = -1:1:2\n", 0),
+        (FREE + "sector.x.grid = 0:1e300:51\n", 2),  # the step's square overflows
+    ],
+    ids=["free_two_points", "harmonic_two_points", "free_huge_step"],
+)
+def test_ode_residual_on_two_point_and_huge_step_grids(tmp_path, text, code):
+    cfg = write_cfg(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == code
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    ode_residual = report["sectors"][0]["ode_residual"]
+    assert ode_residual == "nan" if code == 0 else math.isfinite(ode_residual)
+
+
 def test_cli_weber_seed_overflow_is_a_numerical_failure(tmp_path, capsys):
     # nu = 1e6 - 1/2 is a valid order, but D_nu(0) = sqrt(pi) 2^(nu/2) / ...
     # overflows a double, so the pair cannot be seeded.
@@ -420,7 +438,7 @@ def test_benchmark_tracer_sees_one_solve_per_half_range(tmp_path, monkeypatch):
         # steps, without the solver
         pair_solves = tracer.counters[tracer.iteration]["linear.ivp_calls"]
         # the direct amplitude from an interior anchor: one solve per half-range
-        solve_ep_direct(setup.profile, 1.0, (1.0, 0.0), (0.0, 1.0))
+        solve_ep_direct(setup.profile, 1.0, (1.0, 0.0), np.linspace(0.0, 1.0, 2001))
     assert report.verdict == "pass"
     assert pair_solves == 0
     assert tracer.counters[tracer.iteration]["linear.ivp_calls"] == 2
