@@ -21,7 +21,6 @@ from .catalog import (
     FrequencyProfile,
     SectorSpec,
     Weight,
-    effective_frequency,
     geometric_frequency,
     lookup_system,
 )
@@ -50,7 +49,7 @@ from .pinney import (
     pinney_amplitude,
     solve_ep_direct,
 )
-from .problems import ProblemSpec, build_problem, two_center_frequencies
+from .problems import ProblemSpec, build_problem
 from .runner import CertificationReport, RunConfig, parse_config, run_config
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "SectorSpec",
     "Weight",
     "build_problem",
-    "effective_frequency",
     "el_invariant",
     "flux_constraint_check",
     "fundamental_pair",
@@ -92,7 +90,6 @@ __all__ = [
     "solve_ep_direct",
     "trajectory",
     "trig_pair",
-    "two_center_frequencies",
     "weber_pair",
     "whittaker_pair",
     "wronskian_check",

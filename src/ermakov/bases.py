@@ -145,6 +145,7 @@ def weber_pair(
 # Whittaker basis (mu = 1/2)
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum that stops being finite raises
 def _whittaker_m_series(
     kappa: float, z: np.ndarray, term_cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +153,8 @@ def _whittaker_m_series(
 
     The tail is bounded by the geometric estimate once the term ratio drops
     below 1/2 and must fall to _M_TAIL_TOL of the sum; failing to reach that
-    within ``term_cap`` terms raises :class:`SeriesConvergenceError`.
+    within ``term_cap`` terms, or a sum that stops being finite, raises
+    :class:`SeriesConvergenceError`.
     """
     s = np.ones_like(z)
     ds = np.zeros_like(z)
@@ -163,6 +165,8 @@ def _whittaker_m_series(
         new_term = term * ratio_coeff * z
         s = s + new_term
         ds = ds + (n + 1) * term * ratio_coeff  # d/dz of a_{n+1} z^{n+1}
+        if not (np.isfinite(s).all() and np.isfinite(ds).all()):
+            raise SeriesConvergenceError(f"Whittaker M series overflows at term {n + 1}")
         term = new_term
         next_ratio = (1.0 - kappa + n + 1) / ((3.0 + n) * (2.0 + n))
         bound = abs(next_ratio) * zmax
@@ -218,7 +222,10 @@ def whittaker_pair(
         return companion_pair(profile, m_col, settings)
     anchor_x = max(30.0 / (2.0 * lam), 2.0 * float(x[-1]))
     z_a = 2.0 * lam * anchor_x
-    w_a = math.exp(-0.5 * z_a) * z_a**kappa
+    try:
+        w_a = math.exp(-0.5 * z_a) * z_a**kappa
+    except OverflowError:
+        raise EngineError(f"Whittaker W seed overflows at index kappa = {kappa!r}") from None
     w_col = integrate_normal_form(
         profile, x, anchor_x, (w_a, w_a * 2.0 * lam * (kappa - 0.5 * z_a) / z_a), settings
     )

@@ -11,7 +11,7 @@ by the rescaling and a physical piece,
 
     Omega^2      = Omega_geom^2 + Omega_phys^2,
     Omega_geom^2 = -s''/(2 s) + (s'/s)^2 / 4,
-    Omega_phys^2 = (2 m / hbar^2) (E - V(q)) - kappa / s(q)^2.
+    Omega_phys^2 = (2 m / hbar^2) (E - V(q)),  one callable per profile.
 
 Weights are stored as closed-form descriptors (not sampled arrays) so the
 two derivatives entering Omega_geom^2 are exact.  The catalog covers the
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -77,9 +77,9 @@ class Weight:
     def value(self, q):
         """s(q); accepts scalars or arrays."""
         if self.kind == "unit":
-            return np.ones_like(np.asarray(q, dtype=float)) if np.ndim(q) else 1.0
+            return np.ones_like(q, dtype=float)
         if self.kind == "power":
-            return np.asarray(q, dtype=float) ** self.params["n"] if np.ndim(q) else q ** self.params["n"]
+            return np.asarray(q, dtype=float) ** self.params["n"]
         if self.kind == "sin":
             return np.sin(q)
         p, _, _ = self._cubic(q)
@@ -88,9 +88,9 @@ class Weight:
     def dlog(self, q):
         """(ln s)'(q)."""
         if self.kind == "unit":
-            return np.zeros_like(np.asarray(q, dtype=float)) if np.ndim(q) else 0.0
+            return np.zeros_like(q, dtype=float)
         if self.kind == "power":
-            return self.params["n"] / np.asarray(q, dtype=float) if np.ndim(q) else self.params["n"] / q
+            return self.params["n"] / np.asarray(q, dtype=float)
         if self.kind == "sin":
             return np.cos(q) / np.sin(q)
         p, dp, _ = self._cubic(q)
@@ -99,10 +99,9 @@ class Weight:
     def d2log(self, q):
         """(ln s)''(q)."""
         if self.kind == "unit":
-            return np.zeros_like(np.asarray(q, dtype=float)) if np.ndim(q) else 0.0
+            return np.zeros_like(q, dtype=float)
         if self.kind == "power":
-            qa = np.asarray(q, dtype=float) if np.ndim(q) else q
-            return -self.params["n"] / qa**2
+            return -self.params["n"] / np.asarray(q, dtype=float) ** 2
         if self.kind == "sin":
             return -1.0 / np.sin(q) ** 2
         p, dp, d2p = self._cubic(q)
@@ -128,9 +127,6 @@ class Weight:
             f"sqrt(|({a2} - q)({b2} - q)({c2} - q)|)",
             "-P''/(4P) + 3 P'^2/(16 P^2) with P the cubic under the root",
         )
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Weight({self.kind!r}, {self.params!r})"
 
     @classmethod
     def unit(cls) -> "Weight":
@@ -237,82 +233,30 @@ class CoordinateSystem:
 class FrequencyProfile:
     """Effective frequency Omega^2(q) of one sector in normal form.
 
-    The geometric part comes from the sector weight; the physical part is
-    (2 m / hbar^2)(E - V(q)) - kappa / s(q)^2 with kappa >= 0 the squared
-    stationary-flux coefficient of the zero-weight branch.  Named separation
-    constants used to build E and V are kept in ``constants`` for reporting.
+    The geometric part comes from the sector weight; ``physical`` maps an
+    array of q to Omega_phys^2 = (2 m / hbar^2)(E - V(q)) in the sector's
+    units, whose mass and Planck constant are ``m`` and ``hbar``.
     """
 
     sector: SectorSpec
+    physical: Callable[[np.ndarray], np.ndarray]
     m: float = 1.0
     hbar: float = 1.0
-    E_sector: float = 0.0
-    V_sector: Callable[[np.ndarray], np.ndarray] | None = None
-    kappa: float = 0.0
-    constants: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ConfigurationError(f"kappa must be nonnegative, got {self.kappa!r}")
         if self.m <= 0 or self.hbar <= 0:
             raise ConfigurationError("m and hbar must be positive")
-        try:
-            scale = 2.0 * self.m / self.hbar**2
-        except (OverflowError, ZeroDivisionError):
-            scale = math.inf
-        if not math.isfinite(scale):
-            raise ConfigurationError("derived parameter 2 m / hbar^2 is out of range")
-
-    def geometric(self, q):
-        return self.sector.weight.geometric_omega2(q)
-
-    def physical(self, q):
-        v = 0.0 if self.V_sector is None else self.V_sector(q)
-        out = (2.0 * self.m / self.hbar**2) * (self.E_sector - v)
-        if self.kappa != 0.0:
-            out = out - self.kappa / self.sector.weight.value(q) ** 2
-        return out
-
-    def omega2(self, q):
-        """Omega^2 at interior q (scalar contract with domain checking)."""
-        self.sector.require_interior(float(q))
-        return float(self.geometric(q) + self.physical(q))
 
     def omega2_array(self, q: np.ndarray) -> np.ndarray:
         """Vectorized Omega^2 without per-point domain checks."""
         q = np.asarray(q, dtype=float)
-        return np.asarray(self.geometric(q) + self.physical(q), dtype=float)
-
-    @classmethod
-    def from_omega2(
-        cls,
-        omega2: Callable[[np.ndarray], np.ndarray],
-        domain: tuple[float, float] = (-math.inf, math.inf),
-        label: str = "q",
-        constants: Mapping[str, float] | None = None,
-    ) -> "FrequencyProfile":
-        """Wrap a direct Omega^2(q) into a unit-weight profile.
-
-        Uses the identification V = -Omega^2/2 with m = hbar = 1, E = 0, so
-        the physical part reproduces the callable exactly.
-        """
-        sector = SectorSpec(label=label, domain=domain, weight=Weight.unit())
-        return cls(
-            sector=sector,
-            V_sector=lambda q: -0.5 * omega2(q),
-            constants=dict(constants or {}),
-        )
+        return np.asarray(self.sector.weight.geometric_omega2(q) + self.physical(q), dtype=float)
 
 
 def geometric_frequency(sector: SectorSpec, q: float) -> float:
     """Geometric frequency -(ln s)''/2 - ((ln s)')^2/4 at interior q."""
     sector.require_interior(float(q))
     return float(sector.weight.geometric_omega2(q))
-
-
-def effective_frequency(profile: FrequencyProfile, q: float) -> float:
-    """Full Omega^2(q) = geometric + physical at interior q."""
-    return profile.omega2(q)
 
 
 # ---------------------------------------------------------------------------

@@ -140,12 +140,13 @@ def trajectory(
     h = np.diff(grid)
     r2 = R * R
     secant = np.diff(r2) / h
-    c = np.stack((
-        (dR2[:-1] + dR2[1:] - 2.0 * secant) / h**2,
-        (3.0 * secant - 2.0 * dR2[:-1] - dR2[1:]) / h,
-        dR2[:-1],
-        r2[:-1],
-    ))
+    with np.errstate(over="ignore"):  # a cell wider than ~1e154 has h^2 = inf, c[0] = 0
+        c = np.stack((
+            (dR2[:-1] + dR2[1:] - 2.0 * secant) / h**2,
+            (3.0 * secant - 2.0 * dR2[:-1] - dR2[1:]) / h,
+            dR2[:-1],
+            r2[:-1],
+        ))
 
     def cell_integral(i, d):
         return (((c[0, i] * d / 4.0 + c[1, i] / 3.0) * d + c[2, i] / 2.0) * d + c[3, i]) * d

@@ -1,28 +1,31 @@
 """Preset assembly of the worked problems.
 
 Maps physical parameters onto per-sector frequency profiles, fundamental
-pair recipes, and default quadratic-form data.  Each sector has one
-Omega^2, its ``profile``, and one pair builder bound here, which integrates
-every column without a closed form against that profile:
+pair recipes, and default quadratic-form data.  Each sector is stated once,
+by its ``profile`` (coordinate, units m and hbar, and Omega_phys^2), and one
+pair builder bound here integrates every column without a closed form
+against that profile:
 
 * free_particle       cartesian x, trigonometric basis, Omega^2 = k0^2
 * harmonic_oscillator dimensionless xi = sqrt(m w / hbar) x, Weber basis of
                       order nu = E/(hbar w) - 1/2
 * coulomb_halfline    half-line x, Whittaker basis with lam = sqrt(-2mE)/hbar
                       and index kappa = m alpha / (hbar^2 lam), E < 0
-* two_center_elliptic confocal elliptic (mu, nu); angular sector rewrites to
-                      the Mathieu form a_M - 2 q_M cos 2nu with
-                      a_M = -(Gamma + a^2 k^2 / 2), q_M = a^2 k^2 / 4;
-                      Mathieu pairs given (ell, parity), identity-data pairs
-                      given Gamma or a charge term in the radial sector
+* two_center_elliptic confocal elliptic (mu, nu) with Omega_mu^2 =
+                      a^2 k^2 cosh^2 mu + 2 gamma Z cosh mu + Gamma and
+                      Omega_nu^2 = -a^2 k^2 cos^2 nu - Gamma, the Mathieu form
+                      a_M - 2 q_M cos 2nu with a_M = -(Gamma + a^2 k^2 / 2),
+                      q_M = a^2 k^2 / 4; Mathieu pairs given (ell, parity),
+                      identity-data pairs given Gamma or a charge term in the
+                      radial sector
 
 Every parameter derived from the physical ones (nu, lam, kappa, q_M, ...)
 must come out finite: an overflow or a division by zero while deriving it
 is a configuration error.
 
-The harmonic and two-center sectors work in their dimensionless coordinates,
-so their sector flux constants are interpreted in the same normalized units.
-Both two-center sectors carry unit weight, hence R = rho there.
+The harmonic and two-center sectors work in their dimensionless coordinates
+(their profiles take m = hbar = 1), so their flux constants are read in the
+same normalized units.  Both two-center sectors carry unit weight, R = rho.
 """
 
 from __future__ import annotations
@@ -138,13 +141,19 @@ class SectorSetup:
     pair; :meth:`build_pair` calls it with this sector's own profile and grid.
     """
 
-    label: str
-    sector: SectorSpec
     profile: FrequencyProfile
     grid: np.ndarray
     C: float
     k: float
     pair_builder: Callable[..., FundamentalPair]
+
+    @property
+    def sector(self) -> SectorSpec:
+        return self.profile.sector
+
+    @property
+    def label(self) -> str:
+        return self.profile.sector.label
 
     def build_pair(self, settings: IntegrationSettings = DEFAULT_SETTINGS) -> FundamentalPair:
         return self.pair_builder(self.profile, self.grid, settings)
@@ -170,21 +179,19 @@ def _resolve_grid(spec: ProblemSpec, label: str, default: tuple[float, float, in
 
 
 def _resolve_flux(
-    spec: ProblemSpec, label: str, default_k: float, hbar_sector: float
+    spec: ProblemSpec, profile: FrequencyProfile, default_k: float
 ) -> tuple[float, float]:
-    """(C, k) for a sector, honoring overrides; k = (C / hbar)^2 throughout.
-
-    ``hbar_sector`` is 1 for sectors posed in dimensionless coordinates,
-    where the flux constant is read in the same normalized units.
-    """
+    """(C, k) for the sector of ``profile``, honoring overrides; k = (C / hbar)^2
+    throughout, with the profile's hbar (1 in dimensionless coordinates)."""
+    label, hbar = profile.sector.label, profile.hbar
     if label in spec.k_sector:
         k = float(spec.k_sector[label])
         if k < 0:
             raise ConfigurationError(f"sector {label!r}: k must be >= 0")
-        c = hbar_sector * math.sqrt(k)
+        c = hbar * math.sqrt(k)
         if label in spec.flux:
             c_given = float(spec.flux[label])
-            if abs((c_given / hbar_sector) * (c_given / hbar_sector) - k) > 1e-12 * max(1.0, k):
+            if abs((c_given / hbar) * (c_given / hbar) - k) > 1e-12 * max(1.0, k):
                 raise ConfigurationError(
                     f"sector {label!r}: flux C = {c_given!r} and k = {k!r} are inconsistent"
                 )
@@ -192,47 +199,11 @@ def _resolve_flux(
         return c, k
     if label in spec.flux:
         c = float(spec.flux[label])
-        k = (c / hbar_sector) * (c / hbar_sector)
+        k = (c / hbar) * (c / hbar)
         if not math.isfinite(k):
             raise ConfigurationError(f"sector {label!r}: k = (C / hbar)^2 overflows for C = {c!r}")
         return c, k
-    return hbar_sector * math.sqrt(default_k), default_k
-
-
-@dataclass(frozen=True)
-class TwoCenterFrequencies:
-    """Separated two-center frequency descriptors and the Mathieu rewrite."""
-
-    omega2_mu: Callable[[np.ndarray], np.ndarray]
-    omega2_nu: Callable[[np.ndarray], np.ndarray]
-    a_M: float
-    q_M: float
-
-
-def two_center_frequencies(
-    a: float, k_sq: float, gamma: float, Z: float, Gamma: float
-) -> TwoCenterFrequencies:
-    """Radial and angular frequency profiles of the two-center problem.
-
-    Omega_mu^2 = a^2 k^2 cosh^2 mu + 2 gamma Z cosh mu + Gamma  (mu >= 0)
-    Omega_nu^2 = -a^2 k^2 cos^2 nu - Gamma                       (0 <= nu < 2 pi)
-
-    The angular part equals a_M - 2 q_M cos 2 nu with
-    a_M = -(Gamma + a^2 k^2 / 2) and q_M = a^2 k^2 / 4.
-    """
-    if a <= 0:
-        raise ConfigurationError(f"focal half-distance a must be positive, got {a!r}")
-    ak2 = a**2 * k_sq
-
-    def omega2_mu(mu):
-        ch = np.cosh(np.asarray(mu, dtype=float))
-        return ak2 * ch**2 + 2.0 * gamma * Z * ch + Gamma
-
-    def omega2_nu(nu):
-        cs = np.cos(np.asarray(nu, dtype=float))
-        return -ak2 * cs**2 - Gamma
-
-    return TwoCenterFrequencies(omega2_mu, omega2_nu, -(Gamma + 0.5 * ak2), 0.25 * ak2)
+    return hbar * math.sqrt(default_k), default_k
 
 
 def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
@@ -246,34 +217,26 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         k0_sq = _finite("k0^2", lambda: k0**2)
         if k0_sq == 0.0:  # the pair's Wronskian is k0, and W^2 would be 0
             raise ConfigurationError("derived parameter k0^2 underflows to 0")
+        e_sector = _finite("E_sector", lambda: hbar**2 * k0_sq / (2.0 * m))
+        omega2 = _finite("2 m / hbar^2", lambda: 2.0 * m / hbar**2) * e_sector
         sector = SectorSpec("x", (-math.inf, math.inf), Weight.unit())
-        profile = FrequencyProfile(
-            sector=sector,
-            m=m,
-            hbar=hbar,
-            E_sector=_finite("E_sector", lambda: hbar**2 * k0_sq / (2.0 * m)),
-            constants={"k0": k0},
-        )
+        profile = FrequencyProfile(sector, lambda x: omega2, m, hbar)
         grid = _resolve_grid(spec, "x", _DEFAULT_GRIDS[spec.kind]["x"])
-        c, k = _resolve_flux(spec, "x", default_k=k0_sq, hbar_sector=hbar)
+        c, k = _resolve_flux(spec, profile, default_k=k0_sq)
         pair = lambda _profile, grid, _settings: trig_pair(k0, grid)  # closed form
-        return [SectorSetup("x", sector, profile, grid, c, k, pair)]
+        return [SectorSetup(profile, grid, c, k, pair)]
 
     if spec.kind == "harmonic_oscillator":
         omega, energy = spec.param("omega"), spec.param("E")
         if omega <= 0:
             raise ConfigurationError("harmonic oscillator needs omega > 0")
         nu = _finite("nu", lambda: energy / (hbar * omega) - 0.5)
+        e_sector = 0.5 * (nu + 0.5)
         sector = SectorSpec("xi", (-math.inf, math.inf), Weight.unit())
-        profile = FrequencyProfile(
-            sector=sector,
-            E_sector=0.5 * (nu + 0.5),
-            V_sector=lambda xi: 0.125 * np.asarray(xi, dtype=float) ** 2,
-            constants={"nu": nu, "omega": omega, "E_phys": energy},
-        )
+        profile = FrequencyProfile(sector, lambda xi: 2.0 * (e_sector - 0.125 * xi**2))
         grid = _resolve_grid(spec, "xi", _DEFAULT_GRIDS[spec.kind]["xi"])
-        c, k = _resolve_flux(spec, "xi", default_k=1.0, hbar_sector=1.0)
-        return [SectorSetup("xi", sector, profile, grid, c, k, partial(weber_pair, nu))]
+        c, k = _resolve_flux(spec, profile, default_k=1.0)
+        return [SectorSetup(profile, grid, c, k, partial(weber_pair, nu))]
 
     if spec.kind == "coulomb_halfline":
         alpha, energy = spec.param("alpha"), spec.param("E")
@@ -283,23 +246,15 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
             )
         lam = _finite("lam", lambda: math.sqrt(-2.0 * m * energy) / hbar)
         kappa = _finite("kappa", lambda: m * alpha / (hbar**2 * lam))
+        scale = _finite("2 m / hbar^2", lambda: 2.0 * m / hbar**2)
         sector = SectorSpec("x", (0.0, math.inf), Weight.unit())
-        profile = FrequencyProfile(
-            sector=sector,
-            m=m,
-            hbar=hbar,
-            E_sector=energy,
-            V_sector=lambda x: -alpha / np.asarray(x, dtype=float),
-            constants={"alpha": alpha, "lam": lam, "kappa": kappa},
-        )
+        profile = FrequencyProfile(sector, lambda x: scale * (energy + alpha / x), m, hbar)
         default = (0.05 / (2.0 * lam), 30.0 / (2.0 * lam), 2001)
         grid = _resolve_grid(spec, "x", default)
         if grid[0] <= 0:
             raise ConfigurationError("coulomb grid must start at x > 0")
-        c, k = _resolve_flux(spec, "x", default_k=1.0, hbar_sector=hbar)
-        return [
-            SectorSetup("x", sector, profile, grid, c, k, partial(whittaker_pair, kappa, lam))
-        ]
+        c, k = _resolve_flux(spec, profile, default_k=1.0)
+        return [SectorSetup(profile, grid, c, k, partial(whittaker_pair, kappa, lam))]
 
     # two_center_elliptic
     a = spec.param("a")
@@ -322,25 +277,20 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         big_gamma = -a_m - 0.5 * ak2
     else:
         big_gamma = spec.param("Gamma")
-        a_m = -(big_gamma + 0.5 * ak2)
-    freqs = two_center_frequencies(a, k_sq, gamma, z_charge, big_gamma)
 
-    nu_sector = SectorSpec("nu", (0.0, 2.0 * math.pi), Weight.unit())
+    def omega2_mu(mu):
+        ch = np.cosh(mu)
+        return ak2 * ch**2 + 2.0 * gamma * z_charge * ch + big_gamma
+
     nu_profile = FrequencyProfile(
-        sector=nu_sector,
-        V_sector=lambda nu: -0.5 * freqs.omega2_nu(nu),
-        constants={"a_M": a_m, "q_M": q_m, "Gamma": big_gamma},
+        SectorSpec("nu", (0.0, 2.0 * math.pi), Weight.unit()),
+        lambda nu: -ak2 * np.cos(nu) ** 2 - big_gamma,
     )
-    mu_sector = SectorSpec("mu", (0.0, math.inf), Weight.unit())
-    mu_profile = FrequencyProfile(
-        sector=mu_sector,
-        V_sector=lambda mu: -0.5 * freqs.omega2_mu(mu),
-        constants={"Gamma": big_gamma, "gamma": gamma, "Z": z_charge, "q_M": q_m},
-    )
+    mu_profile = FrequencyProfile(SectorSpec("mu", (0.0, math.inf), Weight.unit()), omega2_mu)
     nu_grid = _resolve_grid(spec, "nu", _DEFAULT_GRIDS[spec.kind]["nu"])
     mu_grid = _resolve_grid(spec, "mu", _DEFAULT_GRIDS[spec.kind]["mu"])
-    c_nu, k_nu = _resolve_flux(spec, "nu", default_k=1.0, hbar_sector=1.0)
-    c_mu, k_mu = _resolve_flux(spec, "mu", default_k=1.0, hbar_sector=1.0)
+    c_nu, k_nu = _resolve_flux(spec, nu_profile, default_k=1.0)
+    c_mu, k_mu = _resolve_flux(spec, mu_profile, default_k=1.0)
 
     nu_pair = mu_pair = _midpoint_pair
     if ell is not None:
@@ -350,6 +300,6 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
             mu_pair = partial(mathieu_pair, ell, q_m, modified=True, parity=parity, a=a_m)
 
     return [
-        SectorSetup("nu", nu_sector, nu_profile, nu_grid, c_nu, k_nu, nu_pair),
-        SectorSetup("mu", mu_sector, mu_profile, mu_grid, c_mu, k_mu, mu_pair),
+        SectorSetup(nu_profile, nu_grid, c_nu, k_nu, nu_pair),
+        SectorSetup(mu_profile, mu_grid, c_mu, k_mu, mu_pair),
     ]

@@ -268,9 +268,10 @@ def _resolve_coefficients(
 @np.errstate(over="ignore")  # a step whose square overflows leaves y'' = 0
 def _ode_residual(grid: np.ndarray, y: np.ndarray, omega2: np.ndarray) -> float:
     """Scaled max residual of the second divided difference against -Omega^2 y
-    (NaN, not measured, below 3 points or on a non-uniform grid)."""
+    (NaN, not measured, below 3 points, on a non-uniform grid or where the
+    step's square underflows to 0)."""
     h = np.diff(grid)
-    if grid.size < 3 or not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
+    if grid.size < 3 or h[0] ** 2 == 0.0 or not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
         return math.nan
     interior = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h[0] ** 2 + omega2[1:-1] * y[1:-1]
     scale = max(1.0, float(np.max(np.abs(omega2 * y))))

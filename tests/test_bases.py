@@ -22,7 +22,7 @@ from ermakov.bases import (
     whittaker_m_column,
     whittaker_pair,
 )
-from ermakov.catalog import FrequencyProfile
+from ermakov.catalog import FrequencyProfile, SectorSpec, Weight
 from ermakov.errors import (
     CharValueConvergenceError,
     ConfigurationError,
@@ -32,6 +32,11 @@ from ermakov.errors import (
 from ermakov.linear import wronskian_check
 
 
+def unit_profile(omega2, domain=(-math.inf, math.inf)):
+    """Unit-weight profile whose Omega^2 is the callable ``omega2``."""
+    return FrequencyProfile(SectorSpec("q", domain, Weight.unit()), omega2)
+
+
 def wronskian_drift_at(pair, idx):
     """Wronskian drift of the pair on the grid points ``idx`` only."""
     return float(np.max(np.abs(pair.wronskian_samples()[idx] - pair.W)))
@@ -39,11 +44,11 @@ def wronskian_drift_at(pair, idx):
 
 # The equations each pair builder is handed, posed directly as Omega^2.
 def weber_profile(nu):
-    return FrequencyProfile.from_omega2(lambda xi: nu + 0.5 - 0.25 * np.asarray(xi, float) ** 2)
+    return unit_profile(lambda xi: nu + 0.5 - 0.25 * np.asarray(xi, float) ** 2)
 
 
 def whittaker_profile(kappa, lam):
-    return FrequencyProfile.from_omega2(
+    return unit_profile(
         lambda x: -(lam**2) + 2.0 * lam * kappa / np.asarray(x, float), domain=(0.0, math.inf)
     )
 
@@ -51,8 +56,8 @@ def whittaker_profile(kappa, lam):
 def mathieu_profile(ell, parity, q, modified=False):
     a = mathieu_char_value(ell, parity, q)
     if modified:
-        return FrequencyProfile.from_omega2(lambda mu: 2.0 * q * np.cosh(2.0 * mu) - a)
-    return FrequencyProfile.from_omega2(lambda nu: a - 2.0 * q * np.cos(2.0 * nu))
+        return unit_profile(lambda mu: 2.0 * q * np.cosh(2.0 * mu) - a)
+    return unit_profile(lambda nu: a - 2.0 * q * np.cos(2.0 * nu))
 
 
 def weber_d(nu, xi):

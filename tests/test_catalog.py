@@ -12,7 +12,6 @@ from ermakov.catalog import (
     SectorSpec,
     Weight,
     confocal_quadric_system,
-    effective_frequency,
     geometric_frequency,
     lookup_system,
 )
@@ -138,61 +137,52 @@ def test_weight_derivatives_match_finite_differences(weight, points, step):
         assert s * (weight.d2log(q) + dlog**2) == pytest.approx(d2, rel=1e-6, abs=1e-7)
 
 
+def schrodinger_profile(sector, energy, potential, m=1.0, hbar=1.0):
+    """Profile whose physical part is (2 m / hbar^2)(E - V(q))."""
+    return FrequencyProfile(sector, lambda q: (2 * m / hbar**2) * (energy - potential(q)), m, hbar)
+
+
 def test_effective_frequency_free_particle_constant():
     sector = lookup_system("cartesian").sector("x")
     k0, m, hbar = 1.0, 1.0, 1.0
-    profile = FrequencyProfile(sector=sector, m=m, hbar=hbar,
-                               E_sector=hbar**2 * k0**2 / (2 * m))
-    for x in (-9.0, 0.0, 4.2):
-        assert effective_frequency(profile, x) == pytest.approx(k0**2, rel=1e-14)
+    profile = schrodinger_profile(sector, hbar**2 * k0**2 / (2 * m), lambda x: 0.0, m, hbar)
+    x = np.array([-9.0, 0.0, 4.2])
+    np.testing.assert_allclose(profile.omega2_array(x), k0**2, rtol=1e-14)
 
 
 def test_effective_frequency_harmonic_form():
     sector = lookup_system("cartesian").sector("x")
     m, hbar, omega, energy = 1.3, 0.7, 2.0, 1.9
-    profile = FrequencyProfile(
-        sector=sector, m=m, hbar=hbar, E_sector=energy,
-        V_sector=lambda x: 0.5 * m * omega**2 * x**2,
+    profile = schrodinger_profile(
+        sector, energy, lambda x: 0.5 * m * omega**2 * x**2, m, hbar
     )
-    for x in (-1.0, 0.3, 2.0):
-        expected = 2 * m * energy / hbar**2 - m**2 * omega**2 * x**2 / hbar**2
-        assert effective_frequency(profile, x) == pytest.approx(expected, rel=1e-12)
+    x = np.array([-1.0, 0.3, 2.0])
+    expected = 2 * m * energy / hbar**2 - m**2 * omega**2 * x**2 / hbar**2
+    np.testing.assert_allclose(profile.omega2_array(x), expected, rtol=1e-12)
 
 
 def test_effective_frequency_cylindrical_radial_table_form():
     k0, kz, mt = 1.7, 0.4, 2.0
-    profile = FrequencyProfile(
-        sector=lookup_system("cylindrical").sector("r"),
-        E_sector=0.5 * (k0**2 - kz**2),
-        V_sector=lambda r: 0.5 * mt**2 / r**2,
+    profile = schrodinger_profile(
+        lookup_system("cylindrical").sector("r"),
+        0.5 * (k0**2 - kz**2),
+        lambda r: 0.5 * mt**2 / r**2,
     )
-    for r in (0.3, 1.0, 7.0):
-        expected = (k0**2 - kz**2) - (mt**2 - 0.25) / r**2
-        assert effective_frequency(profile, r) == pytest.approx(expected, rel=1e-12)
+    r = np.array([0.3, 1.0, 7.0])
+    expected = (k0**2 - kz**2) - (mt**2 - 0.25) / r**2
+    np.testing.assert_allclose(profile.omega2_array(r), expected, rtol=1e-12)
 
 
 def test_effective_frequency_polar_table_form():
     ell, mphi = 2.0, 1.5
-    profile = FrequencyProfile(
-        sector=lookup_system("spherical").sector("theta"),
-        E_sector=0.5 * ell * (ell + 1),
-        V_sector=lambda t: 0.5 * mphi**2 / np.sin(t) ** 2,
+    profile = schrodinger_profile(
+        lookup_system("spherical").sector("theta"),
+        0.5 * ell * (ell + 1),
+        lambda t: 0.5 * mphi**2 / np.sin(t) ** 2,
     )
-    for theta in np.linspace(0.2, math.pi - 0.2, 33):
-        expected = ell * (ell + 1) + 0.25 - (mphi**2 - 0.25) / math.sin(theta) ** 2
-        assert effective_frequency(profile, float(theta)) == pytest.approx(
-            expected, rel=1e-10
-        )
-
-
-def test_kappa_term_and_validation():
-    sector = lookup_system("cylindrical").sector("r")
-    profile = FrequencyProfile(sector=sector, E_sector=0.5, kappa=2.0)
-    base = FrequencyProfile(sector=sector, E_sector=0.5)
-    r = 2.0
-    assert profile.omega2(r) == pytest.approx(base.omega2(r) - 2.0 / r**2, rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        FrequencyProfile(sector=sector, kappa=-1.0)
+    theta = np.linspace(0.2, math.pi - 0.2, 33)
+    expected = ell * (ell + 1) + 0.25 - (mphi**2 - 0.25) / np.sin(theta) ** 2
+    np.testing.assert_allclose(profile.omega2_array(theta), expected, rtol=1e-10)
 
 
 def test_singular_endpoint_reported():

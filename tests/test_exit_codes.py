@@ -8,6 +8,7 @@ integration keys are optional.  Any exception that escapes ``cli.main``
 would be a traceback for a user, and fails the test.
 """
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,15 @@ def configs(draw):
 
 
 FREE = "problem.kind = free_particle\nproblem.k0 = 1\n"
+COULOMB = "problem.kind = coulomb_halfline\nproblem.alpha = 1\n"
+# kappa about 2048: the W column's seed e^{-z/2} z^kappa overflows
+WIDE_KAPPA = COULOMB + "problem.E = -1.192092896e-07\nsector.x.grid = 0.05:10.05:51\n"
+# kappa about 7e149: the M series overflows within its first terms
+HUGE_KAPPA = COULOMB + "problem.E = -1e-300\n"
+# cells about 2e298 wide square to inf in the trajectory's Hermite cubic
+WIDE_CELLS = FREE + "sector.x.grid = -1e300:0:51\ntrajectory.x.1 = -1:1:11\n"
+# the step 2e-302 squares to 0: the ODE residual is not measured (NaN)
+TINY_STEP = FREE + "sector.x.grid = 0:1e-300:51\n"
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,
@@ -84,9 +94,28 @@ FREE = "problem.kind = free_particle\nproblem.k0 = 1\n"
          "problem.ell = 1\nproblem.parity = odd\nsector.nu.grid = 0:1e-300:51\n")  # W^2 = 0
 @example("problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = 1\n"
          "sector.xi.grid = 1e-300:10:51\nintegration.max_step = 1e300\n")  # width / max_step = 0
+@example(WIDE_KAPPA)
+@example(HUGE_KAPPA)
+@example(WIDE_CELLS)
+@example(TINY_STEP)
 def test_check_and_run_end_in_a_documented_exit_code(tmp_path, monkeypatch, text):
     monkeypatch.delenv("ERMAKOV_OUT", raising=False)
     path = tmp_path / "run.cfg"
     path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
     for command in ("check", "run"):
         assert main([command, str(path)]) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [(WIDE_KAPPA, 2), (HUGE_KAPPA, 2), (WIDE_CELLS, 2), (TINY_STEP, 0)],
+    ids=["wide_kappa", "huge_kappa", "wide_cells", "tiny_step"],
+)
+def test_float_range_edges_exit_as_documented(tmp_path, monkeypatch, capsys, text, code):
+    # RuntimeWarnings are errors under the test settings, so none leaks here.
+    monkeypatch.delenv("ERMAKOV_OUT", raising=False)
+    path = tmp_path / "run.cfg"
+    path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["check", str(path)]) == 0
+    assert main(["run", str(path)]) == code
+    assert "Warning" not in capsys.readouterr().err

@@ -121,11 +121,11 @@ def test_energy_balance_cartesian_sector():
                        k_sector={"xi": 1.0})
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
-    grid = result.pair.grid
-    v = setup.profile.V_sector(grid)
-    total = result.p**2 / 2.0 + v + result.Q
-    e_sector = setup.profile.E_sector
-    assert np.max(np.abs(total - e_sector)) <= 1e-6 * abs(e_sector)
+    # In xi units (m = hbar = 1) the balance p^2/2 + V + Q = E reads
+    # p^2/2 + Q = Omega^2/2; E = (nu + 1/2)/2 = 1/2 sets the tolerance.
+    balance = 0.5 * setup.profile.omega2_array(result.pair.grid)
+    total = result.p**2 / 2.0 + result.Q
+    assert np.max(np.abs(total - balance)) <= 1e-6 * 0.5
 
 
 def test_trajectory_free_particle_linear_motion():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ermakov.catalog import FrequencyProfile
+from ermakov.catalog import FrequencyProfile, SectorSpec, Weight
 from ermakov.errors import ConfigurationError, IntegrationFailureError
 from ermakov.linear import (
     Column,
@@ -18,12 +18,18 @@ from ermakov.linear import (
     wronskian_check,
 )
 
-CONST_ONE = FrequencyProfile.from_omega2(lambda q: np.ones_like(np.asarray(q, float)))
-CONST_ZERO = FrequencyProfile.from_omega2(lambda q: np.zeros_like(np.asarray(q, float)))
+
+def unit_profile(omega2):
+    """Unit-weight profile whose Omega^2 is the callable ``omega2``."""
+    return FrequencyProfile(SectorSpec("q", (-math.inf, math.inf), Weight.unit()), omega2)
+
+
+CONST_ONE = unit_profile(lambda q: np.ones_like(np.asarray(q, float)))
+CONST_ZERO = unit_profile(lambda q: np.zeros_like(np.asarray(q, float)))
 
 
 def weber_profile(nu):
-    return FrequencyProfile.from_omega2(
+    return unit_profile(
         lambda xi: nu + 0.5 - 0.25 * np.asarray(xi, float) ** 2
     )
 
@@ -128,7 +134,7 @@ def test_endpoint_reproducible_under_refinement():
 
 def test_integration_failure_carries_last_q():
     # Frequency turns non-evaluable past q = 0.5; the solver must stall there.
-    profile = FrequencyProfile.from_omega2(
+    profile = unit_profile(
         lambda q: np.where(np.asarray(q, float) < 0.5, 1.0, np.nan)
     )
     with pytest.raises(IntegrationFailureError) as err:
@@ -173,7 +179,7 @@ def test_companion_pair_builds_independent_second_solution():
 def test_companion_pair_anchored_at_grid_end():
     # A growing column peaks at the right end, so that half-range is empty.
     grid = np.linspace(0.0, 2.0, 201)
-    growing = FrequencyProfile.from_omega2(lambda q: -np.ones_like(np.asarray(q, float)))
+    growing = unit_profile(lambda q: -np.ones_like(np.asarray(q, float)))
     pair = companion_pair(growing, Column(grid, np.cosh(grid), np.sinh(grid)))
     assert pair.W == np.cosh(2.0)
     np.testing.assert_allclose(pair.y2, np.sinh(grid - 2.0), atol=1e-9)
@@ -198,7 +204,7 @@ def constant_propagator(w2, t):
 
 @pytest.mark.parametrize("w2", [4.0, -1.0, 0.0])
 def test_magnus_constant_frequency_closed_form(w2):
-    profile = FrequencyProfile.from_omega2(lambda q: np.full_like(np.asarray(q, float), w2))
+    profile = unit_profile(lambda q: np.full_like(np.asarray(q, float), w2))
     grid = np.linspace(-3.0, 5.0, 81)
     anchor = 0.33  # not a grid point: it is added as a node and dropped again
     state, error = magnus_outward(profile, grid, anchor, (1.0, 0.0, 0.0, 1.0))
@@ -241,7 +247,7 @@ def test_magnus_honours_max_step():
     grid = np.linspace(0.0, 2.0, 5)
     # the anchor splits the first cell, so cells start at different counts
     (y, dy), _ = magnus_outward(
-        FrequencyProfile.from_omega2(omega2), grid, 0.3, (1.0, 0.0),
+        unit_profile(omega2), grid, 0.3, (1.0, 0.0),
         IntegrationSettings(max_step=0.01),
     )
     first = np.sort(seen[0])  # the starting substeps, two Gauss points each
@@ -254,7 +260,7 @@ def test_magnus_honours_max_step():
 @pytest.mark.parametrize("anchor, bad, side", [(0.0, 0.5, 1.0), (0.0, -0.5, -1.0)])
 def test_magnus_nan_frequency_reports_last_q(anchor, bad, side):
     # the frequency cannot be evaluated beyond q = bad on one side of the anchor
-    profile = FrequencyProfile.from_omega2(
+    profile = unit_profile(
         lambda q: np.where(side * (np.asarray(q, float) - bad) < 0.0, 1.0, np.nan)
     )
     grid = np.linspace(-2.0, 2.0, 81)

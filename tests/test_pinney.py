@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ermakov.bases import trig_pair, weber_pair
-from ermakov.catalog import FrequencyProfile
+from ermakov.catalog import FrequencyProfile, SectorSpec, Weight
 from ermakov.errors import (
     ConfigurationError,
     ConstraintViolationError,
@@ -28,11 +28,17 @@ from ermakov.pinney import (
     symmetric_coefficients,
 )
 
-CONST_ONE = FrequencyProfile.from_omega2(lambda q: np.ones_like(np.asarray(q, float)))
+
+def unit_profile(omega2):
+    """Unit-weight profile whose Omega^2 is the callable ``omega2``."""
+    return FrequencyProfile(SectorSpec("q", (-math.inf, math.inf), Weight.unit()), omega2)
+
+
+CONST_ONE = unit_profile(lambda q: np.ones_like(np.asarray(q, float)))
 
 
 def weber_profile(nu):
-    return FrequencyProfile.from_omega2(
+    return unit_profile(
         lambda xi: nu + 0.5 - 0.25 * np.asarray(xi, float) ** 2
     )
 
@@ -77,7 +83,7 @@ def test_direct_integration_fixed_points():
     # constant solution when rho0^4 = k / Omega^2
     amp = solve_ep_direct(CONST_ONE, 1.0, (1.0, 0.0), np.linspace(0.0, 5.0, 2001))
     np.testing.assert_allclose(amp.rho, 1.0, atol=1e-10)
-    const_four = FrequencyProfile.from_omega2(
+    const_four = unit_profile(
         lambda q: 4.0 * np.ones_like(np.asarray(q, float))
     )
     amp = solve_ep_direct(const_four, 4.0, (1.0, 0.0), np.linspace(0.0, 5.0, 2001))
@@ -99,7 +105,7 @@ def test_direct_integration_unevaluable_frequency():
             raise FloatingPointError("overflow")
         return np.ones_like(q)
 
-    profile = FrequencyProfile.from_omega2(omega2)
+    profile = unit_profile(omega2)
     with pytest.raises(IntegrationFailureError) as err:
         solve_ep_direct(profile, 1.0, (1.0, 0.0), np.linspace(0.0, 2.0, 2001), anchor=0.0)
     assert 0.0 <= err.value.last_q <= 1.0 + 1e-6
@@ -120,7 +126,7 @@ def test_direct_integration_rejects_unordered_grids():
 
 def test_direct_integration_default_anchor_is_range_midpoint():
     # Omega^2 = 1 + q: the solution depends on where the data is posed
-    profile = FrequencyProfile.from_omega2(lambda q: 1.0 + np.asarray(q, float))
+    profile = unit_profile(lambda q: 1.0 + np.asarray(q, float))
     grid = 3.0 * np.linspace(0.0, 1.0, 41) ** 2  # the midpoint 1.5 is no grid point
     default = solve_ep_direct(profile, 1.0, (1.0, 0.0), grid)
     midpoint = solve_ep_direct(profile, 1.0, (1.0, 0.0), grid, anchor=1.5)

@@ -10,7 +10,7 @@ from ermakov.bases import mathieu_char_value, mathieu_column
 from ermakov.catalog import FrequencyProfile
 from ermakov.errors import ConfigurationError
 from ermakov.pinney import symmetric_coefficients
-from ermakov.problems import ProblemSpec, build_problem, two_center_frequencies
+from ermakov.problems import ProblemSpec, build_problem
 from ermakov.runner import parse_config_text, run_config
 
 
@@ -30,13 +30,13 @@ def test_free_particle_defaults():
 def test_harmonic_order_parameter_map():
     spec = ProblemSpec(kind="harmonic_oscillator", params={"omega": 1.0, "E": 0.5})
     (setup,) = build_problem(spec)
-    assert setup.profile.constants["nu"] == pytest.approx(0.0)
+    assert setup.pair_builder.args == (pytest.approx(0.0),)  # partial(weber_pair, nu)
     for n in range(4):
         spec = ProblemSpec(
             kind="harmonic_oscillator", params={"omega": 1.0, "E": n + 0.5}
         )
         (setup,) = build_problem(spec)
-        assert setup.profile.constants["nu"] == pytest.approx(float(n), abs=1e-12)
+        assert setup.pair_builder.args == (pytest.approx(float(n), abs=1e-12),)
 
 
 def test_harmonic_weber_frequency():
@@ -52,8 +52,9 @@ def test_harmonic_weber_frequency():
 def test_coulomb_parameter_map():
     spec = ProblemSpec(kind="coulomb_halfline", params={"alpha": 1.3, "E": -0.5})
     (setup,) = build_problem(spec)
-    assert setup.profile.constants["lam"] == pytest.approx(1.0)
-    assert setup.profile.constants["kappa"] == pytest.approx(1.3)
+    kappa, lam = setup.pair_builder.args  # partial(whittaker_pair, kappa, lam)
+    assert lam == pytest.approx(1.0)
+    assert kappa == pytest.approx(1.3)
     # default grid spans z = 2 lam x in [0.05, 30]
     assert 2.0 * setup.grid[0] == pytest.approx(0.05)
     assert 2.0 * setup.grid[-1] == pytest.approx(30.0)
@@ -69,7 +70,7 @@ def test_coulomb_quantized_index_assembles_laguerre_column():
     # with a companion. The regular column must still be the Laguerre form.
     spec = ProblemSpec(kind="coulomb_halfline", params={"alpha": 2.0, "E": -0.5})
     (setup,) = build_problem(spec)
-    assert setup.profile.constants["kappa"] == pytest.approx(2.0)
+    assert setup.pair_builder.args[0] == pytest.approx(2.0)  # kappa
     pair = setup.build_pair()
     z = 2.0 * setup.grid
     ref = z * np.exp(-z / 2.0) * (2.0 - z)
@@ -84,33 +85,48 @@ def test_two_center_parameter_map():
         params={"a": 1.0, "Z": 1.0, "k_sq": 2.0, "Gamma": -1.0},
     )
     setups = {s.label: s for s in build_problem(spec)}
-    assert setups["nu"].profile.constants["q_M"] == pytest.approx(0.5)
-    assert setups["nu"].profile.constants["a_M"] == pytest.approx(0.0)
+    # Omega_nu^2 = a_M - 2 q_M cos 2nu: a_M at nu = pi/4, 4 q_M across a quarter turn
+    at = setups["nu"].profile.omega2_array(np.array([0.0, math.pi / 4, math.pi / 2]))
+    assert (at[2] - at[0]) / 4.0 == pytest.approx(0.5)
+    assert at[1] == pytest.approx(0.0, abs=1e-15)
     for s in setups.values():
         assert s.sector.weight.kind == "unit"
 
 
+def two_center_profiles(a, k_sq, gamma, Z, Gamma):
+    """(Omega_nu^2, Omega_mu^2) of the two-center preset, with e2 set so that
+    gamma = 2 m e2 a / hbar^2 at m = hbar = 1."""
+    params = {"a": a, "k_sq": k_sq, "Z": Z, "Gamma": Gamma, "e2": gamma / (2.0 * a)}
+    setups = {s.label: s for s in build_problem(ProblemSpec("two_center_elliptic", params=params))}
+    return setups["nu"].profile.omega2_array, setups["mu"].profile.omega2_array
+
+
 def test_two_center_frequencies_term_dropout():
-    freqs = two_center_frequencies(1.0, 0.0, 2.0, 1.0, 0.0)
+    omega2_nu, omega2_mu = two_center_profiles(1.0, 0.0, 2.0, 1.0, 0.0)
     nu = np.linspace(0, 2 * math.pi, 17)
-    np.testing.assert_array_equal(freqs.omega2_nu(nu), np.zeros_like(nu))
+    np.testing.assert_array_equal(omega2_nu(nu), np.zeros_like(nu))
     mu = np.linspace(0, 3, 17)
-    np.testing.assert_allclose(freqs.omega2_mu(mu), 4.0 * np.cosh(mu), rtol=1e-15)
+    np.testing.assert_allclose(omega2_mu(mu), 4.0 * np.cosh(mu), rtol=1e-15)
 
 
 def test_two_center_frequencies_direct_values():
-    freqs = two_center_frequencies(1.0, 4.0, 1.0, 1.0, -2.0)
-    assert freqs.omega2_nu(math.pi / 2) == pytest.approx(2.0, rel=1e-14)
-    assert freqs.q_M == pytest.approx(1.0)
-    assert freqs.a_M == pytest.approx(-(-2.0 + 2.0))
+    omega2_nu, omega2_mu = two_center_profiles(1.0, 4.0, 1.0, 1.0, -2.0)
+    assert omega2_nu(math.pi / 2) == pytest.approx(2.0, rel=1e-14)
+    # the Mathieu rewrite: a_M = -(Gamma + a^2 k^2 / 2) = 0, q_M = a^2 k^2 / 4 = 1
+    at = omega2_nu(np.array([0.0, math.pi / 4, math.pi / 2]))
+    assert (at[2] - at[0]) / 4.0 == pytest.approx(1.0)
+    assert at[1] == pytest.approx(0.0, abs=1e-15)
+    # a^2 k^2 cosh^2 mu + 2 gamma Z cosh mu + Gamma at mu = 0
+    assert omega2_mu(0.0) == pytest.approx(4.0 + 2.0 - 2.0, rel=1e-14)
 
 
 def test_two_center_mathieu_rewrite_pointwise():
-    freqs = two_center_frequencies(1.2, 3.0, 0.7, 2.0, -0.4)
+    omega2_nu, _ = two_center_profiles(1.2, 3.0, 0.7, 2.0, -0.4)
+    ak2 = 1.2**2 * 3.0
+    a_m, q_m = -(-0.4 + 0.5 * ak2), 0.25 * ak2
     nu = np.linspace(0.0, 2.0 * math.pi, 2001)
-    direct = freqs.omega2_nu(nu)
-    rewrite = freqs.a_M - 2.0 * freqs.q_M * np.cos(2.0 * nu)
-    np.testing.assert_allclose(direct, rewrite, atol=1e-12)
+    rewrite = a_m - 2.0 * q_m * np.cos(2.0 * nu)
+    np.testing.assert_allclose(omega2_nu(nu), rewrite, atol=1e-12)
 
 
 def test_two_center_gamma_from_order():
@@ -120,8 +136,10 @@ def test_two_center_gamma_from_order():
     )
     setups = {s.label: s for s in build_problem(spec)}
     a_m = mathieu_char_value(0, "even", 0.5)
-    assert setups["nu"].profile.constants["a_M"] == pytest.approx(a_m, abs=1e-12)
-    assert setups["nu"].profile.constants["Gamma"] == pytest.approx(-a_m - 1.0, abs=1e-12)
+    assert setups["nu"].pair_builder.keywords["a"] == pytest.approx(a_m, abs=1e-12)
+    # Omega_nu^2(pi/2) = -Gamma
+    gamma = -float(setups["nu"].profile.omega2_array(math.pi / 2))
+    assert gamma == pytest.approx(-a_m - 1.0, abs=1e-12)
     # the angular pair starts from the periodic Mathieu column
     grid = setups["nu"].grid
     np.testing.assert_array_equal(setups["nu"].build_pair().y1, mathieu_column(0, 0.5, grid)[0].y)
