@@ -8,7 +8,6 @@ coordinate.
 """
 
 from .bases import (
-    gamma,
     mathieu_char_value,
     mathieu_pair,
     trig_pair,
@@ -30,7 +29,6 @@ from .fields import (
     flux_constraint_check,
     momentum_field,
     physical_amplitude,
-    quantum_potential,
     trajectory,
 )
 from .linear import (
@@ -74,7 +72,6 @@ __all__ = [
     "el_invariant",
     "flux_constraint_check",
     "fundamental_pair",
-    "gamma",
     "geometric_frequency",
     "integrate_normal_form",
     "invariant_drift",
@@ -85,7 +82,6 @@ __all__ = [
     "parse_config",
     "physical_amplitude",
     "pinney_amplitude",
-    "quantum_potential",
     "run_config",
     "solve_ep_direct",
     "trajectory",

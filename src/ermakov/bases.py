@@ -35,7 +35,6 @@ from .errors import (
     CharValueConvergenceError,
     ConfigurationError,
     EngineError,
-    PoleError,
     SeriesConvergenceError,
 )
 from .linear import (
@@ -57,16 +56,8 @@ _EIG_FLOOR = 16.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
-# Gamma function
+# Reciprocal gamma function
 # ---------------------------------------------------------------------------
-
-def gamma(x: float) -> float:
-    """Gamma function on the real line; poles raise :class:`PoleError`."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma pole at x = {x!r}")
-    return math.gamma(x)
-
 
 def inv_gamma(x: float) -> float:
     """1 / gamma(x), which is entire: returns 0.0 at the poles of gamma."""

@@ -49,7 +49,8 @@ class SingularEndpointError(EngineError):
 
 
 class IntegrationFailureError(EngineError):
-    """Integration failed: refinement cap, solver stall or a non-finite state."""
+    """Integration failed: Magnus refinement cap, unevaluable frequency, a
+    non-finite state, or a trajectory inversion that did not converge."""
 
     def __init__(self, message: str, last_q: float | None = None):
         self.last_q = last_q
@@ -63,10 +64,6 @@ class SeriesConvergenceError(EngineError):
 
 class CharValueConvergenceError(EngineError):
     """Characteristic-value truncation doubling failed to converge."""
-
-
-class PoleError(EngineError):
-    """Evaluation of a special function at one of its poles."""
 
 
 class NonpositiveFormError(EngineError):

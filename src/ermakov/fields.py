@@ -77,18 +77,6 @@ def momentum_field(C: float, R: np.ndarray) -> np.ndarray:
     return C / R**2
 
 
-def quantum_potential(
-    psi: np.ndarray, d2psi: np.ndarray, m: float = 1.0, hbar: float = 1.0
-) -> np.ndarray:
-    """Curvature potential -(hbar^2/2m) psi''/psi from explicit samples."""
-    psi = np.asarray(psi, dtype=float)
-    d2psi = np.asarray(d2psi, dtype=float)
-    nodes = psi == 0.0
-    if np.any(nodes):
-        raise NodeSingularityError(np.flatnonzero(nodes).tolist())
-    return -(hbar**2 / (2.0 * m)) * d2psi / psi
-
-
 def quantum_potential_ep(
     omega2: np.ndarray,
     k: float,
@@ -215,6 +203,8 @@ def trajectory(
         x = x - step
         if not np.any(np.abs(step) > _EPS * (hi - lo)):  # also stops on nan
             break
+    # x0 itself, which x0 - grid[k] can round away in a cell far wider than |x0|
+    x[s == 0.0] = x0
     f, slope = S_at(x)
     roundoff = 64.0 * _EPS * (max(abs(S[0]), abs(S[-1])) + np.abs(x * slope))
     bad = ~(np.abs(f - s) <= roundoff)

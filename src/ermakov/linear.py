@@ -18,12 +18,6 @@ final and with the halved substep counts, stored as
 :func:`companion_pair` take the frequency profile, the output grid and an
 anchor; the grid and the anchor alone fix the range integrated.  In a
 preset the profile is the sector's own (see :mod:`ermakov.problems`).
-
-:func:`direct_amplitude` runs scipy's adaptive DOP853 on the nonlinear
-amplitude equation rho'' + Omega^2 rho = k / rho^3 for the independent
-cross-check :func:`ermakov.pinney.solve_ep_direct`.  It is the package's only
-:func:`solve_ivp` call, which imports ``scipy.integrate`` on first use, so
-the rest of the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     IntegrationFailureError,
-    NodeApproachError,
     SingularEndpointError,
 )
 
@@ -343,77 +336,13 @@ def magnus_outward(
     return state, error
 
 
-# ---------------------------------------------------------------------------
-# Adaptive DOP853 for the direct amplitude equation
-# ---------------------------------------------------------------------------
-
+# Not called here: bound only so that the benchmark's tracer
+# (perfbench/tracing.py), which wraps linear.solve_ivp, finds the name.
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
-
-
-NODE_FLOOR = 1e-8  # amplitude at which the direct integration stops at a node
-
-
-def direct_amplitude(
-    profile, k: float, grid, anchor: float, y0, settings: IntegrationSettings = DEFAULT_SETTINGS
-) -> np.ndarray:
-    """(rho, rho') at every point of ``grid``, shape (2, grid.size), solving
-    rho'' = -Omega^2 rho + k / rho^3 from data ``y0`` at ``anchor``.
-
-    DOP853 integrates the half-ranges right and left of the anchor
-    separately, each to its grid end.  Raises :class:`ConfigurationError`
-    unless the grid is strictly increasing, :class:`NodeApproachError` where
-    rho falls to :data:`NODE_FLOOR`, and :class:`IntegrationFailureError`
-    when the solver fails, leaves the finite range or cannot evaluate the
-    frequency.
-    """
-    grid = _increasing(grid)
-    y0 = np.asarray(y0, dtype=float)
-    omega2 = profile.omega2_array
-
-    def rhs(q, y):
-        try:
-            w2 = float(omega2(np.asarray(q)))
-        except (SingularEndpointError, FloatingPointError, ZeroDivisionError):
-            w2 = math.nan  # the solver then fails, reported below
-        return [y[1], -w2 * y[0] + (k / y[0] ** 3 if k != 0.0 else 0.0)]
-
-    def node(q, y):
-        return y[0] - NODE_FLOOR
-
-    node.terminal = True
-    node.direction = -1.0
-
-    out = np.empty((2, grid.size))
-    right = grid >= anchor
-    for mask, end in ((right, float(grid[-1])), (~right, float(grid[0]))):
-        if not np.any(mask):
-            continue
-        if end == anchor:  # the half-range is the anchor itself
-            out[:, mask] = y0[:, None]
-            continue
-        order = slice(None) if end > anchor else slice(None, None, -1)
-        sol = solve_ivp(
-            rhs,
-            (anchor, end),
-            y0,
-            method="DOP853",
-            t_eval=grid[mask][order],
-            rtol=settings.rel_tol,
-            atol=settings.abs_tol,
-            max_step=settings.max_step,
-            events=node,
-        )
-        if sol.t_events[0].size:
-            raise NodeApproachError(float(sol.t_events[0][0]))
-        if not sol.success or not np.all(np.isfinite(sol.y)):
-            last = float(sol.t[-1]) if sol.t.size else float(anchor)
-            raise IntegrationFailureError(f"integration failed: {sol.message}", last_q=last)
-        out[:, mask] = sol.y[:, order]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ A B - D^2 = k / W^2.  The conserved quantity certified here is
     I = ((rho y' - rho' y)^2 + k y^2 / rho^2) / 2,
 
 constant in q for any partner solution y of the linear equation.
-:func:`solve_ep_direct` integrates the nonlinear equation on a grid instead,
-as the cross-check of the quadratic form.
+:func:`solve_ep_direct` poses the amplitude by its value and slope at one
+point instead of by (A, B, D), and builds it by the same superposition.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     ConfigurationError,
     ConstraintViolationError,
     GridMismatchError,
+    NodeApproachError,
     NonpositiveFormError,
 )
 from .linear import (
@@ -34,7 +35,7 @@ from .linear import (
     Column,
     FundamentalPair,
     IntegrationSettings,
-    direct_amplitude,
+    fundamental_pair,
 )
 
 CONSTRAINT_TOL = 1e-10
@@ -99,8 +100,9 @@ def symmetric_coefficients(k: float, wronskian: float) -> PinneyCoefficients:
 class ErmakovAmplitude:
     """Sampled amplitude rho > 0 with derivative and provenance.
 
-    ``coefficients``/``pair`` are set when the amplitude came from the
-    quadratic-form route and are None for directly integrated amplitudes.
+    ``coefficients``/``pair`` are the quadratic form and pair that
+    :func:`pinney_amplitude` built the amplitude from (None when samples
+    are assembled by hand).
     """
 
     grid: np.ndarray
@@ -149,13 +151,17 @@ def solve_ep_direct(
     profile, k: float, ic: tuple[float, float], grid, anchor: float | None = None,
     settings: IntegrationSettings = DEFAULT_SETTINGS,
 ) -> ErmakovAmplitude:
-    """Integrate rho'' + Omega^2 rho = k/rho^3 directly (cross-check route).
+    """Solution of rho'' + Omega^2 rho = k/rho^3 with ``ic`` = (rho, rho') at ``anchor``.
 
-    Initial data ``ic`` = (rho, rho') is posed at ``anchor`` (the middle of
-    the grid's range by default) and integrated outward to both ends of
-    ``grid``, which must be strictly increasing.  Integration halts with
-    :class:`NodeApproachError` if rho falls to the node floor, which k = 0
-    trajectories passing through zeros of the linear solution will do.
+    The anchor is the middle of the grid's range by default, and ``grid``
+    must be strictly increasing.  With the pair u, v of data (rho0, rho0')
+    and (0, 1/rho0) at the anchor (W = 1 up to rounding),
+    rho^2 = u^2 + (k/W^2) v^2 is the quadratic form A = 1, D = 0, B = k/W^2:
+    the identity-data form A = rho0^2, D = rho0 rho0', B = (k + D^2)/A
+    recombined into a sum of squares, so nothing cancels in rho^2 or in its
+    constraint.  At k = 0 the amplitude is |u|; :class:`NodeApproachError`
+    reports the first zero of u outward from the anchor, on the right
+    half-range before the left, placed between samples by one Newton step.
     """
     if ic[0] <= 0.0:
         raise ConfigurationError(f"initial amplitude must be positive, got {ic[0]!r}")
@@ -163,8 +169,21 @@ def solve_ep_direct(
         raise ConfigurationError(f"k must be >= 0, got {k!r}")
     grid = np.asarray(grid, dtype=float)
     a = 0.5 * (float(grid[0]) + float(grid[-1])) if anchor is None else float(anchor)
-    rho, drho = direct_amplitude(profile, k, grid, a, ic, settings)
-    return ErmakovAmplitude(grid, rho, drho)
+    rho0, drho0 = float(ic[0]), float(ic[1])
+    pair = fundamental_pair(profile, grid, a, settings, (rho0, drho0), (0.0, 1.0 / rho0))
+    if k == 0.0:
+        right = grid >= a
+        for side, step in ((right, 1), (~right, -1)):
+            # samples outward from the anchor, where u = rho0 > 0
+            q = np.concatenate(([a], grid[side][::step]))
+            u = np.concatenate(([rho0], pair.y1[side][::step]))
+            du = np.concatenate(([drho0], pair.dy1[side][::step]))
+            past = np.flatnonzero(u <= 0.0)
+            if past.size:  # Newton from the bracketing sample nearer the zero
+                j = past[0]
+                i = j if abs(u[j]) <= abs(u[j - 1]) else j - 1
+                raise NodeApproachError(float(q[i] - u[i] / du[i]))
+    return pinney_amplitude(PinneyCoefficients(1.0, k / pair.W**2, 0.0, k), pair)
 
 
 def el_invariant(amplitude: ErmakovAmplitude, partner: Column, k: float) -> np.ndarray:

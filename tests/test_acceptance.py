@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from dop853_reference import direct_amplitude
 
 from ermakov.bases import mathieu_char_value, mathieu_char_value_truncated, whittaker_m_column
 from ermakov.catalog import lookup_system, geometric_frequency
@@ -96,7 +97,7 @@ def test_criterion_3_superposition_identity(
             (s, r.pair) for s, r in two_center_runs if s.label == "nu"
         ),
     }
-    worst = 0.0
+    worst = direct_worst = 0.0
     for name, (setup, pair) in cases.items():
         for _ in range(5):
             a = math.exp(rng.uniform(-0.5, 0.8))
@@ -107,14 +108,18 @@ def test_criterion_3_superposition_identity(
                                           sign=1.0 if d >= 0 else -1.0)
             amp = pinney_amplitude(coeffs, pair)
             mid = pair.grid.size // 2
-            direct = solve_ep_direct(
-                setup.profile, k,
-                (float(amp.rho[mid]), float(amp.drho[mid])), pair.grid,
+            ic = (float(amp.rho[mid]), float(amp.drho[mid]))
+            anchor = 0.5 * (pair.grid[0] + pair.grid[-1])
+            # the nonlinear equation integrated directly, and solve_ep_direct
+            reference = direct_amplitude(setup.profile, k, pair.grid, anchor, ic)
+            direct = solve_ep_direct(setup.profile, k, ic, pair.grid)
+            worst = max(worst, float(np.max(np.abs(reference - amp.rho) / amp.rho)))
+            direct_worst = max(
+                direct_worst, float(np.max(np.abs(direct.rho - reference) / reference))
             )
-            rel = float(np.max(np.abs(direct.rho - amp.rho) / np.abs(amp.rho)))
-            worst = max(worst, rel)
-    report(3, "superposition identity (20 randomized draws)", worst <= 1e-6,
-           f"max rel dev {worst:.2e}")
+    report(3, "superposition identity (20 randomized draws)",
+           worst <= 1e-6 and direct_worst <= 1e-6,
+           f"max rel dev {worst:.2e}, solve_ep_direct {direct_worst:.2e}")
 
 
 def test_criterion_4_weber_hermite_reduction():

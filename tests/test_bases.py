@@ -1,4 +1,4 @@
-"""Special-function bases: gamma, Weber, Whittaker, Mathieu."""
+"""Special-function bases: reciprocal gamma, Weber, Whittaker, Mathieu."""
 
 import math
 from functools import partial
@@ -9,7 +9,6 @@ import pytest
 from scipy.special import mathieu_a, mathieu_b, pbdv
 
 from ermakov.bases import (
-    gamma,
     inv_gamma,
     mathieu_char_value,
     mathieu_char_value_truncated,
@@ -26,7 +25,6 @@ from ermakov.catalog import FrequencyProfile, SectorSpec, Weight
 from ermakov.errors import (
     CharValueConvergenceError,
     ConfigurationError,
-    PoleError,
     SeriesConvergenceError,
 )
 from ermakov.linear import wronskian_check
@@ -66,20 +64,18 @@ def weber_d(nu, xi):
 
 
 # ---------------------------------------------------------------------------
-# gamma
+# reciprocal gamma
 # ---------------------------------------------------------------------------
 
 
 def test_gamma_classic_values():
-    assert gamma(1.0) == 1.0
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-15)
+    assert inv_gamma(1.0) == 1.0
+    assert inv_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+    assert inv_gamma(5.0) == pytest.approx(1.0 / 24.0, rel=1e-15)
 
 
 def test_gamma_poles():
     for x in (0.0, -1.0, -7.0):
-        with pytest.raises(PoleError):
-            gamma(x)
         assert inv_gamma(x) == 0.0
 
 
@@ -88,8 +84,8 @@ def test_gamma_against_mpmath_across_range():
     xs = rng.uniform(-20.0, 50.0, size=60)
     xs = xs[np.abs(xs - np.round(xs)) > 1e-3]  # stay away from the poles
     for x in xs:
-        ref = float(mpmath.gamma(float(x)))
-        assert gamma(float(x)) == pytest.approx(ref, rel=1e-12)
+        ref = float(mpmath.rgamma(float(x)))
+        assert inv_gamma(float(x)) == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from ermakov.fields import (
     flux_constraint_check,
     momentum_field,
     physical_amplitude,
-    quantum_potential,
     trajectory,
 )
 from ermakov.pinney import ErmakovAmplitude, PinneyCoefficients, pinney_amplitude, symmetric_coefficients
@@ -74,29 +73,6 @@ def test_momentum_nodes_error_lists_locations():
     with pytest.raises(NodeSingularityError) as err:
         momentum_field(1.0, R)
     assert err.value.nodes == [4]
-
-
-def test_quantum_potential_free_particle():
-    x = np.linspace(-3, 3, 201)
-    psi = np.cos(x)
-    mask = np.abs(psi) > 1e-3
-    q = quantum_potential(psi[mask], -psi[mask])
-    np.testing.assert_allclose(q, 0.5, rtol=1e-14)
-
-
-def test_quantum_potential_gaussian_analytic():
-    # psi = exp(-xi^2/4): psi''/psi = xi^2/4 - 1/2, so Q = (1/2 - xi^2/4)/2...
-    xi = np.linspace(-3, 3, 301)
-    psi = np.exp(-(xi**2) / 4.0)
-    d2psi = (xi**2 / 4.0 - 0.5) * psi
-    q = quantum_potential(psi, d2psi)
-    np.testing.assert_allclose(q, -0.5 * (xi**2 / 4.0 - 0.5), rtol=1e-12)
-
-
-def test_quantum_potential_node_error():
-    psi = np.array([1.0, 0.0, -1.0])
-    with pytest.raises(NodeSingularityError):
-        quantum_potential(psi, psi)
 
 
 def test_quantum_potential_ep_vs_finite_differences():
@@ -248,6 +224,15 @@ def test_trajectory_x0_validation():
     with pytest.raises(ConfigurationError):
         trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 2.0,
                    np.linspace(0, 1, 5))
+
+
+def test_trajectory_starts_at_x0_in_wide_cells():
+    # x0 - grid[k] rounds to the whole 2e298-wide cell, and grid[k] plus that
+    # offset back to 0; the sample at t0 is still x0 itself
+    grid = np.linspace(-1e300, 0.0, 51)
+    x = trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, -1.0,
+                   np.linspace(0.0, 1.0, 11))
+    assert x[0] == -1.0
 
 
 def test_flux_constraint_checks():

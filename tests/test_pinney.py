@@ -1,9 +1,10 @@
-"""Quadratic-form amplitudes, direct amplitude integration, invariant."""
+"""Quadratic-form amplitudes, amplitudes from initial data, invariant."""
 
 import math
 
 import numpy as np
 import pytest
+from dop853_reference import direct_amplitude
 
 from ermakov.bases import trig_pair, weber_pair
 from ermakov.catalog import FrequencyProfile, SectorSpec, Weight
@@ -97,6 +98,17 @@ def test_direct_integration_node_approach():
     assert err.value.q == pytest.approx(math.pi / 2.0, abs=1e-6)
 
 
+def test_direct_integration_node_scan_order():
+    # cos(q - a) vanishes at a - pi/2 and a + pi/2.  From a = 4 only the left
+    # zero is inside the grid, on or off a grid point; from a = 2.5 both are,
+    # and the right half-range is scanned first.
+    grid = np.linspace(0.0, 5.0, 2001)
+    for anchor, side in ((4.0, -1.0), (4.0 + 1e-4, -1.0), (2.5, 1.0)):
+        with pytest.raises(NodeApproachError) as err:
+            solve_ep_direct(CONST_ONE, 0.0, (1.0, 0.0), grid, anchor=anchor)
+        assert err.value.q == pytest.approx(anchor + side * math.pi / 2.0, abs=1e-6)
+
+
 def test_direct_integration_unevaluable_frequency():
     # a frequency that raises past q = 1 ends the run as an integration failure
     def omega2(q):
@@ -106,9 +118,8 @@ def test_direct_integration_unevaluable_frequency():
         return np.ones_like(q)
 
     profile = unit_profile(omega2)
-    with pytest.raises(IntegrationFailureError) as err:
+    with pytest.raises(IntegrationFailureError):
         solve_ep_direct(profile, 1.0, (1.0, 0.0), np.linspace(0.0, 2.0, 2001), anchor=0.0)
-    assert 0.0 <= err.value.last_q <= 1.0 + 1e-6
 
 
 def test_direct_integration_validation():
@@ -141,11 +152,23 @@ def test_superposition_matches_direct_integration_weber():
     coeffs = coefficients_from_ab(2.0, 1.0, 1.0, pair.W)
     amp = pinney_amplitude(coeffs, pair)
     mid = xi.size // 2
-    direct = solve_ep_direct(
-        weber_profile(0.5), 1.0, (float(amp.rho[mid]), float(amp.drho[mid])), xi
-    )
-    rel = np.max(np.abs(direct.rho - amp.rho) / np.abs(amp.rho))
-    assert rel <= 1e-6
+    ic = (float(amp.rho[mid]), float(amp.drho[mid]))
+    reference = direct_amplitude(weber_profile(0.5), 1.0, xi, 0.0, ic)
+    assert np.max(np.abs(reference - amp.rho) / amp.rho) <= 1e-6
+    direct = solve_ep_direct(weber_profile(0.5), 1.0, ic, xi)
+    assert np.max(np.abs(direct.rho - reference) / reference) <= 1e-6
+
+
+def test_direct_integration_large_initial_data():
+    # rho0 and rho0' near 100: the identity-data form A = rho0^2,
+    # D = rho0 rho0', B = (k + D^2)/A would meet its constraint only to
+    # roundoff of D^2 ~ 1e8, far above k
+    profile = unit_profile(lambda q: 1.0 + 0.1 * np.asarray(q, float) ** 2)
+    grid = np.linspace(-3.0, 3.0, 601)
+    for ic in ((123.4, 87.6), (95.1, -103.7)):
+        direct = solve_ep_direct(profile, 0.7, ic, grid)
+        reference = direct_amplitude(profile, 0.7, grid, 0.0, ic)
+        assert np.max(np.abs(direct.rho - reference) / reference) <= 1e-6
 
 
 def test_el_invariant_free_particle_is_half():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import ermakov
+from ermakov import fields, linear
 from ermakov.cli import main
 from ermakov.errors import ConfigurationError, ConstraintViolationError
 from ermakov.runner import (
@@ -423,6 +425,8 @@ def test_cli_catalog(capsys):
 def test_benchmark_tracer_sees_one_solve_per_half_range(tmp_path, monkeypatch):
     # The benchmark's tracer wraps linear.solve_ivp and fields.solve_ivp by
     # name; a refactor that unbinds either breaks `perfbench/run.py --trace 1`.
+    # Neither is called any more: pairs are Magnus-built, and the direct
+    # amplitude is a superposition of one, so each half-range takes 0 solves.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from tracing import Tracer
 
@@ -431,24 +435,30 @@ def test_benchmark_tracer_sees_one_solve_per_half_range(tmp_path, monkeypatch):
         "problem.k_sq = 2.0\nproblem.Gamma = -1.5\n"
     )
     (setup, _) = build_problem(config.problem)
+    bound = [linear.solve_ivp, fields.solve_ivp]
     tracer = Tracer()
     with tracer.installed():
+        wrapped = [linear.solve_ivp, fields.solve_ivp]
         report, _ = run_config(config, output_dir=tmp_path)
-        # no Mathieu basis: both sectors build a fundamental pair, by Magnus
-        # steps, without the solver
         pair_solves = tracer.counters[tracer.iteration]["linear.ivp_calls"]
-        # the direct amplitude from an interior anchor: one solve per half-range
         solve_ep_direct(setup.profile, 1.0, (1.0, 0.0), np.linspace(0.0, 1.0, 2001))
+    assert all(w is not b and callable(w) for w, b in zip(wrapped, bound))
     assert report.verdict == "pass"
     assert pair_solves == 0
-    assert tracer.counters[tracer.iteration]["linear.ivp_calls"] == 2
+    assert tracer.counters[tracer.iteration]["linear.ivp_calls"] == 0
 
 
 COLD_START = """
 import json, sys
 import ermakov
+import numpy as np
 from ermakov import cli, fields, linear
+from ermakov.pinney import solve_ep_direct
+from ermakov.problems import ProblemSpec, build_problem
 codes = [cli.main([cmd, path]) for path in sys.argv[1:] for cmd in ("check", "run")]
+(setup,) = build_problem(ProblemSpec(kind="harmonic_oscillator",
+                                     params={"omega": 1.0, "E": 1.0}))
+solve_ep_direct(setup.profile, 1.0, (1.0, 0.0), np.linspace(-2.0, 2.0, 401))
 print(json.dumps({
     "codes": codes,
     "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
@@ -458,8 +468,9 @@ print(json.dumps({
 
 
 def test_check_and_run_load_no_scipy(tmp_path):
-    # A fresh interpreter: the package, check and run need numpy only.  The
-    # benchmark's tracer still finds both solve_ivp bindings to wrap.
+    # A fresh interpreter: the package, check, run and solve_ep_direct need
+    # numpy only.  The benchmark's tracer still finds both solve_ivp bindings
+    # to wrap.
     texts = [
         FREE,
         "problem.kind = harmonic_oscillator\nproblem.omega = 1.0\nproblem.E = 1.0\n"
@@ -481,6 +492,18 @@ def test_check_and_run_load_no_scipy(tmp_path):
     assert result["scipy"] == []
     assert result["solve_ivp"] == [True, True]
     assert (tmp_path / "1" / "xi_trajectory_1.csv").exists()
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[\w.-]+", req).group(0) for req in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
 SEEDED_PAIRS = {
