@@ -1,11 +1,11 @@
-"""Physical guiding fields built from normalized amplitudes.
+"""Guiding fields built from the normal-form amplitude alone.
 
-The stationary continuity equation integrates to p = C / R^2 per sector,
-with R = rho / sqrt(s) the physical amplitude.  C = 0 marks bound
-(zero-current) sectors; C != 0 marks open ones.  Trajectories of
-x' = C / (m R^2(x)) are the quadrature t(x) = t0 + (m/C) int_{x0}^{x} R^2 dx,
-evaluated exactly on cubic Hermite cells of R^2 (the samples of R^2 and of
-its exact slope) and inverted by Newton steps.
+The current s R^2 S' of R = rho / sqrt(s) is rho^2 S' = C, so p = C / rho^2
+(where g^qq = 1); the weight s enters only Omega_geom^2 and the R column.
+C = 0 marks bound sectors, C != 0 open ones.  Trajectories of
+x' = C / (m rho^2) are the quadrature t = t0 + (m/C) int_{x0}^{x} rho^2 dx,
+exact on cubic Hermite cells of rho^2 (its samples and exact slope
+2 rho rho'), inverted by Newton steps.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class FluxCheck:
 
 
 def physical_amplitude(amplitude: ErmakovAmplitude, sector: SectorSpec) -> np.ndarray:
-    """R = rho / sqrt(s) on the amplitude grid."""
+    """R = rho / sqrt(s) on the amplitude grid (the R output column)."""
     s = np.asarray(sector.weight.value(amplitude.grid), dtype=float)
     bad = ~np.isfinite(s) | (s < _WEIGHT_FLOOR)
     if np.any(bad):
@@ -66,57 +66,56 @@ def physical_amplitude(amplitude: ErmakovAmplitude, sector: SectorSpec) -> np.nd
     return amplitude.rho / np.sqrt(s)
 
 
-def momentum_field(C: float, R: np.ndarray) -> np.ndarray:
-    """p = C / R^2; identically zero for C = 0 regardless of nodes."""
-    R = np.asarray(R, dtype=float)
+def momentum_field(C: float, rho: np.ndarray) -> np.ndarray:
+    """p = C / rho^2 from rho^2 p = C; identically zero for C = 0 regardless of nodes."""
+    rho = np.asarray(rho, dtype=float)
     if C == 0.0:
-        return np.zeros_like(R)
-    nodes = np.abs(R) <= _NODE_FLOOR
+        return np.zeros_like(rho)
+    nodes = np.abs(rho) <= _NODE_FLOOR
     if np.any(nodes):
         raise NodeSingularityError(np.flatnonzero(nodes).tolist())
-    return C / R**2
+    return C / rho**2
 
 
 def quantum_potential_ep(
-    omega2: np.ndarray,
-    k: float,
-    rho: np.ndarray,
-    m: float = 1.0,
-    hbar: float = 1.0,
+    omega2_phys: np.ndarray, k: float, rho: np.ndarray, m: float = 1.0, hbar: float = 1.0
 ) -> np.ndarray:
-    """Curvature potential of the amplitude itself.
+    """Physical Bohm potential Q = -(hbar^2/2m)(s R')'/(s R) from the amplitude.
 
-    Substituting the amplitude equation rho'' = -Omega^2 rho + k/rho^3 gives
-    -(hbar^2/2m) rho''/rho = (hbar^2/2m)(Omega^2 - k/rho^4), which is what
-    enters the separated energy balance p^2/2m + V + Q = E.
+    Substituting rho'' = -(Omega_geom^2 + Omega_phys^2) rho + k/rho^3 gives
+    Q = (hbar^2/2m)(Omega_phys^2 - k/rho^4), which enters the separated
+    energy balance p^2/2m + V + Q = E; the amplitude's own curvature
+    -(hbar^2/2m) rho''/rho is Q + (hbar^2/2m) Omega_geom^2.  The k/rho^4
+    term is taken only for k != 0, so a bound amplitude's nodes stay finite.
     """
     rho = np.asarray(rho, dtype=float)
-    return (hbar**2 / (2.0 * m)) * (np.asarray(omega2, dtype=float) - k / rho**4)
+    q = np.broadcast_to(np.asarray(omega2_phys, dtype=float), rho.shape)
+    return (hbar**2 / (2.0 * m)) * (q - k / rho**4 if k != 0.0 else q)
 
 
 def trajectory(
     C: float,
     grid: np.ndarray,
-    R: np.ndarray,
-    dR2: np.ndarray,
+    rho: np.ndarray,
+    drho2: np.ndarray,
     m: float,
     x0: float,
     t_grid: np.ndarray,
 ) -> np.ndarray:
-    """Path of x' = C / (m R^2(x)) from x(t0) = x0 on the given time grid.
+    """Path of x' = C / (m rho^2(x)) from x(t0) = x0 on the given time grid.
 
-    ``dR2`` is the slope of R^2 at the grid points.  The equation integrates
-    to the quadrature t(x) - t0 = (m/C) S(x) with S(x) = int_{x0}^{x} R^2.
-    On each cell R^2 is taken as the cubic Hermite interpolant of its values
+    ``drho2`` is the slope of rho^2 at the grid points.  The equation integrates
+    to the quadrature t(x) - t0 = (m/C) S(x) with S(x) = int_{x0}^{x} rho^2.
+    On each cell rho^2 is taken as the cubic Hermite interpolant of its values
     and slopes at the cell's ends (error O(h^4)) and integrated exactly; the
     node values of S are summed outward from x0's cell, so no large partial
     sum is subtracted near x0.  S(x) = s is then solved by Newton steps from
     a linear-interpolation guess.  The path stops with an error if it meets
-    a node of R or leaves the grid.
+    a node of rho or leaves the grid.
     """
     grid = np.asarray(grid, dtype=float)
-    R = np.asarray(R, dtype=float)
-    dR2 = np.asarray(dR2, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    drho2 = np.asarray(drho2, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     lo, hi = float(grid[0]), float(grid[-1])
     if not lo <= x0 <= hi:
@@ -124,15 +123,15 @@ def trajectory(
     if C == 0.0:
         return np.full_like(t_grid, float(x0))
 
-    # c[0] (x - x_i)^3 + ... + c[3] on cell i: the Hermite cubic of R^2
+    # c[0] (x - x_i)^3 + ... + c[3] on cell i: the Hermite cubic of rho^2
     h = np.diff(grid)
-    r2 = R * R
+    r2 = rho * rho
     secant = np.diff(r2) / h
     with np.errstate(over="ignore"):  # a cell wider than ~1e154 has h^2 = inf, c[0] = 0
         c = np.stack((
-            (dR2[:-1] + dR2[1:] - 2.0 * secant) / h**2,
-            (3.0 * secant - 2.0 * dR2[:-1] - dR2[1:]) / h,
-            dR2[:-1],
+            (drho2[:-1] + drho2[1:] - 2.0 * secant) / h**2,
+            (3.0 * secant - 2.0 * drho2[:-1] - drho2[1:]) / h,
+            drho2[:-1],
             r2[:-1],
         ))
 
@@ -158,18 +157,18 @@ def trajectory(
         i, d = locate(x)
         return S[i] + cell_integral(i, d), cell_r2(i, d)
 
-    # Nodes: samples, interior cell minima of the R^2 cubic (which can dip
-    # below zero between positive samples) and x0 itself where R^2 is at the
-    # floor, and sign changes of R.  S is monotone between x0 and the nearest
+    # Nodes: samples, interior cell minima of the rho^2 cubic (which can dip
+    # below zero between positive samples) and x0 itself where rho^2 is at the
+    # floor, and sign changes of rho.  S is monotone between x0 and the nearest
     # node on either side.
     with np.errstate(divide="ignore", invalid="ignore"):  # local-minimum offsets
         d_min = -c[2] / (c[1] + np.sqrt(c[1] ** 2 - 3.0 * c[0] * c[2]))
     inner = np.flatnonzero((d_min > 0.0) & (d_min < h))
     at = np.concatenate((grid, grid[inner] + d_min[inner], [x0]))
     r2_at = np.concatenate((r2, cell_r2(inner, d_min[inner]), [S_at(float(x0))[1]]))
-    j = np.flatnonzero(R[1:] * R[:-1] < 0.0)
+    j = np.flatnonzero(rho[1:] * rho[:-1] < 0.0)
     nodes = np.concatenate((
-        at[r2_at <= _TRAJECTORY_FLOOR**2], grid[j] - R[j] * h[j] / (R[j + 1] - R[j])
+        at[r2_at <= _TRAJECTORY_FLOOR**2], grid[j] - rho[j] * h[j] / (rho[j + 1] - rho[j])
     ))
     x_left = nodes[nodes <= x0].max(initial=-np.inf)
     x_right = nodes[nodes >= x0].min(initial=np.inf)
@@ -191,9 +190,9 @@ def trajectory(
     table = np.where(grid <= x_left, s_left, np.where(grid >= x_right, s_right, S))
     # Rounding pad: a path landing exactly on the grid boundary is not an exit.
     pad = 1e-9 * (hi - lo)
-    if s_hi > table[-1] + pad * R[-1] ** 2:
+    if s_hi > table[-1] + pad * rho[-1] ** 2:
         raise PathExitsGridError(t0 + float(table[-1]) / v, hi)
-    if s_lo < table[0] - pad * R[0] ** 2:
+    if s_lo < table[0] - pad * rho[0] ** 2:
         raise PathExitsGridError(t0 + float(table[0]) / v, lo)
 
     x = np.interp(s, table, grid)
@@ -211,7 +210,7 @@ def trajectory(
     if np.any(bad):
         worst = int(np.argmax(bad))
         raise IntegrationFailureError(
-            f"trajectory inversion left residual {float(f[worst] - s[worst])!r} in int R^2 dx",
+            f"trajectory inversion left residual {float(f[worst] - s[worst])!r} in int rho^2 dx",
             float(x[worst]),
         )
     return x

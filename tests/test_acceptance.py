@@ -217,15 +217,16 @@ def test_criterion_9_continuity_first_integral(
 def test_criterion_10_trajectory_quadrature(free_run, harmonic_run):
     setup, result = free_run
     t = np.linspace(0.0, 10.0, 201)
-    # both sectors have unit weight, so R = rho and (R^2)' = 2 rho rho'
-    dR2 = 2.0 * result.amplitude.rho * result.amplitude.drho
-    x = trajectory(setup.C, result.pair.grid, result.R, dR2, 1.0, 0.0, t)
+    # x' = C/(m rho^2): Hermite cells of rho^2 with the exact slope 2 rho rho'
+    rho = result.amplitude.rho
+    x = trajectory(setup.C, result.pair.grid, rho, 2.0 * rho * result.amplitude.drho, 1.0, 0.0, t)
     free_err = float(np.max(np.abs(x - t)))
     hsetup, hresult = harmonic_run
     t2 = np.linspace(0.0, 2.0, 41)
-    dR2 = 2.0 * hresult.amplitude.rho * hresult.amplitude.drho
-    fwd = trajectory(hsetup.C, hresult.pair.grid, hresult.R, dR2, 1.0, 0.25, t2)
-    back = trajectory(-hsetup.C, hresult.pair.grid, hresult.R, dR2, 1.0, float(fwd[-1]), t2)
+    rho = hresult.amplitude.rho
+    drho2 = 2.0 * rho * hresult.amplitude.drho
+    fwd = trajectory(hsetup.C, hresult.pair.grid, rho, drho2, 1.0, 0.25, t2)
+    back = trajectory(-hsetup.C, hresult.pair.grid, rho, drho2, 1.0, float(fwd[-1]), t2)
     closure = abs(float(back[-1]) - 0.25)
     ok = free_err <= 1e-9 and closure <= 1e-8
     report(10, "trajectory quadrature and reversal", ok,

@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from ermakov.bases import trig_pair
-from ermakov.catalog import lookup_system
+from ermakov.catalog import FrequencyProfile, lookup_system
 from ermakov.errors import (
     ConfigurationError,
     NodeApproachError,
@@ -21,8 +22,9 @@ from ermakov.fields import (
     physical_amplitude,
     trajectory,
 )
+from ermakov.linear import FundamentalPair
 from ermakov.pinney import ErmakovAmplitude, PinneyCoefficients, pinney_amplitude, symmetric_coefficients
-from ermakov.problems import ProblemSpec, build_problem
+from ermakov.problems import ProblemSpec, SectorSetup, build_problem
 from ermakov.runner import execute_sector
 
 
@@ -138,9 +140,10 @@ def test_trajectory_time_reversal():
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
     t = np.linspace(0.0, 2.0, 41)
-    dR2 = 2.0 * result.amplitude.rho * result.amplitude.drho  # unit weight: R = rho
-    fwd = trajectory(setup.C, result.pair.grid, result.R, dR2, 1.0, 0.25, t)
-    back = trajectory(-setup.C, result.pair.grid, result.R, dR2, 1.0, float(fwd[-1]), t)
+    rho = result.amplitude.rho
+    drho2 = 2.0 * rho * result.amplitude.drho
+    fwd = trajectory(setup.C, result.pair.grid, rho, drho2, 1.0, 0.25, t)
+    back = trajectory(-setup.C, result.pair.grid, rho, drho2, 1.0, float(fwd[-1]), t)
     assert abs(back[-1] - 0.25) <= 1e-8
 
 
@@ -255,3 +258,57 @@ def test_continuity_first_integral_certified():
     pair = trig_pair(1.0, result.pair.grid)
     amp = pinney_amplitude(symmetric_coefficients(1.0, pair.W), pair)
     np.testing.assert_allclose(result.amplitude.rho, amp.rho, atol=1e-14)
+
+
+def test_s_wave_fields_read_the_normal_form_amplitude():
+    # Spherical r sector (s = r^2, Omega_geom^2 = 0) with the plane-wave pair:
+    # rho = 1, so the current rho^2 p = C makes p = hbar k0 and x' = hbar k0 / m,
+    # although R = rho / r is not constant.
+    k0, m, hbar = 1.3, 2.0, 0.7
+    sector = lookup_system("spherical").sector("r")
+    profile = FrequencyProfile(sector, lambda r: k0**2, m, hbar)  # a scalar Omega_phys^2
+    setup = SectorSetup(profile, np.linspace(0.5, 10.0, 201), hbar * k0, k0**2,
+                        lambda _profile, grid, _settings: trig_pair(k0, grid))
+    result = execute_sector(setup, trajectory_requests=[(1.0, 5.0, 51)])
+    np.testing.assert_allclose(result.amplitude.rho, 1.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(result.R, 1.0 / result.pair.grid, rtol=1e-15)
+    np.testing.assert_allclose(result.p, hbar * k0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(result.Q, 0.0, rtol=0.0, atol=1e-14)
+    ((_, t, x),) = result.trajectories
+    np.testing.assert_allclose(x, 1.0 + hbar * k0 / m * t, rtol=0.0, atol=1e-12)
+
+
+def test_cylindrical_sector_current_potential_and_path():
+    # Cylindrical r sector (s = r, Omega_geom^2 = 1/(4 r^2)) at Omega_phys^2 = 1,
+    # C = k = 1, with the pair (sqrt(r) J0, sqrt(r) Y0) of W = 2/pi:
+    # rho^2 = a r (J0^2 + Y0^2) with a = A = B = sqrt(k)/W = pi/2.
+    grid, a = np.linspace(0.5, 10.0, 201), math.pi / 2.0
+    cols, r2_ref, q_ref = [], [], []
+    with mpmath.workdps(30):
+        for r in map(mpmath.mpf, grid.tolist()):
+            j0, j1, y0, y1 = (mpmath.besselj(0, r), mpmath.besselj(1, r),
+                              mpmath.bessely(0, r), mpmath.bessely(1, r))
+            root = mpmath.sqrt(r)  # J0' = -J1, J1' = J0 - J1/r, likewise for Y
+            cols.append([root * j0, j0 / (2 * root) - root * j1,
+                         root * y0, y0 / (2 * root) - root * y1])
+            f, g, h = j0**2 + y0**2, j1**2 + y1**2, j0 * j1 + y0 * y1
+            df, d2f = -2 * h, -2 * (f - g) + 2 * h / r
+            # R = sqrt(a F): Q = -(hbar^2/2m)(s R')'/(s R) = -(R''/R + R'/(r R))/2
+            q_ref.append(-(d2f / (2 * f) - df**2 / (4 * f**2) + df / (2 * f * r)) / 2)
+            r2_ref.append(a * f)
+    pair = FundamentalPair(grid, *np.array(cols, dtype=float).T, 2.0 / math.pi)
+    sector = lookup_system("cylindrical").sector("r")
+    profile = FrequencyProfile(sector, lambda r: np.ones_like(r))
+    setup = SectorSetup(profile, grid, 1.0, 1.0, lambda _profile, _grid, _settings: pair)
+    result = execute_sector(setup, trajectory_requests=[(1.0, 5.0, 11)])
+    np.testing.assert_allclose(result.R**2, np.array(r2_ref, dtype=float), rtol=1e-13)
+    np.testing.assert_allclose(grid * result.R**2 * result.p, 1.0, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(result.Q, np.array(q_ref, dtype=float), rtol=0.0, atol=1e-10)
+    # t(x) = (m/C) int_{x0}^{x} rho^2 by mpmath quadrature, cell by cell
+    ((_, t, x),) = result.trajectories
+    edges = [1.0, *x.tolist()]
+    with mpmath.workdps(20):
+        cells = [mpmath.quad(lambda r: a * r * (mpmath.besselj(0, r) ** 2
+                                                + mpmath.bessely(0, r) ** 2), [lo, hi])
+                 for lo, hi in zip(edges[:-1], edges[1:])]
+    np.testing.assert_allclose(t, np.cumsum(np.array(cells, dtype=float)), rtol=0.0, atol=1e-8)

@@ -320,12 +320,15 @@ TWO_CENTER = (
         "problem.kind = free_particle\nproblem.k0 = 5e-324",
         FREE + "problem.hbar = 1e-300",
         FREE + "problem.hbar = 5e-324",
+        FREE + "tolerance.pinney = 1e-10",
+        FREE + "tolerance.continuity = 1e-10",
     ],
     ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol",
          "fractional_ell", "grid_over_cap", "samples_over_cap", "unknown_parameter",
          "overflowing_k", "output_under_a_file", "infinite_nu", "overflowing_k0_sq",
          "overflowing_a_sq", "kappa_division_by_zero", "underflowing_k0_sq",
-         "subnormal_k0", "underflowing_hbar_sq", "subnormal_hbar"],
+         "subnormal_k0", "underflowing_hbar_sq", "subnormal_hbar", "removed_pinney_tol",
+         "removed_continuity_tol"],
 )
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
     (tmp_path / "file").write_text("")
@@ -356,6 +359,41 @@ def test_ode_residual_on_two_point_and_huge_step_grids(tmp_path, text, code):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     ode_residual = report["sectors"][0]["ode_residual"]
     assert ode_residual == "nan" if code == 0 else math.isfinite(ode_residual)
+
+
+HARMONIC = "problem.kind = harmonic_oscillator\nproblem.omega = 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, label, node",
+    [
+        (HARMONIC + "problem.E = 1.5\nsector.xi.C = 0\n", "xi", True),
+        (HARMONIC + "problem.E = 3.5\nsector.xi.C = 0\n", "xi", True),
+        (TWO_CENTER.replace("ell = 0", "ell = 1").replace("even", "odd") + "sector.nu.C = 0\n",
+         "nu", True),
+        (FREE + "sector.x.C = 0\n", "x", False),  # Omega_phys^2 is a scalar here
+    ],
+    ids=["harmonic_E1.5", "harmonic_E3.5", "two_center_odd_nu", "free_C0"],
+)
+def test_bound_sector_with_a_node_on_the_grid_certifies(tmp_path, capsys, text, label, node):
+    # k = 0 puts rho = 0 on a grid point (xi = 0, nu = pi); Q and the
+    # invariant must stay finite there, so the run passes with a quiet stderr.
+    cfg = write_cfg(tmp_path, text + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(tmp_path / "out" / f"{label}_fields.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+    assert np.any(rows[:, FIELD_COLUMNS.index("rho")] == 0.0) == node
+
+
+def test_readme_run_configuration_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Run configuration.*?```\n(.*?)```", readme, re.S).group(1)
+    block = re.sub(r"(?m)^output\.dir = .*$", f"output.dir = {tmp_path / 'out'}", block)
+    cfg = write_cfg(tmp_path, block)
+    assert main(["check", cfg]) == 0
+    assert main(["run", cfg]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_weber_seed_overflow_is_a_numerical_failure(tmp_path, capsys):
