@@ -30,8 +30,6 @@ from .pinney import ErmakovAmplitude
 
 FLUX_TOLERANCE = 1e-12  # default bound on |sum C_i|
 _WEIGHT_FLOOR = 1e-12
-_NODE_FLOOR = 1e-10
-_TRAJECTORY_FLOOR = 1e-8
 _NEWTON_STEPS = 8
 _EPS = float(np.finfo(float).eps)
 
@@ -67,14 +65,17 @@ def physical_amplitude(amplitude: ErmakovAmplitude, sector: SectorSpec) -> np.nd
 
 
 def momentum_field(C: float, rho: np.ndarray) -> np.ndarray:
-    """p = C / rho^2 from rho^2 p = C; identically zero for C = 0 regardless of nodes."""
+    """p = C / rho^2 from rho^2 p = C, zero for C = 0; a node (a sample where
+    C / rho^2 is not finite) raises :class:`NodeSingularityError`."""
     rho = np.asarray(rho, dtype=float)
     if C == 0.0:
         return np.zeros_like(rho)
-    nodes = np.abs(rho) <= _NODE_FLOOR
-    if np.any(nodes):
-        raise NodeSingularityError(np.flatnonzero(nodes).tolist())
-    return C / rho**2
+    with np.errstate(divide="ignore", over="ignore"):
+        p = C / rho**2
+    nodes = np.flatnonzero(~np.isfinite(p))
+    if nodes.size:
+        raise NodeSingularityError(nodes.tolist())
+    return p
 
 
 def quantum_potential_ep(
@@ -85,12 +86,13 @@ def quantum_potential_ep(
     Substituting rho'' = -(Omega_geom^2 + Omega_phys^2) rho + k/rho^3 gives
     Q = (hbar^2/2m)(Omega_phys^2 - k/rho^4), which enters the separated
     energy balance p^2/2m + V + Q = E; the amplitude's own curvature
-    -(hbar^2/2m) rho''/rho is Q + (hbar^2/2m) Omega_geom^2.  The k/rho^4
-    term is taken only for k != 0, so a bound amplitude's nodes stay finite.
+    -(hbar^2/2m) rho''/rho is Q + (hbar^2/2m) Omega_geom^2.  The k/rho^4 term,
+    formed as (k/rho^2)/rho^2 so that it stays in range where rho^4 would not,
+    is taken only for k != 0, so a bound amplitude's nodes stay finite.
     """
     rho = np.asarray(rho, dtype=float)
     q = np.broadcast_to(np.asarray(omega2_phys, dtype=float), rho.shape)
-    return (hbar**2 / (2.0 * m)) * (q - k / rho**4 if k != 0.0 else q)
+    return (hbar**2 / (2.0 * m)) * (q - (k / rho**2) / rho**2 if k != 0.0 else q)
 
 
 def trajectory(
@@ -158,18 +160,19 @@ def trajectory(
         return S[i] + cell_integral(i, d), cell_r2(i, d)
 
     # Nodes: samples, interior cell minima of the rho^2 cubic (which can dip
-    # below zero between positive samples) and x0 itself where rho^2 is at the
-    # floor, and sign changes of rho.  S is monotone between x0 and the nearest
-    # node on either side.
-    with np.errstate(divide="ignore", invalid="ignore"):  # local-minimum offsets
-        d_min = -c[2] / (c[1] + np.sqrt(c[1] ** 2 - 3.0 * c[0] * c[2]))
+    # below zero between positive samples) and x0 itself where rho^2 falls to
+    # 64 eps of its cell's larger end sample, and sign changes of rho: both
+    # scale-free.  S is monotone between x0 and the nearest node on either side.
+    r2_end = np.maximum(r2[:-1], r2[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # cell-minimum offsets
+        c0, c1, c2 = c[:3] / r2_end  # the cubic over r2_end, so c1^2 stays in range
+        d_min = -c2 / (c1 + np.sqrt(c1**2 - 3.0 * c0 * c2))
     inner = np.flatnonzero((d_min > 0.0) & (d_min < h))
     at = np.concatenate((grid, grid[inner] + d_min[inner], [x0]))
     r2_at = np.concatenate((r2, cell_r2(inner, d_min[inner]), [S_at(float(x0))[1]]))
-    j = np.flatnonzero(rho[1:] * rho[:-1] < 0.0)
-    nodes = np.concatenate((
-        at[r2_at <= _TRAJECTORY_FLOOR**2], grid[j] - rho[j] * h[j] / (rho[j + 1] - rho[j])
-    ))
+    j = np.flatnonzero(np.sign(rho[1:]) * np.sign(rho[:-1]) < 0.0)
+    nodes = np.concatenate((at[r2_at <= 64.0 * _EPS * r2_end[locate(at)[0]]],
+                            grid[j] - rho[j] * h[j] / (rho[j + 1] - rho[j])))
     x_left = nodes[nodes <= x0].max(initial=-np.inf)
     x_right = nodes[nodes >= x0].min(initial=np.inf)
     s_left = S_at(x_left)[0] if np.isfinite(x_left) else -np.inf

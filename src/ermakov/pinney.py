@@ -62,10 +62,12 @@ class PinneyCoefficients:
         return abs(self.A * self.B - self.D**2 - self.k / wronskian**2)
 
     def validate(self, wronskian: float, tol: float = CONSTRAINT_TOL) -> None:
-        target = self.k / wronskian**2
+        """Reject a residual above ``tol`` times the largest of the constraint's
+        own terms A B, D^2 and k/W^2, or a term that overflows."""
+        bound = tol * max(self.A * self.B, self.D**2, self.k / wronskian**2)
         residual = self.constraint_residual(wronskian)
-        if residual > tol * max(1.0, abs(target)):
-            raise ConstraintViolationError(residual, tol * max(1.0, abs(target)))
+        if not residual <= bound < math.inf:
+            raise ConstraintViolationError(residual, bound)
 
 
 def coefficients_from_ab(
@@ -73,13 +75,13 @@ def coefficients_from_ab(
 ) -> PinneyCoefficients:
     """Complete (A, B, k) to valid coefficients via D = sign*sqrt(AB - k/W^2).
 
-    A discriminant within rounding of zero is clamped to D = 0, so the
-    boundary choice A*B = k/W^2 is representable.
+    A discriminant within rounding of zero (1e-12 of k/W^2) is clamped to
+    D = 0, so the boundary choice A*B = k/W^2 is representable.
     """
     target = k / wronskian**2
     disc = A * B - target
     if disc < 0.0:
-        if abs(disc) <= 1e-12 * max(1.0, abs(target)):
+        if -disc <= 1e-12 * target:
             disc = 0.0
         else:
             raise ConfigurationError(
@@ -214,22 +216,20 @@ def el_invariant(amplitude: ErmakovAmplitude, partner: Column, k: float) -> np.n
 class DriftResult(NamedTuple):
     drift: float
     location: float
-    absolute: bool
 
 
 def invariant_drift(values: np.ndarray, grid: np.ndarray | None = None) -> DriftResult:
-    """Max deviation of the samples from their midpoint value.
+    """Max deviation of the samples from their midpoint value I_ref, relative to |I_ref|.
 
-    Relative to the midpoint reference when it is meaningfully nonzero;
-    otherwise the absolute deviation is returned with ``absolute=True``.
+    I is a sum of two nonnegative terms, so |I_ref| is their size.  Samples
+    that are all 0 read 0; a zero I_ref with another sample nonzero reads inf.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ConfigurationError("drift needs at least two samples")
     ref = float(values[values.size // 2])
-    absolute = abs(ref) <= 1e-14
     dev = np.abs(values - ref)
     idx = int(np.argmax(dev))
-    drift = float(dev[idx]) / max(abs(ref), 1e-14) if not absolute else float(dev[idx])
+    drift = float(dev[idx]) / abs(ref) if ref else (math.inf if dev[idx] else 0.0)
     where = float(grid[idx]) if grid is not None else float(idx)
-    return DriftResult(drift, where, absolute)
+    return DriftResult(drift, where)

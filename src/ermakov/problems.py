@@ -182,28 +182,26 @@ def _resolve_flux(
     spec: ProblemSpec, profile: FrequencyProfile, default_k: float
 ) -> tuple[float, float]:
     """(C, k) for the sector of ``profile``, honoring overrides; k = (C / hbar)^2
-    throughout, with the profile's hbar (1 in dimensionless coordinates)."""
+    throughout, with the profile's hbar (1 in dimensionless coordinates).  An
+    open sector (C != 0) needs k to be a normal double."""
     label, hbar = profile.sector.label, profile.hbar
-    if label in spec.k_sector:
-        k = float(spec.k_sector[label])
-        if k < 0:
-            raise ConfigurationError(f"sector {label!r}: k must be >= 0")
-        c = hbar * math.sqrt(k)
-        if label in spec.flux:
-            c_given = float(spec.flux[label])
-            if abs((c_given / hbar) * (c_given / hbar) - k) > 1e-12 * max(1.0, k):
-                raise ConfigurationError(
-                    f"sector {label!r}: flux C = {c_given!r} and k = {k!r} are inconsistent"
-                )
-            c = c_given
-        return c, k
+    k = float(spec.k_sector.get(label, default_k))
+    if k < 0:
+        raise ConfigurationError(f"sector {label!r}: k must be >= 0")
+    c = hbar * math.sqrt(k)
     if label in spec.flux:
         c = float(spec.flux[label])
-        k = (c / hbar) * (c / hbar)
-        if not math.isfinite(k):
-            raise ConfigurationError(f"sector {label!r}: k = (C / hbar)^2 overflows for C = {c!r}")
-        return c, k
-    return hbar * math.sqrt(default_k), default_k
+        if label not in spec.k_sector:
+            k = (c / hbar) * (c / hbar)
+        elif abs((c / hbar) * (c / hbar) - k) > 1e-12 * k:
+            raise ConfigurationError(
+                f"sector {label!r}: flux C = {c!r} and k = {k!r} are inconsistent"
+            )
+    if c != 0.0 and not np.finfo(float).tiny <= k < math.inf:
+        raise ConfigurationError(
+            f"sector {label!r}: k = (C / hbar)^2 = {k!r} for C = {c!r} is not a normal double"
+        )
+    return c, k
 
 
 def build_problem(spec: ProblemSpec) -> list[SectorSetup]:

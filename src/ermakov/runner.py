@@ -239,7 +239,6 @@ class SectorResult:
     Q: np.ndarray
     invariant: np.ndarray
     invariant_drift: float
-    invariant_absolute: bool
     wronskian_drift: float
     pinney_residual: float
     continuity_residual: float
@@ -314,7 +313,6 @@ def execute_sector(
         Q=q_pot,
         invariant=inv,
         invariant_drift=drift.drift,
-        invariant_absolute=drift.absolute,
         wronskian_drift=wronskian_check(pair),
         pinney_residual=coeffs.constraint_residual(pair.W),
         continuity_residual=float(cont) / cont_scale,
@@ -369,7 +367,6 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
         "coefficients": {"A": coeffs.A, "B": coeffs.B, "D": coeffs.D},
         "invariant_reference": float(result.invariant[result.invariant.size // 2]),
         "invariant_drift": result.invariant_drift,
-        "invariant_drift_absolute": result.invariant_absolute,
         "wronskian_drift": result.wronskian_drift,
         "integration_error": result.pair.error,
         "pinney_residual": result.pinney_residual,

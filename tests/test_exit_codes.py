@@ -79,9 +79,18 @@ HUGE_KAPPA = COULOMB + "problem.E = -1e-300\n"
 WIDE_CELLS = FREE + "sector.x.grid = -1e300:0:51\ntrajectory.x.1 = -1:1:11\n"
 # the step 2e-302 squares to 0: the ODE residual is not measured (NaN)
 TINY_STEP = FREE + "sector.x.grid = 0:1e-300:51\n"
+HARMONIC = "problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = 1\n"
+# rho^2 = 1e-21 on the whole grid: small, but strictly positive, so no node
+TINY_FLUX = FREE + "sector.x.C = 1e-21\ntrajectory.x.1 = 0:1:11\n"
+SMALL_FLUX = HARMONIC + "sector.xi.C = 1e-150\n"  # k = 1e-300, still a normal double
+# an open sector whose k = (C/hbar)^2 is subnormal (1e-320) or underflows to 0
+SUBNORMAL_K = HARMONIC + "sector.xi.C = 1e-160\n"
+UNDERFLOW_K = FREE + "sector.x.C = 1e-170\n"
+MISMATCH = FREE + "sector.x.C = 1e-7\nsector.x.k = 2e-14\n"  # (C/hbar)^2 = 1e-14
+HUGE_FLUX = HARMONIC + "sector.xi.C = 1e150\n"  # rho^4 ~ 1e300 would overflow
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+@settings(max_examples=2 * settings.default.max_examples,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(configs())
 @example(FREE + "sector.x.grid = 0:10:2\n")
@@ -108,14 +117,16 @@ def test_check_and_run_end_in_a_documented_exit_code(tmp_path, monkeypatch, text
 
 @pytest.mark.parametrize(
     "text, code",
-    [(WIDE_KAPPA, 2), (HUGE_KAPPA, 2), (WIDE_CELLS, 2), (TINY_STEP, 0)],
-    ids=["wide_kappa", "huge_kappa", "wide_cells", "tiny_step"],
+    [(WIDE_KAPPA, 2), (HUGE_KAPPA, 2), (WIDE_CELLS, 2), (TINY_STEP, 0), (TINY_FLUX, 0),
+     (SMALL_FLUX, 0), (SUBNORMAL_K, 1), (UNDERFLOW_K, 1), (MISMATCH, 1), (HUGE_FLUX, 0)],
+    ids=["wide_kappa", "huge_kappa", "wide_cells", "tiny_step", "tiny_flux", "small_flux",
+         "subnormal_k", "underflow_k", "mismatch", "huge_flux"],
 )
 def test_float_range_edges_exit_as_documented(tmp_path, monkeypatch, capsys, text, code):
     # RuntimeWarnings are errors under the test settings, so none leaks here.
     monkeypatch.delenv("ERMAKOV_OUT", raising=False)
     path = tmp_path / "run.cfg"
     path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
-    assert main(["check", str(path)]) == 0
+    assert main(["check", str(path)]) == (1 if code == 1 else 0)
     assert main(["run", str(path)]) == code
     assert "Warning" not in capsys.readouterr().err

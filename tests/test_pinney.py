@@ -222,11 +222,12 @@ def test_invariant_drift_basics():
     bumped = const.copy()
     bumped[7] *= 1.0 + 1e-5
     assert invariant_drift(bumped).drift >= 0.9e-5
+    # relative at every scale, with no absolute switch near zero
+    assert invariant_drift(bumped * 2.0**-990).drift == invariant_drift(bumped).drift
+    assert invariant_drift(np.zeros(11)).drift == 0.0
     tiny = np.zeros(11)
-    tiny[3] = 1e-13
-    result = invariant_drift(tiny)
-    assert result.absolute
-    assert result.drift == pytest.approx(1e-13)
+    tiny[3] = 1e-300
+    assert invariant_drift(tiny).drift == math.inf
     with pytest.raises(ConfigurationError):
         invariant_drift(np.array([1.0]))
 

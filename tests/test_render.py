@@ -25,7 +25,7 @@ def _assert_per_value(values):
     assert _rendered(values) == [format_real(v) for v in values]
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=3 * settings.default.max_examples)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 min_size=1, max_size=50))
 def test_kernel_matches_format_real(values):
