@@ -1,10 +1,13 @@
 """Closed-form-anchored fundamental pairs for the named problem bases.
 
-Each builder that integrates a column takes the frequency profile of the
-equation it solves (in a preset, the sector's own) and integrates against
-it; no builder restates Omega^2.  Four families are provided:
+Each builder takes the frequency profile of the equation it solves (in a
+preset, the sector's own) and integrates at least one column against it; no
+builder restates Omega^2.  Every closed-form or series column thus sits
+beside an integrated one, and the pair's pointwise Wronskian certifies it
+against the profile.  Four families are provided:
 
-* trigonometric pairs (cos k0 q, sin k0 q) for constant frequency,
+* trigonometric pairs (cos k0 q, sin k0 q) for constant frequency, the
+  cosine in closed form and the sine integrated,
 * Weber / parabolic-cylinder pairs (D_nu(xi), D_nu(-xi)) for the equation
   y'' + (nu + 1/2 - xi^2/4) y = 0, seeded at xi = 0 from the classical
   gamma-function values and extended by normal-form integration; at
@@ -71,13 +74,23 @@ def inv_gamma(x: float) -> float:
 # Trigonometric pair
 # ---------------------------------------------------------------------------
 
-def trig_pair(k0: float, grid: np.ndarray) -> FundamentalPair:
-    """Exact pair (cos k0 q, sin k0 q) sampled analytically; W = k0."""
+def trig_pair(
+    k0: float,
+    profile: FrequencyProfile,
+    grid: np.ndarray,
+    settings: IntegrationSettings = DEFAULT_SETTINGS,
+) -> FundamentalPair:
+    """Pair (cos k0 q, sin k0 q) of ``profile``, which poses k0^2.
+
+    The cosine is sampled in closed form; the sine is integrated against
+    ``profile`` from data (0, k0) at q = 0, so W = k0 and the pointwise
+    Wronskian certifies the cosine against the profile's own Omega^2.
+    """
     if k0 == 0.0 or not math.isfinite(k0):
         raise ConfigurationError(f"trig pair needs a finite nonzero wavenumber, got {k0!r}")
-    grid = np.asarray(grid, dtype=float)
-    c, s = np.cos(k0 * grid), np.sin(k0 * grid)
-    return FundamentalPair(grid, c, -k0 * s, s, k0 * c, float(k0))
+    s = integrate_normal_form(profile, grid, 0.0, (0.0, k0), settings)
+    c = np.cos(k0 * s.grid)
+    return FundamentalPair(s.grid, c, -k0 * np.sin(k0 * s.grid), s.y, s.dy, float(k0), s.error)
 
 
 # ---------------------------------------------------------------------------

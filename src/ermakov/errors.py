@@ -92,10 +92,6 @@ class NodeSingularityError(EngineError):
         )
 
 
-class GridMismatchError(EngineError):
-    """Two sampled quantities do not share the same grid."""
-
-
 class PathExitsGridError(EngineError):
     """A trajectory left the tabulated field grid."""
 

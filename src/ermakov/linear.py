@@ -110,13 +110,6 @@ class FundamentalPair:
         if np.any(np.diff(self.grid) <= 0):
             raise ConfigurationError("pair grid must be strictly increasing")
 
-    def column(self, index: int) -> Column:
-        if index == 1:
-            return Column(self.grid, self.y1, self.dy1)
-        if index == 2:
-            return Column(self.grid, self.y2, self.dy2)
-        raise ConfigurationError(f"column index must be 1 or 2, got {index!r}")
-
     def wronskian_samples(self) -> np.ndarray:
         return self.y1 * self.dy2 - self.dy1 * self.y2
 

@@ -10,7 +10,8 @@ A B - D^2 = k / W^2.  The conserved quantity certified here is
 
     I = ((rho y' - rho' y)^2 + k y^2 / rho^2) / 2,
 
-constant in q for any partner solution y of the linear equation.
+constant in q for any partner solution y of the linear equation; the
+partner is taken from the amplitude's own pair (:func:`el_invariant`).
 :func:`solve_ep_direct` poses the amplitude by its value and slope at one
 point instead of by (A, B, D), and builds it by the same superposition.
 """
@@ -26,13 +27,11 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     ConstraintViolationError,
-    GridMismatchError,
     NodeApproachError,
     NonpositiveFormError,
 )
 from .linear import (
     DEFAULT_SETTINGS,
-    Column,
     FundamentalPair,
     IntegrationSettings,
     fundamental_pair,
@@ -188,28 +187,27 @@ def solve_ep_direct(
     return pinney_amplitude(PinneyCoefficients(1.0, k / pair.W**2, 0.0, k), pair)
 
 
-def el_invariant(amplitude: ErmakovAmplitude, partner: Column, k: float) -> np.ndarray:
-    """Invariant samples I(q) = ((rho y' - rho' y)^2 + k y^2/rho^2) / 2.
+def el_invariant(amplitude: ErmakovAmplitude, k: float) -> np.ndarray:
+    """Invariant samples I(q) = ((rho y' - rho' y)^2 + k y^2/rho^2) / 2 of an
+    amplitude that :func:`pinney_amplitude` built, with a partner y from its pair.
 
-    With a quadratic-form amplitude and its pair's first column as partner,
-    rho y1' - rho' y1 = -(B y2 + D y1) W(q) / rho (W(q) the pointwise
-    Wronskian) avoids the general formula's cancellation of two products.
-    At a node of a k = 0 form (AB = D^2) its magnitude is the limit sqrt(B) |W(q)|.
+    The partner is y1, for which rho y1' - rho' y1 = -(B y2 + D y1) W(q) / rho
+    (W(q) the pointwise Wronskian) avoids the cancellation of two products;
+    at a node of a k = 0 form (AB = D^2) its magnitude is the limit
+    sqrt(B) |W(q)|.  Where B = 0 (then D = k = 0 and rho = sqrt(A) |y1|), y1
+    is parallel to rho and its invariant is 0 whatever the pair, so the
+    partner is y2 instead: I = A W(q)^2 / 2.
     """
-    if amplitude.grid.shape != partner.grid.shape or not np.array_equal(
-        amplitude.grid, partner.grid
-    ):
-        raise GridMismatchError("amplitude and partner column grids differ")
     pair, coeffs = amplitude.pair, amplitude.coefficients
-    if pair is not None and coeffs is not None and partner.y is pair.y1:
-        rho, w = amplitude.rho, pair.wronskian_samples()
-        cross = np.where(rho > 0.0, -(coeffs.B * pair.y2 + coeffs.D * pair.y1) * w
-                         / np.where(rho > 0.0, rho, 1.0), math.sqrt(coeffs.B) * w)
-    else:
-        cross = amplitude.rho * partner.dy - amplitude.drho * partner.y
+    w = pair.wronskian_samples()
+    if coeffs.B == 0.0:
+        return 0.5 * coeffs.A * w**2
+    rho = amplitude.rho
+    cross = np.where(rho > 0.0, -(coeffs.B * pair.y2 + coeffs.D * pair.y1) * w
+                     / np.where(rho > 0.0, rho, 1.0), math.sqrt(coeffs.B) * w)
     out = 0.5 * cross**2
     if k != 0.0:
-        out = out + 0.5 * k * partner.y**2 / amplitude.rho**2
+        out = out + 0.5 * k * pair.y1**2 / rho**2
     return out
 
 

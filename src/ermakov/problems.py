@@ -3,8 +3,8 @@
 Maps physical parameters onto per-sector frequency profiles, fundamental
 pair recipes, and default quadratic-form data.  Each sector is stated once,
 by its ``profile`` (coordinate, units m and hbar, and Omega_phys^2), and one
-pair builder bound here integrates every column without a closed form
-against that profile:
+pair builder bound here integrates at least one column against that
+profile, beside any closed-form or series column:
 
 * free_particle       cartesian x, trigonometric basis, Omega^2 = k0^2
 * harmonic_oscillator dimensionless xi = sqrt(m w / hbar) x, Weber basis of
@@ -107,6 +107,8 @@ class ProblemSpec:
                 raise ConfigurationError(
                     "two-center spec: give either Gamma or (ell, parity), not both"
                 )
+            if "parity" in self.params and "ell" not in self.params:
+                raise ConfigurationError("two-center spec: parity is given without ell")
             ell = self.params.get("ell", 0)
             if ell < 0 or ell != int(ell):
                 raise ConfigurationError(
@@ -221,8 +223,7 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         profile = FrequencyProfile(sector, lambda x: omega2, m, hbar)
         grid = _resolve_grid(spec, "x", _DEFAULT_GRIDS[spec.kind]["x"])
         c, k = _resolve_flux(spec, profile, default_k=k0_sq)
-        pair = lambda _profile, grid, _settings: trig_pair(k0, grid)  # closed form
-        return [SectorSetup(profile, grid, c, k, pair)]
+        return [SectorSetup(profile, grid, c, k, partial(trig_pair, k0))]
 
     if spec.kind == "harmonic_oscillator":
         omega, energy = spec.param("omega"), spec.param("E")

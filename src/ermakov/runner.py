@@ -53,7 +53,6 @@ class Tolerances:
     wronskian: float = 1e-9
     integration: float = 1e-9
     flux: float = FLUX_TOLERANCE
-    ode_residual: float = 1e-3
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
@@ -242,7 +241,6 @@ class SectorResult:
     wronskian_drift: float
     pinney_residual: float
     continuity_residual: float
-    ode_residual: float
     trajectories: tuple[tuple[tuple[float, float, int], np.ndarray, np.ndarray], ...] = ()
 
 
@@ -262,19 +260,6 @@ def _resolve_coefficients(
     return symmetric_coefficients(setup.k, pair.W)
 
 
-@np.errstate(over="ignore")  # a step whose square overflows leaves y'' = 0
-def _ode_residual(grid: np.ndarray, y: np.ndarray, omega2: np.ndarray) -> float:
-    """Scaled max residual of the second divided difference against -Omega^2 y
-    (NaN, not measured, below 3 points, on a non-uniform grid or where the
-    step's square underflows to 0)."""
-    h = np.diff(grid)
-    if grid.size < 3 or h[0] ** 2 == 0.0 or not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
-        return math.nan
-    interior = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h[0] ** 2 + omega2[1:-1] * y[1:-1]
-    scale = max(1.0, float(np.max(np.abs(omega2 * y))))
-    return float(np.max(np.abs(interior))) / scale
-
-
 def execute_sector(
     setup: SectorSetup,
     settings: IntegrationSettings = DEFAULT_SETTINGS,
@@ -285,7 +270,7 @@ def execute_sector(
     pair = setup.build_pair(settings)
     coeffs = _resolve_coefficients(setup, pair, pinney_override)
     amplitude = pinney_amplitude(coeffs, pair)
-    inv = el_invariant(amplitude, pair.column(1), setup.k)
+    inv = el_invariant(amplitude, setup.k)
     drift = invariant_drift(inv, grid=pair.grid)
     omega2 = setup.profile.omega2_array(pair.grid)
     rho, m = amplitude.rho, setup.profile.m
@@ -316,7 +301,6 @@ def execute_sector(
         wronskian_drift=wronskian_check(pair),
         pinney_residual=coeffs.constraint_residual(pair.W),
         continuity_residual=float(cont) / cont_scale,
-        ode_residual=_ode_residual(pair.grid, pair.y1, omega2),
         trajectories=tuple(trajs),
     )
 
@@ -354,9 +338,6 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
         "invariant": result.invariant_drift <= tol.invariant,
         "wronskian": result.wronskian_drift <= tol.wronskian * max(1.0, abs(result.pair.W)),
         "integration": result.pair.error <= tol.integration,
-        "ode_residual": (
-            math.isnan(result.ode_residual) or result.ode_residual <= tol.ode_residual
-        ),
     }
     return {
         "label": result.label,
@@ -371,7 +352,6 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
         "integration_error": result.pair.error,
         "pinney_residual": result.pinney_residual,
         "continuity_residual": result.continuity_residual,
-        "ode_residual": result.ode_residual,
         "checks": checks,
         "pass": all(checks.values()),
     }

@@ -58,6 +58,10 @@ def mathieu_profile(ell, parity, q, modified=False):
     return unit_profile(lambda nu: a - 2.0 * q * np.cos(2.0 * nu))
 
 
+def trig_profile(k0):
+    return unit_profile(lambda q: np.full_like(np.asarray(q, float), k0 * k0))
+
+
 def weber_d(nu, xi):
     """D_nu sampled on ``xi``: the first column of the Weber pair."""
     return weber_pair(nu, weber_profile(nu), xi).y1
@@ -86,6 +90,23 @@ def test_gamma_against_mpmath_across_range():
     for x in xs:
         ref = float(mpmath.rgamma(float(x)))
         assert inv_gamma(float(x)) == pytest.approx(ref, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Trigonometric
+# ---------------------------------------------------------------------------
+
+
+def test_trig_pair_integrates_the_sine_against_the_profile():
+    k0, grid = 1.3, np.linspace(2.0, 12.0, 401)  # q = 0, the sine's anchor, is off the grid
+    pair = trig_pair(k0, trig_profile(k0), grid)
+    assert pair.W == k0
+    np.testing.assert_array_equal(pair.y1, np.cos(k0 * grid))
+    np.testing.assert_allclose(pair.y2, np.sin(k0 * grid), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(pair.dy2, k0 * np.cos(k0 * grid), rtol=0.0, atol=1e-13)
+    assert wronskian_check(pair) <= 1e-13
+    # a cosine that does not solve the profile's equation shows in the Wronskian
+    assert wronskian_check(trig_pair(k0, trig_profile(k0 * (1.0 + 1e-6)), grid)) > 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +390,7 @@ def test_modified_column_solves_hyperbolic_equation():
 @pytest.mark.parametrize(
     "kind, grid",
     [
-        (partial(trig_pair, 1.0), np.linspace(-10, 10, 801)),
+        (partial(trig_pair, 1.0, trig_profile(1.0)), np.linspace(-10, 10, 801)),
         (partial(weber_pair, 0.5, weber_profile(0.5)), np.linspace(-5, 5, 801)),
         (partial(whittaker_pair, 1.3, 1.0, whittaker_profile(1.3, 1.0)),
          np.linspace(0.05, 12.0, 801)),

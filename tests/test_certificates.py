@@ -1,0 +1,118 @@
+"""Each reported certificate fails on a seeded defect.
+
+The rows of the matrix are defects, each one small enough to leave the run
+otherwise ordinary; its columns are the checks a run reports (per-sector
+invariant, wronskian and integration, and the flux ledger).  Every defect
+must flip at least one check, and a check that no defect flips on its own
+would repeat the others.
+"""
+
+import dataclasses
+from functools import cache, partial
+
+import pytest
+
+from ermakov.bases import trig_pair, whittaker_pair
+from ermakov.cli import main
+from ermakov.linear import IntegrationSettings
+from ermakov.problems import ProblemSpec, build_problem
+from ermakov.runner import Tolerances, certify, execute_sector
+
+CHECKS = ("invariant", "wronskian", "integration", "flux")
+EPS = 1e-6
+TWO_CENTER = {"a": 1.0, "Z": 1.0, "k_sq": 2.0, "ell": 1, "parity": "odd"}
+
+
+def wrong_wavenumber(setup):
+    """The trigonometric pair of k0 (1 + EPS): its cosine solves another equation."""
+    (k0,) = setup.pair_builder.args
+    return partial(trig_pair, k0 * (1.0 + EPS))
+
+
+def wrong_char_value(setup):
+    """The Mathieu pair with the characteristic value a (1 + EPS)."""
+    return partial(setup.pair_builder, a=setup.pair_builder.keywords["a"] * (1.0 + EPS))
+
+
+def wrong_kappa(setup):
+    """The Whittaker pair with the index kappa (1 + EPS)."""
+    kappa, lam = setup.pair_builder.args
+    return partial(whittaker_pair, kappa * (1.0 + EPS), lam)
+
+
+# row: (kind, params, sector flux C, grids, settings, flux.enforce, {label: defect})
+DEFECTS = {
+    "free_wrong_k0": ("free_particle", {"k0": 1.0}, {}, {}, {}, False, {"x": wrong_wavenumber}),
+    "mathieu_wrong_a": ("two_center_elliptic", TWO_CENTER, {}, {}, {}, False,
+                        {"nu": wrong_char_value}),
+    "mathieu_wrong_a_bound": ("two_center_elliptic", TWO_CENTER, {"nu": 0.0}, {}, {}, False,
+                              {"nu": wrong_char_value}),
+    "coulomb_wrong_kappa": ("coulomb_halfline", {"alpha": 1.3, "E": -0.5}, {}, {}, {}, False,
+                            {"x": wrong_kappa}),
+    "harmonic_loose_rel_tol": ("harmonic_oscillator", {"omega": 1.0, "E": 1.0}, {},
+                               {"xi": (-6.0, 6.0, 51)}, {"rel_tol": 1e-2}, False, {}),
+    "free_unbalanced_flux": ("free_particle", {"k0": 1.0}, {}, {}, {}, True, {}),
+}
+
+
+def failed_checks(kind, params, flux, grids, settings, enforce, defects):
+    """Names of the checks that fail on the run with ``defects`` seeded; each
+    sector reports exactly the invariant, wronskian and integration checks."""
+    spec = ProblemSpec(kind=kind, params=params, flux=flux, grids=grids)
+    results = []
+    for setup in build_problem(spec):
+        if setup.label in defects:
+            setup = dataclasses.replace(setup, pair_builder=defects[setup.label](setup))
+        results.append(execute_sector(setup, IntegrationSettings(**settings)))
+    report = certify(results, Tolerances(), enforce, kind)
+    for sector in report.sectors:
+        assert list(sector["checks"]) == list(CHECKS[:3])
+    passed = {name: all(s["checks"][name] for s in report.sectors) for name in CHECKS[:3]}
+    passed["flux"] = report.flux.passed
+    return {name for name in CHECKS if not passed[name]}
+
+
+@cache
+def failed(row):
+    return failed_checks(*DEFECTS[row])
+
+
+@pytest.mark.parametrize("row", DEFECTS)
+def test_every_seeded_defect_flips_a_check(row):
+    assert failed(row)
+
+
+def test_each_check_flips_on_a_seeded_defect():
+    # the cosine is certified by the Wronskian with the sine integrated beside it
+    assert {"wronskian", "invariant"} <= failed("free_wrong_k0")
+    # at C = 0 the invariant is A W(q)^2 / 2, so it sees the wrong pair too
+    assert "invariant" in failed("mathieu_wrong_a_bound")
+    assert "invariant" in failed("coulomb_wrong_kappa")
+    for check in ("integration", "flux"):
+        assert any(failed(row) == {check} for row in DEFECTS), check
+    assert failed("harmonic_loose_rel_tol") == {"integration"}
+    assert failed("free_unbalanced_flux") == {"flux"}
+
+
+def test_correct_runs_pass_every_check():
+    for case in DEFECTS.values():
+        kind, params, flux, grids, _, _, _ = case
+        assert not failed_checks(kind, params, flux, grids, {}, False, {})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = 0.95\n"
+        "sector.xi.grid = -6:6:301\n",
+        "problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 1\nproblem.k_sq = 2\n"
+        "problem.ell = 0\nproblem.parity = even\nsector.mu.grid = 0:3:401\n",
+    ],
+    ids=["harmonic_301", "two_center_mu_401"],
+)
+def test_correct_runs_on_coarse_grids_pass(tmp_path, text):
+    # A second difference of y1 reads about 1.2e-3 on these grids, which the
+    # certificates that replaced it do not mistake for a defect.
+    path = tmp_path / "run.cfg"
+    path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(path)]) == 0

@@ -75,9 +75,11 @@ COULOMB = "problem.kind = coulomb_halfline\nproblem.alpha = 1\n"
 WIDE_KAPPA = COULOMB + "problem.E = -1.192092896e-07\nsector.x.grid = 0.05:10.05:51\n"
 # kappa about 7e149: the M series overflows within its first terms
 HUGE_KAPPA = COULOMB + "problem.E = -1e-300\n"
-# cells about 2e298 wide square to inf in the trajectory's Hermite cubic
+# cells about 2e298 wide: the free pair's integrated sine has no finite cell
+# propagator there, so the pair fails (exit 2) before any trajectory
 WIDE_CELLS = FREE + "sector.x.grid = -1e300:0:51\ntrajectory.x.1 = -1:1:11\n"
-# the step 2e-302 squares to 0: the ODE residual is not measured (NaN)
+# the step 2e-302: the sine takes one Magnus step per cell, and the
+# invariant, Wronskian and integration checks all pass (exit 0)
 TINY_STEP = FREE + "sector.x.grid = 0:1e-300:51\n"
 HARMONIC = "problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = 1\n"
 # rho^2 = 1e-21 on the whole grid: small, but strictly positive, so no node

@@ -6,7 +6,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from ermakov.bases import trig_pair
 from ermakov.catalog import FrequencyProfile, lookup_system
 from ermakov.errors import (
     ConfigurationError,
@@ -255,7 +254,8 @@ def test_continuity_first_integral_certified():
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
     assert result.continuity_residual <= 1e-10
-    pair = trig_pair(1.0, result.pair.grid)
+    grid = result.pair.grid  # against the exact pair (cos, sin)
+    pair = FundamentalPair(grid, np.cos(grid), -np.sin(grid), np.sin(grid), np.cos(grid), 1.0)
     amp = pinney_amplitude(symmetric_coefficients(1.0, pair.W), pair)
     np.testing.assert_allclose(result.amplitude.rho, amp.rho, atol=1e-14)
 
@@ -267,8 +267,11 @@ def test_s_wave_fields_read_the_normal_form_amplitude():
     k0, m, hbar = 1.3, 2.0, 0.7
     sector = lookup_system("spherical").sector("r")
     profile = FrequencyProfile(sector, lambda r: k0**2, m, hbar)  # a scalar Omega_phys^2
-    setup = SectorSetup(profile, np.linspace(0.5, 10.0, 201), hbar * k0, k0**2,
-                        lambda _profile, grid, _settings: trig_pair(k0, grid))
+    def cos_sin(_profile, grid, _settings):
+        c, s = np.cos(k0 * grid), np.sin(k0 * grid)
+        return FundamentalPair(grid, c, -k0 * s, s, k0 * c, k0)
+
+    setup = SectorSetup(profile, np.linspace(0.5, 10.0, 201), hbar * k0, k0**2, cos_sin)
     result = execute_sector(setup, trajectory_requests=[(1.0, 5.0, 51)])
     np.testing.assert_allclose(result.amplitude.rho, 1.0, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(result.R, 1.0 / result.pair.grid, rtol=1e-15)

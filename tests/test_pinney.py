@@ -6,20 +6,18 @@ import numpy as np
 import pytest
 from dop853_reference import direct_amplitude
 
-from ermakov.bases import trig_pair, weber_pair
+from ermakov.bases import weber_pair
 from ermakov.catalog import FrequencyProfile, SectorSpec, Weight
 from ermakov.errors import (
     ConfigurationError,
     ConstraintViolationError,
-    GridMismatchError,
     IntegrationFailureError,
     NodeApproachError,
     NonpositiveFormError,
 )
-from ermakov.linear import Column, FundamentalPair
+from ermakov.linear import FundamentalPair
 from ermakov.problems import ProblemSpec, build_problem
 from ermakov.pinney import (
-    ErmakovAmplitude,
     PinneyCoefficients,
     coefficients_from_ab,
     el_invariant,
@@ -38,6 +36,11 @@ def unit_profile(omega2):
 CONST_ONE = unit_profile(lambda q: np.ones_like(np.asarray(q, float)))
 
 
+def cos_sin_pair(grid):
+    """The exact pair (cos q, sin q), W = 1."""
+    return FundamentalPair(grid, np.cos(grid), -np.sin(grid), np.sin(grid), np.cos(grid), 1.0)
+
+
 def weber_profile(nu):
     return unit_profile(
         lambda xi: nu + 0.5 - 0.25 * np.asarray(xi, float) ** 2
@@ -46,7 +49,7 @@ def weber_profile(nu):
 
 def test_free_particle_constant_amplitude():
     grid = np.linspace(-10.0, 10.0, 2001)
-    pair = trig_pair(1.0, grid)
+    pair = cos_sin_pair(grid)
     amp = pinney_amplitude(PinneyCoefficients(1.0, 1.0, 0.0, 1.0), pair)
     np.testing.assert_allclose(amp.rho, 1.0, atol=1e-13)
     np.testing.assert_allclose(amp.drho, 0.0, atol=1e-13)
@@ -54,7 +57,7 @@ def test_free_particle_constant_amplitude():
 
 def test_zero_flux_limit_reduces_to_linear_solution():
     grid = np.linspace(0.0, 2.0 * math.pi, 501)
-    pair = trig_pair(1.0, grid)
+    pair = cos_sin_pair(grid)
     amp = pinney_amplitude(PinneyCoefficients(1.0, 0.0, 0.0, 0.0), pair)
     np.testing.assert_allclose(amp.rho, np.abs(np.cos(grid)), atol=1e-12)
     # cos has zeros at pi/2 and 3 pi/2 inside the range; they are reported
@@ -63,7 +66,7 @@ def test_zero_flux_limit_reduces_to_linear_solution():
 
 def test_constraint_violation_rejected_with_residual():
     grid = np.linspace(0.0, 1.0, 11)
-    pair = trig_pair(1.0, grid)
+    pair = cos_sin_pair(grid)
     with pytest.raises(ConstraintViolationError) as err:
         pinney_amplitude(PinneyCoefficients(1.0, 1.0, 0.0, 2.0), pair)
     assert err.value.residual == pytest.approx(1.0, rel=1e-12)
@@ -71,7 +74,7 @@ def test_constraint_violation_rejected_with_residual():
 
 def test_nonpositive_form_detected():
     grid = np.linspace(0.0, 1.0, 11)
-    pair = trig_pair(1.0, grid)
+    pair = cos_sin_pair(grid)
     with pytest.raises(NonpositiveFormError):
         pinney_amplitude(PinneyCoefficients(0.0, 0.0, 0.0, 0.0), pair)
     with pytest.raises(ConfigurationError):
@@ -173,19 +176,27 @@ def test_direct_integration_large_initial_data():
 
 def test_el_invariant_free_particle_is_half():
     grid = np.linspace(-10.0, 10.0, 801)
-    pair = trig_pair(1.0, grid)
+    pair = cos_sin_pair(grid)
     amp = pinney_amplitude(PinneyCoefficients(1.0, 1.0, 0.0, 1.0), pair)
-    inv = el_invariant(amp, pair.column(1), 1.0)
+    inv = el_invariant(amp, 1.0)
     np.testing.assert_allclose(inv, 0.5, atol=1e-13)
 
 
 def test_el_invariant_degenerate_parallel_solution():
-    grid = np.linspace(-3.0, 3.0, 301)
-    gauss = np.exp(-(grid**2) / 4.0)
-    dgauss = -0.5 * grid * gauss
-    pair_like = ErmakovAmplitude(grid, gauss, dgauss, PinneyCoefficients(1, 0, 0, 0))
-    inv = el_invariant(pair_like, Column(grid, gauss, dgauss), 0.0)
-    np.testing.assert_allclose(inv, 0.0, atol=1e-16)
+    # The default bound form (1, 0, 0) makes rho = |y1| parallel to y1, whose
+    # invariant is 0 whatever the pair; the partner y2 gives I = W(q)^2 / 2,
+    # nodes of cos included, and drifts with the Wronskian of a wrong pair.
+    grid = np.linspace(0.0, 2.0 * math.pi, 301)
+    pair = cos_sin_pair(grid)
+    amp = pinney_amplitude(PinneyCoefficients(1.0, 0.0, 0.0, 0.0), pair)
+    assert amp.nodes
+    np.testing.assert_allclose(el_invariant(amp, 0.0), 0.5, rtol=1e-15)
+    k = 1.01  # a sine of the wrong frequency
+    defect = FundamentalPair(grid, pair.y1, pair.dy1, np.sin(k * grid), k * np.cos(k * grid), 1.0)
+    amp = pinney_amplitude(PinneyCoefficients(2.0, 0.0, 0.0, 0.0), defect)
+    inv = el_invariant(amp, 0.0)
+    np.testing.assert_allclose(inv, defect.wronskian_samples() ** 2, rtol=1e-15)
+    assert invariant_drift(inv).drift > 1e-2
 
 
 def test_el_invariant_keeps_its_digits_across_a_wide_pair():
@@ -196,24 +207,14 @@ def test_el_invariant_keeps_its_digits_across_a_wide_pair():
     (setup,) = build_problem(spec)
     pair = setup.build_pair()
     amp = pinney_amplitude(symmetric_coefficients(setup.k, pair.W), pair)
-    assert invariant_drift(el_invariant(amp, pair.column(1), setup.k)).drift <= 1e-12
+    assert invariant_drift(el_invariant(amp, setup.k)).drift <= 1e-12
     # where nothing cancels, the pair form agrees with the general formula
     xi = np.linspace(-4.0, 4.0, 801)
     pair = weber_pair(0.5, weber_profile(0.5), xi)
     amp = pinney_amplitude(coefficients_from_ab(2.0, 1.0, 1.0, pair.W, sign=-1.0), pair)
-    general = Column(xi, pair.y1.copy(), pair.dy1.copy())
-    np.testing.assert_allclose(
-        el_invariant(amp, pair.column(1), 1.0), el_invariant(amp, general, 1.0), rtol=1e-12
-    )
-
-
-def test_el_invariant_grid_mismatch():
-    grid = np.linspace(0.0, 1.0, 11)
-    pair = trig_pair(1.0, grid)
-    amp = pinney_amplitude(symmetric_coefficients(1.0, pair.W), pair)
-    other = Column(grid + 0.5, pair.y1, pair.dy1)
-    with pytest.raises(GridMismatchError):
-        el_invariant(amp, other, 1.0)
+    general = 0.5 * ((amp.rho * pair.dy1 - amp.drho * pair.y1) ** 2
+                     + pair.y1**2 / amp.rho**2)
+    np.testing.assert_allclose(el_invariant(amp, 1.0), general, rtol=1e-12)
 
 
 def test_invariant_drift_basics():

@@ -188,7 +188,7 @@ def test_pair_integrates_against_the_sector_profile(monkeypatch, kind, params):
         seen.clear()
         setup.build_pair()
         assert all(profile is setup.profile for profile in seen)
-        assert seen or kind == "free_particle"  # only the trig pair integrates nothing
+        assert seen  # every pair integrates a column, the trig pair's sine included
 
 
 def test_incomplete_specs_list_missing():
