@@ -3,8 +3,10 @@
 Each builder takes the frequency profile of the equation it solves (in a
 preset, the sector's own) and integrates at least one column against it; no
 builder restates Omega^2.  Every closed-form or series column thus sits
-beside an integrated one, and the pair's pointwise Wronskian certifies it
-against the profile.  Four families are provided:
+beside an integrated one: where it solves some other Omega~^2 the pointwise
+Wronskian moves, W' = (Omega~^2 - Omega^2) y1 y2, and so does the sector's
+Ermakov-Lewis invariant (:func:`ermakov.pinney.el_invariant`), which is the
+certificate.  Four families are provided:
 
 * trigonometric pairs (cos k0 q, sin k0 q) for constant frequency, the
   cosine in closed form and the sine integrated,
@@ -51,7 +53,6 @@ from .linear import (
 )
 
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _M_TAIL_TOL = 1e-12  # Whittaker M series tail, relative to the sum
 # Eigensolver roundoff, relative to the ladder matrix's norm: two truncations
 # closer than this agree to within the accuracy of the eigenvalues themselves.
@@ -83,8 +84,8 @@ def trig_pair(
     """Pair (cos k0 q, sin k0 q) of ``profile``, which poses k0^2.
 
     The cosine is sampled in closed form; the sine is integrated against
-    ``profile`` from data (0, k0) at q = 0, so W = k0 and the pointwise
-    Wronskian certifies the cosine against the profile's own Omega^2.
+    ``profile`` from data (0, k0) at q = 0, so W = k0, and a cosine of the
+    wrong k0 moves the pointwise Wronskian and with it the invariant.
     """
     if k0 == 0.0 or not math.isfinite(k0):
         raise ConfigurationError(f"trig pair needs a finite nonzero wavenumber, got {k0!r}")
@@ -113,10 +114,6 @@ def weber_seed(nu: float) -> tuple[float, float]:
     return y0, dy0
 
 
-def _is_nonneg_integer(nu: float, tol: float = 1e-9) -> bool:
-    return nu > -tol and abs(nu - round(nu)) < tol
-
-
 def weber_pair(
     nu: float,
     profile: FrequencyProfile,
@@ -132,16 +129,9 @@ def weber_pair(
     second-kind companion from identity-data integration.
     """
     y0, dy0 = weber_seed(nu)
-    if _is_nonneg_integer(nu):
+    if nu > -1e-9 and abs(nu - round(nu)) < 1e-9:  # a nonnegative integer
         column = integrate_normal_form(profile, grid, 0.0, (y0, dy0), settings)
         return companion_pair(profile, column, settings)
-    w = -2.0 * y0 * dy0
-    # Transcription check: the same Wronskian by the duplication identity.
-    w_identity = _SQRT_2PI * inv_gamma(-nu)
-    if abs(w - w_identity) > 1e-10 * max(1.0, abs(w)):
-        raise EngineError(
-            f"parabolic-cylinder seed values inconsistent: W = {w!r} vs {w_identity!r}"
-        )
     return fundamental_pair(profile, grid, 0.0, settings, ic1=(y0, dy0), ic2=(y0, -dy0))
 
 

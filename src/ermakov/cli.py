@@ -27,7 +27,7 @@ from .errors import (
     PathExitsGridError,
     SingularEndpointError,
 )
-from .runner import check_output_dir, parse_config, run_config
+from .runner import parse_config, prepare, run_config
 
 _PATH_ERRORS = (NodeApproachError, NodeSingularityError, PathExitsGridError, SingularEndpointError)
 
@@ -46,19 +46,14 @@ def _cmd_catalog() -> int:
 
 def _cmd_check(path: str) -> int:
     config = parse_config(path)
-    check_output_dir(os.environ.get("ERMAKOV_OUT") or config.output_dir)
-    # Wiring the problem validates kind-specific parameter completeness.
-    from .problems import build_problem
-
-    setups = build_problem(config.problem)
+    _, setups = prepare(config, os.environ.get("ERMAKOV_OUT") or config.output_dir)
     print(f"ok: {config.problem.kind} with sectors {[s.label for s in setups]}")
     return 0
 
 
 def _cmd_run(path: str) -> int:
     config = parse_config(path)
-    out_dir = os.environ.get("ERMAKOV_OUT") or config.output_dir
-    report, written = run_config(config, output_dir=out_dir)
+    report, written = run_config(config, os.environ.get("ERMAKOV_OUT") or config.output_dir)
     for sector in report.sectors:
         status = "pass" if sector["pass"] else "FAIL"
         print(

@@ -28,7 +28,7 @@ from .errors import (
 from .linear import solve_ivp  # noqa: F401
 from .pinney import ErmakovAmplitude
 
-FLUX_TOLERANCE = 1e-12  # default bound on |sum C_i|
+FLUX_TOLERANCE = 1e-12  # default bound on |sum C_i| / sum |C_i|
 _WEIGHT_FLOOR = 1e-12
 _NEWTON_STEPS = 8
 _EPS = float(np.finfo(float).eps)
@@ -40,8 +40,10 @@ class FluxLedger:
 
     entries: tuple[tuple[str, float], ...]
 
-    def total(self) -> float:
-        return float(sum(c for _, c in self.entries))
+    def residual(self) -> float:
+        """|sum C_i| / sum |C_i|, 0 when every C_i is 0: unchanged by C -> lambda C."""
+        scale = sum(abs(c) for _, c in self.entries)
+        return abs(sum(c for _, c in self.entries)) / scale if scale else 0.0
 
 
 @dataclass(frozen=True)
@@ -222,10 +224,10 @@ def trajectory(
 def flux_constraint_check(
     ledger: FluxLedger, enforce: bool = True, tolerance: float = FLUX_TOLERANCE
 ) -> FluxCheck:
-    """Residual |sum C_i| against the stationary global constraint."""
+    """Relative residual of the stationary global constraint sum C_i = 0."""
     if not ledger.entries:
         raise ConfigurationError("flux ledger is empty")
-    residual = abs(ledger.total())
+    residual = ledger.residual()
     if not enforce:
         return FluxCheck(
             residual, True, False, "constraint not enforced (open/scattering sectors)"

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    EngineError,
     IntegrationFailureError,
     SingularEndpointError,
 )
@@ -105,8 +106,11 @@ class FundamentalPair:
     error: float = 0.0
 
     def __post_init__(self):
-        if self.W**2 == 0.0:  # the quadratic form's constraint divides by W^2
+        w2 = self.W * self.W  # the quadratic form's constraint divides by W^2
+        if w2 == 0.0:
             raise ConfigurationError(f"pair Wronskian {self.W!r} squares to 0")
+        if not math.isfinite(w2):
+            raise EngineError(f"pair Wronskian {self.W!r} squares past the double range")
         if np.any(np.diff(self.grid) <= 0):
             raise ConfigurationError("pair grid must be strictly increasing")
 

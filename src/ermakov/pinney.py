@@ -197,6 +197,11 @@ def el_invariant(amplitude: ErmakovAmplitude, k: float) -> np.ndarray:
     sqrt(B) |W(q)|.  Where B = 0 (then D = k = 0 and rho = sqrt(A) |y1|), y1
     is parallel to rho and its invariant is 0 whatever the pair, so the
     partner is y2 instead: I = A W(q)^2 / 2.
+
+    Where B != 0, B rho^2 = (B y2 + D y1)^2 + k y1^2 / W^2 turns I into a
+    weighted Wronskian drift, I = B W^2/2 + (B y2 + D y1)^2 (W(q)^2 - W^2) / (2 rho^2).
+    Either way I moves only where W(q) does, so the invariant also certifies
+    a closed-form column against its integrated partner.
     """
     pair, coeffs = amplitude.pair, amplitude.coefficients
     w = pair.wronskian_samples()

@@ -50,7 +50,6 @@ OUTPUT_FORMATS = ("csv", "json-lines")
 @dataclass(frozen=True)
 class Tolerances:
     invariant: float = 1e-8
-    wronskian: float = 1e-9
     integration: float = 1e-9
     flux: float = FLUX_TOLERANCE
 
@@ -244,20 +243,22 @@ class SectorResult:
     trajectories: tuple[tuple[tuple[float, float, int], np.ndarray, np.ndarray], ...] = ()
 
 
+def _check_override(label: str, override: dict) -> None:
+    if set(override) not in ({"A", "B"}, {"A", "B", "D"}):
+        raise ConfigurationError(
+            f"sector {label!r}: give (A, B) or (A, B, D) to override the quadratic form"
+        )
+
+
 def _resolve_coefficients(
     setup: SectorSetup, pair: FundamentalPair, override: dict | None
 ) -> PinneyCoefficients:
-    override = override or {}
-    if "A" in override and "B" in override and "D" in override:
+    if not override:
+        return symmetric_coefficients(setup.k, pair.W)
+    _check_override(setup.label, override)
+    if "D" in override:
         return PinneyCoefficients(override["A"], override["B"], override["D"], setup.k)
-    if "A" in override and "B" in override:
-        return coefficients_from_ab(override["A"], override["B"], setup.k, pair.W)
-    if override:
-        raise ConfigurationError(
-            f"sector {setup.label!r}: give (A, B) or (A, B, D) to override the"
-            " quadratic form"
-        )
-    return symmetric_coefficients(setup.k, pair.W)
+    return coefficients_from_ab(override["A"], override["B"], setup.k, pair.W)
 
 
 def execute_sector(
@@ -336,7 +337,6 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
     coeffs = result.coefficients
     checks = {
         "invariant": result.invariant_drift <= tol.invariant,
-        "wronskian": result.wronskian_drift <= tol.wronskian * max(1.0, abs(result.pair.W)),
         "integration": result.pair.error <= tol.integration,
     }
     return {
@@ -403,13 +403,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def emit_report(report: CertificationReport, path: str | Path) -> Path:
-    """Serialize the report deterministically (fixed key order, 17 digits)."""
-    path = Path(path)
-    _atomic_write(path, (_json_render(report.as_dict()) + "\n").encode())
-    return path
-
-
 def _field_rows(result: SectorResult) -> np.ndarray:
     return np.column_stack(
         [
@@ -427,10 +420,12 @@ def _field_rows(result: SectorResult) -> np.ndarray:
     )
 
 
-def check_output_dir(path: str | Path) -> Path:
-    """``path`` as a Path; an existing non-directory along it is a
-    configuration error, since the directory could never be created."""
-    out = Path(path)
+def prepare(config: RunConfig, output_dir: str | Path | None = None):
+    """(output directory, sector setups) of ``config``, validated up to the
+    numerics: the directory (``config.output_dir`` unless given) lies under no
+    non-directory, every sector label named exists, each override gives
+    (A, B) or (A, B, D), and each trajectory's x0 lies on its sector grid."""
+    out = Path(output_dir if output_dir is not None else config.output_dir)
     for part in (out, *out.parents):
         if part.exists():
             if not part.is_dir():
@@ -438,31 +433,37 @@ def check_output_dir(path: str | Path) -> Path:
                     f"output directory {str(out)!r}: {str(part)!r} is not a directory"
                 )
             break
-    return out
+    setups = build_problem(config.problem)
+    grids = {s.label: s.grid for s in setups}
+    problem = config.problem
+    referenced = (set(config.pinney) | set(config.trajectories) | set(problem.flux)
+                  | set(problem.k_sector) | set(problem.grids))
+    for label in sorted(referenced - set(grids)):
+        raise ConfigurationError(
+            f"config references unknown sector {label!r}; sectors: {sorted(grids)}"
+        )
+    for label, override in config.pinney.items():
+        _check_override(label, override)
+    for label, requests in config.trajectories.items():
+        lo, hi = float(grids[label][0]), float(grids[label][-1])
+        for x0, _, _ in requests:
+            if not lo <= x0 <= hi:
+                raise ConfigurationError(
+                    f"trajectory.{label}: x0 = {x0!r} outside the field grid [{lo}, {hi}]"
+                )
+    return out, setups
 
 
 def run_config(config: RunConfig, output_dir: str | Path | None = None):
     """Execute every sector, certify, and emit field files plus the report.
 
-    Returns (report, written paths).  Every sector is computed and certified
-    before the first write; then each file is rendered and atomically
-    written, one at a time, the report last.  An output directory that
-    cannot be created or written raises :class:`ConfigurationError`.
+    Returns (report, written paths).  After :func:`prepare`, every sector is
+    computed and certified before the first write; then each file is
+    rendered and atomically written (fixed key order, 17 digits), one at a
+    time, the report last.  An output directory that cannot be created or
+    written raises :class:`ConfigurationError`.
     """
-    out = check_output_dir(output_dir if output_dir is not None else config.output_dir)
-    setups = build_problem(config.problem)
-    known = {s.label for s in setups}
-    referenced = (
-        set(config.pinney)
-        | set(config.trajectories)
-        | set(config.problem.flux)
-        | set(config.problem.k_sector)
-        | set(config.problem.grids)
-    )
-    for label in sorted(referenced - known):
-        raise ConfigurationError(
-            f"config references unknown sector {label!r}; sectors: {sorted(known)}"
-        )
+    out, setups = prepare(config, output_dir)
     results = [
         execute_sector(
             setup,
@@ -488,7 +489,8 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
             emit(f"{result.label}_fields", FIELD_COLUMNS, _field_rows(result))
             for i, (_, t_grid, x_t) in enumerate(result.trajectories, start=1):
                 emit(f"{result.label}_trajectory_{i}", ("t", "x"), np.column_stack([t_grid, x_t]))
-        written.append(emit_report(report, out / "report.json"))
+        _atomic_write(out / "report.json", (_json_render(report.as_dict()) + "\n").encode())
+        written.append(out / "report.json")
     except OSError as exc:
         raise ConfigurationError(f"cannot write to output directory {str(out)!r}: {exc}") from None
     return report, written

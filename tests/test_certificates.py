@@ -2,14 +2,16 @@
 
 The rows of the matrix are defects, each one small enough to leave the run
 otherwise ordinary; its columns are the checks a run reports (per-sector
-invariant, wronskian and integration, and the flux ledger).  Every defect
-must flip at least one check, and a check that no defect flips on its own
-would repeat the others.
+invariant and integration, and the flux ledger).  Every defect must flip at
+least one check, and a check that no defect flips on its own would repeat
+the others.  The Wronskian drift is not among them: the invariant already is
+a weighted Wronskian drift, which the identity test below pins down.
 """
 
 import dataclasses
 from functools import cache, partial
 
+import numpy as np
 import pytest
 
 from ermakov.bases import trig_pair, whittaker_pair
@@ -18,7 +20,7 @@ from ermakov.linear import IntegrationSettings
 from ermakov.problems import ProblemSpec, build_problem
 from ermakov.runner import Tolerances, certify, execute_sector
 
-CHECKS = ("invariant", "wronskian", "integration", "flux")
+CHECKS = ("invariant", "integration", "flux")
 EPS = 1e-6
 TWO_CENTER = {"a": 1.0, "Z": 1.0, "k_sq": 2.0, "ell": 1, "parity": "odd"}
 
@@ -55,26 +57,38 @@ DEFECTS = {
 }
 
 
-def failed_checks(kind, params, flux, grids, settings, enforce, defects):
-    """Names of the checks that fail on the run with ``defects`` seeded; each
-    sector reports exactly the invariant, wronskian and integration checks."""
+def sector_results(kind, params, flux, grids, settings, defects):
+    """The executed sectors of one run, with ``defects`` seeded."""
     spec = ProblemSpec(kind=kind, params=params, flux=flux, grids=grids)
     results = []
     for setup in build_problem(spec):
         if setup.label in defects:
             setup = dataclasses.replace(setup, pair_builder=defects[setup.label](setup))
         results.append(execute_sector(setup, IntegrationSettings(**settings)))
+    return results
+
+
+def failed_checks(results, enforce, kind):
+    """Names of the checks that fail; each sector reports exactly the
+    invariant and integration checks."""
     report = certify(results, Tolerances(), enforce, kind)
     for sector in report.sectors:
-        assert list(sector["checks"]) == list(CHECKS[:3])
-    passed = {name: all(s["checks"][name] for s in report.sectors) for name in CHECKS[:3]}
+        assert list(sector["checks"]) == list(CHECKS[:2])
+    passed = {name: all(s["checks"][name] for s in report.sectors) for name in CHECKS[:2]}
     passed["flux"] = report.flux.passed
     return {name for name in CHECKS if not passed[name]}
 
 
 @cache
+def row_results(row):
+    kind, params, flux, grids, settings, _, defects = DEFECTS[row]
+    return sector_results(kind, params, flux, grids, settings, defects)
+
+
+@cache
 def failed(row):
-    return failed_checks(*DEFECTS[row])
+    kind, _, _, _, _, enforce, _ = DEFECTS[row]
+    return failed_checks(row_results(row), enforce, kind)
 
 
 @pytest.mark.parametrize("row", DEFECTS)
@@ -83,21 +97,58 @@ def test_every_seeded_defect_flips_a_check(row):
 
 
 def test_each_check_flips_on_a_seeded_defect():
-    # the cosine is certified by the Wronskian with the sine integrated beside it
-    assert {"wronskian", "invariant"} <= failed("free_wrong_k0")
+    # the cosine moves the Wronskian of the sine integrated beside it, and
+    # with it the invariant
+    assert failed("free_wrong_k0") == {"invariant"}
     # at C = 0 the invariant is A W(q)^2 / 2, so it sees the wrong pair too
     assert "invariant" in failed("mathieu_wrong_a_bound")
     assert "invariant" in failed("coulomb_wrong_kappa")
-    for check in ("integration", "flux"):
-        assert any(failed(row) == {check} for row in DEFECTS), check
     assert failed("harmonic_loose_rel_tol") == {"integration"}
     assert failed("free_unbalanced_flux") == {"flux"}
+    for check in CHECKS:
+        assert any(failed(row) == {check} for row in DEFECTS), check
 
 
 def test_correct_runs_pass_every_check():
-    for case in DEFECTS.values():
-        kind, params, flux, grids, _, _, _ = case
-        assert not failed_checks(kind, params, flux, grids, {}, False, {})
+    for kind, params, flux, grids, _, _, _ in DEFECTS.values():
+        assert not failed_checks(sector_results(kind, params, flux, grids, {}, {}), False, kind)
+
+
+# preset runs: (kind, params, sector flux C); nine sectors in all
+PRESETS = {
+    "free": ("free_particle", {"k0": 1.0}, {}),
+    "harmonic_half_order": ("harmonic_oscillator", {"omega": 1.0, "E": 1.0}, {}),
+    "harmonic_integer_order": ("harmonic_oscillator", {"omega": 1.0, "E": 1.5}, {}),
+    "coulomb": ("coulomb_halfline", {"alpha": 1.3, "E": -0.5}, {}),
+    "two_center_ell": ("two_center_elliptic", TWO_CENTER, {}),
+    "two_center_gamma": ("two_center_elliptic",
+                         {"a": 1.0, "Z": 1.0, "k_sq": 2.0, "Gamma": -1.5}, {}),
+    "harmonic_bound": ("harmonic_oscillator", {"omega": 1.0, "E": 1.0}, {"xi": 0.0}),
+}
+
+
+def weighted_wronskian_drift(result):
+    """B W^2/2 + (B y2 + D y1)^2 (W(q)^2 - W^2) / (2 rho^2), or A W(q)^2/2
+    where B = 0, from the pair's columns and the form's coefficients."""
+    pair, c = result.pair, result.coefficients
+    w = pair.y1 * pair.dy2 - pair.dy1 * pair.y2
+    if c.B == 0.0:
+        return 0.5 * c.A * w**2
+    lever = (c.B * pair.y2 + c.D * pair.y1) ** 2 / result.amplitude.rho**2
+    return 0.5 * c.B * pair.W**2 + 0.5 * lever * (w**2 - pair.W**2)
+
+
+@pytest.mark.parametrize("case", [*PRESETS, *DEFECTS])
+def test_invariant_is_a_weighted_wronskian_drift(case):
+    if case in PRESETS:
+        kind, params, flux = PRESETS[case]
+        results = sector_results(kind, params, flux, {}, {}, {})
+    else:
+        results = row_results(case)
+    for result in results:
+        reference = abs(result.invariant[result.invariant.size // 2])
+        gap = np.max(np.abs(result.invariant - weighted_wronskian_drift(result)))
+        assert gap <= 1e-14 * reference, (result.label, gap / reference)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 
 Configurations are drawn per kind from the accepted parameters.  Half of
 them take values at the edges of the double range (+-1e300, +-1e-300, the
-smallest subnormal, zeros of both signs) as well as ordinary ones; grids go
+smallest subnormal, zeros of both signs) and middle magnitudes (1e2 to 1e3,
+where a Weber pair's W^2 overflows) as well as ordinary ones; grids go
 down to two points and up to 1e300 wide, and the flux, trajectory and
 integration keys are optional.  Any exception that escapes ``cli.main``
 would be a traceback for a user, and fails the test.
@@ -18,7 +19,8 @@ from ermakov.problems import _DEFAULT_GRIDS, _PARAMETERS
 ORDINARY = (1.0, 0.5, 1.3, 2.0, -0.5, -1.0)
 EDGES = (1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0)
 ordinary = st.sampled_from(ORDINARY)
-edgy = st.sampled_from(ORDINARY + EDGES) | st.floats(-10.0, 10.0, allow_nan=False)
+edgy = (st.sampled_from(ORDINARY + EDGES) | st.floats(-10.0, 10.0, allow_nan=False)
+        | st.floats(1e2, 1e3) | st.floats(-1e3, -1e2))
 
 
 def _sometimes(draw, odds):
@@ -90,6 +92,19 @@ SUBNORMAL_K = HARMONIC + "sector.xi.C = 1e-160\n"
 UNDERFLOW_K = FREE + "sector.x.C = 1e-170\n"
 MISMATCH = FREE + "sector.x.C = 1e-7\nsector.x.k = 2e-14\n"  # (C/hbar)^2 = 1e-14
 HUGE_FLUX = HARMONIC + "sector.xi.C = 1e150\n"  # rho^4 ~ 1e300 would overflow
+# orders nu = 120.3 and 199.8: W = -2 D_nu(0) D_nu'(0) squares past the double
+# range (at 199.8 W itself is inf), so the pair fails (exit 2)
+LARGE_ORDER = ("problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = {}\n"
+               "sector.xi.grid = -6:6:201\n")
+ORDER_120, ORDER_200 = LARGE_ORDER.format(120.8), LARGE_ORDER.format(200.3)
+# rejected by the validation step that check and run share (exit 1)
+UNKNOWN_LABEL = FREE + "sector.bogus.C = 1\n"
+PARTIAL_OVERRIDE = FREE + "sector.x.A = 2\n"
+X0_OFF_GRID = FREE + "trajectory.x.1 = 50:1:5\n"
+# |sum C_i| / sum |C_i| = 1: unbalanced however small the fluxes (exit 2)
+TINY_LEDGER = ("problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 1\n"
+               "problem.k_sq = 2\nproblem.Gamma = -1.5\nsector.nu.C = 1e-20\n"
+               "sector.mu.C = 0\nflux.enforce = true\n")
 
 
 @settings(max_examples=2 * settings.default.max_examples,
@@ -109,6 +124,8 @@ HUGE_FLUX = HARMONIC + "sector.xi.C = 1e150\n"  # rho^4 ~ 1e300 would overflow
 @example(HUGE_KAPPA)
 @example(WIDE_CELLS)
 @example(TINY_STEP)
+@example(ORDER_120)
+@example(ORDER_200)
 def test_check_and_run_end_in_a_documented_exit_code(tmp_path, monkeypatch, text):
     monkeypatch.delenv("ERMAKOV_OUT", raising=False)
     path = tmp_path / "run.cfg"
@@ -120,9 +137,12 @@ def test_check_and_run_end_in_a_documented_exit_code(tmp_path, monkeypatch, text
 @pytest.mark.parametrize(
     "text, code",
     [(WIDE_KAPPA, 2), (HUGE_KAPPA, 2), (WIDE_CELLS, 2), (TINY_STEP, 0), (TINY_FLUX, 0),
-     (SMALL_FLUX, 0), (SUBNORMAL_K, 1), (UNDERFLOW_K, 1), (MISMATCH, 1), (HUGE_FLUX, 0)],
+     (SMALL_FLUX, 0), (SUBNORMAL_K, 1), (UNDERFLOW_K, 1), (MISMATCH, 1), (HUGE_FLUX, 0),
+     (ORDER_120, 2), (ORDER_200, 2), (UNKNOWN_LABEL, 1), (PARTIAL_OVERRIDE, 1),
+     (X0_OFF_GRID, 1), (TINY_LEDGER, 2)],
     ids=["wide_kappa", "huge_kappa", "wide_cells", "tiny_step", "tiny_flux", "small_flux",
-         "subnormal_k", "underflow_k", "mismatch", "huge_flux"],
+         "subnormal_k", "underflow_k", "mismatch", "huge_flux", "order_120", "order_200",
+         "unknown_label", "partial_override", "x0_off_grid", "tiny_ledger"],
 )
 def test_float_range_edges_exit_as_documented(tmp_path, monkeypatch, capsys, text, code):
     # RuntimeWarnings are errors under the test settings, so none leaks here.

@@ -244,7 +244,12 @@ def test_flux_constraint_checks():
     assert scattering.passed and scattering.note
     bad = flux_constraint_check(FluxLedger((("x", 1.0), ("y", -0.5))))
     assert not bad.passed
-    assert bad.residual == pytest.approx(0.5)
+    assert bad.residual == pytest.approx(0.5 / 1.5)  # |sum C_i| / sum |C_i|
+    # relative, so a ledger far below the tolerance in absolute terms still fails
+    tiny = flux_constraint_check(FluxLedger((("x", 1e-20), ("y", 0.0))))
+    assert not tiny.passed and tiny.residual == 1.0
+    closed = flux_constraint_check(FluxLedger((("x", 0.0), ("y", -0.0))))
+    assert closed.passed and closed.residual == 0.0
     with pytest.raises(ConfigurationError):
         flux_constraint_check(FluxLedger(()))
 

@@ -204,16 +204,19 @@ def test_flux_enforcement_in_verdict():
 
 
 @pytest.mark.parametrize(
-    "flux, tolerance, passed",
+    "residual, tolerance, passed",
     [(1e-9, 1e-6, True),     # residual inside a loose user tolerance
      (1e-13, 1e-16, False)],  # residual above a user tolerance below the default
 )
-def test_flux_certificate_uses_configured_tolerance(flux, tolerance, passed):
-    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0}, flux={"x": flux})
-    (setup,) = build_problem(spec)
-    report = certify([execute_sector(setup)], Tolerances(flux=tolerance), flux_enforce=True,
-                     problem_kind="free_particle")
-    assert report.flux.residual == pytest.approx(flux)
+def test_flux_certificate_uses_configured_tolerance(residual, tolerance, passed):
+    # C_nu = 1 and C_mu = -(1 - r)/(1 + r): |C_nu + C_mu| / (|C_nu| + |C_mu|) = r
+    spec = ProblemSpec(kind="two_center_elliptic",
+                       params={"a": 1.0, "Z": 1.0, "k_sq": 2.0, "ell": 0, "parity": "even"},
+                       flux={"nu": 1.0, "mu": -(1.0 - residual) / (1.0 + residual)})
+    results = [execute_sector(setup) for setup in build_problem(spec)]
+    report = certify(results, Tolerances(flux=tolerance), flux_enforce=True,
+                     problem_kind="two_center_elliptic")
+    assert report.flux.residual == pytest.approx(residual, rel=1e-3)
     assert report.flux.passed is passed
     assert report.verdict == ("pass" if passed else "fail")
 
@@ -323,6 +326,7 @@ TWO_CENTER = (
         FREE + "tolerance.pinney = 1e-10",
         FREE + "tolerance.continuity = 1e-10",
         FREE + "tolerance.ode_residual = 1e-3",
+        FREE + "tolerance.wronskian = 1e-9",
         TWO_CENTER.replace("ell = 0", "Gamma = -1.5").replace("parity = even", "parity = bogus"),
     ],
     ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol",
@@ -330,7 +334,8 @@ TWO_CENTER = (
          "overflowing_k", "output_under_a_file", "infinite_nu", "overflowing_k0_sq",
          "overflowing_a_sq", "kappa_division_by_zero", "underflowing_k0_sq",
          "subnormal_k0", "underflowing_hbar_sq", "subnormal_hbar", "removed_pinney_tol",
-         "removed_continuity_tol", "removed_ode_residual_tol", "parity_without_ell"],
+         "removed_continuity_tol", "removed_ode_residual_tol", "removed_wronskian_tol",
+         "parity_without_ell"],
 )
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
     (tmp_path / "file").write_text("")
@@ -364,7 +369,7 @@ def test_ode_residual_on_two_point_and_huge_step_grids(tmp_path, text, code):
     report = tmp_path / "out" / "report.json"
     if code == 0:
         checks = json.loads(report.read_text())["sectors"][0]["checks"]
-        assert list(checks) == ["invariant", "wronskian", "integration"]
+        assert list(checks) == ["invariant", "integration"]
     else:
         assert not report.exists()
 
