@@ -47,7 +47,7 @@ from .pinney import (
     pinney_amplitude,
     solve_ep_direct,
 )
-from .problems import ProblemSpec, build_problem
+from .problems import ProblemSpec, SectorRequest, build_problem
 from .runner import CertificationReport, RunConfig, parse_config, run_config
 
 __version__ = "0.1.0"
@@ -66,6 +66,7 @@ __all__ = [
     "PinneyCoefficients",
     "ProblemSpec",
     "RunConfig",
+    "SectorRequest",
     "SectorSpec",
     "Weight",
     "build_problem",

@@ -106,16 +106,23 @@ class FundamentalPair:
     error: float = 0.0
 
     def __post_init__(self):
-        w2 = self.W * self.W  # the quadratic form's constraint divides by W^2
-        if w2 == 0.0:
-            raise ConfigurationError(f"pair Wronskian {self.W!r} squares to 0")
-        if not math.isfinite(w2):
-            raise EngineError(f"pair Wronskian {self.W!r} squares past the double range")
+        _pair_wronskian(self.W)
         if np.any(np.diff(self.grid) <= 0):
             raise ConfigurationError("pair grid must be strictly increasing")
 
     def wronskian_samples(self) -> np.ndarray:
         return self.y1 * self.dy2 - self.dy1 * self.y2
+
+
+def _pair_wronskian(w: float) -> float:
+    """``w`` as a pair's Wronskian W, checked before any propagation: the
+    form's constraint divides by W^2, so W^2 must be nonzero and finite."""
+    w = float(w)
+    if w * w == 0.0:
+        raise ConfigurationError(f"pair Wronskian {w!r} squares to 0")
+    if not math.isfinite(w * w):
+        raise EngineError(f"pair Wronskian {w!r} squares past the double range")
+    return w
 
 
 def wronskian_check(pair: FundamentalPair) -> float:
@@ -385,13 +392,11 @@ def fundamental_pair(
     Both columns are propagated by the same cell matrices, outward from the
     anchor to both ends of ``grid``.
     """
-    w = ic1[0] * ic2[1] - ic1[1] * ic2[0]
-    if w == 0.0:
-        raise ConfigurationError("initial data sets are linearly dependent")
+    w = _pair_wronskian(ic1[0] * ic2[1] - ic1[1] * ic2[0])
     grid, (y1, y2, dy1, dy2), error = _integrate_columns(
         profile, grid, anchor, [ic1, ic2], settings
     )
-    return FundamentalPair(grid, y1, dy1, y2, dy2, float(w), error)
+    return FundamentalPair(grid, y1, dy1, y2, dy2, w, error)
 
 
 def companion_pair(
@@ -406,9 +411,7 @@ def companion_pair(
     from zero.
     """
     idx = int(np.argmax(np.abs(column.y)))
-    w = float(column.y[idx])
-    if w == 0.0:
-        raise ConfigurationError("column vanishes identically; no companion exists")
+    w = _pair_wronskian(column.y[idx])
     (y2, dy2), error = magnus_outward(
         profile, column.grid, float(column.grid[idx]), (0.0, 1.0), settings
     )

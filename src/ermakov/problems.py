@@ -1,7 +1,7 @@
 """Preset assembly of the worked problems.
 
-Maps physical parameters onto per-sector frequency profiles, fundamental
-pair recipes, and default quadratic-form data.  Each sector is stated once,
+:data:`KINDS` states each kind's parameters, sectors and builder, which maps
+them onto per-sector profiles and pair recipes.  Each sector is stated once,
 by its ``profile`` (coordinate, units m and hbar, and Omega_phys^2), and one
 pair builder bound here integrates at least one column against that
 profile, beside any closed-form or series column:
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -47,85 +47,70 @@ from .linear import (
     fundamental_pair,
 )
 
-KINDS = ("free_particle", "harmonic_oscillator", "coulomb_halfline", "two_center_elliptic")
+# problem parameters whose values are text (every other one is a number)
+TEXT_PARAMETERS = ("parity",)
 
-_REQUIRED = {
-    "free_particle": ("k0",),
-    "harmonic_oscillator": ("omega", "E"),
-    "coulomb_halfline": ("alpha", "E"),
-    "two_center_elliptic": ("a", "Z"),
-}
 
-# every parameter each kind accepts (README, "Problem parameters by kind")
-_PARAMETERS = {
-    "free_particle": ("k0",),
-    "harmonic_oscillator": ("omega", "E"),
-    "coulomb_halfline": ("alpha", "E"),
-    "two_center_elliptic": ("a", "Z", "E", "k_sq", "Gamma", "ell", "parity", "e2"),
-}
+@dataclass(frozen=True)
+class SectorRequest:
+    """What a run asks of one sector, each part optional: the flux constant
+    C and k = (C / hbar)^2, the grid (lo, hi, n), a quadratic-form override
+    {A, B} or {A, B, D}, and trajectories (x0, t_end, n)."""
 
-_DEFAULT_GRIDS = {
-    "free_particle": {"x": (-10.0, 10.0, 2001)},
-    "harmonic_oscillator": {"xi": (-6.0, 6.0, 2001)},
-    "coulomb_halfline": {"x": None},  # depends on lam, filled in build_problem
-    "two_center_elliptic": {"nu": (0.0, 2.0 * math.pi, 2001), "mu": (0.0, 3.0, 2001)},
-}
+    C: float | None = None
+    k: float | None = None
+    grid: tuple[float, float, int] | None = None
+    form: Mapping[str, float] = field(default_factory=dict)
+    trajectories: tuple[tuple[float, float, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Problem kind plus physical parameters and per-sector requests."""
+    """Problem kind plus physical parameters and per-sector requests; the
+    kind's entry in :data:`KINDS` decides which of them it accepts."""
 
     kind: str
     m: float = 1.0
     hbar: float = 1.0
-    params: Mapping[str, float] = field(default_factory=dict)
-    flux: Mapping[str, float] = field(default_factory=dict)  # label -> C
-    k_sector: Mapping[str, float] = field(default_factory=dict)  # label -> k override
-    grids: Mapping[str, tuple[float, float, int]] = field(default_factory=dict)
+    params: Mapping[str, float | str] = field(default_factory=dict)
+    sectors: Mapping[str, SectorRequest] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(
                 f"unknown problem kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
             )
+        kind = KINDS[self.kind]
         if self.m <= 0 or self.hbar <= 0:
             raise ConfigurationError("m and hbar must be positive")
-        unknown = sorted(set(self.params) - set(_PARAMETERS[self.kind]))
+        groups = [name if isinstance(name, tuple) else (name,) for name in kind.required]
+        accepted = [name for group in groups for name in group] + list(kind.optional)
+        unknown = sorted(set(self.params) - set(accepted))
         if unknown:
             raise ConfigurationError(
-                f"{self.kind}: unknown parameters {unknown};"
-                f" accepted: {', '.join(_PARAMETERS[self.kind])}"
+                f"{self.kind}: unknown parameters {unknown}; accepted: {', '.join(accepted)}"
             )
-        missing = [n for n in _REQUIRED[self.kind] if n not in self.params]
-        if self.kind == "two_center_elliptic":
-            if "E" not in self.params and "k_sq" not in self.params:
-                missing.append("E|k_sq")
-            if "Gamma" not in self.params and "ell" not in self.params:
-                missing.append("Gamma|ell")
-            if "Gamma" in self.params and "ell" in self.params:
-                raise ConfigurationError(
-                    "two-center spec: give either Gamma or (ell, parity), not both"
-                )
-            if "parity" in self.params and "ell" not in self.params:
-                raise ConfigurationError("two-center spec: parity is given without ell")
-            ell = self.params.get("ell", 0)
-            if ell < 0 or ell != int(ell):
-                raise ConfigurationError(
-                    f"two-center order ell must be a nonnegative integer, got {ell!r}"
-                )
+        missing = []
+        for group in groups:
+            given = [name for name in group if name in self.params]
+            if len(given) > 1:
+                raise ConfigurationError(f"{self.kind}: give only one of {'|'.join(group)}")
+            if not given:
+                missing.append("|".join(group))
         if missing:
             raise ConfigurationError(f"{self.kind}: missing parameters {missing}")
         for name, value in self.params.items():
             if isinstance(value, (int, float)) and not math.isfinite(value):
                 raise ConfigurationError(f"parameter {name!r} must be finite, got {value!r}")
-
-    def param(self, name: str, default: float | None = None) -> float:
-        if name in self.params:
-            return self.params[name]
-        if default is None:
-            raise ConfigurationError(f"{self.kind}: missing parameter {name!r}")
-        return default
+        for label, request in self.sectors.items():
+            if label not in kind.sectors:
+                raise ConfigurationError(
+                    f"config references unknown sector {label!r}; sectors: {sorted(kind.sectors)}"
+                )
+            if set(request.form) not in (set(), {"A", "B"}, {"A", "B", "D"}):
+                raise ConfigurationError(
+                    f"sector {label!r}: give (A, B) or (A, B, D) to override the quadratic form"
+                )
 
 
 def _midpoint_pair(
@@ -141,6 +126,7 @@ class SectorSetup:
 
     ``pair_builder(profile, grid, settings)`` builds the sector's fundamental
     pair; :meth:`build_pair` calls it with this sector's own profile and grid.
+    ``form`` and ``trajectories`` are as in :class:`SectorRequest`.
     """
 
     profile: FrequencyProfile
@@ -148,6 +134,8 @@ class SectorSetup:
     C: float
     k: float
     pair_builder: Callable[..., FundamentalPair]
+    form: Mapping[str, float] = field(default_factory=dict)
+    trajectories: tuple[tuple[float, float, int], ...] = ()
 
     @property
     def sector(self) -> SectorSpec:
@@ -173,27 +161,25 @@ def _finite(name: str, derive: Callable[[], float]) -> float:
     return value
 
 
-def _resolve_grid(spec: ProblemSpec, label: str, default: tuple[float, float, int]):
-    lo, hi, n = spec.grids.get(label, default)
+def _sector(spec: ProblemSpec, profile: FrequencyProfile, default_grid, pair_builder,
+            default_k: float = 1.0) -> SectorSetup:
+    """The setup of ``profile``'s sector under its request in ``spec``: k =
+    (C / hbar)^2 throughout, in the profile's hbar (1 in dimensionless
+    coordinates), is a normal double in an open sector (C != 0), and each
+    trajectory's x0 lies on the grid."""
+    label, hbar = profile.sector.label, profile.hbar
+    request = spec.sectors.get(label, SectorRequest())
+    lo, hi, n = request.grid or default_grid
     if not lo < hi or n < 2:
         raise ConfigurationError(f"sector {label!r}: bad grid request {(lo, hi, n)!r}")
-    return np.linspace(lo, hi, int(n))
-
-
-def _resolve_flux(
-    spec: ProblemSpec, profile: FrequencyProfile, default_k: float
-) -> tuple[float, float]:
-    """(C, k) for the sector of ``profile``, honoring overrides; k = (C / hbar)^2
-    throughout, with the profile's hbar (1 in dimensionless coordinates).  An
-    open sector (C != 0) needs k to be a normal double."""
-    label, hbar = profile.sector.label, profile.hbar
-    k = float(spec.k_sector.get(label, default_k))
+    grid = np.linspace(lo, hi, int(n))
+    k = float(default_k if request.k is None else request.k)
     if k < 0:
         raise ConfigurationError(f"sector {label!r}: k must be >= 0")
     c = hbar * math.sqrt(k)
-    if label in spec.flux:
-        c = float(spec.flux[label])
-        if label not in spec.k_sector:
+    if request.C is not None:
+        c = float(request.C)
+        if request.k is None:
             k = (c / hbar) * (c / hbar)
         elif abs((c / hbar) * (c / hbar) - k) > 1e-12 * k:
             raise ConfigurationError(
@@ -203,79 +189,82 @@ def _resolve_flux(
         raise ConfigurationError(
             f"sector {label!r}: k = (C / hbar)^2 = {k!r} for C = {c!r} is not a normal double"
         )
-    return c, k
-
-
-def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
-    """Wire a problem spec into per-sector setups ready for the pipeline."""
-    m, hbar = spec.m, spec.hbar
-
-    if spec.kind == "free_particle":
-        k0 = spec.param("k0")
-        if k0 == 0:
-            raise ConfigurationError("free particle needs k0 != 0")
-        k0_sq = _finite("k0^2", lambda: k0**2)
-        if k0_sq == 0.0:  # the pair's Wronskian is k0, and W^2 would be 0
-            raise ConfigurationError("derived parameter k0^2 underflows to 0")
-        e_sector = _finite("E_sector", lambda: hbar**2 * k0_sq / (2.0 * m))
-        omega2 = _finite("2 m / hbar^2", lambda: 2.0 * m / hbar**2) * e_sector
-        sector = SectorSpec("x", (-math.inf, math.inf), Weight.unit())
-        profile = FrequencyProfile(sector, lambda x: omega2, m, hbar)
-        grid = _resolve_grid(spec, "x", _DEFAULT_GRIDS[spec.kind]["x"])
-        c, k = _resolve_flux(spec, profile, default_k=k0_sq)
-        return [SectorSetup(profile, grid, c, k, partial(trig_pair, k0))]
-
-    if spec.kind == "harmonic_oscillator":
-        omega, energy = spec.param("omega"), spec.param("E")
-        if omega <= 0:
-            raise ConfigurationError("harmonic oscillator needs omega > 0")
-        nu = _finite("nu", lambda: energy / (hbar * omega) - 0.5)
-        e_sector = 0.5 * (nu + 0.5)
-        sector = SectorSpec("xi", (-math.inf, math.inf), Weight.unit())
-        profile = FrequencyProfile(sector, lambda xi: 2.0 * (e_sector - 0.125 * xi**2))
-        grid = _resolve_grid(spec, "xi", _DEFAULT_GRIDS[spec.kind]["xi"])
-        c, k = _resolve_flux(spec, profile, default_k=1.0)
-        return [SectorSetup(profile, grid, c, k, partial(weber_pair, nu))]
-
-    if spec.kind == "coulomb_halfline":
-        alpha, energy = spec.param("alpha"), spec.param("E")
-        if energy >= 0:
+    for x0, _, _ in request.trajectories:
+        if not lo <= x0 <= hi:
             raise ConfigurationError(
-                "coulomb preset expects a bound-branch energy E < 0 (sets lam)"
+                f"trajectory.{label}: x0 = {x0!r} outside the field grid [{lo}, {hi}]"
             )
-        lam = _finite("lam", lambda: math.sqrt(-2.0 * m * energy) / hbar)
-        kappa = _finite("kappa", lambda: m * alpha / (hbar**2 * lam))
-        scale = _finite("2 m / hbar^2", lambda: 2.0 * m / hbar**2)
-        sector = SectorSpec("x", (0.0, math.inf), Weight.unit())
-        profile = FrequencyProfile(sector, lambda x: scale * (energy + alpha / x), m, hbar)
-        default = (0.05 / (2.0 * lam), 30.0 / (2.0 * lam), 2001)
-        grid = _resolve_grid(spec, "x", default)
-        if grid[0] <= 0:
-            raise ConfigurationError("coulomb grid must start at x > 0")
-        c, k = _resolve_flux(spec, profile, default_k=1.0)
-        return [SectorSetup(profile, grid, c, k, partial(whittaker_pair, kappa, lam))]
+    return SectorSetup(profile, grid, c, k, pair_builder, request.form, request.trajectories)
 
-    # two_center_elliptic
-    a = spec.param("a")
-    z_charge = spec.param("Z")
-    e2 = spec.param("e2", 1.0)
+
+def _free_particle(spec: ProblemSpec) -> list[SectorSetup]:
+    m, hbar, k0 = spec.m, spec.hbar, spec.params["k0"]
+    k0_sq = _finite("k0^2", lambda: k0**2)
+    if k0_sq == 0.0:  # the pair's Wronskian is k0, and W^2 would be 0
+        raise ConfigurationError(f"free particle needs k0^2 > 0, got k0 = {k0!r}")
+    e_sector = _finite("E_sector", lambda: hbar**2 * k0_sq / (2.0 * m))
+    omega2 = _finite("2 m / hbar^2", lambda: 2.0 * m / hbar**2) * e_sector
+    sector = SectorSpec("x", (-math.inf, math.inf), Weight.unit())
+    profile = FrequencyProfile(sector, lambda x: omega2, m, hbar)
+    return [_sector(spec, profile, (-10.0, 10.0, 2001), partial(trig_pair, k0), k0_sq)]
+
+
+def _harmonic_oscillator(spec: ProblemSpec) -> list[SectorSetup]:
+    omega, energy = spec.params["omega"], spec.params["E"]
+    if omega <= 0:
+        raise ConfigurationError("harmonic oscillator needs omega > 0")
+    nu = _finite("nu", lambda: energy / (spec.hbar * omega) - 0.5)
+    e_sector = 0.5 * (nu + 0.5)
+    sector = SectorSpec("xi", (-math.inf, math.inf), Weight.unit())
+    profile = FrequencyProfile(sector, lambda xi: 2.0 * (e_sector - 0.125 * xi**2))
+    return [_sector(spec, profile, (-6.0, 6.0, 2001), partial(weber_pair, nu))]
+
+
+def _coulomb_halfline(spec: ProblemSpec) -> list[SectorSetup]:
+    m, hbar = spec.m, spec.hbar
+    alpha, energy = spec.params["alpha"], spec.params["E"]
+    if energy >= 0:
+        raise ConfigurationError("coulomb preset expects a bound-branch energy E < 0 (sets lam)")
+    lam = _finite("lam", lambda: math.sqrt(-2.0 * m * energy) / hbar)
+    kappa = _finite("kappa", lambda: m * alpha / (hbar**2 * lam))
+    scale = _finite("2 m / hbar^2", lambda: 2.0 * m / hbar**2)
+    sector = SectorSpec("x", (0.0, math.inf), Weight.unit())
+    profile = FrequencyProfile(sector, lambda x: scale * (energy + alpha / x), m, hbar)
+    default = (0.05 / (2.0 * lam), 30.0 / (2.0 * lam), 2001)
+    setup = _sector(spec, profile, default, partial(whittaker_pair, kappa, lam))
+    if setup.grid[0] <= 0:
+        raise ConfigurationError("coulomb grid must start at x > 0")
+    return [setup]
+
+
+def _two_center_elliptic(spec: ProblemSpec) -> list[SectorSetup]:
+    m, hbar, params = spec.m, spec.hbar, spec.params
+    a, z_charge, e2 = params["a"], params["Z"], params.get("e2", 1.0)
+    ell, parity = params.get("ell"), params.get("parity", "even")
+    if ell is None and "parity" in params:
+        raise ConfigurationError("two-center spec: parity is given without ell")
+    if ell is not None and (ell < 0 or ell != int(ell)):
+        raise ConfigurationError(f"two-center order ell = {ell!r} is not a nonnegative integer")
     if a <= 0:
         raise ConfigurationError("two-center spec needs focal half-distance a > 0")
-    if "k_sq" in spec.params:
-        k_sq = spec.params["k_sq"]
+    if "k_sq" in params:
+        k_sq = params["k_sq"]
     else:
-        k_sq = _finite("k_sq", lambda: 2.0 * m * spec.params["E"] / hbar**2)
+        k_sq = _finite("k_sq", lambda: 2.0 * m * params["E"] / hbar**2)
     gamma = _finite("gamma", lambda: 2.0 * m * e2 * a / hbar**2)
     ak2 = _finite("a^2 k^2", lambda: a**2 * k_sq)
     q_m = ak2 / 4.0
-    ell = spec.params.get("ell")
-    parity = spec.params.get("parity", "even")
-    if ell is not None:
+    nu_pair = mu_pair = _midpoint_pair
+    if ell is None:
+        big_gamma = params["Gamma"]
+    else:
         ell = int(ell)
         a_m = mathieu_char_value(ell, parity, q_m)
         big_gamma = -a_m - 0.5 * ak2
-    else:
-        big_gamma = spec.param("Gamma")
+        nu_pair = partial(mathieu_pair, ell, q_m, parity=parity, a=a_m)
+        if z_charge == 0.0 or e2 == 0.0:
+            # Without the charge term the radial equation is pure modified Mathieu.
+            mu_pair = partial(mathieu_pair, ell, q_m, modified=True, parity=parity, a=a_m)
 
     def omega2_mu(mu):
         ch = np.cosh(mu)
@@ -286,19 +275,35 @@ def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
         lambda nu: -ak2 * np.cos(nu) ** 2 - big_gamma,
     )
     mu_profile = FrequencyProfile(SectorSpec("mu", (0.0, math.inf), Weight.unit()), omega2_mu)
-    nu_grid = _resolve_grid(spec, "nu", _DEFAULT_GRIDS[spec.kind]["nu"])
-    mu_grid = _resolve_grid(spec, "mu", _DEFAULT_GRIDS[spec.kind]["mu"])
-    c_nu, k_nu = _resolve_flux(spec, nu_profile, default_k=1.0)
-    c_mu, k_mu = _resolve_flux(spec, mu_profile, default_k=1.0)
-
-    nu_pair = mu_pair = _midpoint_pair
-    if ell is not None:
-        nu_pair = partial(mathieu_pair, ell, q_m, parity=parity, a=a_m)
-        if z_charge == 0.0 or e2 == 0.0:
-            # Without the charge term the radial equation is pure modified Mathieu.
-            mu_pair = partial(mathieu_pair, ell, q_m, modified=True, parity=parity, a=a_m)
-
     return [
-        SectorSetup(nu_profile, nu_grid, c_nu, k_nu, nu_pair),
-        SectorSetup(mu_profile, mu_grid, c_mu, k_mu, mu_pair),
+        _sector(spec, nu_profile, (0.0, 2.0 * math.pi, 2001), nu_pair),
+        _sector(spec, mu_profile, (0.0, 3.0, 2001), mu_pair),
     ]
+
+
+class Kind(NamedTuple):
+    """One problem kind: the parameters it requires (a tuple among them
+    means exactly one of those names) and accepts besides, its sector
+    labels, and ``build(spec)``, which returns its sector setups."""
+
+    required: tuple
+    optional: tuple[str, ...]
+    sectors: tuple[str, ...]
+    build: Callable[[ProblemSpec], list[SectorSetup]]
+
+
+# the one schema of every problem kind (README, "Problem parameters by kind")
+KINDS = {
+    "free_particle": Kind(("k0",), (), ("x",), _free_particle),
+    "harmonic_oscillator": Kind(("omega", "E"), (), ("xi",), _harmonic_oscillator),
+    "coulomb_halfline": Kind(("alpha", "E"), (), ("x",), _coulomb_halfline),
+    "two_center_elliptic": Kind(
+        ("a", "Z", ("E", "k_sq"), ("Gamma", "ell")), ("parity", "e2"), ("nu", "mu"),
+        _two_center_elliptic,
+    ),
+}
+
+
+def build_problem(spec: ProblemSpec) -> list[SectorSetup]:
+    """Wire a problem spec into per-sector setups ready for the pipeline."""
+    return KINDS[spec.kind].build(spec)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .pinney import (
     pinney_amplitude,
     symmetric_coefficients,
 )
-from .problems import ProblemSpec, SectorSetup, build_problem
+from .problems import TEXT_PARAMETERS, ProblemSpec, SectorRequest, SectorSetup, build_problem
 from .render import format_real, render_table
 
 FIELD_COLUMNS = ("q", "omega2", "y1", "y2", "wronskian", "rho", "R", "p", "Q", "invariant")
@@ -69,8 +69,6 @@ class RunConfig:
     problem: ProblemSpec
     settings: IntegrationSettings = DEFAULT_SETTINGS
     tolerances: Tolerances = Tolerances()
-    pinney: dict = field(default_factory=dict)  # label -> {"A":..,"B":..,"D":..}
-    trajectories: dict = field(default_factory=dict)  # label -> [(x0, t_end, n)]
     flux_enforce: bool = False
     output_dir: str = "out"
     output_format: str = "csv"
@@ -138,11 +136,7 @@ def parse_config_text(text: str) -> RunConfig:
     problem_kind = None
     problem_mh = {"m": 1.0, "hbar": 1.0}
     params: dict[str, object] = {}
-    flux: dict[str, float] = {}
-    k_sector: dict[str, float] = {}
-    grids: dict[str, tuple[float, float, int]] = {}
-    pinney: dict[str, dict[str, float]] = {}
-    trajectories: dict[str, list[tuple[float, float, int]]] = {}
+    requests: dict[str, dict] = {}  # label -> SectorRequest fields
     integration: dict[str, float] = {}
     tol_kw: dict[str, float] = {}
     flux_enforce = False
@@ -156,24 +150,24 @@ def parse_config_text(text: str) -> RunConfig:
             name = parts[1]
             if name == "kind":
                 problem_kind = raw_value
-            elif name == "parity":
+            elif name in TEXT_PARAMETERS:
                 params[name] = raw_value
             elif name in ("m", "hbar"):
                 problem_mh[name] = _parse_real(raw_value, key)
             else:
                 params[name] = _parse_real(raw_value, key)
         elif section == "sector" and len(parts) == 3 and parts[2] in _SECTOR_KEYS:
-            label, what = parts[1], parts[2]
+            request, what = requests.setdefault(parts[1], {}), parts[2]
             if what == "grid":
-                grids[label] = _parse_triplet(raw_value, key)
-            elif what == "C":
-                flux[label] = _parse_real(raw_value, key)
-            elif what == "k":
-                k_sector[label] = _parse_real(raw_value, key)
+                request["grid"] = _parse_triplet(raw_value, key)
+            elif what in ("C", "k"):
+                request[what] = _parse_real(raw_value, key)
             else:
-                pinney.setdefault(label, {})[what] = _parse_real(raw_value, key)
+                request.setdefault("form", {})[what] = _parse_real(raw_value, key)
         elif section == "trajectory" and len(parts) == 3:
-            trajectories.setdefault(parts[1], []).append(_parse_triplet(raw_value, key))
+            request = requests.setdefault(parts[1], {})
+            request["trajectories"] = (*request.get("trajectories", ()),
+                                       _parse_triplet(raw_value, key))
         elif section == "integration" and len(parts) == 2 and parts[1] in _INTEGRATION_KEYS:
             integration[parts[1]] = _parse_real(raw_value, key)
         elif section == "tolerance" and len(parts) == 2 and parts[1] in _TOLERANCE_KEYS:
@@ -196,16 +190,12 @@ def parse_config_text(text: str) -> RunConfig:
         m=problem_mh["m"],
         hbar=problem_mh["hbar"],
         params=params,
-        flux=flux,
-        k_sector=k_sector,
-        grids=grids,
+        sectors={label: SectorRequest(**request) for label, request in requests.items()},
     )
     return RunConfig(
         problem=spec,
         settings=IntegrationSettings(**integration),
         tolerances=Tolerances(**tol_kw),
-        pinney=pinney,
-        trajectories=trajectories,
         flux_enforce=flux_enforce,
         output_dir=output_dir,
         output_format=output_format,
@@ -243,33 +233,20 @@ class SectorResult:
     trajectories: tuple[tuple[tuple[float, float, int], np.ndarray, np.ndarray], ...] = ()
 
 
-def _check_override(label: str, override: dict) -> None:
-    if set(override) not in ({"A", "B"}, {"A", "B", "D"}):
-        raise ConfigurationError(
-            f"sector {label!r}: give (A, B) or (A, B, D) to override the quadratic form"
-        )
-
-
-def _resolve_coefficients(
-    setup: SectorSetup, pair: FundamentalPair, override: dict | None
-) -> PinneyCoefficients:
-    if not override:
+def _resolve_coefficients(setup: SectorSetup, pair: FundamentalPair) -> PinneyCoefficients:
+    if not setup.form:
         return symmetric_coefficients(setup.k, pair.W)
-    _check_override(setup.label, override)
-    if "D" in override:
-        return PinneyCoefficients(override["A"], override["B"], override["D"], setup.k)
-    return coefficients_from_ab(override["A"], override["B"], setup.k, pair.W)
+    if "D" in setup.form:
+        return PinneyCoefficients(setup.form["A"], setup.form["B"], setup.form["D"], setup.k)
+    return coefficients_from_ab(setup.form["A"], setup.form["B"], setup.k, pair.W)
 
 
 def execute_sector(
-    setup: SectorSetup,
-    settings: IntegrationSettings = DEFAULT_SETTINGS,
-    pinney_override: dict | None = None,
-    trajectory_requests: list[tuple[float, float, int]] | None = None,
+    setup: SectorSetup, settings: IntegrationSettings = DEFAULT_SETTINGS
 ) -> SectorResult:
-    """Run the full pipeline for one sector."""
+    """Run the full pipeline for one sector, with its form and trajectories."""
     pair = setup.build_pair(settings)
-    coeffs = _resolve_coefficients(setup, pair, pinney_override)
+    coeffs = _resolve_coefficients(setup, pair)
     amplitude = pinney_amplitude(coeffs, pair)
     inv = el_invariant(amplitude, setup.k)
     drift = invariant_drift(inv, grid=pair.grid)
@@ -282,7 +259,7 @@ def execute_sector(
     cont = np.max(np.abs(p * rho**2 - setup.C))
     cont_scale = abs(setup.C) if setup.C != 0.0 else 1.0
     trajs = []
-    for request in trajectory_requests or []:
+    for request in setup.trajectories:
         x0, t_end, n = request
         t_grid = np.linspace(0.0, t_end, int(n))
         x_t = trajectory(setup.C, pair.grid, rho, 2.0 * rho * amplitude.drho, m, x0, t_grid)
@@ -423,8 +400,7 @@ def _field_rows(result: SectorResult) -> np.ndarray:
 def prepare(config: RunConfig, output_dir: str | Path | None = None):
     """(output directory, sector setups) of ``config``, validated up to the
     numerics: the directory (``config.output_dir`` unless given) lies under no
-    non-directory, every sector label named exists, each override gives
-    (A, B) or (A, B, D), and each trajectory's x0 lies on its sector grid."""
+    non-directory, and :func:`build_problem` accepts the problem."""
     out = Path(output_dir if output_dir is not None else config.output_dir)
     for part in (out, *out.parents):
         if part.exists():
@@ -433,25 +409,7 @@ def prepare(config: RunConfig, output_dir: str | Path | None = None):
                     f"output directory {str(out)!r}: {str(part)!r} is not a directory"
                 )
             break
-    setups = build_problem(config.problem)
-    grids = {s.label: s.grid for s in setups}
-    problem = config.problem
-    referenced = (set(config.pinney) | set(config.trajectories) | set(problem.flux)
-                  | set(problem.k_sector) | set(problem.grids))
-    for label in sorted(referenced - set(grids)):
-        raise ConfigurationError(
-            f"config references unknown sector {label!r}; sectors: {sorted(grids)}"
-        )
-    for label, override in config.pinney.items():
-        _check_override(label, override)
-    for label, requests in config.trajectories.items():
-        lo, hi = float(grids[label][0]), float(grids[label][-1])
-        for x0, _, _ in requests:
-            if not lo <= x0 <= hi:
-                raise ConfigurationError(
-                    f"trajectory.{label}: x0 = {x0!r} outside the field grid [{lo}, {hi}]"
-                )
-    return out, setups
+    return out, build_problem(config.problem)
 
 
 def run_config(config: RunConfig, output_dir: str | Path | None = None):
@@ -464,15 +422,7 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
     written raises :class:`ConfigurationError`.
     """
     out, setups = prepare(config, output_dir)
-    results = [
-        execute_sector(
-            setup,
-            config.settings,
-            pinney_override=config.pinney.get(setup.label),
-            trajectory_requests=config.trajectories.get(setup.label),
-        )
-        for setup in setups
-    ]
+    results = [execute_sector(setup, config.settings) for setup in setups]
     report = certify(results, config.tolerances, config.flux_enforce, config.problem.kind)
 
     suffix = "csv" if config.output_format == "csv" else "jsonl"

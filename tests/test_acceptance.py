@@ -18,7 +18,7 @@ from ermakov.catalog import lookup_system, geometric_frequency
 from ermakov.fields import trajectory
 from ermakov.linear import wronskian_check
 from ermakov.pinney import coefficients_from_ab, pinney_amplitude, solve_ep_direct
-from ermakov.problems import ProblemSpec, build_problem
+from ermakov.problems import ProblemSpec, SectorRequest, build_problem
 from ermakov.runner import execute_sector
 
 
@@ -31,7 +31,8 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def free_run():
-    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0}, flux={"x": 1.0})
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                       sectors={"x": SectorRequest(C=1.0)})
     (setup,) = build_problem(spec)
     return setup, execute_sector(setup)
 
@@ -39,7 +40,7 @@ def free_run():
 @pytest.fixture(scope="module")
 def harmonic_run():
     spec = ProblemSpec(kind="harmonic_oscillator", params={"omega": 1.0, "E": 1.0},
-                       k_sector={"xi": 1.0})
+                       sectors={"xi": SectorRequest(k=1.0)})
     (setup,) = build_problem(spec)
     return setup, execute_sector(setup)
 
@@ -47,7 +48,7 @@ def harmonic_run():
 @pytest.fixture(scope="module")
 def coulomb_run():
     spec = ProblemSpec(kind="coulomb_halfline", params={"alpha": 1.3, "E": -0.5},
-                       k_sector={"x": 0.5})
+                       sectors={"x": SectorRequest(k=0.5)})
     (setup,) = build_problem(spec)
     return setup, execute_sector(setup)
 
@@ -57,7 +58,7 @@ def two_center_runs():
     spec = ProblemSpec(
         kind="two_center_elliptic",
         params={"a": 1.0, "Z": 1.0, "k_sq": 2.0, "ell": 0, "parity": "even"},
-        k_sector={"nu": 0.2, "mu": 0.2},
+        sectors={"nu": SectorRequest(k=0.2), "mu": SectorRequest(k=0.2)},
     )
     return [(setup, execute_sector(setup)) for setup in build_problem(spec)]
 
@@ -129,7 +130,7 @@ def test_criterion_4_weber_hermite_reduction():
     for n, h in hermites.items():
         # the harmonic preset at E = n + 1/2: its first column is D_n
         spec = ProblemSpec(kind="harmonic_oscillator", params={"omega": 1.0, "E": n + 0.5},
-                           grids={"xi": (-4.0, 4.0, 801)})
+                           sectors={"xi": SectorRequest(grid=(-4.0, 4.0, 801))})
         (setup,) = build_problem(spec)
         y = setup.build_pair().y1
         ref = np.exp(-(xi**2) / 4.0) * h(xi / math.sqrt(2.0))

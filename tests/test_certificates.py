@@ -17,7 +17,7 @@ import pytest
 from ermakov.bases import trig_pair, whittaker_pair
 from ermakov.cli import main
 from ermakov.linear import IntegrationSettings
-from ermakov.problems import ProblemSpec, build_problem
+from ermakov.problems import ProblemSpec, SectorRequest, build_problem
 from ermakov.runner import Tolerances, certify, execute_sector
 
 CHECKS = ("invariant", "integration", "flux")
@@ -59,7 +59,9 @@ DEFECTS = {
 
 def sector_results(kind, params, flux, grids, settings, defects):
     """The executed sectors of one run, with ``defects`` seeded."""
-    spec = ProblemSpec(kind=kind, params=params, flux=flux, grids=grids)
+    requests = {label: SectorRequest(C=flux.get(label), grid=grids.get(label))
+                for label in {**flux, **grids}}
+    spec = ProblemSpec(kind=kind, params=params, sectors=requests)
     results = []
     for setup in build_problem(spec):
         if setup.label in defects:

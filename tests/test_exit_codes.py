@@ -1,6 +1,8 @@
 """Exit-code contract: every ``check`` and ``run`` ends in 0, 1, 2 or 3.
 
-Configurations are drawn per kind from the accepted parameters.  Half of
+Configurations are drawn per kind from its entry in ``problems.KINDS``:
+its parameters, one name of each one-of group (sometimes both) and its
+sector labels.  Half of
 them take values at the edges of the double range (+-1e300, +-1e-300, the
 smallest subnormal, zeros of both signs) and middle magnitudes (1e2 to 1e3,
 where a Weber pair's W^2 overflows) as well as ordinary ones; grids go
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ermakov import linear
 from ermakov.cli import main
-from ermakov.problems import _DEFAULT_GRIDS, _PARAMETERS
+from ermakov.problems import KINDS, TEXT_PARAMETERS
 
 ORDINARY = (1.0, 0.5, 1.3, 2.0, -0.5, -1.0)
 EDGES = (1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0)
@@ -31,29 +34,30 @@ def _sometimes(draw, odds):
 
 @st.composite
 def configs(draw):
-    kind = draw(st.sampled_from(sorted(_PARAMETERS)))
+    kind = draw(st.sampled_from(sorted(KINDS)))
     values = draw(st.sampled_from((ordinary, edgy)))
 
     def real():
         return repr(draw(values))
 
     lines = [f"problem.kind = {kind}"]
-    for name in _PARAMETERS[kind]:
-        # two-center takes Gamma or ell: mostly one of them
-        both = name == "ell" and "problem.Gamma" in " ".join(lines)
-        if _sometimes(draw, 5) or (both and not _sometimes(draw, 5)):
+    entries = KINDS[kind].required + KINDS[kind].optional
+    for group in (entry if isinstance(entry, tuple) else (entry,) for entry in entries):
+        if _sometimes(draw, 5):
             continue
-        if name == "parity":
-            value = draw(st.sampled_from(("even", "odd", "none")))
-        elif name == "ell":
-            value = draw(st.sampled_from(("1", "0", "2", "0.5", "-1")))
-        else:
-            value = real()
-        lines.append(f"problem.{name} = {value}")
+        # one name of a one-of group, sometimes every one
+        for name in group if _sometimes(draw, 5) else (draw(st.sampled_from(group)),):
+            if name in TEXT_PARAMETERS:
+                value = draw(st.sampled_from(("even", "odd", "none")))
+            elif name == "ell":
+                value = draw(st.sampled_from(("1", "0", "2", "0.5", "-1")))
+            else:
+                value = real()
+            lines.append(f"problem.{name} = {value}")
     for name in ("m", "hbar"):
         if _sometimes(draw, 5):
             lines.append(f"problem.{name} = {real()}")
-    for label in _DEFAULT_GRIDS[kind]:
+    for label in KINDS[kind].sectors:
         for key in ("C", "k"):
             if _sometimes(draw, 4):
                 lines.append(f"sector.{label}.{key} = {real()}")
@@ -97,6 +101,9 @@ HUGE_FLUX = HARMONIC + "sector.xi.C = 1e150\n"  # rho^4 ~ 1e300 would overflow
 LARGE_ORDER = ("problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = {}\n"
                "sector.xi.grid = -6:6:201\n")
 ORDER_120, ORDER_200 = LARGE_ORDER.format(120.8), LARGE_ORDER.format(200.3)
+# the same order on 200001 points: the seed data's W^2 overflows, so run
+# fails (exit 2) before the pair spends any Magnus pass on that grid
+ORDER_120_DENSE = ORDER_120.replace("-6:6:201", "-6:6:200001")
 # rejected by the validation step that check and run share (exit 1)
 UNKNOWN_LABEL = FREE + "sector.bogus.C = 1\n"
 PARTIAL_OVERRIDE = FREE + "sector.x.A = 2\n"
@@ -152,3 +159,16 @@ def test_float_range_edges_exit_as_documented(tmp_path, monkeypatch, capsys, tex
     assert main(["check", str(path)]) == (1 if code == 1 else 0)
     assert main(["run", str(path)]) == code
     assert "Warning" not in capsys.readouterr().err
+
+
+def test_overflowing_pair_wronskian_fails_before_any_magnus_pass(tmp_path, monkeypatch, capsys):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a Magnus pass ran")
+
+    monkeypatch.setattr(linear, "_cell_matrices", no_pass)
+    monkeypatch.delenv("ERMAKOV_OUT", raising=False)
+    path = tmp_path / "run.cfg"
+    path.write_text(ORDER_120_DENSE + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["check", str(path)]) == 0
+    assert main(["run", str(path)]) == 2
+    assert "numerical failure: pair Wronskian" in capsys.readouterr().err

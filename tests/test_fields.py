@@ -23,7 +23,7 @@ from ermakov.fields import (
 )
 from ermakov.linear import FundamentalPair
 from ermakov.pinney import ErmakovAmplitude, PinneyCoefficients, pinney_amplitude, symmetric_coefficients
-from ermakov.problems import ProblemSpec, SectorSetup, build_problem
+from ermakov.problems import ProblemSpec, SectorRequest, SectorSetup, build_problem
 from ermakov.runner import execute_sector
 
 
@@ -78,7 +78,7 @@ def test_momentum_nodes_error_lists_locations():
 
 def test_quantum_potential_ep_vs_finite_differences():
     spec = ProblemSpec(kind="harmonic_oscillator", params={"omega": 1.0, "E": 1.0},
-                       k_sector={"xi": 1.0})
+                       sectors={"xi": SectorRequest(k=1.0)})
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
     grid, rho = result.pair.grid, result.amplitude.rho
@@ -95,7 +95,7 @@ def test_quantum_potential_ep_vs_finite_differences():
 
 def test_energy_balance_cartesian_sector():
     spec = ProblemSpec(kind="harmonic_oscillator", params={"omega": 1.0, "E": 1.0},
-                       k_sector={"xi": 1.0})
+                       sectors={"xi": SectorRequest(k=1.0)})
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
     # In xi units (m = hbar = 1) the balance p^2/2 + V + Q = E reads
@@ -135,7 +135,7 @@ def test_trajectory_against_closed_form():
 
 def test_trajectory_time_reversal():
     spec = ProblemSpec(kind="harmonic_oscillator", params={"omega": 1.0, "E": 1.0},
-                       k_sector={"xi": 1.0})
+                       sectors={"xi": SectorRequest(k=1.0)})
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
     t = np.linspace(0.0, 2.0, 41)
@@ -255,7 +255,8 @@ def test_flux_constraint_checks():
 
 
 def test_continuity_first_integral_certified():
-    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0}, flux={"x": 1.0})
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                       sectors={"x": SectorRequest(C=1.0)})
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
     assert result.continuity_residual <= 1e-10
@@ -276,8 +277,9 @@ def test_s_wave_fields_read_the_normal_form_amplitude():
         c, s = np.cos(k0 * grid), np.sin(k0 * grid)
         return FundamentalPair(grid, c, -k0 * s, s, k0 * c, k0)
 
-    setup = SectorSetup(profile, np.linspace(0.5, 10.0, 201), hbar * k0, k0**2, cos_sin)
-    result = execute_sector(setup, trajectory_requests=[(1.0, 5.0, 51)])
+    setup = SectorSetup(profile, np.linspace(0.5, 10.0, 201), hbar * k0, k0**2, cos_sin,
+                        trajectories=((1.0, 5.0, 51),))
+    result = execute_sector(setup)
     np.testing.assert_allclose(result.amplitude.rho, 1.0, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(result.R, 1.0 / result.pair.grid, rtol=1e-15)
     np.testing.assert_allclose(result.p, hbar * k0, rtol=0.0, atol=1e-14)
@@ -307,8 +309,9 @@ def test_cylindrical_sector_current_potential_and_path():
     pair = FundamentalPair(grid, *np.array(cols, dtype=float).T, 2.0 / math.pi)
     sector = lookup_system("cylindrical").sector("r")
     profile = FrequencyProfile(sector, lambda r: np.ones_like(r))
-    setup = SectorSetup(profile, grid, 1.0, 1.0, lambda _profile, _grid, _settings: pair)
-    result = execute_sector(setup, trajectory_requests=[(1.0, 5.0, 11)])
+    setup = SectorSetup(profile, grid, 1.0, 1.0, lambda _profile, _grid, _settings: pair,
+                        trajectories=((1.0, 5.0, 11),))
+    result = execute_sector(setup)
     np.testing.assert_allclose(result.R**2, np.array(r2_ref, dtype=float), rtol=1e-13)
     np.testing.assert_allclose(grid * result.R**2 * result.p, 1.0, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(result.Q, np.array(q_ref, dtype=float), rtol=0.0, atol=1e-10)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ermakov.catalog import FrequencyProfile, SectorSpec, Weight
-from ermakov.errors import ConfigurationError, IntegrationFailureError
+from ermakov import linear
+from ermakov.errors import ConfigurationError, EngineError, IntegrationFailureError
 from ermakov.linear import (
     Column,
     FundamentalPair,
@@ -184,6 +185,22 @@ def test_companion_pair_anchored_at_grid_end():
     assert pair.W == np.cosh(2.0)
     np.testing.assert_allclose(pair.y2, np.sinh(grid - 2.0), atol=1e-9)
     assert wronskian_check(pair) <= 1e-9 * pair.W
+
+
+@pytest.mark.parametrize("seed, error", [(1e200, EngineError), (1e-200, ConfigurationError),
+                                         (0.0, ConfigurationError)])
+def test_pair_wronskian_is_checked_before_any_propagation(monkeypatch, seed, error):
+    # W^2 past the double range is a numerical failure, W^2 = 0 a configuration
+    # error; both builders see it in their seed data, before any Magnus pass.
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a Magnus pass ran")
+
+    monkeypatch.setattr(linear, "_cell_matrices", no_pass)
+    grid = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(error, match="pair Wronskian"):
+        fundamental_pair(CONST_ONE, grid, 0.5, ic1=(seed, 0.0), ic2=(0.0, 1.0))
+    with pytest.raises(error, match="pair Wronskian"):
+        companion_pair(CONST_ONE, Column(grid, np.full(11, seed), np.zeros(11)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from ermakov.errors import (
     NonpositiveFormError,
 )
 from ermakov.linear import FundamentalPair
-from ermakov.problems import ProblemSpec, build_problem
+from ermakov.problems import ProblemSpec, SectorRequest, build_problem
 from ermakov.pinney import (
     PinneyCoefficients,
     coefficients_from_ab,
@@ -203,7 +203,7 @@ def test_el_invariant_keeps_its_digits_across_a_wide_pair():
     # Coulomb columns span about e^60 on z in [0.05, 30]: the general formula
     # cancels two products there (invariant drift 9e9), the pair form does not
     spec = ProblemSpec(kind="coulomb_halfline", params={"alpha": 1.3, "E": -0.5},
-                       grids={"x": (0.05, 30.0, 2001)})
+                       sectors={"x": SectorRequest(grid=(0.05, 30.0, 2001))})
     (setup,) = build_problem(spec)
     pair = setup.build_pair()
     amp = pinney_amplitude(symmetric_coefficients(setup.k, pair.W), pair)

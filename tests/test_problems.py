@@ -10,12 +10,13 @@ from ermakov.bases import mathieu_char_value, mathieu_column
 from ermakov.catalog import FrequencyProfile
 from ermakov.errors import ConfigurationError
 from ermakov.pinney import symmetric_coefficients
-from ermakov.problems import ProblemSpec, build_problem
+from ermakov.problems import ProblemSpec, SectorRequest, build_problem
 from ermakov.runner import parse_config_text, run_config
 
 
 def test_free_particle_defaults():
-    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0}, flux={"x": 1.0})
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                       sectors={"x": SectorRequest(C=1.0)})
     (setup,) = build_problem(spec)
     assert setup.label == "x"
     grid = setup.grid
@@ -211,35 +212,26 @@ def test_gamma_and_order_mutually_exclusive():
 
 
 def test_flux_and_k_consistency():
-    spec = ProblemSpec(
-        kind="free_particle", params={"k0": 1.0}, flux={"x": 2.0}, k_sector={"x": 4.0}
-    )
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                       sectors={"x": SectorRequest(C=2.0, k=4.0)})
     (setup,) = build_problem(spec)
     assert setup.C == 2.0 and setup.k == 4.0
     with pytest.raises(ConfigurationError):
-        build_problem(
-            ProblemSpec(
-                kind="free_particle", params={"k0": 1.0},
-                flux={"x": 1.0}, k_sector={"x": 4.0},
-            )
-        )
+        build_problem(ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                                  sectors={"x": SectorRequest(C=1.0, k=4.0)}))
     with pytest.raises(ConfigurationError):
-        build_problem(
-            ProblemSpec(kind="free_particle", params={"k0": 1.0}, k_sector={"x": -1.0})
-        )
+        build_problem(ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                                  sectors={"x": SectorRequest(k=-1.0)}))
 
 
 def test_grid_override():
-    spec = ProblemSpec(
-        kind="free_particle", params={"k0": 1.0}, grids={"x": (-1.0, 1.0, 101)}
-    )
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                       sectors={"x": SectorRequest(grid=(-1.0, 1.0, 101))})
     (setup,) = build_problem(spec)
     assert setup.grid.size == 101
     with pytest.raises(ConfigurationError):
-        build_problem(
-            ProblemSpec(kind="free_particle", params={"k0": 1.0},
-                        grids={"x": (1.0, -1.0, 101)})
-        )
+        build_problem(ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                                  sectors={"x": SectorRequest(grid=(1.0, -1.0, 101))}))
 
 
 def test_mathieu_char_value_solved_once_per_run(tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from ermakov.runner import (
     run_config,
 )
 from ermakov.pinney import solve_ep_direct
-from ermakov.problems import ProblemSpec, build_problem
+from ermakov.problems import KINDS, ProblemSpec, SectorRequest, build_problem
 from ermakov.render import render_table
 
 FREE_CFG = """
@@ -57,8 +57,7 @@ def test_parse_config_full_roundtrip():
     )
     assert config.problem.kind == "harmonic_oscillator"
     assert config.problem.m == 2.0
-    assert config.problem.k_sector["xi"] == 1.0
-    assert config.problem.grids["xi"] == (-5.0, 5.0, 101)
+    assert config.problem.sectors == {"xi": SectorRequest(k=1.0, grid=(-5.0, 5.0, 101))}
     assert config.settings.rel_tol == 1e-11
     assert config.tolerances.invariant == 1e-7
     assert config.flux_enforce is True
@@ -120,12 +119,15 @@ def test_harmonic_bound_state_run(tmp_path):
 
 
 def test_constraint_violation_surfaces_as_config_error():
-    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0}, flux={"x": 1.0})
-    (setup,) = build_problem(spec)
+    def spec(form):
+        return ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                           sectors={"x": SectorRequest(C=1.0, form=form)})
+
+    (setup,) = build_problem(spec({"A": 1.0, "B": 1.0, "D": 0.5}))
     with pytest.raises(ConstraintViolationError):
-        execute_sector(setup, pinney_override={"A": 1.0, "B": 1.0, "D": 0.5})
+        execute_sector(setup)
     with pytest.raises(ConfigurationError):
-        execute_sector(setup, pinney_override={"A": 1.0})
+        spec({"A": 1.0})
 
 
 def test_report_serialization_deterministic(tmp_path):
@@ -194,7 +196,8 @@ def test_json_lines_format(tmp_path):
 
 
 def test_flux_enforcement_in_verdict():
-    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0}, flux={"x": 1.0})
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                       sectors={"x": SectorRequest(C=1.0)})
     (setup,) = build_problem(spec)
     result = execute_sector(setup)
     report = certify([result], Tolerances(), flux_enforce=True, problem_kind="free_particle")
@@ -212,7 +215,8 @@ def test_flux_certificate_uses_configured_tolerance(residual, tolerance, passed)
     # C_nu = 1 and C_mu = -(1 - r)/(1 + r): |C_nu + C_mu| / (|C_nu| + |C_mu|) = r
     spec = ProblemSpec(kind="two_center_elliptic",
                        params={"a": 1.0, "Z": 1.0, "k_sq": 2.0, "ell": 0, "parity": "even"},
-                       flux={"nu": 1.0, "mu": -(1.0 - residual) / (1.0 + residual)})
+                       sectors={"nu": SectorRequest(C=1.0),
+                                "mu": SectorRequest(C=-(1.0 - residual) / (1.0 + residual))})
     results = [execute_sector(setup) for setup in build_problem(spec)]
     report = certify(results, Tolerances(flux=tolerance), flux_enforce=True,
                      problem_kind="two_center_elliptic")
@@ -252,10 +256,10 @@ def test_explicit_default_integration_settings_change_nothing(tmp_path, cfg):
         assert a.read_bytes() == b.read_bytes(), a.name
 
 
-def test_unknown_sector_reference_rejected(tmp_path):
-    config = parse_config_text(FREE_CFG + "sector.y.k = 1.0\n")
-    with pytest.raises(ConfigurationError):
-        run_config(config, output_dir=tmp_path)
+def test_unknown_sector_reference_rejected():
+    # ProblemSpec checks every sector label against its kind, so parsing rejects it
+    with pytest.raises(ConfigurationError, match="unknown sector 'y'"):
+        parse_config_text(FREE_CFG + "sector.y.k = 1.0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +332,9 @@ TWO_CENTER = (
         FREE + "tolerance.ode_residual = 1e-3",
         FREE + "tolerance.wronskian = 1e-9",
         TWO_CENTER.replace("ell = 0", "Gamma = -1.5").replace("parity = even", "parity = bogus"),
+        "problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 1\nproblem.E = 1\n"
+        "problem.k_sq = 7\nproblem.Gamma = -1.5",
+        TWO_CENTER.replace("ell = 0", "ell = 2000.5"),
     ],
     ids=["zero_samples", "fractional_samples", "non_numeric", "nan_k", "inf_C", "negative_tol",
          "fractional_ell", "grid_over_cap", "samples_over_cap", "unknown_parameter",
@@ -335,7 +342,7 @@ TWO_CENTER = (
          "overflowing_a_sq", "kappa_division_by_zero", "underflowing_k0_sq",
          "subnormal_k0", "underflowing_hbar_sq", "subnormal_hbar", "removed_pinney_tol",
          "removed_continuity_tol", "removed_ode_residual_tol", "removed_wronskian_tol",
-         "parity_without_ell"],
+         "parity_without_ell", "energy_and_k_sq", "large_fractional_ell"],
 )
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
     (tmp_path / "file").write_text("")
@@ -407,6 +414,34 @@ def test_readme_run_configuration_runs(tmp_path):
     assert main(["check", cfg]) == 0
     assert main(["run", cfg]) == 0
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_readme_parameter_table_is_the_kind_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"Problem parameters by kind:\n\n(.*?)\n\n", readme, re.S).group(1)
+    rows = {}
+    for row in table.splitlines()[2:]:
+        kind, params, sectors = (cell.strip() for cell in row.strip("|").split("|"))
+        rows[kind.strip("`")] = (params, re.findall(r"`(\w+)`", sectors))
+    assert list(rows) == list(KINDS)
+    for name, kind in KINDS.items():
+        params, sectors = rows[name]
+        groups = [entry if isinstance(entry, tuple) else (entry,) for entry in kind.required]
+        names = [name for group in groups for name in group] + list(kind.optional)
+        assert re.findall(r"`(\w+)`", params) == names
+        for group in groups:
+            if len(group) > 1:
+                assert "exactly one of " + ", ".join(f"`{n}`" for n in group) in params
+        assert ("optional" in params) == bool(kind.optional)
+        assert sectors == list(kind.sectors)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    invariant_drift, _ = map(float, capsys.readouterr().out.split())
+    assert invariant_drift <= Tolerances().invariant
 
 
 def test_cli_weber_seed_overflow_is_a_numerical_failure(tmp_path, capsys):

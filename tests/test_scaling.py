@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ermakov.bases import whittaker_pair
 from ermakov.errors import EngineError
-from ermakov.problems import ProblemSpec, build_problem
+from ermakov.problems import ProblemSpec, SectorRequest, build_problem
 from ermakov.runner import Tolerances, certify, execute_sector
 
 TWO_CENTER = {"a": 1.0, "Z": 1.0, "k_sq": 2.0}
@@ -42,24 +42,30 @@ scales = st.floats(-150.0, 150.0).map(lambda u: 10.0**u)
 
 
 def _setup(preset, label, scale, defect=False):
+    """The sector ``label`` of ``preset`` with its grid and trajectory, at
+    flux ``scale`` times its default C."""
     kind, params, sectors = PRESETS[preset]
-    grids = {name: grid for name, (grid, _) in sectors.items()}
-    spec = ProblemSpec(kind, params=params, grids=grids)
-    (base,) = [s for s in build_problem(spec) if s.label == label]
-    spec = dataclasses.replace(spec, flux={label: scale * base.C})
-    (setup,) = [s for s in build_problem(spec) if s.label == label]
+    grid, request = sectors[label]
+
+    def build(**flux):
+        sector = SectorRequest(grid=grid, trajectories=(request,), **flux)
+        spec = ProblemSpec(kind, params=params, sectors={label: sector})
+        (setup,) = [s for s in build_problem(spec) if s.label == label]
+        return setup
+
+    setup = build(C=scale * build().C)
     if defect:  # a Whittaker pair with kappa (1 + 1e-6) against the true profile
         kappa, lam = setup.pair_builder.args
         setup = dataclasses.replace(
             setup, pair_builder=partial(whittaker_pair, kappa * (1.0 + 1e-6), lam)
         )
-    return setup, [sectors[label][1]]
+    return setup
 
 
-def _run(setup, requests):
+def _run(setup):
     """(result, per-check verdicts), or the type of the error the sector raised."""
     try:
-        result = execute_sector(setup, trajectory_requests=requests)
+        result = execute_sector(setup)
     except EngineError as exc:
         return type(exc)
     report = certify([result], Tolerances(), False, "scaling")
@@ -75,8 +81,8 @@ def _assert_close(a, b, scale):
 def test_flux_scaling_leaves_fields_trajectories_and_verdicts(preset, which, lam):
     labels = sorted(PRESETS[preset][2])
     label = labels[which % len(labels)]
-    base = _run(*_setup(preset, label, 1.0))
-    scaled = _run(*_setup(preset, label, lam))
+    base = _run(_setup(preset, label, 1.0))
+    scaled = _run(_setup(preset, label, lam))
     if isinstance(base, type) or isinstance(scaled, type):
         assert base == scaled
         return
@@ -99,5 +105,5 @@ def test_flux_scaling_leaves_fields_trajectories_and_verdicts(preset, which, lam
 @given(scales)
 def test_coulomb_kappa_defect_fails_the_invariant_at_every_scale(lam):
     for scale in (1.0, lam):
-        result, checks = _run(*_setup("coulomb", "x", scale, defect=True))
+        result, checks = _run(_setup("coulomb", "x", scale, defect=True))
         assert not checks["invariant"], result.invariant_drift
