@@ -204,9 +204,9 @@ def whittaker_pair(
     exponential asymptotic term e^{-z/2} z^kappa only, so its absolute
     normalization is approximate by O(1/z_a); downstream quadratic-form
     coefficients absorb the scale.  It is integrated inward from that seed,
-    and, as for every integrated column, ``settings.abs_tol`` bounds each
-    cell matrix's Richardson estimate, which does not depend on the
-    column's scale.  At quantized kappa = n + 1 the two functions are
+    and, as for every integrated column, each cell matrix's Richardson
+    estimate is bounded relative to that matrix, which does not depend on
+    the column's scale.  At quantized kappa = n + 1 the two functions are
     proportional, so the M column is completed instead by a second-kind
     companion from identity-data integration.
     """
@@ -361,14 +361,7 @@ def mathieu_coefficients(
 
     # Bottom-row consistency: nonzero residual here means the characteristic
     # value and the recurrence ladder disagree.
-    if even_even:
-        residual = a * c[0] - q * c[1]
-    elif parity == "even":
-        residual = (a - 1.0 - q) * c[0] - q * c[1]
-    elif first == 2:
-        residual = (a - 4.0) * c[0] - q * c[1]
-    else:
-        residual = (a - 1.0 + q) * c[0] - q * c[1]
+    residual = (a - _mathieu_matrix(ell, parity, q, 2)[0][0]) * c[0] - q * c[1]
     if abs(residual) > 1e-6 * max(1.0, abs(a)):
         raise EngineError(
             f"Mathieu coefficient ladder inconsistent (residual {residual:.3e})"

@@ -115,7 +115,8 @@ def trajectory(
     node values of S are summed outward from x0's cell, so no large partial
     sum is subtracted near x0.  S(x) = s is then solved by Newton steps from
     a linear-interpolation guess.  The path stops with an error if it meets
-    a node of rho or leaves the grid.
+    a node of rho or leaves the grid, and a travel max |C/m (t - t0)| / rho^2(x0)
+    within the spacing of doubles in x0's cell is a configuration error.
     """
     grid = np.asarray(grid, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -191,6 +192,14 @@ def trajectory(
             raise NodeApproachError(
                 float(x_n), f"trajectory approached an amplitude node at t = {t_n!r}"
             )
+    # travel at x0's rho^2 within the spacing of doubles in x0's cell: the
+    # quadrature's offsets from grid[k] cannot resolve the path
+    r2_0, spacing = float(r2_at[-1]), _EPS * (abs(float(grid[k])) + float(h[k]))
+    if r2_0 > 0.0 and 0.0 < max(s_hi, -s_lo) / r2_0 <= spacing:
+        raise ConfigurationError(
+            f"the grid cell holding x0 = {x0!r} is too wide to resolve the trajectory; "
+            "refine the grid there"
+        )
     # S on the stretch the path can reach; flat beyond the nearest nodes
     table = np.where(grid <= x_left, s_left, np.where(grid >= x_right, s_right, S))
     # Rounding pad: a path landing exactly on the grid boundary is not an exit.

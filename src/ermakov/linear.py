@@ -6,13 +6,13 @@ solutions is exactly constant.
 :func:`magnus_outward` builds every integrated pair column.  It propagates
 (y, y') across each cell of the output grid with fourth-order Magnus steps
 (two Gauss points per step, Iserles & Norsett 1999; Blanes, Casas, Oteo &
-Ros 2009), doubling a cell's substep count until a Richardson estimate meets
-the cell's share of the tolerances.  Every Magnus step has determinant 1, so
-the pointwise Wronskian of an integrated pair stays at roundoff whatever the
-truncation error is; the certificate of the integration is instead a global
-Richardson estimate, the difference between the columns propagated with the
-final and with the halved substep counts, stored as
-:attr:`FundamentalPair.error`.
+Ros 2009), doubling the substep count of the cells still refining until a
+Richardson estimate meets each cell's share of the tolerance.  Every Magnus
+step has determinant 1, so the pointwise Wronskian of an integrated pair
+stays at roundoff whatever the truncation error is; the certificate of the
+integration is instead a global Richardson estimate, the difference between
+the columns propagated with the final and with the halved substep counts,
+stored as :attr:`FundamentalPair.error`.
 
 :func:`integrate_normal_form`, :func:`fundamental_pair` and
 :func:`companion_pair` take the frequency profile, the output grid and an
@@ -52,24 +52,20 @@ _SERIES_S2 = 1e-3
 
 @dataclass(frozen=True)
 class IntegrationSettings:
-    """Tolerances and step bound for one integration run.
+    """Tolerance of one integration run.
 
-    For a Magnus-integrated column, ``rel_tol`` and ``abs_tol`` are shared
-    out over the output-grid cells of each half-range in proportion to their
-    width and bound each cell matrix's Richardson estimate; ``max_step``
-    bounds the starting substep length.  The defaults are tight because
-    integrated pairs feed the invariant certificates.
+    For a Magnus-integrated column, ``rel_tol`` is shared out over the
+    output-grid cells of each half-range in proportion to their width and
+    bounds each cell matrix's Richardson estimate relative to that matrix.
+    The default is tight because integrated pairs feed the invariant
+    certificates.
     """
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_step: float = math.inf
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ConfigurationError("tolerances must be positive and finite")
-        if not self.max_step > 0:
-            raise ConfigurationError("max_step must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ConfigurationError("rel_tol must be positive and finite")
 
 
 DEFAULT_SETTINGS = IntegrationSettings()
@@ -107,8 +103,7 @@ class FundamentalPair:
 
     def __post_init__(self):
         _pair_wronskian(self.W)
-        if np.any(np.diff(self.grid) <= 0):
-            raise ConfigurationError("pair grid must be strictly increasing")
+        _increasing(self.grid)
 
     def wronskian_samples(self) -> np.ndarray:
         return self.y1 * self.dy2 - self.dy1 * self.y2
@@ -187,38 +182,22 @@ def _magnus_steps(w2: np.ndarray, h: np.ndarray) -> np.ndarray:
     return m
 
 
-def _cell_matrices(profile, starts, widths, counts) -> np.ndarray:
-    """Propagator across each cell as the product of ``counts`` equal steps.
+def _cell_matrices(profile, starts, widths, count) -> np.ndarray:
+    """Propagator across each cell as the product of ``count`` equal steps.
 
     One frequency call serves every cell; the steps of a cell are multiplied
     pairwise, in log2(count) passes.
     """
-    groups, points = [], []
-    for count in np.unique(counts) if counts.min() < counts.max() else counts[:1]:
-        sel = np.flatnonzero(counts == count)
-        h = widths[sel] / count
-        offsets = np.arange(count)[:, None] + _GAUSS  # (count, 2), in steps
-        groups.append((sel, h, (sel.size, count, 2)))
-        points.append((starts[sel, None, None] + h[:, None, None] * offsets).ravel())
+    h = widths / count
+    offsets = np.arange(count)[:, None] + _GAUSS  # (count, 2), in steps
     try:
-        w2 = profile.omega2_array(points[0] if len(points) == 1 else np.concatenate(points))
+        w2 = profile.omega2_array((starts[:, None, None] + h[:, None, None] * offsets).ravel())
     except (SingularEndpointError, FloatingPointError, ZeroDivisionError) as exc:
         raise IntegrationFailureError(f"frequency could not be evaluated: {exc}") from None
-    del points  # the samples are not needed past this point
-    out = np.empty((4, widths.size))
-    used = 0
-    for sel, h, shape in groups:
-        size = math.prod(shape)
-        steps = _magnus_steps(w2[used:used + size].reshape(shape), h[:, None])
-        used += size
-        while steps.shape[2] > 1:
-            if steps.shape[2] % 2:  # an identity step last keeps the pairs aligned
-                eye = np.zeros((4, sel.size, 1))
-                eye[[0, 3]] = 1.0
-                steps = np.concatenate((steps, eye), axis=2)
-            steps = _matmul(steps[:, :, 1::2], steps[:, :, 0::2])
-        out[:, sel] = steps[:, :, 0]
-    return out
+    steps = _magnus_steps(w2.reshape(widths.size, count, 2), h[:, None])
+    while steps.shape[2] > 1:
+        steps = _matmul(steps[:, :, 1::2], steps[:, :, 0::2])
+    return steps[:, :, 0]
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
@@ -258,10 +237,10 @@ def magnus_outward(
 
     ``y0`` stacks n columns as (y_1 .. y_n, y_1' .. y_n').  The cells are the
     intervals between consecutive grid points, with the anchor added as a
-    node when it is not one.  Each cell's substep count starts at
-    ceil(width / max_step) and doubles until the Richardson estimate
-    |M(h) - M(h/2)^2| / 15 of its matrix M meets the cell's share
-    width / half-range of rel_tol |M| + abs_tol, floored at a few ulp of |M|.
+    node when it is not one.  Every cell starts at one substep; the cells
+    still refining share one substep count, which doubles on each pass until
+    the Richardson estimate |M(h) - M(h/2)^2| / 15 of a cell's matrix M is at
+    most max(width / half-range * rel_tol, a few ulp) * |M|.
 
     Returns the state at every grid point, shape (2n, grid.size), and the
     global error estimate: the largest max |Y_fine - Y_coarse| / 15 of a
@@ -292,32 +271,24 @@ def magnus_outward(
         # the anchor-side end of a cell is the last node reached before it
         return failure(message, np.where(right[cells], starts[cells], nodes[cells + 1]))
 
-    counts = np.ones(widths.size, dtype=np.int64)
-    if math.isfinite(settings.max_step):
-        counts = np.ceil(np.clip(widths / settings.max_step, 1, MAX_SUBSTEPS + 1))  # >= 1 step
-        counts = counts.astype(np.int64)
     cells = np.empty((4, 2, widths.size))  # axis 1: final (fine, coarse) cell matrices
-    todo, coarse = np.arange(widths.size), None
+    todo, coarse, count = np.arange(widths.size), None, 1
     while todo.size:
-        if counts[todo].max() > MAX_SUBSTEPS or counts[todo].sum() > MAX_PASS_SUBSTEPS:
-            over = todo[counts[todo] == counts[todo].max()]
-            raise cell_failure("Magnus refinement reached its substep cap", over)
-        new = _cell_matrices(profile, starts[todo], widths[todo], counts[todo])
+        if count > MAX_SUBSTEPS or count * todo.size > MAX_PASS_SUBSTEPS:
+            raise cell_failure("Magnus refinement reached its substep cap", todo)
+        new = _cell_matrices(profile, starts[todo], widths[todo], count)
         bad = ~np.all(np.isfinite(new), axis=0)
         if bad.any():
             raise cell_failure("cell propagator is not finite", todo[bad])
         if coarse is not None:
             size = np.max(np.abs(new), axis=0)
             estimate = np.max(np.abs(new - coarse), axis=0) / 15.0
-            tol = np.maximum(
-                share[todo] * (settings.rel_tol * size + settings.abs_tol), _ULP_FLOOR * size
-            )
-            done = estimate <= tol
+            done = estimate <= np.maximum(share[todo] * settings.rel_tol, _ULP_FLOOR) * size
             cells[:, 0, todo[done]] = new[:, done]
             cells[:, 1, todo[done]] = coarse[:, done]
             todo, new = todo[~done], new[:, ~done]
         coarse = new
-        counts[todo] *= 2
+        count *= 2
 
     # propagators from the anchor to every node, fine and coarse together
     phi = np.empty((4, 2, nodes.size))

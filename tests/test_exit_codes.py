@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ermakov import linear
 from ermakov.cli import main
 from ermakov.problems import KINDS, TEXT_PARAMETERS
+from ermakov.runner import _INTEGRATION_KEYS
 
 ORDINARY = (1.0, 0.5, 1.3, 2.0, -0.5, -1.0)
 EDGES = (1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0)
@@ -69,7 +70,7 @@ def configs(draw):
         if _sometimes(draw, 3):
             n = draw(st.sampled_from((11, 2, 1)))
             lines.append(f"trajectory.{label}.1 = {real()}:{real()}:{n}")
-    for key in ("rel_tol", "abs_tol", "max_step"):
+    for key in _INTEGRATION_KEYS:
         if _sometimes(draw, 6):
             lines.append(f"integration.{key} = {real()}")
     return "\n".join(lines) + "\n"
@@ -125,8 +126,6 @@ TINY_LEDGER = ("problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 1
          "sector.x.grid = 0.05:30:2001\n")
 @example("problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 1\nproblem.E = 1\n"
          "problem.ell = 1\nproblem.parity = odd\nsector.nu.grid = 0:1e-300:51\n")  # W^2 = 0
-@example("problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = 1\n"
-         "sector.xi.grid = 1e-300:10:51\nintegration.max_step = 1e300\n")  # width / max_step = 0
 @example(WIDE_KAPPA)
 @example(HUGE_KAPPA)
 @example(WIDE_CELLS)

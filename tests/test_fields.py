@@ -229,12 +229,23 @@ def test_trajectory_x0_validation():
 
 
 def test_trajectory_starts_at_x0_in_wide_cells():
-    # x0 - grid[k] rounds to the whole 2e298-wide cell, and grid[k] plus that
-    # offset back to 0; the sample at t0 is still x0 itself
-    grid = np.linspace(-1e300, 0.0, 51)
-    x = trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, -1.0,
+    # x0 - grid[k] rounds to 0 in the 2e15-wide cell holding x0 = 1e-20; the
+    # sample at t0 is still x0 itself
+    t = np.linspace(0.0, 1.0, 11)
+    grid = np.linspace(-1e17, 1.0, 51)
+    ones, zeros = np.ones_like(grid), np.zeros_like(grid)
+    assert trajectory(1.0, grid, ones, zeros, 1.0, 1e-20, t)[0] == 1e-20
+    # a travel of 1 is above the spacing of doubles there (about 0.9): exact
+    assert np.array_equal(trajectory(1.0, grid, ones, zeros, 1.0, -1.0, t), t - 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e300, 0.0), (-1e18, 1.0)])
+def test_trajectory_rejects_cells_too_wide_for_its_travel(lo, hi):
+    # the travel of 1 lies within the spacing of doubles in x0's cell
+    grid = np.linspace(lo, hi, 51)
+    with pytest.raises(ConfigurationError, match="too wide"):
+        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, -1.0,
                    np.linspace(0.0, 1.0, 11))
-    assert x[0] == -1.0
 
 
 def test_flux_constraint_checks():

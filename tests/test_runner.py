@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ermakov
-from ermakov import fields, linear
+from ermakov import fields, linear, runner
 from ermakov.cli import main
 from ermakov.errors import ConfigurationError, ConstraintViolationError
 from ermakov.runner import (
@@ -48,7 +48,6 @@ def test_parse_config_full_roundtrip():
         sector.xi.k = 1.0
         sector.xi.grid = -5:5:101
         integration.rel_tol = 1e-11
-        integration.abs_tol = 1e-13
         tolerance.invariant = 1e-7
         flux.enforce = true
         output.dir = somewhere
@@ -248,7 +247,7 @@ def test_coulomb_pair_honours_integration_settings(tmp_path):
     ids=["free", "harmonic", "coulomb", "two_center"],
 )
 def test_explicit_default_integration_settings_change_nothing(tmp_path, cfg):
-    defaults = "integration.rel_tol = 1e-12\nintegration.abs_tol = 1e-14\n"
+    defaults = "integration.rel_tol = 1e-12\n"
     _, plain = run_config(parse_config_text(cfg), output_dir=tmp_path / "plain")
     _, explicit = run_config(parse_config_text(cfg + defaults), output_dir=tmp_path / "explicit")
     assert [p.name for p in plain] == [p.name for p in explicit]
@@ -331,6 +330,8 @@ TWO_CENTER = (
         FREE + "tolerance.continuity = 1e-10",
         FREE + "tolerance.ode_residual = 1e-3",
         FREE + "tolerance.wronskian = 1e-9",
+        FREE + "integration.abs_tol = 1e-14",
+        FREE + "integration.max_step = 0.1",
         TWO_CENTER.replace("ell = 0", "Gamma = -1.5").replace("parity = even", "parity = bogus"),
         "problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 1\nproblem.E = 1\n"
         "problem.k_sq = 7\nproblem.Gamma = -1.5",
@@ -342,6 +343,7 @@ TWO_CENTER = (
          "overflowing_a_sq", "kappa_division_by_zero", "underflowing_k0_sq",
          "subnormal_k0", "underflowing_hbar_sq", "subnormal_hbar", "removed_pinney_tol",
          "removed_continuity_tol", "removed_ode_residual_tol", "removed_wronskian_tol",
+         "removed_abs_tol", "removed_max_step",
          "parity_without_ell", "energy_and_k_sq", "large_fractional_ell"],
 )
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text):
@@ -434,6 +436,14 @@ def test_readme_parameter_table_is_the_kind_table():
                 assert "exactly one of " + ", ".join(f"`{n}`" for n in group) in params
         assert ("optional" in params) == bool(kind.optional)
         assert sectors == list(kind.sectors)
+
+
+def test_readme_names_exactly_the_parsed_integration_and_tolerance_keys():
+    # a removed key cannot linger in the docs, nor a new one go undocumented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for section, keys in (("integration", runner._INTEGRATION_KEYS),
+                          ("tolerance", runner._TOLERANCE_KEYS)):
+        assert set(re.findall(rf"\b{section}\.(\w+)", readme)) == set(keys), section
 
 
 def test_readme_library_example_runs(capsys):
