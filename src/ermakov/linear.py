@@ -4,15 +4,15 @@ The equation has no first-derivative term, so the Wronskian of any two
 solutions is exactly constant.
 
 :func:`magnus_outward` builds every integrated pair column.  It propagates
-(y, y') across each cell of the output grid with fourth-order Magnus steps
-(two Gauss points per step, Iserles & Norsett 1999; Blanes, Casas, Oteo &
-Ros 2009), doubling the substep count of the cells still refining until a
-Richardson estimate meets each cell's share of the tolerance.  Every Magnus
-step has determinant 1, so the pointwise Wronskian of an integrated pair
-stays at roundoff whatever the truncation error is; the certificate of the
-integration is instead a global Richardson estimate, the difference between
-the columns propagated with the final and with the halved substep counts,
-stored as :attr:`FundamentalPair.error`.
+(y, y') across each cell of the output grid with sixth-order Magnus steps
+(three Gauss points per step; Blanes, Casas, Oteo & Ros 2009, section 4),
+refining the cells until a Richardson estimate meets each cell's share of
+the tolerance.  Every Magnus step has determinant 1, so the pointwise
+Wronskian of an integrated pair stays at roundoff whatever the truncation
+error is; the certificate of the integration is instead a global
+Richardson estimate, the difference between the columns propagated with
+the final and with the coarse cell matrices, stored as
+:attr:`FundamentalPair.error`.
 
 :func:`integrate_normal_form`, :func:`fundamental_pair` and
 :func:`companion_pair` take the frequency profile, the output grid and an
@@ -34,9 +34,13 @@ from .errors import (
     SingularEndpointError,
 )
 
-# Gauss-Legendre nodes on [0, 1] and the commutator weight of the Magnus step.
-_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_COMMUTATOR = math.sqrt(3.0) / 12.0
+# Gauss-Legendre nodes on [0, 1] of the Magnus step.
+_GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+_RICHARDSON = 63.0  # 2^6 - 1: the step is sixth order
+# Relative width difference up to which two adjacent cells share a first-pass
+# Richardson partner: with unequal widths the one-step-against-two estimate
+# undercounts the error.
+_PAIR_WIDTHS = 1e-6
 # Refinement caps: substeps in one output-grid cell, and in one pass over
 # all unconverged cells (this bounds the memory a pass allocates).
 MAX_SUBSTEPS = 2**18
@@ -56,8 +60,10 @@ class IntegrationSettings:
 
     For a Magnus-integrated column, ``rel_tol`` is shared out over the
     output-grid cells of each half-range in proportion to their width and
-    bounds each cell matrix's Richardson estimate relative to that matrix.
-    The default is tight because integrated pairs feed the invariant
+    bounds each cell matrix's sixth-order Richardson estimate
+    |M - M_coarse| / 63 relative to that matrix, first against one step
+    across two equal neighbouring cells (see :func:`magnus_outward`).  The
+    default is tight because integrated pairs feed the invariant
     certificates.
     """
 
@@ -153,51 +159,64 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return np.stack((m[3], -m[1], -m[2], m[0]))
 
 
-def _magnus_steps(w2: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """exp of the fourth-order Magnus generator of each step.
+def _magnus_steps(w2: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp of the sixth-order Magnus generator of each step, and whether
+    the generator is finite.
 
-    ``w2[..., 0]`` and ``w2[..., 1]`` are Omega^2 at the step's two Gauss
-    points, ``h`` the step length.  With w the mean of the two samples and
-    d = sqrt(3)/12 h^2 (w2_1 - w2_0) from their commutator, the generator
-    G = [[d, h], [-h w, -d]] is traceless with G^2 = s^2 I, s^2 = d^2 - h^2 w,
-    so exp(G) = C I + S G exactly, where C = cosh s and S = sinh(s)/s (cos and
-    sin for s^2 < 0, their Taylor series near s^2 = 0).
+    ``w2[0]``, ``w2[1]`` and ``w2[2]`` are Omega^2 at the step's three Gauss
+    points, ``h`` the step length.  With A = [[0, 1], [-Omega^2, 0]] and
+    a1 = h A(1/2), a2 = sqrt(15) h/3 (A_3 - A_1), a3 = 10 h/3 (A_3 - 2 A_2 + A_1),
+    the generator is G = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 with
+    C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1]/60 (Blanes, Casas, Oteo & Ros 2009,
+    section 4).  Written out, G = [[g, b], [c, -g]] is traceless with
+    G^2 = s^2 I, s^2 = g^2 + b c, so exp(G) = C I + S G exactly, where
+    C = cosh s and S = sinh(s)/s (cos and sin for s^2 < 0, their Taylor series
+    near s^2 = 0).
     """
-    d = _COMMUTATOR * h * h * (w2[..., 1] - w2[..., 0])
-    hw = 0.5 * h * (w2[..., 0] + w2[..., 1])
-    s2 = d * d - h * hw
-    c = 1.0 + s2 * (1 / 2 + s2 * (1 / 24 + s2 / 720))
-    s = 1.0 + s2 * (1 / 6 + s2 * (1 / 120 + s2 / 5040))
+    k2 = (math.sqrt(15.0) / 3.0) * h * (w2[2] - w2[0])
+    k3 = (10.0 / 3.0) * h * (w2[2] - 2.0 * w2[1] + w2[0])
+    hw = h * w2[1]
+    hk2 = h * k2
+    g = hk2 * (1 / 12 + h * (hw / 180 + k3 / 7200))
+    b = h * (1.0 + h * (hk2 * k2 / 3600 + k3 / 180))
+    c = (hw * (h * (k3 / 180 - hk2 * k2 / 3600) - 1.0) - k3 / 12
+         + h * (k3 * k3 / 3600 - k2 * k2 / 120))
+    s2 = g * g + b * c
+    cosh = 1.0 + s2 * (1 / 2 + s2 * (1 / 24 + s2 / 720))
+    sinc = 1.0 + s2 * (1 / 6 + s2 * (1 / 120 + s2 / 5040))
     big = np.abs(s2) >= _SERIES_S2
     if big.any():
         r = np.sqrt(np.abs(s2[big]))
         grow = s2[big] > 0.0
-        c[big] = np.where(grow, np.cosh(r), np.cos(r))
-        s[big] = np.where(grow, np.sinh(r), np.sin(r)) / r
+        cosh[big] = np.where(grow, np.cosh(r), np.cos(r))
+        sinc[big] = np.where(grow, np.sinh(r), np.sin(r)) / r
     m = np.empty((4, *s2.shape))  # filled row by row to bound the temporaries
-    m[0] = c + s * d
-    m[1] = s * h
-    m[2] = -s * hw
-    m[3] = c - s * d
-    return m
+    m[0] = cosh + sinc * g
+    m[1] = sinc * b
+    m[2] = sinc * c
+    m[3] = cosh - sinc * g
+    return m, np.isfinite(s2)
 
 
-def _cell_matrices(profile, starts, widths, count) -> np.ndarray:
-    """Propagator across each cell as the product of ``count`` equal steps.
+def _cell_matrices(profile, starts, widths, count) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator across each cell as the product of ``count`` equal steps,
+    and whether the generators of all its steps are finite.
 
-    One frequency call serves every cell; the steps of a cell are multiplied
-    pairwise, in log2(count) passes.
+    One frequency call serves every cell, its points laid out node by node
+    as (3, cells, count); the steps of a cell are multiplied pairwise, in
+    log2(count) passes.
     """
     h = widths / count
-    offsets = np.arange(count)[:, None] + _GAUSS  # (count, 2), in steps
+    offsets = np.arange(count) + _GAUSS[:, None, None]  # (3, 1, count), in steps
     try:
-        w2 = profile.omega2_array((starts[:, None, None] + h[:, None, None] * offsets).ravel())
+        w2 = profile.omega2_array((starts[:, None] + h[:, None] * offsets).ravel())
     except (SingularEndpointError, FloatingPointError, ZeroDivisionError) as exc:
         raise IntegrationFailureError(f"frequency could not be evaluated: {exc}") from None
-    steps = _magnus_steps(w2.reshape(widths.size, count, 2), h[:, None])
+    w2 = w2.reshape(3, widths.size, count)
+    steps, finite = _magnus_steps(w2, h[:, None])
     while steps.shape[2] > 1:
         steps = _matmul(steps[:, :, 1::2], steps[:, :, 0::2])
-    return steps[:, :, 0]
+    return steps[:, :, 0], finite.all(axis=1)
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
@@ -225,7 +244,7 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
     return p
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results refine or raise below
 def magnus_outward(
     profile,
     grid: np.ndarray,
@@ -237,20 +256,33 @@ def magnus_outward(
 
     ``y0`` stacks n columns as (y_1 .. y_n, y_1' .. y_n').  The cells are the
     intervals between consecutive grid points, with the anchor added as a
-    node when it is not one.  Every cell starts at one substep; the cells
-    still refining share one substep count, which doubles on each pass until
-    the Richardson estimate |M(h) - M(h/2)^2| / 15 of a cell's matrix M is at
-    most max(width / half-range * rel_tol, a few ulp) * |M|.
+    node when it is not one; each cell's tolerance is its share of rel_tol,
+    width / half-range * rel_tol, and a cell matrix M meets it when its
+    Richardson estimate |M - M_coarse| / 63 is at most max(tolerance,
+    a few ulp) * |M|.
+
+    The first pass takes one sixth-order step per cell, and pairs the cells
+    outward from the anchor: two adjacent cells of equal width on the same
+    side are both done when their product F2 F1 meets the summed tolerance
+    of the two against one step P across both, and the second cell's coarse
+    matrix is then P adj(F1), so the coarse matrices multiply to P.  The
+    other cells go on at two substeps with their one-step matrix as coarse
+    partner, and the cells still refining share one substep count, which
+    doubles on each pass.  A cell matrix that is not finite although the
+    generators of its steps are (one step across a wide, growing cell can
+    overflow where finer steps do not) is not converged and refines.
 
     Returns the state at every grid point, shape (2n, grid.size), and the
-    global error estimate: the largest max |Y_fine - Y_coarse| / 15 of a
+    global error estimate: the largest max |Y_fine - Y_coarse| / 63 of a
     state row relative to that row's maximum, where Y_coarse is propagated
-    with every cell's halved final substep count.
+    with the coarse cell matrices.
 
     Raises :class:`IntegrationFailureError`, with ``last_q`` the last node
-    reached outward from the anchor, when a cell needs more than
-    :data:`MAX_SUBSTEPS` substeps, a pass more than :data:`MAX_PASS_SUBSTEPS`,
-    or a cell matrix or state is not finite.
+    reached outward from the anchor, when a step's generator is not finite
+    (an Omega^2 sample is not, or the step is so wide that the generator
+    overflows, which no affordable refinement undoes), a cell needs more
+    than :data:`MAX_SUBSTEPS` substeps, a pass more than
+    :data:`MAX_PASS_SUBSTEPS`, or a state is not finite.
     """
     y0 = np.asarray(y0, dtype=float)
     n = y0.size // 2
@@ -259,7 +291,7 @@ def magnus_outward(
     nodes = grid if on_grid else np.insert(grid, pos, anchor)
     starts, widths = nodes[:-1], np.diff(nodes)
     right = np.arange(widths.size) >= pos  # cell i spans nodes[i] .. nodes[i + 1]
-    share = widths / np.where(right, nodes[-1] - anchor, anchor - nodes[0])
+    tol = widths / np.where(right, nodes[-1] - anchor, anchor - nodes[0]) * settings.rel_tol
 
     def failure(message, reached):
         """Error at the failure nearest the anchor; ``reached`` holds the
@@ -271,23 +303,46 @@ def magnus_outward(
         # the anchor-side end of a cell is the last node reached before it
         return failure(message, np.where(right[cells], starts[cells], nodes[cells + 1]))
 
-    cells = np.empty((4, 2, widths.size))  # axis 1: final (fine, coarse) cell matrices
-    todo, coarse, count = np.arange(widths.size), None, 1
+    def converged(fine, coarse, bound):
+        """Whether each finite ``fine`` matrix meets ``bound`` against ``coarse``."""
+        estimate = np.max(np.abs(fine - coarse), axis=0) / _RICHARDSON
+        size = np.max(np.abs(fine), axis=0)
+        return np.all(np.isfinite(fine), axis=0) & (estimate <= np.maximum(bound, _ULP_FLOOR) * size)
+
+    def cell_pass(near, span_starts, span_widths, count):
+        """Matrices across the spans of one pass; ``near`` holds, per span,
+        the cell that shares its anchor-side end, for the failure messages."""
+        if count > MAX_SUBSTEPS or count * near.size > MAX_PASS_SUBSTEPS:
+            raise cell_failure("Magnus refinement reached its substep cap", near)
+        matrices, finite = _cell_matrices(profile, span_starts, span_widths, count)
+        if not finite.all():
+            raise cell_failure("cell propagator is not finite", near[~finite])
+        return matrices
+
+    # first pass: one step per cell, and one across each pair (i, i + 1) of
+    # equal cells, counted outward from the anchor on either side
+    lower = np.arange(pos % 2, widths.size - 1, 2)
+    lower = lower[np.abs(widths[lower + 1] - widths[lower]) <= _PAIR_WIDTHS * widths[lower]]
+    every = np.arange(widths.size)
+    new = cell_pass(
+        np.concatenate((every, np.where(right[lower], lower, lower + 1))),
+        np.concatenate((starts, starts[lower])),
+        np.concatenate((widths, nodes[lower + 2] - starts[lower])),
+        1,
+    )
+    fine, pair = new[:, :widths.size], new[:, widths.size:]
+    cells = np.stack((fine, fine), axis=1)  # axis 1: final (fine, coarse) cell matrices
+    ok = converged(_matmul(fine[:, lower + 1], fine[:, lower]), pair, tol[lower] + tol[lower + 1])
+    lower = lower[ok]
+    cells[:, 1, lower + 1] = _matmul(pair[:, ok], _adjugate(fine[:, lower]))
+    todo = np.setdiff1d(every, np.concatenate((lower, lower + 1)), assume_unique=True)
+    coarse, count = fine[:, todo], 2
     while todo.size:
-        if count > MAX_SUBSTEPS or count * todo.size > MAX_PASS_SUBSTEPS:
-            raise cell_failure("Magnus refinement reached its substep cap", todo)
-        new = _cell_matrices(profile, starts[todo], widths[todo], count)
-        bad = ~np.all(np.isfinite(new), axis=0)
-        if bad.any():
-            raise cell_failure("cell propagator is not finite", todo[bad])
-        if coarse is not None:
-            size = np.max(np.abs(new), axis=0)
-            estimate = np.max(np.abs(new - coarse), axis=0) / 15.0
-            done = estimate <= np.maximum(share[todo] * settings.rel_tol, _ULP_FLOOR) * size
-            cells[:, 0, todo[done]] = new[:, done]
-            cells[:, 1, todo[done]] = coarse[:, done]
-            todo, new = todo[~done], new[:, ~done]
-        coarse = new
+        new = cell_pass(todo, starts[todo], widths[todo], count)
+        done = converged(new, coarse, tol[todo])
+        cells[:, 0, todo[done]] = new[:, done]
+        cells[:, 1, todo[done]] = coarse[:, done]
+        todo, coarse = todo[~done], new[:, ~done]
         count *= 2
 
     # propagators from the anchor to every node, fine and coarse together
@@ -305,7 +360,7 @@ def magnus_outward(
         reached = np.where(first > pos, first - 1, first + 1)
         raise failure("integration left the finite range", nodes[reached])
     scale = np.maximum(np.max(np.abs(state), axis=1), np.finfo(float).tiny)
-    error = float(np.max(np.max(np.abs(state - coarse_state), axis=1) / scale)) / 15.0
+    error = float(np.max(np.max(np.abs(state - coarse_state), axis=1) / scale)) / _RICHARDSON
     if not on_grid:
         state = np.delete(state, pos, axis=1)
     return state, error
@@ -379,9 +434,13 @@ def companion_pair(
 
     The companion is generated by identity-type data (0, 1) posed where the
     given column is largest in magnitude, so W = y1(anchor) is well away
-    from zero.
+    from zero: at the first sample within 1e-9 of that magnitude, because
+    mirror-image maxima (|D_n| on a symmetric grid) differ by rounding only,
+    which must not choose between them.
     """
-    idx = int(np.argmax(np.abs(column.y)))
+    magnitude = np.abs(column.y)
+    near = np.flatnonzero(magnitude >= (1.0 - 1e-9) * np.max(magnitude))
+    idx = int(near[0]) if near.size else int(np.argmax(magnitude))
     w = _pair_wronskian(column.y[idx])
     (y2, dy2), error = magnus_outward(
         profile, column.grid, float(column.grid[idx]), (0.0, 1.0), settings

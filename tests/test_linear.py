@@ -242,10 +242,11 @@ def ground_state_column(points):
     return true, error
 
 
-def test_magnus_error_falls_16x_per_halving():
+def test_magnus_error_falls_64x_per_halving():
+    # sixth order: the global error falls by 2^6 when the step halves
     errors = [ground_state_column(points) for points in (9, 17, 33)]
     for (coarse, _), (fine, _) in zip(errors, errors[1:]):
-        assert 14.0 <= coarse / fine <= 18.0
+        assert 56.0 <= coarse / fine <= 72.0
     for true, estimate in errors:
         # the global Richardson estimate tracks the true error
         assert 0.5 * true <= estimate <= 2.0 * true
@@ -267,7 +268,10 @@ def test_magnus_nan_frequency_reports_last_q(anchor, bad, side):
 
 
 def test_integrated_pairs_carry_error_estimate():
-    grid = np.linspace(-4.0, 4.0, 401)
+    dense = fundamental_pair(weber_profile(0.3), np.linspace(-4.0, 4.0, 401), 0.0)
+    assert 0.0 < dense.error <= 1e-12
+    # on 21 points one step per cell misses rel_tol = 1e-3 (on 401 it meets 1e-12)
+    grid = np.linspace(-4.0, 4.0, 21)
     pair = fundamental_pair(weber_profile(0.3), grid, 0.0)
     assert 0.0 < pair.error <= 1e-12
     loose = fundamental_pair(weber_profile(0.3), grid, 0.0, IntegrationSettings(rel_tol=1e-3))
@@ -280,3 +284,92 @@ def test_integrated_pairs_carry_error_estimate():
     assert 0.5 * true <= loose.error <= 2.0 * true
     # every Magnus step has determinant 1: the Wronskian cannot see the loss
     assert wronskian_check(loose) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Sixth-order step and the paired first pass
+# ---------------------------------------------------------------------------
+
+AIRY = unit_profile(lambda q: -np.asarray(q, float))  # y'' = q y: Ai and Bi
+
+
+def airy_propagator(a, b):
+    """Exact (y, y') propagator of the Airy equation from a to b."""
+    from scipy.special import airy
+
+    ai, aip, bi, bip = airy(np.array([a, b]))
+    start, end = (np.array([[ai[k], bi[k]], [aip[k], bip[k]]]) for k in (0, 1))
+    return end @ np.linalg.inv(start)
+
+
+def test_airy_one_step_error_falls_128x_per_halving():
+    # one step has local error O(h^7): halving it divides the error by about 2^7
+    errors = []
+    for h in (0.4, 0.2, 0.1, 0.05):
+        m, finite = linear._cell_matrices(AIRY, np.array([-3.0]), np.array([h]), 1)
+        assert finite.all()
+        errors.append(np.max(np.abs(m[:, 0].reshape(2, 2) - airy_propagator(-3.0, -3.0 + h))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 100.0 <= coarse / fine <= 160.0
+
+
+def test_airy_pair_matches_ai_and_bi():
+    from scipy.special import airy
+
+    grid = np.linspace(-8.0, 2.0, 501)
+    ai, aip, bi, bip = airy(0.0)
+    pair = fundamental_pair(AIRY, grid, 0.0, ic1=(ai, aip), ic2=(bi, bip))
+    exact_ai, exact_aip, exact_bi, exact_bip = airy(grid)
+    for column, exact in ((pair.y1, exact_ai), (pair.dy1, exact_aip),
+                          (pair.y2, exact_bi), (pair.dy2, exact_bip)):
+        assert np.max(np.abs(column - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def counting_profile(profile):
+    """``profile`` whose Omega^2 calls record how many points each asked for."""
+    calls = []
+
+    def omega2(q):
+        calls.append(np.size(q))
+        return profile.omega2_array(q)
+
+    return unit_profile(omega2), calls
+
+
+def test_dense_uniform_grid_takes_one_pass_of_4_5_samples_per_cell():
+    profile, calls = counting_profile(weber_profile(0.3))
+    grid = np.linspace(-4.0, 4.0, 2001)
+    magnus_outward(profile, grid, 0.0, (1.0, 0.0))
+    # three per cell, and three per pair of cells for the one-step partner
+    assert calls == [3 * 2000 + 3 * 1000]
+
+
+def test_unequal_neighbouring_cells_are_never_paired(monkeypatch):
+    spans = []
+    cell_matrices = linear._cell_matrices
+
+    def recording(profile, starts, widths, count):
+        spans.append((count, list(zip(starts.round(12), widths.round(12)))))
+        return cell_matrices(profile, starts, widths, count)
+
+    monkeypatch.setattr(linear, "_cell_matrices", recording)
+    # widths 0.2, 0.2, 0.2, 0.1, 0.1, 0.1 | 0.1, 0.1, 0.1, 0.2, 0.2, 0.2 about the anchor
+    grid = np.array([-0.9, -0.7, -0.5, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
+    magnus_outward(weber_profile(0.3), grid, 0.0, (1.0, 0.0), IntegrationSettings(rel_tol=1e-6))
+    (count, first), (second_count, second) = spans
+    # pairs are counted outward from the anchor; only equal neighbours pair up
+    assert count == 1 and first[12:] == [(-0.9, 0.4), (-0.2, 0.2), (0.0, 0.2), (0.5, 0.4)]
+    # the unpaired cells either side of each width change go on at two substeps
+    assert second_count == 2 and second == [(-0.5, 0.2), (-0.3, 0.1), (0.2, 0.1), (0.3, 0.2)]
+
+
+def test_companion_anchor_ignores_rounding_between_mirror_maxima():
+    # |y| = |x| e^{-x^2/4} peaks at x = -sqrt(2) and sqrt(2); a rounding-sized
+    # excess on the right must not move the anchor off the first peak
+    grid = np.linspace(-4.0, 4.0, 401)
+    gauss = np.exp(-(grid**2) / 4.0)
+    y = grid * gauss
+    left, right = np.argmin(y), np.argmax(y)
+    y[right] = -y[left] * (1.0 + 4e-16)
+    pair = companion_pair(weber_profile(1.0), Column(grid, y, (1.0 - grid**2 / 2.0) * gauss))
+    assert pair.W == y[left]

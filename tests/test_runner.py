@@ -227,7 +227,7 @@ def test_flux_certificate_uses_configured_tolerance(residual, tolerance, passed)
 def test_coulomb_pair_honours_integration_settings(tmp_path):
     base = "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n"
     drifts = []
-    for extra in ("", "integration.rel_tol = 1e-6\n"):
+    for extra in ("", "integration.rel_tol = 1e-3\n"):
         report, _ = run_config(parse_config_text(base + extra), output_dir=tmp_path / "o")
         (sector,) = report.as_dict()["sectors"]
         drifts.append((sector["wronskian_drift"], sector["invariant_drift"]))
@@ -286,6 +286,19 @@ def test_cli_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ERMAKOV_OUT", str(tmp_path / "elsewhere"))
     assert main(["run", cfg]) == 0
     assert (tmp_path / "elsewhere" / "report.json").exists()
+
+
+def test_cli_coulomb_wide_cells_refine_past_an_overflowing_step(tmp_path, monkeypatch):
+    # The W column is seeded at x = 600 and crosses the cell [300, 600]: one
+    # sixth-order step there overflows, finer ones do not, so the cell refines.
+    monkeypatch.delenv("ERMAKOV_OUT", raising=False)
+    cfg = write_cfg(tmp_path, "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\n"
+                    "problem.E = -0.5\nsector.x.grid = 0.05:300:201\n"
+                    f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 0
+    (sector,) = json.loads((tmp_path / "out" / "report.json").read_text())["sectors"]
+    assert sector["pass"]
+    assert sector["invariant_drift"] <= 1e-12 and sector["integration_error"] <= 1e-13
 
 
 def test_cli_exit_code_config_error(tmp_path, capsys):
