@@ -48,6 +48,7 @@ MAX_PASS_SUBSTEPS = 2**22
 # Floor of a cell's tolerance, relative to the size of its matrix: below a
 # few ulp the Richardson difference is roundoff and refining cannot meet it.
 _ULP_FLOOR = 4.0 * np.finfo(float).eps
+_LOG_MAX = math.log(np.finfo(float).max)  # growth exponent past which a matrix overflows
 _SCAN_SPLIT = 256  # prefix-product length below which a scan level doubles shifts
 # |s^2| below which cosh s and sinh(s)/s come from their Taylor series,
 # truncated after the s^6 term (remainder below 3e-17).
@@ -160,8 +161,8 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
 
 
 def _magnus_steps(w2: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp of the sixth-order Magnus generator of each step, and whether
-    the generator is finite.
+    """exp of the sixth-order Magnus generator of each step, and its growth
+    exponent max(Re s, 0), infinite where the generator is not finite.
 
     ``w2[0]``, ``w2[1]`` and ``w2[2]`` are Omega^2 at the step's three Gauss
     points, ``h`` the step length.  With A = [[0, 1], [-Omega^2, 0]] and
@@ -195,12 +196,13 @@ def _magnus_steps(w2: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     m[1] = sinc * b
     m[2] = sinc * c
     m[3] = cosh - sinc * g
-    return m, np.isfinite(s2)
+    return m, np.where(np.isfinite(s2), np.sqrt(np.maximum(s2, 0.0)), np.inf)
 
 
 def _cell_matrices(profile, starts, widths, count) -> tuple[np.ndarray, np.ndarray]:
     """Propagator across each cell as the product of ``count`` equal steps,
-    and whether the generators of all its steps are finite.
+    and the cell's growth exponent, the sum of its steps' (see
+    :func:`_magnus_steps`); |propagator| grows about as its exponential.
 
     One frequency call serves every cell, its points laid out node by node
     as (3, cells, count); the steps of a cell are multiplied pairwise, in
@@ -213,10 +215,10 @@ def _cell_matrices(profile, starts, widths, count) -> tuple[np.ndarray, np.ndarr
     except (SingularEndpointError, FloatingPointError, ZeroDivisionError) as exc:
         raise IntegrationFailureError(f"frequency could not be evaluated: {exc}") from None
     w2 = w2.reshape(3, widths.size, count)
-    steps, finite = _magnus_steps(w2, h[:, None])
+    steps, growth = _magnus_steps(w2, h[:, None])
     while steps.shape[2] > 1:
         steps = _matmul(steps[:, :, 1::2], steps[:, :, 0::2])
-    return steps[:, :, 0], finite.all(axis=1)
+    return steps[:, :, 0], growth.sum(axis=1)
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
@@ -270,7 +272,10 @@ def magnus_outward(
     partner, and the cells still refining share one substep count, which
     doubles on each pass.  A cell matrix that is not finite although the
     generators of its steps are (one step across a wide, growing cell can
-    overflow where finer steps do not) is not converged and refines.
+    overflow where finer steps do not) is not converged and refines, until
+    its growth exponent has settled above log(DBL_MAX): it moved since the
+    previous count by no more than its excess over that bound, so the
+    propagator itself overflows.
 
     Returns the state at every grid point, shape (2n, grid.size), and the
     global error estimate: the largest max |Y_fine - Y_coarse| / 63 of a
@@ -280,9 +285,10 @@ def magnus_outward(
     Raises :class:`IntegrationFailureError`, with ``last_q`` the last node
     reached outward from the anchor, when a step's generator is not finite
     (an Omega^2 sample is not, or the step is so wide that the generator
-    overflows, which no affordable refinement undoes), a cell needs more
-    than :data:`MAX_SUBSTEPS` substeps, a pass more than
-    :data:`MAX_PASS_SUBSTEPS`, or a state is not finite.
+    overflows, which no affordable refinement undoes) or a cell's settled
+    growth exponent is past the double range, a cell needs more than
+    :data:`MAX_SUBSTEPS` substeps, a pass more than :data:`MAX_PASS_SUBSTEPS`,
+    or a state is not finite.
     """
     y0 = np.asarray(y0, dtype=float)
     n = y0.size // 2
@@ -314,17 +320,17 @@ def magnus_outward(
         the cell that shares its anchor-side end, for the failure messages."""
         if count > MAX_SUBSTEPS or count * near.size > MAX_PASS_SUBSTEPS:
             raise cell_failure("Magnus refinement reached its substep cap", near)
-        matrices, finite = _cell_matrices(profile, span_starts, span_widths, count)
-        if not finite.all():
-            raise cell_failure("cell propagator is not finite", near[~finite])
-        return matrices
+        matrices, growth = _cell_matrices(profile, span_starts, span_widths, count)
+        if not np.isfinite(growth).all():
+            raise cell_failure("cell propagator is not finite", near[~np.isfinite(growth)])
+        return matrices, growth
 
     # first pass: one step per cell, and one across each pair (i, i + 1) of
     # equal cells, counted outward from the anchor on either side
     lower = np.arange(pos % 2, widths.size - 1, 2)
     lower = lower[np.abs(widths[lower + 1] - widths[lower]) <= _PAIR_WIDTHS * widths[lower]]
     every = np.arange(widths.size)
-    new = cell_pass(
+    new, growth = cell_pass(
         np.concatenate((every, np.where(right[lower], lower, lower + 1))),
         np.concatenate((starts, starts[lower])),
         np.concatenate((widths, nodes[lower + 2] - starts[lower])),
@@ -336,13 +342,16 @@ def magnus_outward(
     lower = lower[ok]
     cells[:, 1, lower + 1] = _matmul(pair[:, ok], _adjugate(fine[:, lower]))
     todo = np.setdiff1d(every, np.concatenate((lower, lower + 1)), assume_unique=True)
-    coarse, count = fine[:, todo], 2
+    coarse, grown, count = fine[:, todo], growth[todo], 2
     while todo.size:
-        new = cell_pass(todo, starts[todo], widths[todo], count)
+        new, growth = cell_pass(todo, starts[todo], widths[todo], count)
+        stuck = ~np.all(np.isfinite(new), axis=0) & (np.abs(growth - grown) <= growth - _LOG_MAX)
+        if stuck.any():
+            raise cell_failure("cell propagator is not finite", todo[stuck])
         done = converged(new, coarse, tol[todo])
         cells[:, 0, todo[done]] = new[:, done]
         cells[:, 1, todo[done]] = coarse[:, done]
-        todo, coarse = todo[~done], new[:, ~done]
+        todo, coarse, grown = todo[~done], new[:, ~done], growth[~done]
         count *= 2
 
     # propagators from the anchor to every node, fine and coarse together

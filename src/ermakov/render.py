@@ -1,8 +1,9 @@
 """Reals rendered with 17 significant digits, one value or a whole table.
 
 :func:`format_real` is the rule: ``'%.17g' % x``, which round-trips every
-double.  :func:`render_table` gives the bytes of a table under that rule
-without formatting values one at a time.
+double.  :func:`table_chunks` streams the bytes of a table under that rule
+block by block, without formatting values one at a time, so rendering holds
+a few MB however long the table is.
 
 Each finite nonzero |x| = f 2^e is scaled to y = |x| 10^(16 - E) in
 [1e16, 1e17) as a double-double: Dekker's exact product of f with a
@@ -207,19 +208,23 @@ def _render_into(x: np.ndarray, cells: np.ndarray, at: int) -> None:
         value[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
-def render_table(columns: tuple[str, ...], rows: np.ndarray, fmt: str) -> bytes:
-    """The table as csv (header line, comma-separated rows) or json-lines
-    (one object per row), every value rendered by :func:`format_real`."""
-    width = len(columns)
-    rows = np.asarray(rows, dtype=np.float64).reshape(-1, width)
+def table_chunks(names: tuple[str, ...], columns, fmt: str):
+    """The csv (header line, comma-separated rows) or json-lines (one object
+    per row) table of the equal-length 1-D ``columns``, every value rendered
+    by :func:`format_real`: the header, then one uint8 array per block of at
+    most ``_CHUNK`` values, so no more than a block is held at once."""
+    width = len(names)
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    if len(columns) != width or len({c.shape for c in columns}) != 1:
+        raise ValueError("table columns must be as many as names and of equal length")
     if fmt == "csv":
-        head = ",".join(columns) + "\n"
+        head = ",".join(names) + "\n"
         prefixes = [""] + [","] * (width - 1)
         suffix = "\n"
     else:
         head = ""
-        prefixes = ["{" + json.dumps(columns[0]) + ": "]
-        prefixes += [", " + json.dumps(name) + ": " for name in columns[1:]]
+        prefixes = ["{" + json.dumps(names[0]) + ": "]
+        prefixes += [", " + json.dumps(name) + ": " for name in names[1:]]
         suffix = "}\n"
     # One cell per value: its column's prefix, right-aligned at a multiple
     # of 4, the template, and the row suffix after the last column.
@@ -231,12 +236,11 @@ def render_table(columns: tuple[str, ...], rows: np.ndarray, fmt: str) -> bytes:
     frame[:, at : at + _WIDTH] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
     frame[-1, at + _WIDTH : at + _WIDTH + len(suffix)] = np.frombuffer(suffix.encode(), np.uint8)
     step = max(1, _CHUNK // width)
-    parts = [head.encode()]
-    for start in range(0, rows.shape[0], step):
-        block = rows[start : start + step]
+    yield head.encode()
+    for start in range(0, columns[0].size, step):
+        block = np.stack([c[start : start + step] for c in columns], axis=1)
         buf = np.empty((block.shape[0], width, cell), dtype=np.uint8)
         buf[...] = frame
         buf = buf.reshape(block.size, cell)
         _render_into(block.ravel(), buf, at)
-        parts.append(buf[buf != 0].tobytes())
-    return b"".join(parts)
+        yield buf[buf != 0]

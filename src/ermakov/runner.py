@@ -4,13 +4,16 @@ Reads a flat key=value run description, executes each sector pipeline
 (profile -> pair -> quadratic form -> invariant -> fields -> trajectories),
 and emits field tables plus a certification report.  Every sector is
 computed and certified before any file is written; each file is then
-rendered and atomically written (write-then-rename), one at a time, so a
-failure leaves no partial file.  Outputs are deterministic: fixed column
-and key order, reals rendered with 17 significant digits (:mod:`.render`).
+written atomically (write-then-rename), one at a time, so a failure leaves
+no partial file.  A table is streamed from its columns to its file in chunks
+of a few MB, so emit memory does not grow with the grid.  Outputs are
+deterministic: fixed column and key order, reals rendered with 17
+significant digits (:mod:`.render`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -41,7 +44,7 @@ from .pinney import (
     symmetric_coefficients,
 )
 from .problems import TEXT_PARAMETERS, ProblemSpec, SectorRequest, SectorSetup, build_problem
-from .render import format_real, render_table
+from .render import format_real, table_chunks
 
 FIELD_COLUMNS = ("q", "omega2", "y1", "y2", "wronskian", "rho", "R", "p", "Q", "invariant")
 OUTPUT_FORMATS = ("csv", "json-lines")
@@ -374,26 +377,33 @@ def _json_render(value, indent: int = 0) -> str:
     return json.dumps(str(value))
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, parts) -> None:
+    """Write the byte chunks ``parts`` to ``path`` through a ``.tmp`` file,
+    each as it arrives, then rename; on any failure the ``.tmp`` file goes."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
-def _field_rows(result: SectorResult) -> np.ndarray:
-    return np.column_stack(
-        [
-            result.pair.grid,
-            result.omega2,
-            result.pair.y1,
-            result.pair.y2,
-            result.pair.wronskian_samples(),
-            result.amplitude.rho,
-            result.R,
-            result.p,
-            result.Q,
-            result.invariant,
-        ]
+def _field_columns(result: SectorResult) -> tuple[np.ndarray, ...]:
+    return (
+        result.pair.grid,
+        result.omega2,
+        result.pair.y1,
+        result.pair.y2,
+        result.pair.wronskian_samples(),
+        result.amplitude.rho,
+        result.R,
+        result.p,
+        result.Q,
+        result.invariant,
     )
 
 
@@ -418,7 +428,7 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
     Returns (report, written paths).  After :func:`prepare`, every sector is
     computed and certified before the first write; then each file is
     rendered and atomically written (fixed key order, 17 digits), one at a
-    time, the report last.  An output directory that cannot be created or
+    time and each table chunk by chunk, the report last.  An output directory that cannot be created or
     written raises :class:`ConfigurationError`.
     """
     out, setups = prepare(config, output_dir)
@@ -428,18 +438,18 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
     suffix = "csv" if config.output_format == "csv" else "jsonl"
     written = []
 
-    def emit(stem: str, columns: tuple[str, ...], rows: np.ndarray) -> None:
+    def emit(stem: str, names: tuple[str, ...], columns: tuple[np.ndarray, ...]) -> None:
         path = out / f"{stem}.{suffix}"
-        _atomic_write(path, render_table(columns, rows, config.output_format))
+        _atomic_write(path, table_chunks(names, columns, config.output_format))
         written.append(path)
 
     try:
         out.mkdir(parents=True, exist_ok=True)
         for result in results:
-            emit(f"{result.label}_fields", FIELD_COLUMNS, _field_rows(result))
+            emit(f"{result.label}_fields", FIELD_COLUMNS, _field_columns(result))
             for i, (_, t_grid, x_t) in enumerate(result.trajectories, start=1):
-                emit(f"{result.label}_trajectory_{i}", ("t", "x"), np.column_stack([t_grid, x_t]))
-        _atomic_write(out / "report.json", (_json_render(report.as_dict()) + "\n").encode())
+                emit(f"{result.label}_trajectory_{i}", ("t", "x"), (t_grid, x_t))
+        _atomic_write(out / "report.json", [(_json_render(report.as_dict()) + "\n").encode()])
         written.append(out / "report.json")
     except OSError as exc:
         raise ConfigurationError(f"cannot write to output directory {str(out)!r}: {exc}") from None

@@ -306,8 +306,8 @@ def test_airy_one_step_error_falls_128x_per_halving():
     # one step has local error O(h^7): halving it divides the error by about 2^7
     errors = []
     for h in (0.4, 0.2, 0.1, 0.05):
-        m, finite = linear._cell_matrices(AIRY, np.array([-3.0]), np.array([h]), 1)
-        assert finite.all()
+        m, growth = linear._cell_matrices(AIRY, np.array([-3.0]), np.array([h]), 1)
+        assert np.isfinite(growth).all()
         errors.append(np.max(np.abs(m[:, 0].reshape(2, 2) - airy_propagator(-3.0, -3.0 + h))))
     for coarse, fine in zip(errors, errors[1:]):
         assert 100.0 <= coarse / fine <= 160.0
@@ -361,6 +361,25 @@ def test_unequal_neighbouring_cells_are_never_paired(monkeypatch):
     assert count == 1 and first[12:] == [(-0.9, 0.4), (-0.2, 0.2), (0.0, 0.2), (0.5, 0.4)]
     # the unpaired cells either side of each width change go on at two substeps
     assert second_count == 2 and second == [(-0.5, 0.2), (-0.3, 0.1), (0.2, 0.1), (0.3, 0.2)]
+
+
+def test_overflowing_cell_stops_once_its_growth_settles(monkeypatch):
+    # Omega^2 = -1e4 grows e^1000 across each cell of width 10: every count
+    # gives the same growth exponent, past the double range, so refining
+    # cannot make the cell matrix finite and the cell fails at once.
+    # (Coulomb's overflowing first step refines; see test_runner.)
+    counts = []
+    cell_matrices = linear._cell_matrices
+
+    def recording(profile, starts, widths, count):
+        counts.append(count)
+        return cell_matrices(profile, starts, widths, count)
+
+    monkeypatch.setattr(linear, "_cell_matrices", recording)
+    steep = unit_profile(lambda q: np.full_like(np.asarray(q, float), -1e4))
+    with pytest.raises(IntegrationFailureError, match="cell propagator is not finite"):
+        fundamental_pair(steep, np.linspace(0.0, 20.0, 3), 0.0)
+    assert len(counts) <= 3
 
 
 def test_companion_anchor_ignores_rounding_between_mirror_maxima():

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ermakov.render import format_real, render_table
+from ermakov.render import format_real, table_chunks
 from ermakov.runner import parse_config_text, run_config
 
 
 def _rendered(values) -> list[str]:
     """Each value as the kernel renders it, one csv row per value."""
-    text = render_table(("x",), np.asarray(values, dtype=float)[:, None], "csv").decode()
+    text = b"".join(table_chunks(("x",), (np.asarray(values, dtype=float),), "csv")).decode()
     assert text.startswith("x\n") and text.endswith("\n")
     return text[2:-1].split("\n")
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from ermakov.runner import (
 )
 from ermakov.pinney import solve_ep_direct
 from ermakov.problems import KINDS, ProblemSpec, SectorRequest, build_problem
-from ermakov.render import render_table
+from ermakov.render import _CHUNK, table_chunks
 
 FREE_CFG = """
 # plane-wave sector
@@ -182,8 +183,31 @@ def test_table_rendering_matches_per_value_rule(fmt):
     values = np.concatenate([special, signs * magnitudes]).reshape(200, len(FIELD_COLUMNS))
     one_row = np.array([[math.nan, -0.0]])
     for columns, rows in ((FIELD_COLUMNS, values), (("t", "x"), one_row)):
-        text = render_table(columns, rows, fmt).decode("ascii")
+        text = b"".join(table_chunks(columns, tuple(rows.T), fmt)).decode("ascii")
         assert text == _reference_table_text(columns, rows, fmt)
+
+
+def _mixed_values(rng, size):
+    """Log-uniform magnitudes of both signs with zeros, NaN and infinities strewn in."""
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-320.0, 308.0, size)
+    special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308])
+    at = rng.choice(size, size // 50, replace=False)
+    values[at] = rng.choice(special, at.size)
+    return values
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@pytest.mark.parametrize("rows, names", [
+    (5001, FIELD_COLUMNS),  # 1638 rows a chunk: three full chunks and 87 rows
+    (3 * (_CHUNK // 2) + 5, ("t", "x")),  # 8192 rows a chunk: three full chunks and 5 rows
+])
+def test_tables_across_chunk_boundaries_match_per_value_rule(rows, names, fmt):
+    assert rows > 3 * (_CHUNK // len(names))
+    rng = np.random.default_rng(rows)
+    columns = tuple(_mixed_values(rng, rows) for _ in names)
+    chunks = list(table_chunks(names, columns, fmt))
+    assert len(chunks) == 1 + 4  # the header, then every block
+    assert b"".join(chunks).decode() == _reference_table_text(names, zip(*columns), fmt)
 
 
 def test_json_lines_format(tmp_path):
@@ -523,6 +547,72 @@ def test_cli_exit_code_path_singularity(tmp_path):
     assert main(["run", cfg]) == 3
     # failed runs leave no partial output behind
     assert not (tmp_path / "out").exists()
+
+
+class _FailingFile:
+    """A file whose writes fail after the first one."""
+
+    def __init__(self, file):
+        self.file, self.writes = file, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, part):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device")
+        return self.file.write(part)
+
+
+@pytest.mark.parametrize("failing", ["chunk_source", "file_write"])
+def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, failing):
+    # the trajectory table fails after its first chunk: the field table
+    # written before it stays, and neither the table, its .tmp file nor the
+    # report appears
+    table_chunks = runner.table_chunks
+    if failing == "chunk_source":
+        def chunks(names, columns, fmt):
+            source = table_chunks(names, columns, fmt)
+            yield next(source)
+            if names == ("t", "x"):
+                raise OSError(28, "No space left on device")
+            yield from source
+
+        monkeypatch.setattr(runner, "table_chunks", chunks)
+    else:
+        def open_file(path, mode):
+            file = open(path, mode)
+            return _FailingFile(file) if "trajectory" in path.name else file
+
+        monkeypatch.setattr(runner, "open", open_file, raising=False)
+    with pytest.raises(ConfigurationError, match="cannot write to output directory"):
+        run_config(parse_config_text(FREE_CFG), output_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x_fields.csv"]
+    assert (tmp_path / "x_fields.csv").stat().st_size > 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_streamed_table_memory_is_bounded_by_the_chunk(tmp_path, fmt):
+    # A 10-column table of 200001 rows holds 16 MB of float64 data.  Writing
+    # it chunk by chunk keeps the traced peak below that; a writer that
+    # stacks the table and joins its rendered bytes peaks at 97 MB (csv) and
+    # 131 MB (json-lines) here.
+    rng = np.random.default_rng(11)
+    columns = tuple(rng.standard_normal(200_001) for _ in FIELD_COLUMNS)
+    b"".join(table_chunks(("x",), (np.ones(1),), fmt))  # builds the lookup tables
+    tracemalloc.start()
+    try:
+        runner._atomic_write(tmp_path / "table", table_chunks(FIELD_COLUMNS, columns, fmt))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 200_001 * 8
+    with open(tmp_path / "table", "rb") as f:
+        assert sum(1 for _ in f) == 200_001 + (fmt == "csv")
 
 
 def test_cli_catalog(capsys):
