@@ -24,13 +24,7 @@ from .catalog import (
     lookup_system,
 )
 from .errors import EngineError
-from .fields import (
-    FluxLedger,
-    flux_constraint_check,
-    momentum_field,
-    physical_amplitude,
-    trajectory,
-)
+from .fields import momentum_field, physical_amplitude, trajectory
 from .linear import (
     Column,
     FundamentalPair,
@@ -59,7 +53,6 @@ __all__ = [
     "CoordinateSystem",
     "EngineError",
     "ErmakovAmplitude",
-    "FluxLedger",
     "FrequencyProfile",
     "FundamentalPair",
     "IntegrationSettings",
@@ -71,7 +64,6 @@ __all__ = [
     "Weight",
     "build_problem",
     "el_invariant",
-    "flux_constraint_check",
     "fundamental_pair",
     "geometric_frequency",
     "integrate_normal_form",

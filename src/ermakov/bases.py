@@ -322,11 +322,13 @@ def mathieu_coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(harmonics, coefficients) of the periodic solution of order ``ell``.
 
-    Coefficients come from backward recurrence through the three-term ladder
-    (stable for the minimal solution, so each entry keeps relative accuracy;
-    the plain eigenvector would only be accurate in absolute terms, which is
-    not enough for the hyperbolic sums).  The vector is normalized to unit
-    Euclidean norm with the order-``ell`` harmonic coefficient positive.
+    Coefficients come from the three-term ladder, recurred from the top row
+    down and from the bottom row up to the order's harmonic, the direction in
+    which the wanted solution dominates (Gautschi, SIAM Rev. 9, 24 (1967)), so
+    each entry keeps relative accuracy; the plain eigenvector would only be
+    accurate in absolute terms, which is not enough for the hyperbolic sums.
+    The vector is normalized to unit Euclidean norm with the order-``ell``
+    harmonic coefficient positive.
     """
     first, step, index = _mathieu_ladder(ell, parity)
     size = max(40, index + 25)
@@ -339,10 +341,19 @@ def mathieu_coefficients(
         return harmonics, c
 
     even_even = parity == "even" and first == 0
+    # Row k reads (a - d_k) c_k = q (w_k c_{k-1} + c_{k+1}): d_k = h_k^2 but for
+    # the bottom row's reflection, w_0 = 0 (c_{-1} drops out) and w_1 = 2 when
+    # even-even.
+    diag = harmonics**2
+    diag[0] = _mathieu_matrix(ell, parity, q, 2)[0][0]
+    weights = np.ones(size)
+    weights[0], weights[1] = 0.0, 2.0 if even_even else 1.0
+
+    # Backward from the top down to the row below the order's harmonic
     c[size - 1] = 1.0
     above = 0.0
     bottom = 2 if even_even else 1
-    for k in range(size - 1, bottom - 1, -1):
+    for k in range(size - 1, max(index - 1, bottom - 1), -1):
         h = harmonics[k]
         new = (a - h * h) * c[k] / q - above
         above = c[k]
@@ -350,18 +361,30 @@ def mathieu_coefficients(
         if abs(new) > 1e250:
             c[k - 1 :] /= abs(new)
             above /= abs(new)
-    if even_even:
+    if even_even and index <= 1:
         # The k = 1 row couples twice to the constant mode.
         c[0] = ((a - 4.0) * c[1] - q * c[2]) / (2.0 * q)
+    # Forward from the bottom up to the order's harmonic.  The parts meet at
+    # its row or the one below, whichever the forward part is larger on, since
+    # the wanted coefficient can vanish at one of them.
+    low = np.zeros(index + 1)
+    low[0] = 1.0
+    for k in range(index):
+        low[k + 1] = (a - diag[k]) * low[k] / q - weights[k] * low[k - 1]
+        if abs(low[k + 1]) > 1e250:
+            low[: k + 2] /= abs(low[k + 1])
+    j = index - 1 if index and abs(low[index - 1]) > abs(low[index]) else index
+    c[:j] = low[:j] * (c[j] / low[j])
 
+    c /= max(1.0, float(np.max(np.abs(c))) * 1e-150)  # so that sum c_k^2 stays finite
     c /= math.sqrt(float(np.dot(c, c)))
     pivot = c[index] if c[index] != 0.0 else c[int(np.argmax(np.abs(c)))]
     if pivot < 0.0:
         c = -c
 
-    # Bottom-row consistency: nonzero residual here means the characteristic
-    # value and the recurrence ladder disagree.
-    residual = (a - _mathieu_matrix(ell, parity, q, 2)[0][0]) * c[0] - q * c[1]
+    # Consistency at row j, the one row that neither part solves: a nonzero
+    # residual means the characteristic value and the ladder disagree.
+    residual = (a - diag[j]) * c[j] - q * (weights[j] * c[j - 1] + c[j + 1])
     if abs(residual) > 1e-6 * max(1.0, abs(a)):
         raise EngineError(
             f"Mathieu coefficient ladder inconsistent (residual {residual:.3e})"

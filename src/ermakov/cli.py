@@ -61,8 +61,8 @@ def _cmd_run(path: str) -> int:
             f"wronskian drift {sector['wronskian_drift']:.3e}, "
             f"integration error {sector['integration_error']:.3e} [{status}]"
         )
-    print(f"flux residual {report.flux.residual:.3e} "
-          f"({'enforced' if report.flux.enforced else 'not enforced'})")
+    print(f"flux residual {report.flux['residual']:.3e} "
+          f"({'enforced' if report.flux['enforced'] else 'not enforced'})")
     print(f"verdict: {report.verdict}")
     for p in written:
         print(f"wrote {p}")

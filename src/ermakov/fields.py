@@ -10,8 +10,6 @@ exact on cubic Hermite cells of rho^2 (its samples and exact slope
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .catalog import SectorSpec
@@ -28,30 +26,9 @@ from .errors import (
 from .linear import solve_ivp  # noqa: F401
 from .pinney import ErmakovAmplitude
 
-FLUX_TOLERANCE = 1e-12  # default bound on |sum C_i| / sum |C_i|
 _WEIGHT_FLOOR = 1e-12
 _NEWTON_STEPS = 8
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class FluxLedger:
-    """Flux constants of all sectors of one run."""
-
-    entries: tuple[tuple[str, float], ...]
-
-    def residual(self) -> float:
-        """|sum C_i| / sum |C_i|, 0 when every C_i is 0: unchanged by C -> lambda C."""
-        scale = sum(abs(c) for _, c in self.entries)
-        return abs(sum(c for _, c in self.entries)) / scale if scale else 0.0
-
-
-@dataclass(frozen=True)
-class FluxCheck:
-    residual: float
-    passed: bool
-    enforced: bool
-    note: str = ""
 
 
 def physical_amplitude(amplitude: ErmakovAmplitude, sector: SectorSpec) -> np.ndarray:
@@ -229,16 +206,3 @@ def trajectory(
         )
     return x
 
-
-def flux_constraint_check(
-    ledger: FluxLedger, enforce: bool = True, tolerance: float = FLUX_TOLERANCE
-) -> FluxCheck:
-    """Relative residual of the stationary global constraint sum C_i = 0."""
-    if not ledger.entries:
-        raise ConfigurationError("flux ledger is empty")
-    residual = ledger.residual()
-    if not enforce:
-        return FluxCheck(
-            residual, True, False, "constraint not enforced (open/scattering sectors)"
-        )
-    return FluxCheck(residual, residual <= tolerance, True)

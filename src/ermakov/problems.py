@@ -172,6 +172,8 @@ def _sector(spec: ProblemSpec, profile: FrequencyProfile, default_grid, pair_bui
     lo, hi, n = request.grid or default_grid
     if not lo < hi or n < 2:
         raise ConfigurationError(f"sector {label!r}: bad grid request {(lo, hi, n)!r}")
+    if not math.isfinite(hi - lo):
+        raise ConfigurationError(f"sector {label!r}: grid span {lo!r}:{hi!r} overflows")
     grid = np.linspace(lo, hi, int(n))
     k = float(default_k if request.k is None else request.k)
     if k < 0:

@@ -361,6 +361,29 @@ def test_mathieu_coefficients_decay_and_normalization():
     assert abs(c[-1]) < 1e-50  # backward recurrence keeps tiny tails tiny
 
 
+@pytest.mark.parametrize("q", [0.5, 5.0, 50.0, 1e-3])
+def test_mathieu_ladder_holds_on_every_row(q):
+    # Below the order's harmonic the wanted coefficients are the minimal
+    # solution downward, so a purely backward recurrence amplified the
+    # characteristic value's error by about (a - h^2)/q a row: at q = 0.5 it
+    # failed from ell = 10.  At small q the recurred coefficients span more
+    # than the double range's square root, and their norm overflowed.
+    # RuntimeWarnings are errors under the test settings, so none may leak.
+    for parity in ("even", "odd"):
+        for ell in range(parity == "odd", 60):
+            a = mathieu_char_value(ell, parity, q)
+            harmonics, c = mathieu_coefficients(ell, parity, q, a=a)
+            # row k: (a - h_k^2) c_k = q (c_{k-1} + c_{k+1}), with c_{-1} = c_1
+            # for cos(2k nu) and c_{-1} = +-c_0 for cos/sin((2k+1) nu)
+            diag, below = harmonics**2, np.concatenate(([0.0], c[:-1]))
+            if harmonics[0] == 0.0:
+                below[1] *= 2.0
+            elif harmonics[0] == 1.0:
+                diag[0] += q if parity == "even" else -q
+            residual = (a - diag) * c - q * (below + np.append(c[1:], 0.0))
+            assert np.max(np.abs(residual)) <= 4e-14 * max(1.0, abs(a)), (ell, parity)
+
+
 def test_mathieu_pair_certified():
     nu = np.linspace(0.0, 2.0 * math.pi, 1001)
     pair = mathieu_pair(0, 0.5, mathieu_profile(0, "even", 0.5), nu)

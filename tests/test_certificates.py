@@ -77,7 +77,7 @@ def failed_checks(results, enforce, kind):
     for sector in report.sectors:
         assert list(sector["checks"]) == list(CHECKS[:2])
     passed = {name: all(s["checks"][name] for s in report.sectors) for name in CHECKS[:2]}
-    passed["flux"] = report.flux.passed
+    passed["flux"] = report.flux["pass"]
     return {name for name in CHECKS if not passed[name]}
 
 

@@ -113,6 +113,15 @@ X0_OFF_GRID = FREE + "trajectory.x.1 = 50:1:5\n"
 TINY_LEDGER = ("problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 1\n"
                "problem.k_sq = 2\nproblem.Gamma = -1.5\nsector.nu.C = 1e-20\n"
                "sector.mu.C = 0\nflux.enforce = true\n")
+# hi - lo overflows: linspace could not space the grid, so check and run both
+# reject it (exit 1)
+SPAN_OVERFLOW = FREE + "sector.x.grid = -1e308:1e308:3\n"
+SPAN_OVERFLOW_2 = FREE + "sector.x.grid = -1e308:1e308:2\n"
+# Mathieu orders 10 and 16, whose ladder coefficients below the order's
+# harmonic are the minimal solution downward: both sectors certify (exit 0)
+MATHIEU_ORDER = ("problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 0\n"
+                 "problem.k_sq = 2\nproblem.ell = {}\nsector.mu.grid = 0:2:2001\n")
+MATHIEU_10, MATHIEU_16 = MATHIEU_ORDER.format(10), MATHIEU_ORDER.format(16)
 
 
 @settings(max_examples=2 * settings.default.max_examples,
@@ -145,10 +154,12 @@ def test_check_and_run_end_in_a_documented_exit_code(tmp_path, monkeypatch, text
     [(WIDE_KAPPA, 2), (HUGE_KAPPA, 2), (WIDE_CELLS, 2), (TINY_STEP, 0), (TINY_FLUX, 0),
      (SMALL_FLUX, 0), (SUBNORMAL_K, 1), (UNDERFLOW_K, 1), (MISMATCH, 1), (HUGE_FLUX, 0),
      (ORDER_120, 2), (ORDER_200, 2), (UNKNOWN_LABEL, 1), (PARTIAL_OVERRIDE, 1),
-     (X0_OFF_GRID, 1), (TINY_LEDGER, 2)],
+     (X0_OFF_GRID, 1), (TINY_LEDGER, 2), (SPAN_OVERFLOW, 1), (SPAN_OVERFLOW_2, 1),
+     (MATHIEU_10, 0), (MATHIEU_16, 0)],
     ids=["wide_kappa", "huge_kappa", "wide_cells", "tiny_step", "tiny_flux", "small_flux",
          "subnormal_k", "underflow_k", "mismatch", "huge_flux", "order_120", "order_200",
-         "unknown_label", "partial_override", "x0_off_grid", "tiny_ledger"],
+         "unknown_label", "partial_override", "x0_off_grid", "tiny_ledger", "span_overflow",
+         "span_overflow_2", "mathieu_10", "mathieu_16"],
 )
 def test_float_range_edges_exit_as_documented(tmp_path, monkeypatch, capsys, text, code):
     # RuntimeWarnings are errors under the test settings, so none leaks here.

@@ -1,4 +1,4 @@
-"""Physical amplitude, momentum, quantum potential, trajectories, flux."""
+"""Physical amplitude, momentum, quantum potential, trajectories."""
 
 import math
 
@@ -14,13 +14,7 @@ from ermakov.errors import (
     PathExitsGridError,
     SingularEndpointError,
 )
-from ermakov.fields import (
-    FluxLedger,
-    flux_constraint_check,
-    momentum_field,
-    physical_amplitude,
-    trajectory,
-)
+from ermakov.fields import momentum_field, physical_amplitude, trajectory
 from ermakov.linear import FundamentalPair
 from ermakov.pinney import ErmakovAmplitude, PinneyCoefficients, pinney_amplitude, symmetric_coefficients
 from ermakov.problems import ProblemSpec, SectorRequest, SectorSetup, build_problem
@@ -246,23 +240,6 @@ def test_trajectory_rejects_cells_too_wide_for_its_travel(lo, hi):
     with pytest.raises(ConfigurationError, match="too wide"):
         trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, -1.0,
                    np.linspace(0.0, 1.0, 11))
-
-
-def test_flux_constraint_checks():
-    ok = flux_constraint_check(FluxLedger((("x", 1.0), ("y", -1.0))))
-    assert ok.passed and ok.residual == 0.0
-    scattering = flux_constraint_check(FluxLedger((("x", 1.0),)), enforce=False)
-    assert scattering.passed and scattering.note
-    bad = flux_constraint_check(FluxLedger((("x", 1.0), ("y", -0.5))))
-    assert not bad.passed
-    assert bad.residual == pytest.approx(0.5 / 1.5)  # |sum C_i| / sum |C_i|
-    # relative, so a ledger far below the tolerance in absolute terms still fails
-    tiny = flux_constraint_check(FluxLedger((("x", 1e-20), ("y", 0.0))))
-    assert not tiny.passed and tiny.residual == 1.0
-    closed = flux_constraint_check(FluxLedger((("x", 0.0), ("y", -0.0))))
-    assert closed.passed and closed.residual == 0.0
-    with pytest.raises(ConfigurationError):
-        flux_constraint_check(FluxLedger(()))
 
 
 def test_continuity_first_integral_certified():

@@ -1,5 +1,6 @@
 """Config parsing, pipeline runs, report emission, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -224,9 +225,33 @@ def test_flux_enforcement_in_verdict():
     (setup,) = build_problem(spec)
     result = execute_sector(setup)
     report = certify([result], Tolerances(), flux_enforce=True, problem_kind="free_particle")
-    assert report.verdict == "fail" and report.flux.residual == pytest.approx(1.0)
+    assert report.verdict == "fail" and report.flux["residual"] == pytest.approx(1.0)
     report = certify([result], Tolerances(), flux_enforce=False, problem_kind="free_particle")
     assert report.verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "fluxes, enforce, residual, passed",
+    [((1.0, -1.0), True, 0.0, True),        # balanced
+     ((1.0, -0.5), True, 0.5 / 1.5, False),  # |sum C_i| / sum |C_i|
+     # relative, so a ledger far below the tolerance in absolute terms still fails
+     ((1e-20, 0.0), True, 1.0, False),
+     ((0.0, -0.0), True, 0.0, True),        # closed: every C_i is 0
+     ((1.0,), False, 1.0, True)],           # open sectors, constraint not enforced
+    ids=["balanced", "unbalanced", "tiny", "closed", "not_enforced"],
+)
+def test_flux_ledger_certified_by_certify(fluxes, enforce, residual, passed):
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0},
+                       sectors={"x": SectorRequest(C=1.0)})
+    (setup,) = build_problem(spec)
+    result = execute_sector(setup)
+    results = [dataclasses.replace(result, setup=dataclasses.replace(result.setup, C=c))
+               for c in fluxes]
+    flux = certify(results, Tolerances(), enforce, "free_particle").flux
+    assert flux["enforced"] is enforce
+    assert flux["residual"] == pytest.approx(residual, rel=1e-15, abs=0.0)
+    assert flux["pass"] is passed
+    assert flux["note"] == ("" if enforce else "constraint not enforced (open/scattering sectors)")
 
 
 @pytest.mark.parametrize(
@@ -243,8 +268,8 @@ def test_flux_certificate_uses_configured_tolerance(residual, tolerance, passed)
     results = [execute_sector(setup) for setup in build_problem(spec)]
     report = certify(results, Tolerances(flux=tolerance), flux_enforce=True,
                      problem_kind="two_center_elliptic")
-    assert report.flux.residual == pytest.approx(residual, rel=1e-3)
-    assert report.flux.passed is passed
+    assert report.flux["residual"] == pytest.approx(residual, rel=1e-3)
+    assert report.flux["pass"] is passed
     assert report.verdict == ("pass" if passed else "fail")
 
 
@@ -645,6 +670,32 @@ def test_benchmark_tracer_sees_one_solve_per_half_range(tmp_path, monkeypatch):
     assert report.verdict == "pass"
     assert pair_solves == 0
     assert tracer.counters[tracer.iteration]["linear.ivp_calls"] == 0
+
+
+@pytest.mark.parametrize("workload", ["sweep", "trajectories"])
+def test_benchmark_gate_passes_on_its_workload(tmp_path, monkeypatch, workload):
+    # The benchmark reads report verdicts and problem kinds, and each sector's
+    # setup, amplitude and trajectories; a refactor that renames any of them
+    # fails every benchmark iteration, which no other test would show.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    environ = os.environ.copy()
+    import gate
+    import run  # pins the BLAS thread pools in os.environ
+    import workloads
+
+    for var in run.THREAD_VARS:
+        if var in environ:
+            os.environ[var] = environ[var]
+        else:
+            os.environ.pop(var, None)
+    loop = run.Loop(ermakov, workloads.write_configs(workload, 0, tmp_path / "configs"),
+                    tmp_path / "out")
+    cases = run.warm_and_capture(ermakov, loop)
+    assert cases is not None  # every config's verdict passes
+    assert gate.accuracy_ok(*gate.accuracy(cases))
+    loop.reference_digests = gate.file_digests(loop.out)
+    _, reports = loop.iterate()
+    assert loop.check(reports) and loop.failed == 0
 
 
 COLD_START = """
