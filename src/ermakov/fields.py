@@ -5,7 +5,8 @@ The current s R^2 S' of R = rho / sqrt(s) is rho^2 S' = C, so p = C / rho^2
 C = 0 marks bound sectors, C != 0 open ones.  Trajectories of
 x' = C / (m rho^2) are the quadrature t = t0 + (m/C) int_{x0}^{x} rho^2 dx,
 exact on cubic Hermite cells of rho^2 (its samples and exact slope
-2 rho rho'), inverted by Newton steps.
+2 rho rho'), inverted by Newton steps; one call takes all of a sector's
+requests, builds the cells once and steps every path in one loop.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .catalog import SectorSpec
 from .errors import (
     ConfigurationError,
+    EngineError,
     IntegrationFailureError,
     NodeApproachError,
     NodeSingularityError,
@@ -80,30 +82,35 @@ def trajectory(
     rho: np.ndarray,
     drho2: np.ndarray,
     m: float,
-    x0: float,
-    t_grid: np.ndarray,
-) -> np.ndarray:
-    """Path of x' = C / (m rho^2(x)) from x(t0) = x0 on the given time grid.
+    requests,
+) -> list[np.ndarray]:
+    """Paths of x' = C / (m rho^2(x)) from x(t_grid[0]) = x0, one per request (x0, t_grid).
 
     ``drho2`` is the slope of rho^2 at the grid points.  The equation integrates
     to the quadrature t(x) - t0 = (m/C) S(x) with S(x) = int_{x0}^{x} rho^2.
     On each cell rho^2 is taken as the cubic Hermite interpolant of its values
-    and slopes at the cell's ends (error O(h^4)) and integrated exactly; the
-    node values of S are summed outward from x0's cell, so no large partial
-    sum is subtracted near x0.  S(x) = s is then solved by Newton steps from
-    a linear-interpolation guess.  The path stops with an error if it meets
-    a node of rho or leaves the grid, and a travel max |C/m (t - t0)| / rho^2(x0)
-    within the spacing of doubles in x0's cell is a configuration error.
+    and slopes at the cell's ends (error O(h^4)) and integrated exactly, once
+    for all requests; each path's node values of S are summed outward from its
+    x0's cell, so no large partial sum is subtracted near x0.  S(x) = s is then
+    solved by Newton steps from a linear-interpolation guess, all samples in
+    one loop, each path until its own steps stop.  A path stops with an error
+    if it meets a node of rho or leaves the grid, and a travel max |C/m (t - t0)|
+    / rho^2(x0) within the spacing of doubles in x0's cell is a configuration
+    error; the error raised is that of the first request that fails.
     """
     grid = np.asarray(grid, dtype=float)
     rho = np.asarray(rho, dtype=float)
     drho2 = np.asarray(drho2, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
+    requests = [(x0, np.asarray(t_grid, dtype=float)) for x0, t_grid in requests]
     lo, hi = float(grid[0]), float(grid[-1])
-    if not lo <= x0 <= hi:
-        raise ConfigurationError(f"x0 = {x0!r} outside the field grid [{lo}, {hi}]")
-    if C == 0.0:
-        return np.full_like(t_grid, float(x0))
+
+    def on_grid(x0):
+        if not lo <= x0 <= hi:
+            raise ConfigurationError(f"x0 = {x0!r} outside the field grid [{lo}, {hi}]")
+        return x0
+
+    if C == 0.0 or not requests:
+        return [np.full_like(t_grid, float(on_grid(x0))) for x0, t_grid in requests]
 
     # c[0] (x - x_i)^3 + ... + c[3] on cell i: the Hermite cubic of rho^2
     h = np.diff(grid)
@@ -127,18 +134,11 @@ def trajectory(
         i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
         return i, x - grid[i]
 
-    # S at the nodes, accumulated outward from x0's cell in both directions
-    k, d0 = locate(float(x0))
-    cells = cell_integral(np.arange(h.size), h)
-    head = cell_integral(k, d0)
-    S = np.empty_like(grid)
-    S[k::-1] = -head - np.concatenate(([0.0], np.cumsum(cells[:k][::-1])))
-    S[k + 1:] = cells[k] - head + np.concatenate(([0.0], np.cumsum(cells[k + 1:])))
-
-    def S_at(x):
+    def S_at(x, S, row=0):  # S of the path whose node values start at S[row]
         i, d = locate(x)
-        return S[i] + cell_integral(i, d), cell_r2(i, d)
+        return S[row + i] + cell_integral(i, d), cell_r2(i, d)
 
+    cells = cell_integral(np.arange(h.size), h)
     # Nodes: samples, interior cell minima of the rho^2 cubic (which can dip
     # below zero between positive samples) and x0 itself where rho^2 falls to
     # 64 eps of its cell's larger end sample, and sign changes of rho: both
@@ -148,61 +148,89 @@ def trajectory(
         c0, c1, c2 = c[:3] / r2_end  # the cubic over r2_end, so c1^2 stays in range
         d_min = -c2 / (c1 + np.sqrt(c1**2 - 3.0 * c0 * c2))
     inner = np.flatnonzero((d_min > 0.0) & (d_min < h))
-    at = np.concatenate((grid, grid[inner] + d_min[inner], [x0]))
-    r2_at = np.concatenate((r2, cell_r2(inner, d_min[inner]), [S_at(float(x0))[1]]))
+    at = np.concatenate((grid, grid[inner] + d_min[inner]))
+    r2_at = np.concatenate((r2, cell_r2(inner, d_min[inner])))
     j = np.flatnonzero(np.sign(rho[1:]) * np.sign(rho[:-1]) < 0.0)
     nodes = np.concatenate((at[r2_at <= 64.0 * _EPS * r2_end[locate(at)[0]]],
                             grid[j] - rho[j] * h[j] / (rho[j + 1] - rho[j])))
-    x_left = nodes[nodes <= x0].max(initial=-np.inf)
-    x_right = nodes[nodes >= x0].min(initial=np.inf)
-    s_left = S_at(x_left)[0] if np.isfinite(x_left) else -np.inf
-    s_right = S_at(x_right)[0] if np.isfinite(x_right) else np.inf
-
     v = C / m
-    t0 = float(t_grid[0])
-    s = v * (t_grid - t0)
-    s_lo, s_hi = min(0.0, float(s.min())), max(0.0, float(s.max()))
-    for x_n, s_n, reached in ((x_right, s_right, s_hi > 0.0 and s_hi >= s_right),
-                              (x_left, s_left, s_lo < 0.0 and s_lo <= s_left)):
-        if reached:
-            t_n = t0 + float(np.clip(s_n, s_lo, s_hi)) / v
-            raise NodeApproachError(
-                float(x_n), f"trajectory approached an amplitude node at t = {t_n!r}"
-            )
-    # travel at x0's rho^2 within the spacing of doubles in x0's cell: the
-    # quadrature's offsets from grid[k] cannot resolve the path
-    r2_0, spacing = float(r2_at[-1]), _EPS * (abs(float(grid[k])) + float(h[k]))
-    if r2_0 > 0.0 and 0.0 < max(s_hi, -s_lo) / r2_0 <= spacing:
-        raise ConfigurationError(
-            f"the grid cell holding x0 = {x0!r} is too wide to resolve the trajectory; "
-            "refine the grid there"
-        )
-    # S on the stretch the path can reach; flat beyond the nearest nodes
-    table = np.where(grid <= x_left, s_left, np.where(grid >= x_right, s_right, S))
     # Rounding pad: a path landing exactly on the grid boundary is not an exit.
     pad = 1e-9 * (hi - lo)
-    if s_hi > table[-1] + pad * rho[-1] ** 2:
-        raise PathExitsGridError(t0 + float(table[-1]) / v, hi)
-    if s_lo < table[0] - pad * rho[0] ** 2:
-        raise PathExitsGridError(t0 + float(table[0]) / v, lo)
 
-    x = np.interp(s, table, grid)
-    for _ in range(_NEWTON_STEPS):
-        f, slope = S_at(x)
-        step = (f - s) / slope
-        x = x - step
-        if not np.any(np.abs(step) > _EPS * (hi - lo)):  # also stops on nan
-            break
-    # x0 itself, which x0 - grid[k] can round away in a cell far wider than |x0|
-    x[s == 0.0] = x0
-    f, slope = S_at(x)
-    roundoff = 64.0 * _EPS * (max(abs(S[0]), abs(S[-1])) + np.abs(x * slope))
-    bad = ~(np.abs(f - s) <= roundoff)
-    if np.any(bad):
-        worst = int(np.argmax(bad))
-        raise IntegrationFailureError(
-            f"trajectory inversion left residual {float(f[worst] - s[worst])!r} in int rho^2 dx",
-            float(x[worst]),
-        )
-    return x
+    def prepare(x0, t_grid):
+        """(S at the nodes, targets of S, Newton guess, x0, scale of S) of a path."""
+        # S at the nodes, accumulated outward from x0's cell in both directions
+        k, d0 = locate(float(on_grid(x0)))
+        head = cell_integral(k, d0)
+        S = np.empty_like(grid)
+        S[k::-1] = -head - np.concatenate(([0.0], np.cumsum(cells[:k][::-1])))
+        S[k + 1:] = cells[k] - head + np.concatenate(([0.0], np.cumsum(cells[k + 1:])))
+        r2_0 = float(cell_r2(k, d0))
+        near = np.append(nodes, x0) if r2_0 <= 64.0 * _EPS * r2_end[k] else nodes
+        x_left = near[near <= x0].max(initial=-np.inf)
+        x_right = near[near >= x0].min(initial=np.inf)
+        s_left = S_at(x_left, S)[0] if np.isfinite(x_left) else -np.inf
+        s_right = S_at(x_right, S)[0] if np.isfinite(x_right) else np.inf
 
+        t0 = float(t_grid[0])
+        s = v * (t_grid - t0)
+        s_lo, s_hi = min(0.0, float(s.min())), max(0.0, float(s.max()))
+        for x_n, s_n, reached in ((x_right, s_right, s_hi > 0.0 and s_hi >= s_right),
+                                  (x_left, s_left, s_lo < 0.0 and s_lo <= s_left)):
+            if reached:
+                t_n = t0 + float(np.clip(s_n, s_lo, s_hi)) / v
+                raise NodeApproachError(
+                    float(x_n), f"trajectory approached an amplitude node at t = {t_n!r}"
+                )
+        # travel at x0's rho^2 within the spacing of doubles in x0's cell: the
+        # quadrature's offsets from grid[k] cannot resolve the path
+        spacing = _EPS * (abs(float(grid[k])) + float(h[k]))
+        if r2_0 > 0.0 and 0.0 < max(s_hi, -s_lo) / r2_0 <= spacing:
+            raise ConfigurationError(
+                f"the grid cell holding x0 = {x0!r} is too wide to resolve the trajectory; "
+                "refine the grid there"
+            )
+        # S on the stretch the path can reach; flat beyond the nearest nodes
+        table = np.where(grid <= x_left, s_left, np.where(grid >= x_right, s_right, S))
+        if s_hi > table[-1] + pad * rho[-1] ** 2:
+            raise PathExitsGridError(t0 + float(table[-1]) / v, hi)
+        if s_lo < table[0] - pad * rho[0] ** 2:
+            raise PathExitsGridError(t0 + float(table[0]) / v, lo)
+        return S, s, np.interp(s, table, grid), float(x0), max(abs(S[0]), abs(S[-1]))
+
+    def solve(paths):
+        S_rows, s, x, starts, scale = map(np.hstack, zip(*paths))
+        sizes = [path[1].size for path in paths]
+        which = np.repeat(np.arange(len(paths)), sizes)  # the path of each sample
+        row, live = which * grid.size, np.arange(x.size)
+        for _ in range(_NEWTON_STEPS):
+            f, slope = S_at(x[live], S_rows, row[live])
+            step = (f - s[live]) / slope
+            x[live] -= step
+            # a path steps on while any of its steps is large (nan is not)
+            moving = np.bincount(which[live], np.abs(step) > _EPS * (hi - lo), len(paths)) > 0
+            live = live[moving[which[live]]]
+            if not live.size:
+                break
+        # x0 itself, which x0 - grid[k] can round away in a cell far wider than |x0|
+        x[s == 0.0] = starts[which[s == 0.0]]
+        f, slope = S_at(x, S_rows, row)
+        roundoff = 64.0 * _EPS * (scale[which] + np.abs(x * slope))
+        bad = ~(np.abs(f - s) <= roundoff)
+        if np.any(bad):
+            worst = int(np.argmax(bad))
+            raise IntegrationFailureError(
+                f"trajectory inversion left residual {float(f[worst] - s[worst])!r} in int rho^2 dx",
+                float(x[worst]),
+            )
+        return np.split(x, np.cumsum(sizes)[:-1])
+
+    paths = []
+    for x0, t_grid in requests:
+        try:
+            paths.append(prepare(x0, t_grid))
+        except EngineError:  # after the requests before it, which fail first
+            if paths:
+                solve(paths)
+            raise
+    return solve(paths)

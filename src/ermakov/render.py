@@ -211,11 +211,12 @@ def _render_into(x: np.ndarray, cells: np.ndarray, at: int) -> None:
 def table_chunks(names: tuple[str, ...], columns, fmt: str):
     """The csv (header line, comma-separated rows) or json-lines (one object
     per row) table of the equal-length 1-D ``columns``, every value rendered
-    by :func:`format_real`: the header, then one uint8 array per block of at
-    most ``_CHUNK`` values, so no more than a block is held at once."""
+    by :func:`format_real`: the header, then one uint8 array of whole rows per
+    block of at most ``_CHUNK`` values, read as slices of each column (which
+    need only a length), so no more than a block is held at once."""
     width = len(names)
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    if len(columns) != width or len({c.shape for c in columns}) != 1:
+    columns = list(columns)
+    if len(columns) != width or len({len(c) for c in columns}) != 1:
         raise ValueError("table columns must be as many as names and of equal length")
     if fmt == "csv":
         head = ",".join(names) + "\n"
@@ -237,8 +238,8 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
     frame[-1, at + _WIDTH : at + _WIDTH + len(suffix)] = np.frombuffer(suffix.encode(), np.uint8)
     step = max(1, _CHUNK // width)
     yield head.encode()
-    for start in range(0, columns[0].size, step):
-        block = np.stack([c[start : start + step] for c in columns], axis=1)
+    for start in range(0, len(columns[0]), step):
+        block = np.stack([c[start : start + step] for c in columns], axis=1, dtype=np.float64)
         buf = np.empty((block.shape[0], width, cell), dtype=np.uint8)
         buf[...] = frame
         buf = buf.reshape(block.size, cell)

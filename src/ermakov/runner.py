@@ -14,6 +14,7 @@ significant digits (:mod:`.render`).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -249,12 +250,9 @@ def execute_sector(
     )
     cont = np.max(np.abs(p * rho**2 - setup.C))
     cont_scale = abs(setup.C) if setup.C != 0.0 else 1.0
-    trajs = []
-    for request in setup.trajectories:
-        x0, t_end, n = request
-        t_grid = np.linspace(0.0, t_end, int(n))
-        x_t = trajectory(setup.C, pair.grid, rho, 2.0 * rho * amplitude.drho, m, x0, t_grid)
-        trajs.append((request, t_grid, x_t))
+    t_grids = [np.linspace(0.0, t_end, int(n)) for _, t_end, n in setup.trajectories]
+    paths = trajectory(setup.C, pair.grid, rho, 2.0 * rho * amplitude.drho, m,
+                       [(request[0], t) for request, t in zip(setup.trajectories, t_grids)])
     return SectorResult(
         label=setup.label,
         setup=setup,
@@ -270,7 +268,7 @@ def execute_sector(
         wronskian_drift=wronskian_check(pair),
         pinney_residual=coeffs.constraint_residual(pair.W),
         continuity_residual=float(cont) / cont_scale,
-        trajectories=tuple(trajs),
+        trajectories=tuple(zip(setup.trajectories, t_grids, paths)),
     )
 
 
@@ -378,6 +376,45 @@ def _atomic_write(path: Path, parts) -> None:
         raise
 
 
+class _Joined:
+    """One column of several tables end to end, sliced without joining it whole."""
+
+    def __init__(self, pieces):
+        self.pieces, self.starts = pieces, np.cumsum([0] + [len(p) for p in pieces]).tolist()
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def __getitem__(self, rows: slice):
+        return np.concatenate([p[max(rows.start - a, 0) : max(rows.stop - a, 0)]
+                               for p, a in zip(self.pieces, self.starts)])
+
+
+def _write_tables(paths, names: tuple[str, ...], tables, fmt: str) -> None:
+    """Write each table (columns under ``names``) to its path with :func:`_atomic_write`,
+    all from one :func:`table_chunks` pass cut at the newline that ends each table."""
+    columns = tables[0] if len(tables) == 1 else [_Joined(c) for c in zip(*tables)]
+    chunks = table_chunks(names, columns, fmt)
+    head = next(chunks)
+    rest, ends = np.empty(0, np.uint8), np.empty(0, np.intp)  # unwritten rows of a chunk
+
+    def rows(count):
+        nonlocal rest, ends
+        yield head
+        while count:
+            if not ends.size:
+                rest = next(chunks)
+                ends = np.flatnonzero(rest == ord("\n")) + 1
+            take = min(count, ends.size)
+            cut = ends[take - 1]
+            yield rest[:cut]
+            rest, ends, count = rest[cut:], ends[take:] - cut, count - take
+
+    for path, table in zip(paths[:-1], tables):
+        _atomic_write(path, rows(len(table[0])))
+    _atomic_write(paths[-1], itertools.chain([head, rest], chunks))  # every row left
+
+
 def _field_columns(result: SectorResult) -> tuple[np.ndarray, ...]:
     return (
         result.pair.grid,
@@ -424,17 +461,18 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
     suffix = "csv" if config.output_format == "csv" else "jsonl"
     written = []
 
-    def emit(stem: str, names: tuple[str, ...], columns: tuple[np.ndarray, ...]) -> None:
-        path = out / f"{stem}.{suffix}"
-        _atomic_write(path, table_chunks(names, columns, config.output_format))
-        written.append(path)
+    def emit(stems: list[str], names: tuple[str, ...], tables: list) -> None:
+        paths = [out / f"{stem}.{suffix}" for stem in stems]
+        _write_tables(paths, names, tables, config.output_format)
+        written.extend(paths)
 
     try:
         out.mkdir(parents=True, exist_ok=True)
         for result in results:
-            emit(f"{result.label}_fields", FIELD_COLUMNS, _field_columns(result))
-            for i, (_, t_grid, x_t) in enumerate(result.trajectories, start=1):
-                emit(f"{result.label}_trajectory_{i}", ("t", "x"), (t_grid, x_t))
+            emit([f"{result.label}_fields"], FIELD_COLUMNS, [_field_columns(result)])
+            if trajs := result.trajectories:  # one render pass for the sector's paths
+                emit([f"{result.label}_trajectory_{i}" for i in range(1, len(trajs) + 1)],
+                     ("t", "x"), [(t_grid, x_t) for _, t_grid, x_t in trajs])
         _atomic_write(out / "report.json", [(_json_render(report.as_dict()) + "\n").encode()])
         written.append(out / "report.json")
     except OSError as exc:

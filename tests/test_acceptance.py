@@ -220,14 +220,15 @@ def test_criterion_10_trajectory_quadrature(free_run, harmonic_run):
     t = np.linspace(0.0, 10.0, 201)
     # x' = C/(m rho^2): Hermite cells of rho^2 with the exact slope 2 rho rho'
     rho = result.amplitude.rho
-    x = trajectory(setup.C, result.pair.grid, rho, 2.0 * rho * result.amplitude.drho, 1.0, 0.0, t)
+    drho2 = 2.0 * rho * result.amplitude.drho
+    x = trajectory(setup.C, result.pair.grid, rho, drho2, 1.0, [(0.0, t)])[0]
     free_err = float(np.max(np.abs(x - t)))
     hsetup, hresult = harmonic_run
     t2 = np.linspace(0.0, 2.0, 41)
     rho = hresult.amplitude.rho
     drho2 = 2.0 * rho * hresult.amplitude.drho
-    fwd = trajectory(hsetup.C, hresult.pair.grid, rho, drho2, 1.0, 0.25, t2)
-    back = trajectory(-hsetup.C, hresult.pair.grid, rho, drho2, 1.0, float(fwd[-1]), t2)
+    fwd = trajectory(hsetup.C, hresult.pair.grid, rho, drho2, 1.0, [(0.25, t2)])[0]
+    back = trajectory(-hsetup.C, hresult.pair.grid, rho, drho2, 1.0, [(float(fwd[-1]), t2)])[0]
     closure = abs(float(back[-1]) - 0.25)
     ok = free_err <= 1e-9 and closure <= 1e-8
     report(10, "trajectory quadrature and reversal", ok,

@@ -102,7 +102,7 @@ def test_energy_balance_cartesian_sector():
 def test_trajectory_free_particle_linear_motion():
     grid = np.linspace(-10.0, 10.0, 2001)
     t = np.linspace(0.0, 10.0, 101)
-    x = trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 0.0, t)
+    x = trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, [(0.0, t)])[0]
     np.testing.assert_allclose(x, t, atol=1e-9)
 
 
@@ -110,7 +110,7 @@ def test_trajectory_static_for_zero_flux():
     grid = np.linspace(-1.0, 1.0, 51)
     t = np.linspace(0.0, 5.0, 21)
     np.testing.assert_array_equal(
-        trajectory(0.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 0.3, t),
+        trajectory(0.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, [(0.3, t)])[0],
         np.full_like(t, 0.3),
     )
 
@@ -119,7 +119,7 @@ def test_trajectory_against_closed_form():
     grid = np.linspace(-5.0, 5.0, 2001)
     R = np.sqrt(1.0 + grid**2)  # R^2 = 1 + x^2, so t(x) = x + x^3/3 from x0 = 0
     t = np.linspace(0.0, 3.0, 61)
-    x = trajectory(1.0, grid, R, 2.0 * grid, 1.0, 0.0, t)
+    x = trajectory(1.0, grid, R, 2.0 * grid, 1.0, [(0.0, t)])[0]
     # real root of x^3 + 3x - 3t = 0 (Cardano)
     root = np.sqrt(2.25 * t**2 + 1.0)
     exact = np.cbrt(1.5 * t + root) + np.cbrt(1.5 * t - root)
@@ -135,8 +135,8 @@ def test_trajectory_time_reversal():
     t = np.linspace(0.0, 2.0, 41)
     rho = result.amplitude.rho
     drho2 = 2.0 * rho * result.amplitude.drho
-    fwd = trajectory(setup.C, result.pair.grid, rho, drho2, 1.0, 0.25, t)
-    back = trajectory(-setup.C, result.pair.grid, rho, drho2, 1.0, float(fwd[-1]), t)
+    fwd = trajectory(setup.C, result.pair.grid, rho, drho2, 1.0, [(0.25, t)])[0]
+    back = trajectory(-setup.C, result.pair.grid, rho, drho2, 1.0, [(float(fwd[-1]), t)])[0]
     assert abs(back[-1] - 0.25) <= 1e-8
 
 
@@ -144,7 +144,7 @@ def test_trajectory_exit_reports_time():
     grid = np.linspace(0.0, 1.0, 101)
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(PathExitsGridError) as err:
-        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 0.5, t)
+        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, [(0.5, t)])[0]
     assert err.value.t_exit == pytest.approx(0.5, abs=1e-12)
     assert err.value.x_exit == 1.0
 
@@ -154,12 +154,12 @@ def test_trajectory_leftward_exit_for_negative_flux():
     R = np.sqrt(1.0 + grid)  # t_exit = (m/|C|) int_0^{x0} (1 + x) dx
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(PathExitsGridError) as err:
-        trajectory(-2.0, grid, R, np.ones_like(grid), 1.0, 0.6, t)
+        trajectory(-2.0, grid, R, np.ones_like(grid), 1.0, [(0.6, t)])[0]
     assert err.value.t_exit == pytest.approx((0.6 + 0.18) / 2.0, abs=1e-12)
     assert err.value.x_exit == 0.0
     # a shorter leftward path stays on the grid and follows the same quadrature
     t_in = np.linspace(0.0, 0.3, 31)
-    x = trajectory(-2.0, grid, R, np.ones_like(grid), 1.0, 0.6, t_in)
+    x = trajectory(-2.0, grid, R, np.ones_like(grid), 1.0, [(0.6, t_in)])[0]
     assert np.all(np.diff(x) < 0.0)
     np.testing.assert_allclose((0.6 + 0.18) - (x + x**2 / 2.0), 2.0 * t_in,
                                rtol=0.0, atol=1e-12)
@@ -170,16 +170,16 @@ def test_trajectory_node_approach():
     R = np.abs(grid - 0.5) + 1e-12
     t = np.linspace(0.0, 1.0, 11)
     with pytest.raises(NodeApproachError):
-        trajectory(1.0, grid, R, 2.0 * R * np.sign(grid - 0.5), 1.0, 0.2, t)
+        trajectory(1.0, grid, R, 2.0 * R * np.sign(grid - 0.5), 1.0, [(0.2, t)])[0]
 
 
 def test_trajectory_node_between_samples():
     grid = np.linspace(0.0, 1.0, 100)  # R = x - 0.5 changes sign between two samples
     R, dR2 = grid - 0.5, 2.0 * (grid - 0.5)
     with pytest.raises(NodeApproachError):
-        trajectory(1.0, grid, R, dR2, 1.0, 0.2, np.linspace(0.0, 1.0, 11))
+        trajectory(1.0, grid, R, dR2, 1.0, [(0.2, np.linspace(0.0, 1.0, 11))])[0]
     with pytest.raises(NodeApproachError):
-        trajectory(-1.0, grid, R, dR2, 1.0, 0.8, np.linspace(0.0, 1.0, 11))
+        trajectory(-1.0, grid, R, dR2, 1.0, [(0.8, np.linspace(0.0, 1.0, 11))])[0]
 
 
 def test_trajectory_cell_dip_counts_as_node():
@@ -191,12 +191,13 @@ def test_trajectory_cell_dip_counts_as_node():
     r2[25:27], dR2[25:27] = 1e-6, (-1.0, 1.0)
     R = np.sqrt(r2)
     with pytest.raises(NodeApproachError):
-        trajectory(1.0, grid, R, dR2, 1.0, 0.1, np.linspace(0.0, 0.5, 11))
+        trajectory(1.0, grid, R, dR2, 1.0, [(0.1, np.linspace(0.0, 0.5, 11))])[0]
     with pytest.raises(NodeApproachError):  # starts where the cubic is negative
-        trajectory(-1.0, grid, R, dR2, 1.0, 0.51, np.linspace(0.0, 0.1, 5))
+        trajectory(-1.0, grid, R, dR2, 1.0, [(0.51, np.linspace(0.0, 0.1, 5))])[0]
     # far from the dip the cells are flat and the path is x0 + t
     t = np.linspace(0.0, 0.1, 11)
-    np.testing.assert_allclose(trajectory(1.0, grid, R, dR2, 1.0, 0.1, t), 0.1 + t, atol=1e-9)
+    np.testing.assert_allclose(trajectory(1.0, grid, R, dR2, 1.0, [(0.1, t)])[0], 0.1 + t,
+                               atol=1e-9)
 
 
 def test_trajectory_hermite_cells_converge_at_fourth_order():
@@ -208,7 +209,7 @@ def test_trajectory_hermite_cells_converge_at_fourth_order():
     for cells in (10, 20, 40, 80):
         grid = np.linspace(0.0, 2.0, cells + 1)
         R2 = np.exp(grid)
-        x = trajectory(C, grid, np.sqrt(R2), R2, m, x0, t)
+        x = trajectory(C, grid, np.sqrt(R2), R2, m, [(x0, t)])[0]
         errors.append(float(np.max(np.abs(x - exact))))
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all((ratios > 13.0) & (ratios < 19.0)), ratios
@@ -218,8 +219,8 @@ def test_trajectory_hermite_cells_converge_at_fourth_order():
 def test_trajectory_x0_validation():
     grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ConfigurationError):
-        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, 2.0,
-                   np.linspace(0, 1, 5))
+        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0,
+                   [(2.0, np.linspace(0, 1, 5))])[0]
 
 
 def test_trajectory_starts_at_x0_in_wide_cells():
@@ -228,9 +229,9 @@ def test_trajectory_starts_at_x0_in_wide_cells():
     t = np.linspace(0.0, 1.0, 11)
     grid = np.linspace(-1e17, 1.0, 51)
     ones, zeros = np.ones_like(grid), np.zeros_like(grid)
-    assert trajectory(1.0, grid, ones, zeros, 1.0, 1e-20, t)[0] == 1e-20
+    assert trajectory(1.0, grid, ones, zeros, 1.0, [(1e-20, t)])[0][0] == 1e-20
     # a travel of 1 is above the spacing of doubles there (about 0.9): exact
-    assert np.array_equal(trajectory(1.0, grid, ones, zeros, 1.0, -1.0, t), t - 1.0)
+    assert np.array_equal(trajectory(1.0, grid, ones, zeros, 1.0, [(-1.0, t)])[0], t - 1.0)
 
 
 @pytest.mark.parametrize("lo, hi", [(-1e300, 0.0), (-1e18, 1.0)])
@@ -238,9 +239,59 @@ def test_trajectory_rejects_cells_too_wide_for_its_travel(lo, hi):
     # the travel of 1 lies within the spacing of doubles in x0's cell
     grid = np.linspace(lo, hi, 51)
     with pytest.raises(ConfigurationError, match="too wide"):
-        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0, -1.0,
-                   np.linspace(0.0, 1.0, 11))
+        trajectory(1.0, grid, np.ones_like(grid), np.zeros_like(grid), 1.0,
+                   [(-1.0, np.linspace(0.0, 1.0, 11))])[0]
 
+
+
+@pytest.mark.parametrize("kind, params, label", [
+    ("free_particle", {"k0": 1.0}, "x"),
+    ("harmonic_oscillator", {"omega": 1.0, "E": 1.0}, "xi"),
+], ids=["free", "harmonic"])
+def test_batched_paths_match_one_request_per_call(kind, params, label):
+    # Requests with different x0 (one on a grid node), t_end and sample
+    # counts, run in one call for C > 0, C < 0 and C = 0, give each path
+    # bit for bit as a call with that request alone does.
+    spec = ProblemSpec(kind=kind, params=params, sectors={label: SectorRequest(C=1.0)})
+    setup = build_problem(spec)[0]
+    result = execute_sector(setup)
+    grid, rho = result.pair.grid, result.amplitude.rho
+    drho2 = 2.0 * rho * result.amplitude.drho
+    requests = [
+        (0.25, np.linspace(0.0, 1.5, 41)),
+        (float(grid[grid.size // 2 + 7]), np.linspace(0.0, 0.3, 7)),
+        (-0.8, np.linspace(0.0, 0.9, 201)),
+        (0.5, np.linspace(0.0, 0.0, 1)),
+        (1.1, np.linspace(0.0, 0.05, 2)),
+    ]
+    for C in (setup.C, -setup.C, 0.0):
+        paths = trajectory(C, grid, rho, drho2, setup.profile.m, requests)
+        assert len(paths) == len(requests)
+        for path, request in zip(paths, requests):
+            alone = trajectory(C, grid, rho, drho2, setup.profile.m, [request])[0]
+            assert np.array_equal(path, alone)
+            assert path[0] == request[0] and path.size == request[1].size
+        if C != 0.0:
+            assert all(np.all(np.sign(C) * np.diff(path) > 0.0) for path in paths if path.size > 1)
+
+
+def test_batched_paths_raise_the_first_failing_requests_error():
+    # R = x - 0.5 has a node between samples: request 2 runs into it and
+    # request 4 leaves the grid; requests 1 and 3 stay clear of both.
+    grid = np.linspace(0.0, 1.0, 100)
+    R, dR2 = grid - 0.5, 2.0 * (grid - 0.5)
+    t = np.linspace(0.0, 1.0, 11)
+    requests = [(0.05, 0.01 * t), (0.2, t), (0.7, 0.01 * t), (0.9, t)]
+    trajectory(1.0, grid, R, dR2, 1.0, requests[::2])
+    with pytest.raises(PathExitsGridError):
+        trajectory(1.0, grid, R, dR2, 1.0, [requests[3]])
+    with pytest.raises(NodeApproachError) as alone:
+        trajectory(1.0, grid, R, dR2, 1.0, [requests[1]])
+    with pytest.raises(NodeApproachError) as batched:
+        trajectory(1.0, grid, R, dR2, 1.0, requests)
+    assert str(batched.value) == str(alone.value) and batched.value.q == alone.value.q
+    with pytest.raises(PathExitsGridError):  # without request 2, request 4's exit
+        trajectory(1.0, grid, R, dR2, 1.0, requests[:1] + requests[2:])
 
 def test_continuity_first_integral_certified():
     spec = ProblemSpec(kind="free_particle", params={"k0": 1.0},

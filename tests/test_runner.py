@@ -1,6 +1,7 @@
 """Config parsing, pipeline runs, report emission, CLI exit codes."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -210,6 +211,21 @@ def test_tables_across_chunk_boundaries_match_per_value_rule(rows, names, fmt):
     assert len(chunks) == 1 + 4  # the header, then every block
     assert b"".join(chunks).decode() == _reference_table_text(names, zip(*columns), fmt)
 
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_group_of_tables_matches_each_table_alone(tmp_path, fmt):
+    # Three 3000-row paths render in one pass of 8192-row chunks: the first
+    # path ends inside the first chunk, the second path ends inside it too
+    # and the third crosses into the next one.
+    assert _CHUNK // 2 == 8192
+    rng = np.random.default_rng(7)
+    tables = [tuple(_mixed_values(rng, 3000) for _ in ("t", "x")) for _ in range(3)]
+    paths = [tmp_path / f"path_{i}" for i in range(3)]
+    runner._write_tables(paths, ("t", "x"), tables, fmt)
+    for path, table in zip(paths, tables):
+        assert path.read_bytes() == b"".join(table_chunks(("t", "x"), table, fmt))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in paths]
 
 def test_json_lines_format(tmp_path):
     config = parse_config_text(FREE_CFG.replace("csv", "json-lines"))
@@ -595,15 +611,21 @@ class _FailingFile:
 
 @pytest.mark.parametrize("failing", ["chunk_source", "file_write"])
 def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, failing):
-    # the trajectory table fails after its first chunk: the field table
-    # written before it stays, and neither the table, its .tmp file nor the
-    # report appears
+    # the last trajectory table fails after its first chunk (its header, then
+    # any full block): the field table written before it stays, and neither
+    # the table, its .tmp file nor the report appears.  With two paths, whose
+    # 9051 rows render in one pass, the second file fails inside the second
+    # block and the first file, written before it, stays whole.
+    two_paths = FREE_CFG + "trajectory.x.2 = 0.0:5.0:9000\n"
+    run_config(parse_config_text(two_paths), output_dir=tmp_path / "whole")
+    last = []  # stem of the trajectory file that fails
     table_chunks = runner.table_chunks
     if failing == "chunk_source":
         def chunks(names, columns, fmt):
             source = table_chunks(names, columns, fmt)
             yield next(source)
             if names == ("t", "x"):
+                yield from itertools.islice(source, len(columns[0]) // (_CHUNK // 2))
                 raise OSError(28, "No space left on device")
             yield from source
 
@@ -611,13 +633,18 @@ def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fail
     else:
         def open_file(path, mode):
             file = open(path, mode)
-            return _FailingFile(file) if "trajectory" in path.name else file
+            return _FailingFile(file) if last[0] in path.name else file
 
         monkeypatch.setattr(runner, "open", open_file, raising=False)
-    with pytest.raises(ConfigurationError, match="cannot write to output directory"):
-        run_config(parse_config_text(FREE_CFG), output_dir=tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["x_fields.csv"]
-    assert (tmp_path / "x_fields.csv").stat().st_size > 0
+    for text, kept in ((FREE_CFG, []), (two_paths, ["x_trajectory_1.csv"])):
+        out = tmp_path / f"kept_{len(kept)}"
+        last[:] = [f"x_trajectory_{len(kept) + 1}."]
+        with pytest.raises(ConfigurationError, match="cannot write to output directory"):
+            run_config(parse_config_text(text), output_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == ["x_fields.csv", *kept]
+        assert (out / "x_fields.csv").stat().st_size > 0
+        for name in kept:
+            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
@@ -639,6 +666,29 @@ def test_streamed_table_memory_is_bounded_by_the_chunk(tmp_path, fmt):
     with open(tmp_path / "table", "rb") as f:
         assert sum(1 for _ in f) == 200_001 + (fmt == "csv")
 
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_streamed_group_memory_is_bounded_by_the_chunk(tmp_path, fmt):
+    # Three two-column tables of 200001 rows hold 9.6 MB of float64 data.
+    # Rendering them in one pass and cutting the stream into files keeps the
+    # traced peak near 5 MB; joining the group's columns first peaks at 14 MB,
+    # and joining its rendered bytes before the cut at 98 MB (csv) and 116 MB
+    # (json-lines) here.
+    rng = np.random.default_rng(13)
+    tables = [(np.linspace(0.0, 1.0, 200_001), rng.standard_normal(200_001)) for _ in range(3)]
+    b"".join(table_chunks(("x",), (np.ones(1),), fmt))  # builds the lookup tables
+    paths = [tmp_path / f"path_{i}" for i in range(3)]
+    tracemalloc.start()
+    try:
+        runner._write_tables(paths, ("t", "x"), tables, fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 * 200_001 * 8
+    for path in paths:
+        with open(path, "rb") as f:
+            assert sum(1 for _ in f) == 200_001 + (fmt == "csv")
 
 def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0
