@@ -157,15 +157,22 @@ def trajectory(
     # Rounding pad: a path landing exactly on the grid boundary is not an exit.
     pad = 1e-9 * (hi - lo)
 
-    def prepare(x0, t_grid):
+    # S of every path at the nodes, summed outward from its x0's cell both ways
+    # by one cumsum over zero-padded rows of the cells left of it (reversed) and
+    # right of it, in the order of a 1-D cumsum.  Off-grid x0 raise in prepare.
+    k, d0 = locate(np.array([x0 if lo <= x0 <= hi else lo for x0, _ in requests], dtype=float))
+    outward = np.zeros((2, k.size, grid.size))
+    for row, k_path in enumerate(k.tolist()):
+        outward[0, row, grid.size - k_path :] = cells[:k_path][::-1]
+        outward[1, row, k_path + 2 :] = cells[k_path + 1 :]
+    head, kk, outward = cell_integral(k, d0)[:, None], k[:, None], np.cumsum(outward, axis=2)
+    S_rows = np.where(np.arange(grid.size) <= kk, -head - outward[0, :, ::-1],
+                      cells[kk] - head + outward[1])
+    r2_rows = cell_r2(k, d0)
+
+    def prepare(x0, t_grid, S, k, r2_0):
         """(S at the nodes, targets of S, Newton guess, x0, scale of S) of a path."""
-        # S at the nodes, accumulated outward from x0's cell in both directions
-        k, d0 = locate(float(on_grid(x0)))
-        head = cell_integral(k, d0)
-        S = np.empty_like(grid)
-        S[k::-1] = -head - np.concatenate(([0.0], np.cumsum(cells[:k][::-1])))
-        S[k + 1:] = cells[k] - head + np.concatenate(([0.0], np.cumsum(cells[k + 1:])))
-        r2_0 = float(cell_r2(k, d0))
+        on_grid(x0)
         near = np.append(nodes, x0) if r2_0 <= 64.0 * _EPS * r2_end[k] else nodes
         x_left = near[near <= x0].max(initial=-np.inf)
         x_right = near[near >= x0].min(initial=np.inf)
@@ -226,9 +233,9 @@ def trajectory(
         return np.split(x, np.cumsum(sizes)[:-1])
 
     paths = []
-    for x0, t_grid in requests:
+    for (x0, t_grid), S, k_path, r2_0 in zip(requests, S_rows, k.tolist(), r2_rows.tolist()):
         try:
-            paths.append(prepare(x0, t_grid))
+            paths.append(prepare(x0, t_grid, S, k_path, r2_0))
         except EngineError:  # after the requests before it, which fail first
             if paths:
                 solve(paths)

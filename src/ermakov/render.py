@@ -2,8 +2,9 @@
 
 :func:`format_real` is the rule: ``'%.17g' % x``, which round-trips every
 double.  :func:`table_chunks` streams the bytes of a table under that rule
-block by block, without formatting values one at a time, so rendering holds
-a few MB however long the table is.
+block by block, without formatting values one at a time.  Two threads render
+a table of several blocks, half a block each and one block ahead of the one
+handed back, so rendering holds a few MB however long the table is.
 
 Each finite nonzero |x| = f 2^e is scaled to y = |x| 10^(16 - E) in
 [1e16, 1e17) as a double-double: Dekker's exact product of f with a
@@ -20,6 +21,8 @@ are therefore those of ``format_real`` applied to every value.
 from __future__ import annotations
 
 import json
+import os
+from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -208,12 +211,20 @@ def _render_into(x: np.ndarray, cells: np.ndarray, at: int) -> None:
         value[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
+@lru_cache(maxsize=None)
+def _pool(pid: int):
+    """Process ``pid``'s two render threads (a forked child starts its own)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(2, thread_name_prefix="render")
+
+
 def table_chunks(names: tuple[str, ...], columns, fmt: str):
     """The csv (header line, comma-separated rows) or json-lines (one object
     per row) table of the equal-length 1-D ``columns``, every value rendered
     by :func:`format_real`: the header, then one uint8 array of whole rows per
-    block of at most ``_CHUNK`` values, read as slices of each column (which
-    need only a length), so no more than a block is held at once."""
+    block of at most ``_CHUNK`` values, in order, read as slices of each column
+    (which need only a length), so no more than two blocks are held at once."""
     width = len(names)
     columns = list(columns)
     if len(columns) != width or len({len(c) for c in columns}) != 1:
@@ -236,12 +247,33 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
         frame[i, at - len(s) : at] = np.frombuffer(s.encode(), dtype=np.uint8)
     frame[:, at : at + _WIDTH] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
     frame[-1, at + _WIDTH : at + _WIDTH + len(suffix)] = np.frombuffer(suffix.encode(), np.uint8)
-    step = max(1, _CHUNK // width)
-    yield head.encode()
-    for start in range(0, len(columns[0]), step):
-        block = np.stack([c[start : start + step] for c in columns], axis=1, dtype=np.float64)
+    step, rows = max(1, _CHUNK // width), len(columns[0])
+
+    def render(start, stop):
+        block = np.stack([c[start:stop] for c in columns], axis=1, dtype=np.float64)
         buf = np.empty((block.shape[0], width, cell), dtype=np.uint8)
         buf[...] = frame
         buf = buf.reshape(block.size, cell)
         _render_into(block.ravel(), buf, at)
-        yield buf[buf != 0]
+        return buf[buf != 0]
+
+    yield head.encode()
+    if rows <= step:  # a table of one block is rendered here, with no hand-off
+        if rows:
+            yield render(0, rows)
+        return
+    _tables()  # built here, once, not by both render threads at the same time
+    pool, ahead, half = _pool(os.getpid()), deque(), -(-step // 2)
+    try:
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            ahead.append([pool.submit(render, a, min(a + half, stop))
+                          for a in range(start, stop, half)])
+            if len(ahead) > 1:  # one block ahead keeps both threads busy
+                yield np.concatenate([job.result() for job in ahead[0]])
+                ahead.popleft()
+        yield np.concatenate([job.result() for job in ahead[0]])
+    finally:  # leave no block of this table queued or running
+        for job in sum(ahead, []):
+            if not job.cancel():
+                job.exception()  # waits for it to finish

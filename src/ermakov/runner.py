@@ -6,9 +6,9 @@ and emits field tables plus a certification report.  Every sector is
 computed and certified before any file is written; each file is then
 written atomically (write-then-rename), one at a time, so a failure leaves
 no partial file.  A table is streamed from its columns to its file in chunks
-of a few MB, so emit memory does not grow with the grid.  Outputs are
-deterministic: fixed column and key order, reals rendered with 17
-significant digits (:mod:`.render`).
+of a few MB, rendered on two threads and written in order, so emit memory
+does not grow with the grid.  Outputs are deterministic: fixed column and
+key order, reals rendered with 17 significant digits (:mod:`.render`).
 """
 
 from __future__ import annotations
@@ -410,9 +410,10 @@ def _write_tables(paths, names: tuple[str, ...], tables, fmt: str) -> None:
             yield rest[:cut]
             rest, ends, count = rest[cut:], ends[take:] - cut, count - take
 
-    for path, table in zip(paths[:-1], tables):
-        _atomic_write(path, rows(len(table[0])))
-    _atomic_write(paths[-1], itertools.chain([head, rest], chunks))  # every row left
+    with contextlib.closing(chunks):  # a failed write leaves no block rendering
+        for path, table in zip(paths[:-1], tables):
+            _atomic_write(path, rows(len(table[0])))
+        _atomic_write(paths[-1], itertools.chain([head, rest], chunks))  # every row left
 
 
 def _field_columns(result: SectorResult) -> tuple[np.ndarray, ...]:

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import re
+import signal
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ermakov.render import format_real, table_chunks
+from ermakov import render
+from ermakov.render import _CHUNK, format_real, table_chunks
 from ermakov.runner import parse_config_text, run_config
 
 
@@ -70,6 +74,47 @@ def test_kernel_on_dyadic_ties():
 def test_kernel_on_extremes():
     _assert_per_value([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                        -1.7976931348623157e308, math.nan, math.inf, -math.inf])
+
+
+def test_lookup_tables_are_built_once_for_the_render_threads():
+    # Two render threads starting together would each build the lookup
+    # tables; the calling thread builds them before the first hand-off.
+    rng = np.random.default_rng(23)
+    columns = tuple(rng.choice([-1.0, 1.0], 3 * _CHUNK) * 10.0 ** rng.uniform(-30, 30, 3 * _CHUNK)
+                    for _ in ("t", "x"))
+    rows = [(format_real(float(t)), format_real(float(x))) for t, x in zip(*columns)]
+    expected = {
+        "csv": "t,x\n" + "".join(f"{t},{x}\n" for t, x in rows),
+        "json-lines": "".join(f'{{"t": {t}, "x": {x}}}\n' for t, x in rows),
+    }
+    render._tables.cache_clear()
+    for fmt, text in expected.items():
+        chunks = list(table_chunks(("t", "x"), columns, fmt))
+        assert len(chunks) == 1 + 6  # the header, then 3 * _CHUNK values in blocks of _CHUNK
+        assert b"".join(chunks).decode().split("\n") == text.split("\n")  # reports the first bad row
+    assert render._tables.cache_info().misses == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_renders_tables_of_several_blocks():
+    # A forked child has none of its parent's render threads; it starts its
+    # own instead of waiting forever on blocks handed to threads it lacks.
+    columns = (np.arange(3 * _CHUNK, dtype=float),)
+    text = b"".join(table_chunks(("x",), columns, "csv"))  # starts the render threads
+    pid = os.fork()
+    if pid == 0:  # the child leaves here, whatever happens
+        code = 1
+        try:
+            code = 0 if b"".join(table_chunks(("x",), columns, "csv")) == text else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 10.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not done[0]:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 PRESETS = {

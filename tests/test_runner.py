@@ -1,5 +1,6 @@
 """Config parsing, pipeline runs, report emission, CLI exit codes."""
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import ermakov
-from ermakov import fields, linear, runner
+from ermakov import fields, linear, render, runner
 from ermakov.cli import main
 from ermakov.errors import ConfigurationError, ConstraintViolationError
 from ermakov.runner import (
@@ -202,14 +204,16 @@ def _mixed_values(rng, size):
 @pytest.mark.parametrize("rows, names", [
     (5001, FIELD_COLUMNS),  # 1638 rows a chunk: three full chunks and 87 rows
     (3 * (_CHUNK // 2) + 5, ("t", "x")),  # 8192 rows a chunk: three full chunks and 5 rows
+    (40 * _CHUNK + 7, ("x",)),  # forty full chunks and 7 rows, parts handed back in order
 ])
 def test_tables_across_chunk_boundaries_match_per_value_rule(rows, names, fmt):
     assert rows > 3 * (_CHUNK // len(names))
     rng = np.random.default_rng(rows)
     columns = tuple(_mixed_values(rng, rows) for _ in names)
     chunks = list(table_chunks(names, columns, fmt))
-    assert len(chunks) == 1 + 4  # the header, then every block
-    assert b"".join(chunks).decode() == _reference_table_text(names, zip(*columns), fmt)
+    assert len(chunks) == 1 + -(-rows // (_CHUNK // len(names)))  # the header, then every block
+    expected = _reference_table_text(names, zip(*columns), fmt)
+    assert b"".join(chunks).decode().split("\n") == expected.split("\n")  # reports the first bad row
 
 
 
@@ -609,25 +613,65 @@ class _FailingFile:
         return self.file.write(part)
 
 
-@pytest.mark.parametrize("failing", ["chunk_source", "file_write"])
+class _FailingColumn:
+    """A column whose slice reaching its last row fails."""
+
+    def __init__(self, column):
+        self.column = column
+
+    def __len__(self):
+        return len(self.column)
+
+    def __getitem__(self, rows: slice):
+        if rows.stop >= len(self.column):
+            raise OSError(5, "Input/output error")
+        return self.column[rows]
+
+
+@pytest.mark.parametrize("failing", ["chunk_source", "file_write", "render_thread"])
 def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, failing):
     # the last trajectory table fails after its first chunk (its header, then
     # any full block): the field table written before it stays, and neither
     # the table, its .tmp file nor the report appears.  With two paths, whose
     # 9051 rows render in one pass, the second file fails inside the second
-    # block and the first file, written before it, stays whole.
+    # block and the first file, written before it, stays whole.  A block that
+    # fails on a render thread fails the same way, and after every failure no
+    # block is left queued or running.
     two_paths = FREE_CFG + "trajectory.x.2 = 0.0:5.0:9000\n"
     run_config(parse_config_text(two_paths), output_dir=tmp_path / "whole")
     last = []  # stem of the trajectory file that fails
+    jobs = []  # every block handed to a render thread
+    pool = render._pool(os.getpid())
+
+    class SlowPool:  # a block starts 50 ms late, so one left queued or running shows
+        def __init__(self, pid):
+            assert pid == os.getpid()
+
+        def submit(self, fn, *args):
+            def late():
+                time.sleep(0.05)
+                return fn(*args)
+
+            jobs.append(pool.submit(late))
+            return jobs[-1]
+
+    monkeypatch.setattr(render, "_pool", SlowPool)
     table_chunks = runner.table_chunks
     if failing == "chunk_source":
         def chunks(names, columns, fmt):
-            source = table_chunks(names, columns, fmt)
-            yield next(source)
-            if names == ("t", "x"):
-                yield from itertools.islice(source, len(columns[0]) // (_CHUNK // 2))
-                raise OSError(28, "No space left on device")
-            yield from source
+            with contextlib.closing(table_chunks(names, columns, fmt)) as source:
+                yield next(source)
+                if names == ("t", "x"):
+                    yield from itertools.islice(source, len(columns[0]) // (_CHUNK // 2))
+                    raise OSError(28, "No space left on device")
+                yield from source
+
+        monkeypatch.setattr(runner, "table_chunks", chunks)
+    elif failing == "render_thread":
+        def chunks(names, columns, fmt):
+            if names == ("t", "x"):  # the only block, or the last of two on a render thread
+                columns = [*columns[:-1], _FailingColumn(columns[-1])]
+            return table_chunks(names, columns, fmt)
 
         monkeypatch.setattr(runner, "table_chunks", chunks)
     else:
@@ -639,8 +683,12 @@ def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fail
     for text, kept in ((FREE_CFG, []), (two_paths, ["x_trajectory_1.csv"])):
         out = tmp_path / f"kept_{len(kept)}"
         last[:] = [f"x_trajectory_{len(kept) + 1}."]
-        with pytest.raises(ConfigurationError, match="cannot write to output directory"):
+        jobs.clear()
+        with pytest.raises(ConfigurationError, match="cannot write to output directory") as raised:
             run_config(parse_config_text(text), output_dir=out)
+        assert all(job.done() for job in jobs)  # while ``raised`` keeps the failed frames alive
+        if failing == "render_thread" and kept:
+            assert isinstance(jobs[-1].exception(), OSError)
         assert sorted(p.name for p in out.iterdir()) == ["x_fields.csv", *kept]
         assert (out / "x_fields.csv").stat().st_size > 0
         for name in kept:
@@ -749,18 +797,21 @@ def test_benchmark_gate_passes_on_its_workload(tmp_path, monkeypatch, workload):
 
 
 COLD_START = """
-import json, sys
+import json, sys, threading
 import ermakov
 import numpy as np
 from ermakov import cli, fields, linear
 from ermakov.pinney import solve_ep_direct
 from ermakov.problems import ProblemSpec, build_problem
-codes = [cli.main([cmd, path]) for path in sys.argv[1:] for cmd in ("check", "run")]
+codes = [cli.main(["check", path]) for path in sys.argv[1:]]
+threads = threading.active_count()
+codes += [cli.main(["run", path]) for path in sys.argv[1:]]
 (setup,) = build_problem(ProblemSpec(kind="harmonic_oscillator",
                                      params={"omega": 1.0, "E": 1.0}))
 solve_ep_direct(setup.profile, 1.0, (1.0, 0.0), np.linspace(-2.0, 2.0, 401))
 print(json.dumps({
     "codes": codes,
+    "threads": threads,
     "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
     "solve_ivp": [callable(vars(m).get("solve_ivp")) for m in (linear, fields)],
 }))
@@ -769,8 +820,8 @@ print(json.dumps({
 
 def test_check_and_run_load_no_scipy(tmp_path):
     # A fresh interpreter: the package, check, run and solve_ep_direct need
-    # numpy only.  The benchmark's tracer still finds both solve_ivp bindings
-    # to wrap.
+    # numpy only, and check starts no thread.  The benchmark's tracer still
+    # finds both solve_ivp bindings to wrap.
     texts = [
         FREE,
         "problem.kind = harmonic_oscillator\nproblem.omega = 1.0\nproblem.E = 1.0\n"
@@ -789,6 +840,7 @@ def test_check_and_run_load_no_scipy(tmp_path):
                           text=True, env=env, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 8
+    assert result["threads"] == 1  # check starts no render thread
     assert result["scipy"] == []
     assert result["solve_ivp"] == [True, True]
     assert (tmp_path / "1" / "xi_trajectory_1.csv").exists()
