@@ -58,7 +58,7 @@ def _cmd_run(path: str) -> int:
         status = "pass" if sector["pass"] else "FAIL"
         print(
             f"sector {sector['label']}: invariant drift {sector['invariant_drift']:.3e}, "
-            f"wronskian drift {sector['wronskian_drift']:.3e}, "
+            f"pair condition {sector['pair_condition']:.3e}, "
             f"integration error {sector['integration_error']:.3e} [{status}]"
         )
     print(f"flux residual {report.flux['residual']:.3e} "

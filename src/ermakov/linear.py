@@ -115,6 +115,12 @@ class FundamentalPair:
     def wronskian_samples(self) -> np.ndarray:
         return self.y1 * self.dy2 - self.dy1 * self.y2
 
+    def condition(self) -> float:
+        """kappa = max(|y1 y2'| + |y1' y2|) / |W|: a Wronskian-based check on
+        the pair (the invariant among them) is at roundoff near eps kappa."""
+        products = np.abs(self.y1 * self.dy2) + np.abs(self.dy1 * self.y2)
+        return float(np.max(products)) / abs(self.W)
+
 
 def _pair_wronskian(w: float) -> float:
     """``w`` as a pair's Wronskian W, checked before any propagation: the

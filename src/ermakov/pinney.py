@@ -19,7 +19,7 @@ point instead of by (A, B, D), and builds it by the same superposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -57,14 +57,12 @@ class PinneyCoefficients:
                 f"A and B must be nonnegative for a positive amplitude, got ({self.A}, {self.B})"
             )
 
-    def constraint_residual(self, wronskian: float) -> float:
-        return abs(self.A * self.B - self.D**2 - self.k / wronskian**2)
-
     def validate(self, wronskian: float, tol: float = CONSTRAINT_TOL) -> None:
-        """Reject a residual above ``tol`` times the largest of the constraint's
-        own terms A B, D^2 and k/W^2, or a term that overflows."""
-        bound = tol * max(self.A * self.B, self.D**2, self.k / wronskian**2)
-        residual = self.constraint_residual(wronskian)
+        """Reject a residual |A B - D^2 - k/W^2| above ``tol`` times the largest
+        of the constraint's own terms A B, D^2 and k/W^2, or a term that overflows."""
+        target = self.k / wronskian**2
+        bound = tol * max(self.A * self.B, self.D**2, target)
+        residual = abs(self.A * self.B - self.D**2 - target)
         if not residual <= bound < math.inf:
             raise ConstraintViolationError(residual, bound)
 
@@ -77,6 +75,7 @@ def coefficients_from_ab(
     A discriminant within rounding of zero (1e-12 of k/W^2) is clamped to
     D = 0, so the boundary choice A*B = k/W^2 is representable.
     """
+    coeffs = PinneyCoefficients(A, B, 0.0, k)  # rejects a negative A, B or k first
     target = k / wronskian**2
     disc = A * B - target
     if disc < 0.0:
@@ -86,7 +85,7 @@ def coefficients_from_ab(
             raise ConfigurationError(
                 f"A*B = {A * B!r} is below k/W^2 = {target!r}; no real D exists"
             )
-    return PinneyCoefficients(A, B, math.copysign(math.sqrt(disc), sign), k)
+    return replace(coeffs, D=math.copysign(math.sqrt(disc), sign))
 
 
 def symmetric_coefficients(k: float, wronskian: float) -> PinneyCoefficients:

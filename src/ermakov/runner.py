@@ -6,9 +6,10 @@ and emits field tables plus a certification report.  Every sector is
 computed and certified before any file is written; each file is then
 written atomically (write-then-rename), one at a time, so a failure leaves
 no partial file.  A table is streamed from its columns to its file in chunks
-of a few MB, rendered on two threads and written in order, so emit memory
-does not grow with the grid.  Outputs are deterministic: fixed column and
-key order, reals rendered with 17 significant digits (:mod:`.render`).
+of a few MB and written in order, so emit memory does not grow with the
+grid; a table of several chunks is rendered on two threads.  Outputs are
+deterministic: fixed column and key order, reals rendered with 17
+significant digits (:mod:`.render`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import momentum_field, physical_amplitude, quantum_potential_ep, trajectory
-from .linear import DEFAULT_SETTINGS, FundamentalPair, IntegrationSettings, wronskian_check
+from .linear import DEFAULT_SETTINGS, FundamentalPair, IntegrationSettings
 from .pinney import (
     ErmakovAmplitude,
     PinneyCoefficients,
@@ -210,8 +211,6 @@ def parse_config(path: str | Path) -> RunConfig:
 class SectorResult:
     label: str
     setup: SectorSetup
-    pair: FundamentalPair
-    coefficients: PinneyCoefficients
     amplitude: ErmakovAmplitude
     omega2: np.ndarray
     R: np.ndarray
@@ -219,9 +218,7 @@ class SectorResult:
     Q: np.ndarray
     invariant: np.ndarray
     invariant_drift: float
-    wronskian_drift: float
-    pinney_residual: float
-    continuity_residual: float
+    pair_condition: float
     trajectories: tuple[tuple[tuple[float, float, int], np.ndarray, np.ndarray], ...] = ()
 
 
@@ -248,16 +245,12 @@ def execute_sector(
     q_pot = quantum_potential_ep(
         setup.profile.physical(pair.grid), setup.k, rho, m=m, hbar=setup.profile.hbar
     )
-    cont = np.max(np.abs(p * rho**2 - setup.C))
-    cont_scale = abs(setup.C) if setup.C != 0.0 else 1.0
     t_grids = [np.linspace(0.0, t_end, int(n)) for _, t_end, n in setup.trajectories]
     paths = trajectory(setup.C, pair.grid, rho, 2.0 * rho * amplitude.drho, m,
                        [(request[0], t) for request, t in zip(setup.trajectories, t_grids)])
     return SectorResult(
         label=setup.label,
         setup=setup,
-        pair=pair,
-        coefficients=coeffs,
         amplitude=amplitude,
         omega2=omega2,
         R=physical_amplitude(amplitude, setup.sector),
@@ -265,9 +258,7 @@ def execute_sector(
         Q=q_pot,
         invariant=inv,
         invariant_drift=drift.drift,
-        wronskian_drift=wronskian_check(pair),
-        pinney_residual=coeffs.constraint_residual(pair.W),
-        continuity_residual=float(cont) / cont_scale,
+        pair_condition=pair.condition(),
         trajectories=tuple(zip(setup.trajectories, t_grids, paths)),
     )
 
@@ -290,24 +281,22 @@ class CertificationReport:
 
 
 def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
-    coeffs = result.coefficients
+    pair, coeffs = result.amplitude.pair, result.amplitude.coefficients
     checks = {
         "invariant": result.invariant_drift <= tol.invariant,
-        "integration": result.pair.error <= tol.integration,
+        "integration": pair.error <= tol.integration,
     }
     return {
         "label": result.label,
-        "points": int(result.pair.grid.size),
+        "points": int(pair.grid.size),
         "C": result.setup.C,
         "k": result.setup.k,
-        "wronskian": result.pair.W,
+        "wronskian": pair.W,
         "coefficients": {"A": coeffs.A, "B": coeffs.B, "D": coeffs.D},
         "invariant_reference": float(result.invariant[result.invariant.size // 2]),
         "invariant_drift": result.invariant_drift,
-        "wronskian_drift": result.wronskian_drift,
-        "integration_error": result.pair.error,
-        "pinney_residual": result.pinney_residual,
-        "continuity_residual": result.continuity_residual,
+        "pair_condition": result.pair_condition,
+        "integration_error": pair.error,
         "checks": checks,
         "pass": all(checks.values()),
     }
@@ -324,7 +313,6 @@ def certify(results: list[SectorResult], tolerances: Tolerances, flux_enforce: b
         "enforced": flux_enforce,
         "residual": residual,
         "pass": residual <= tolerances.flux or not flux_enforce,
-        "note": "" if flux_enforce else "constraint not enforced (open/scattering sectors)",
     }
     verdict = "pass" if all(s["pass"] for s in sector_reports) and flux["pass"] else "fail"
     return CertificationReport(problem_kind, tolerances, sector_reports, flux, verdict)
@@ -417,12 +405,13 @@ def _write_tables(paths, names: tuple[str, ...], tables, fmt: str) -> None:
 
 
 def _field_columns(result: SectorResult) -> tuple[np.ndarray, ...]:
+    pair = result.amplitude.pair
     return (
-        result.pair.grid,
+        pair.grid,
         result.omega2,
-        result.pair.y1,
-        result.pair.y2,
-        result.pair.wronskian_samples(),
+        pair.y1,
+        pair.y2,
+        pair.wronskian_samples(),
         result.amplitude.rho,
         result.R,
         result.p,
@@ -452,8 +441,9 @@ def run_config(config: RunConfig, output_dir: str | Path | None = None):
     Returns (report, written paths).  After :func:`prepare`, every sector is
     computed and certified before the first write; then each file is
     rendered and atomically written (fixed key order, 17 digits), one at a
-    time and each table chunk by chunk, the report last.  An output directory that cannot be created or
-    written raises :class:`ConfigurationError`.
+    time and each table chunk by chunk, the report last.  An output
+    directory that cannot be created or written raises
+    :class:`ConfigurationError`.
     """
     out, setups = prepare(config, output_dir)
     results = [execute_sector(setup, config.settings) for setup in setups]

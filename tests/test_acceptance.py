@@ -91,11 +91,11 @@ def test_criterion_3_superposition_identity(
 ):
     rng = np.random.default_rng(20250810)
     cases = {
-        "free": (free_run[0], free_run[1].pair),
-        "harmonic": (harmonic_run[0], harmonic_run[1].pair),
-        "coulomb": (coulomb_run[0], coulomb_run[1].pair),
+        "free": (free_run[0], free_run[1].amplitude.pair),
+        "harmonic": (harmonic_run[0], harmonic_run[1].amplitude.pair),
+        "coulomb": (coulomb_run[0], coulomb_run[1].amplitude.pair),
         "two-center": next(
-            (s, r.pair) for s, r in two_center_runs if s.label == "nu"
+            (s, r.amplitude.pair) for s, r in two_center_runs if s.label == "nu"
         ),
     }
     worst = direct_worst = 0.0
@@ -188,12 +188,12 @@ def test_criterion_8_wronskian_constancy(
     free_run, harmonic_run, coulomb_run, two_center_runs
 ):
     pairs = {
-        "free": free_run[1].pair,
-        "harmonic": harmonic_run[1].pair,
-        "coulomb": coulomb_run[1].pair,
+        "free": free_run[1].amplitude.pair,
+        "harmonic": harmonic_run[1].amplitude.pair,
+        "coulomb": coulomb_run[1].amplitude.pair,
     }
     for setup, result in two_center_runs:
-        pairs[f"two-center {setup.label}"] = result.pair
+        pairs[f"two-center {setup.label}"] = result.amplitude.pair
     drifts = {k: wronskian_check(p) / max(1.0, abs(p.W)) for k, p in pairs.items()}
     ok = all(v <= 1e-9 for v in drifts.values())
     report(8, "Wronskian constancy across the suite", ok,
@@ -203,13 +203,14 @@ def test_criterion_8_wronskian_constancy(
 def test_criterion_9_continuity_first_integral(
     free_run, harmonic_run, coulomb_run, two_center_runs
 ):
-    residuals = {
-        "free": free_run[1].continuity_residual,
-        "harmonic": harmonic_run[1].continuity_residual,
-        "coulomb": coulomb_run[1].continuity_residual,
-    }
+    # p = C/rho^2 read back against rho: max |p rho^2 - C| / |C| (every C here is nonzero)
+    runs = {"free": free_run, "harmonic": harmonic_run, "coulomb": coulomb_run}
     for setup, result in two_center_runs:
-        residuals[f"two-center {setup.label}"] = result.continuity_residual
+        runs[f"two-center {setup.label}"] = (setup, result)
+    residuals = {
+        name: float(np.max(np.abs(result.p * result.amplitude.rho**2 - setup.C))) / abs(setup.C)
+        for name, (setup, result) in runs.items()
+    }
     ok = all(v <= 1e-10 for v in residuals.values())
     report(9, "continuity first integral", ok,
            ", ".join(f"{k} {v:.1e}" for k, v in residuals.items()))
@@ -221,14 +222,15 @@ def test_criterion_10_trajectory_quadrature(free_run, harmonic_run):
     # x' = C/(m rho^2): Hermite cells of rho^2 with the exact slope 2 rho rho'
     rho = result.amplitude.rho
     drho2 = 2.0 * rho * result.amplitude.drho
-    x = trajectory(setup.C, result.pair.grid, rho, drho2, 1.0, [(0.0, t)])[0]
+    x = trajectory(setup.C, result.amplitude.grid, rho, drho2, 1.0, [(0.0, t)])[0]
     free_err = float(np.max(np.abs(x - t)))
     hsetup, hresult = harmonic_run
     t2 = np.linspace(0.0, 2.0, 41)
     rho = hresult.amplitude.rho
     drho2 = 2.0 * rho * hresult.amplitude.drho
-    fwd = trajectory(hsetup.C, hresult.pair.grid, rho, drho2, 1.0, [(0.25, t2)])[0]
-    back = trajectory(-hsetup.C, hresult.pair.grid, rho, drho2, 1.0, [(float(fwd[-1]), t2)])[0]
+    fwd = trajectory(hsetup.C, hresult.amplitude.grid, rho, drho2, 1.0, [(0.25, t2)])[0]
+    back = trajectory(-hsetup.C, hresult.amplitude.grid, rho, drho2, 1.0,
+                      [(float(fwd[-1]), t2)])[0]
     closure = abs(float(back[-1]) - 0.25)
     ok = free_err <= 1e-9 and closure <= 1e-8
     report(10, "trajectory quadrature and reversal", ok,

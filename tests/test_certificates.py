@@ -132,7 +132,7 @@ PRESETS = {
 def weighted_wronskian_drift(result):
     """B W^2/2 + (B y2 + D y1)^2 (W(q)^2 - W^2) / (2 rho^2), or A W(q)^2/2
     where B = 0, from the pair's columns and the form's coefficients."""
-    pair, c = result.pair, result.coefficients
+    pair, c = result.amplitude.pair, result.amplitude.coefficients
     w = pair.y1 * pair.dy2 - pair.dy1 * pair.y2
     if c.B == 0.0:
         return 0.5 * c.A * w**2
@@ -151,6 +151,27 @@ def test_invariant_is_a_weighted_wronskian_drift(case):
         reference = abs(result.invariant[result.invariant.size // 2])
         gap = np.max(np.abs(result.invariant - weighted_wronskian_drift(result)))
         assert gap <= 1e-14 * reference, (result.label, gap / reference)
+
+
+def mu_sector(params, grid=None):
+    spec = ProblemSpec(kind="two_center_elliptic", params=params,
+                       sectors={"mu": SectorRequest(grid=grid)})
+    return execute_sector(next(s for s in build_problem(spec) if s.label == "mu"))
+
+
+def test_pair_condition_marks_a_wronskian_certificate_at_roundoff():
+    # Z = 1, ell = 8: both columns, posed at the middle of mu, grow toward
+    # both ends and turn nearly parallel, so the invariant of a right pair
+    # reads about eps kappa
+    ill = mu_sector({"a": 1.0, "Z": 1.0, "k_sq": 2.0, "ell": 8, "parity": "even"})
+    assert ill.pair_condition >= 1e9
+    # Z = 0, ell = 20: a well-conditioned pair, whose max |W(q) - W| is 5.6e2 at W = 8.5e16
+    wide = mu_sector({"a": 1.0, "Z": 0.0, "k_sq": 2.0, "ell": 20, "parity": "even"},
+                     (0.0, 2.0, 2001))
+    assert wide.pair_condition <= 10.0
+    for kind, params, flux in PRESETS.values():
+        for result in sector_results(kind, params, flux, {}, {}, {}):
+            assert result.pair_condition <= 10.0, (kind, result.label)
 
 
 @pytest.mark.parametrize(

@@ -75,7 +75,7 @@ def test_quantum_potential_ep_vs_finite_differences():
                        sectors={"xi": SectorRequest(k=1.0)})
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
-    grid, rho = result.pair.grid, result.amplitude.rho
+    grid, rho = result.amplitude.grid, result.amplitude.rho
     h = grid[1] - grid[0]
     d2 = (-rho[4:] + 16 * rho[3:-1] - 30 * rho[2:-2] + 16 * rho[1:-3] - rho[:-4]) / (
         12 * h**2
@@ -94,7 +94,7 @@ def test_energy_balance_cartesian_sector():
     result = execute_sector(setup)
     # In xi units (m = hbar = 1) the balance p^2/2 + V + Q = E reads
     # p^2/2 + Q = Omega^2/2; E = (nu + 1/2)/2 = 1/2 sets the tolerance.
-    balance = 0.5 * setup.profile.omega2_array(result.pair.grid)
+    balance = 0.5 * setup.profile.omega2_array(result.amplitude.grid)
     total = result.p**2 / 2.0 + result.Q
     assert np.max(np.abs(total - balance)) <= 1e-6 * 0.5
 
@@ -135,8 +135,8 @@ def test_trajectory_time_reversal():
     t = np.linspace(0.0, 2.0, 41)
     rho = result.amplitude.rho
     drho2 = 2.0 * rho * result.amplitude.drho
-    fwd = trajectory(setup.C, result.pair.grid, rho, drho2, 1.0, [(0.25, t)])[0]
-    back = trajectory(-setup.C, result.pair.grid, rho, drho2, 1.0, [(float(fwd[-1]), t)])[0]
+    fwd = trajectory(setup.C, result.amplitude.grid, rho, drho2, 1.0, [(0.25, t)])[0]
+    back = trajectory(-setup.C, result.amplitude.grid, rho, drho2, 1.0, [(float(fwd[-1]), t)])[0]
     assert abs(back[-1] - 0.25) <= 1e-8
 
 
@@ -255,7 +255,7 @@ def test_batched_paths_match_one_request_per_call(kind, params, label):
     spec = ProblemSpec(kind=kind, params=params, sectors={label: SectorRequest(C=1.0)})
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
-    grid, rho = result.pair.grid, result.amplitude.rho
+    grid, rho = result.amplitude.grid, result.amplitude.rho
     drho2 = 2.0 * rho * result.amplitude.drho
     requests = [
         (0.25, np.linspace(0.0, 1.5, 41)),
@@ -298,8 +298,8 @@ def test_continuity_first_integral_certified():
                        sectors={"x": SectorRequest(C=1.0)})
     setup = build_problem(spec)[0]
     result = execute_sector(setup)
-    assert result.continuity_residual <= 1e-10
-    grid = result.pair.grid  # against the exact pair (cos, sin)
+    assert np.max(np.abs(result.p * result.amplitude.rho**2 - setup.C)) <= 1e-10 * abs(setup.C)
+    grid = result.amplitude.grid  # against the exact pair (cos, sin)
     pair = FundamentalPair(grid, np.cos(grid), -np.sin(grid), np.sin(grid), np.cos(grid), 1.0)
     amp = pinney_amplitude(symmetric_coefficients(1.0, pair.W), pair)
     np.testing.assert_allclose(result.amplitude.rho, amp.rho, atol=1e-14)
@@ -320,7 +320,7 @@ def test_s_wave_fields_read_the_normal_form_amplitude():
                         trajectories=((1.0, 5.0, 51),))
     result = execute_sector(setup)
     np.testing.assert_allclose(result.amplitude.rho, 1.0, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(result.R, 1.0 / result.pair.grid, rtol=1e-15)
+    np.testing.assert_allclose(result.R, 1.0 / result.amplitude.grid, rtol=1e-15)
     np.testing.assert_allclose(result.p, hbar * k0, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(result.Q, 0.0, rtol=0.0, atol=1e-14)
     ((_, t, x),) = result.trajectories

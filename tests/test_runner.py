@@ -271,7 +271,7 @@ def test_flux_ledger_certified_by_certify(fluxes, enforce, residual, passed):
     assert flux["enforced"] is enforce
     assert flux["residual"] == pytest.approx(residual, rel=1e-15, abs=0.0)
     assert flux["pass"] is passed
-    assert flux["note"] == ("" if enforce else "constraint not enforced (open/scattering sectors)")
+    assert set(flux) == {"enforced", "residual", "pass"}
 
 
 @pytest.mark.parametrize(
@@ -295,13 +295,13 @@ def test_flux_certificate_uses_configured_tolerance(residual, tolerance, passed)
 
 def test_coulomb_pair_honours_integration_settings(tmp_path):
     base = "problem.kind = coulomb_halfline\nproblem.alpha = 1.3\nproblem.E = -0.5\n"
-    drifts = []
+    errors = []
     for extra in ("", "integration.rel_tol = 1e-3\n"):
         report, _ = run_config(parse_config_text(base + extra), output_dir=tmp_path / "o")
         (sector,) = report.as_dict()["sectors"]
-        drifts.append((sector["wronskian_drift"], sector["invariant_drift"]))
-    (w_default, i_default), (w_loose, i_loose) = drifts
-    assert w_loose > 100.0 * w_default and i_loose > 100.0 * i_default
+        errors.append((sector["integration_error"], sector["invariant_drift"]))
+    (e_default, i_default), (e_loose, i_loose) = errors
+    assert e_loose > 100.0 * e_default and i_loose > 100.0 * i_default
 
 
 @pytest.mark.parametrize(
@@ -526,6 +526,18 @@ def test_readme_names_exactly_the_parsed_integration_and_tolerance_keys():
     for section, keys in (("integration", runner._INTEGRATION_KEYS),
                           ("tolerance", runner._TOLERANCE_KEYS)):
         assert set(re.findall(rf"\b{section}\.(\w+)", readme)) == set(keys), section
+
+
+def test_readme_names_exactly_the_sector_and_flux_report_keys():
+    # a removed report field cannot linger in the docs, nor a new one go undocumented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    spec = ProblemSpec(kind="free_particle", params={"k0": 1.0}, sectors={})
+    report = certify([execute_sector(build_problem(spec)[0])], Tolerances(), False,
+                     "free_particle").as_dict()
+    for block, emitted in (("sector entry", report["sectors"][0]), ("flux block", report["flux"])):
+        phrase = r"\s+".join(f"{block} has the keys".split())  # across a line break
+        listed = re.search(rf"{phrase}([^.;:]*)", readme).group(1)
+        assert re.findall(r"`(\w+)`", listed) == list(emitted), block
 
 
 def test_readme_library_example_runs(capsys):

@@ -88,8 +88,9 @@ def test_flux_scaling_leaves_fields_trajectories_and_verdicts(preset, which, lam
         return
     (one, checks_one), (other, checks_other) = base, scaled
     assert checks_one == checks_other
+    assert other.pair_condition == one.pair_condition  # the pair does not depend on C
     profile = one.setup.profile
-    omega2_phys = np.max(np.abs(profile.physical(one.pair.grid)))
+    omega2_phys = np.max(np.abs(profile.physical(one.amplitude.grid)))
     q_scale = (profile.hbar**2 / (2.0 * profile.m)) * omega2_phys
     _assert_close(other.p, one.p, np.max(np.abs(one.p)))
     _assert_close(other.Q, one.Q, max(np.max(np.abs(one.Q)), q_scale))
