@@ -13,8 +13,8 @@ certificate.  Four families are provided:
 * Weber / parabolic-cylinder pairs (D_nu(xi), D_nu(-xi)) for the equation
   y'' + (nu + 1/2 - xi^2/4) y = 0, seeded at xi = 0 from the classical
   gamma-function values and extended by normal-form integration; at
-  nonnegative integer nu, where the reflection is dependent, D_n is
-  completed by a second-kind companion,
+  nonnegative integer nu, where the reflection is dependent, D_n is taken
+  in closed form and completed by a second-kind companion,
 * Whittaker pairs (M_{kappa,1/2}(2 lambda x), W_{kappa,1/2}(2 lambda x)),
   the M column from its regular power series at the origin and the W
   column integrated inward from a large-argument exponential seed; at
@@ -25,8 +25,8 @@ certificate.  Four families are provided:
   integrated second-kind companion (for q != 0 the even and odd periodic
   functions solve different equations, so they cannot form a pair).
 
-All series-built columns expose derivative columns obtained by term-wise
-differentiation, never by numeric differencing.
+All closed-form and series columns carry exact derivative columns, never
+numeric differences; the Mathieu and Kummer sums are taken by Horner's rule.
 """
 
 from __future__ import annotations
@@ -114,6 +114,20 @@ def weber_seed(nu: float) -> tuple[float, float]:
     return y0, dy0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a column that overflows raises
+def weber_column(n: int, grid: np.ndarray) -> Column:
+    """D_n(xi) = e^{-xi^2/4} He_n(xi) and D_n' = n D_{n-1} - (xi/2) D_n at integer
+    n >= 0, by D_{k+1} = xi D_k - k D_{k-1} from D_0 (DLMF sections 12.7, 12.8)."""
+    xi = np.asarray(grid, dtype=float)
+    prev, y = np.zeros_like(xi), np.exp(-0.25 * xi * xi)
+    for k in range(n):  # upward, without Hermite coefficients
+        prev, y = y, xi * y - k * prev
+    dy = n * prev - 0.5 * xi * y
+    if not np.isfinite(dy).all():  # so is y wherever dy is finite
+        raise EngineError(f"parabolic-cylinder column overflows at order nu = {n}")
+    return Column(xi, y, dy)
+
+
 def weber_pair(
     nu: float,
     profile: FrequencyProfile,
@@ -125,13 +139,13 @@ def weber_pair(
     Both columns are integrated outward from xi = 0, from the seeds
     (D_nu(0), +-D_nu'(0)), by the same cell matrices; W = -2 D_nu(0) D_nu'(0).
     For nonnegative integer nu the reflection D_n(-xi) = (-1)^n D_n(xi)
-    makes that pair dependent, so the D_n column is completed instead by a
-    second-kind companion from identity-data integration.
+    makes that pair dependent, so the closed-form D_n (:func:`weber_column`)
+    is completed instead by a second-kind companion from identity-data
+    integration, whose error is then the pair's.
     """
     y0, dy0 = weber_seed(nu)
     if nu > -1e-9 and abs(nu - round(nu)) < 1e-9:  # a nonnegative integer
-        column = integrate_normal_form(profile, grid, 0.0, (y0, dy0), settings)
-        return companion_pair(profile, column, settings)
+        return companion_pair(profile, weber_column(round(nu), grid), settings)
     return fundamental_pair(profile, grid, 0.0, settings, ic1=(y0, dy0), ic2=(y0, -dy0))
 
 
@@ -143,34 +157,34 @@ def weber_pair(
 def _whittaker_m_series(
     kappa: float, z: np.ndarray, term_cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kummer series S(z) = 1F1(1 - kappa; 2; z) and S'(z), term-wise.
+    """Kummer series S(z) = 1F1(1 - kappa; 2; z) and S'(z) on a grid z > 0.
 
-    The tail is bounded by the geometric estimate once the term ratio drops
-    below 1/2 and must fall to _M_TAIL_TOL of the sum; failing to reach that
-    within ``term_cap`` terms, or a sum that stops being finite, raises
+    Each term a_n z^n is largest at z_max, so a scalar pass forms b_n = a_n z_max^n
+    (a_n alone underflows at large z_max) and one Horner pass in z / z_max sums
+    them.  The tail is bounded by the geometric estimate once the term ratio
+    drops below 1/2 and must fall to _M_TAIL_TOL of max(1, |S(z_max)|); failing
+    that within ``term_cap`` terms, or a sum that stops being finite, raises
     :class:`SeriesConvergenceError`.
     """
-    s = np.ones_like(z)
-    ds = np.zeros_like(z)
-    term = np.ones_like(z)
-    zmax = float(np.max(np.abs(z)))
+    zmax = float(np.max(z))
+    b, total = [1.0], 1.0
     for n in range(term_cap):
-        ratio_coeff = (1.0 - kappa + n) / ((2.0 + n) * (1.0 + n))
-        new_term = term * ratio_coeff * z
-        s = s + new_term
-        ds = ds + (n + 1) * term * ratio_coeff  # d/dz of a_{n+1} z^{n+1}
-        if not (np.isfinite(s).all() and np.isfinite(ds).all()):
-            raise SeriesConvergenceError(f"Whittaker M series overflows at term {n + 1}")
-        term = new_term
-        next_ratio = (1.0 - kappa + n + 1) / ((3.0 + n) * (2.0 + n))
-        bound = abs(next_ratio) * zmax
-        if bound < 0.5:
-            tail = float(np.max(np.abs(term))) * bound / (1.0 - bound)
-            if tail <= _M_TAIL_TOL * max(1.0, float(np.max(np.abs(s)))):
-                return s, ds
-    raise SeriesConvergenceError(
-        f"Whittaker M series did not meet its tail bound within {term_cap} terms"
-    )
+        b.append(b[-1] * (1.0 - kappa + n) / ((2.0 + n) * (1.0 + n)) * zmax)
+        total += b[-1]
+        bound = abs((1.0 - kappa + n + 1) / ((3.0 + n) * (2.0 + n))) * zmax
+        tail = abs(b[-1]) * bound / (1.0 - bound) if bound < 0.5 else math.inf
+        if not math.isfinite(total) or tail <= _M_TAIL_TOL * max(1.0, abs(total)):
+            break
+    else:
+        raise SeriesConvergenceError(
+            f"Whittaker M series did not meet its tail bound within {term_cap} terms"
+        )
+    b = np.array(b)  # S = sum b_n u^n and z_max S' = sum n b_n u^(n-1), u = z / z_max
+    terms = np.stack((b, np.append(b[1:] * np.arange(1, b.size), 0.0)), axis=1)
+    acc = np.polynomial.polynomial.polyval(z / zmax, terms)  # Horner's rule
+    if not (math.isfinite(total) and np.isfinite(acc).all()):
+        raise SeriesConvergenceError(f"Whittaker M series overflows at term {b.size - 1}")
+    return acc[0], acc[1] / zmax
 
 
 def whittaker_m_column(
@@ -402,8 +416,9 @@ def mathieu_column(
 ) -> tuple[Column, float]:
     """Periodic (or hyperbolically continued) Mathieu column and its char value.
 
-    Plain:    sum_k c_k cos(h_k nu)   or  sum_k c_k sin(h_k nu)
-    Modified: sum_k c_k cosh(h_k mu)  or  sum_k c_k sinh(h_k mu)
+    Plain:    sum_k c_k cos(h_k nu)   or  sum_k c_k sin(h_k nu), a part of
+              e^{i h_0 nu} P(e^{2i nu}), summed with its derivative by one Horner pass
+    Modified: sum_k c_k cosh(h_k mu)  or  sum_k c_k sinh(h_k mu), term by term
 
     ``a`` is the characteristic value when the caller has already solved it.
     """
@@ -411,19 +426,19 @@ def mathieu_column(
     if a is None:
         a = mathieu_char_value(ell, parity, q)
     harmonics, coeffs = mathieu_coefficients(ell, parity, q, a=a)
-    if modified and float(np.max(harmonics)) * float(np.max(np.abs(grid))) > 700.0:
+    if not modified:
+        terms = np.stack((coeffs, coeffs * harmonics), axis=1)  # S and -i S'
+        s = np.polynomial.polynomial.polyval(np.exp(2j * grid), terms)  # Horner's rule
+        s *= np.exp(1j * harmonics[0] * grid)
+        y, dy = (s[0].real, -s[1].imag) if parity == "even" else (s[0].imag, s[1].real)
+        return Column(grid, np.ascontiguousarray(y), np.ascontiguousarray(dy)), a
+    if float(np.max(harmonics)) * float(np.max(np.abs(grid))) > 700.0:
         raise ConfigurationError(
             "hyperbolic-sum terms would overflow on this grid; reduce the grid"
             " extent or the coefficient count"
         )
-    f, df = {
-        (False, True): (np.cos, lambda x: -np.sin(x)),
-        (False, False): (np.sin, np.cos),
-        (True, True): (np.cosh, np.sinh),
-        (True, False): (np.sinh, np.cosh),
-    }[modified, parity == "even"]
-    y = np.zeros_like(grid)
-    dy = np.zeros_like(grid)
+    f, df = (np.cosh, np.sinh) if parity == "even" else (np.sinh, np.cosh)
+    y, dy = np.zeros_like(grid), np.zeros_like(grid)
     for h, c in zip(harmonics, coeffs):
         if c != 0.0:
             arg = h * grid

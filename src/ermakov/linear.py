@@ -347,7 +347,7 @@ def magnus_outward(
     ok = converged(_matmul(fine[:, lower + 1], fine[:, lower]), pair, tol[lower] + tol[lower + 1])
     lower = lower[ok]
     cells[:, 1, lower + 1] = _matmul(pair[:, ok], _adjugate(fine[:, lower]))
-    todo = np.setdiff1d(every, np.concatenate((lower, lower + 1)), assume_unique=True)
+    todo = every[np.bincount(np.concatenate((lower, lower + 1)), minlength=every.size) == 0]
     coarse, grown, count = fine[:, todo], growth[todo], 2
     while todo.size:
         new, growth = cell_pass(todo, starts[todo], widths[todo], count)

@@ -111,6 +111,11 @@ class ProblemSpec:
                 raise ConfigurationError(
                     f"sector {label!r}: give (A, B) or (A, B, D) to override the quadratic form"
                 )
+            if request.form and min(request.form["A"], request.form["B"]) < 0.0:
+                raise ConfigurationError(
+                    f"sector {label!r}: A and B must be nonnegative for a positive amplitude,"
+                    f" got ({request.form['A']}, {request.form['B']})"
+                )
 
 
 def _midpoint_pair(

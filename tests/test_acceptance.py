@@ -136,7 +136,7 @@ def test_criterion_4_weber_hermite_reduction():
         ref = np.exp(-(xi**2) / 4.0) * h(xi / math.sqrt(2.0))
         c = float(np.dot(y, ref) / np.dot(ref, ref))
         worst = max(worst, float(np.max(np.abs(y - c * ref)) / np.max(np.abs(c * ref))))
-    report(4, "Weber -> Hermite reduction", worst <= 1e-6, f"max scaled dev {worst:.2e}")
+    report(4, "Weber -> Hermite reduction", worst <= 1e-14, f"max scaled dev {worst:.2e}")
 
 
 def test_criterion_5_whittaker_laguerre_reduction():

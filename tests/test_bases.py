@@ -16,6 +16,7 @@ from ermakov.bases import (
     mathieu_column,
     mathieu_pair,
     trig_pair,
+    weber_column,
     weber_pair,
     weber_seed,
     whittaker_m_column,
@@ -25,6 +26,7 @@ from ermakov.catalog import FrequencyProfile, SectorSpec, Weight
 from ermakov.errors import (
     CharValueConvergenceError,
     ConfigurationError,
+    EngineError,
     SeriesConvergenceError,
 )
 from ermakov.linear import wronskian_check
@@ -173,6 +175,35 @@ def test_weber_hermite_reduction(n, hermite):
     assert np.max(np.abs(y - c * ref)) <= 1e-6 * np.max(np.abs(c * ref))
 
 
+@pytest.mark.parametrize("span", [6.5, 40.0])
+def test_integer_weber_column_matches_mpmath(span):
+    # D_n' from the other contiguous relation, D_n' = (xi/2) D_n - D_{n+1}
+    xi = np.linspace(-span, span, 161)
+    for n in range(13):
+        col = weber_column(n, xi)
+        ref = np.array([float(mpmath.pcfd(n, x)) for x in xi])
+        dref = 0.5 * xi * ref - np.array([float(mpmath.pcfd(n + 1, x)) for x in xi])
+        assert np.max(np.abs(col.y - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+        assert np.max(np.abs(col.dy - dref)) <= 1e-13 * np.max(np.abs(dref)), n
+
+
+def test_integer_weber_pair_takes_the_closed_form_column():
+    xi = np.linspace(-6.0, 6.0, 501)
+    pair = weber_pair(2.0, weber_profile(2.0), xi)
+    np.testing.assert_array_equal(pair.y1, weber_column(2, xi).y)
+    np.testing.assert_array_equal(pair.dy1, weber_column(2, xi).dy)
+
+
+def test_integer_weber_column_overflow_is_an_engine_error():
+    # D_n(0) = (-1)^(n/2) (n-1)!! passes the double range near n = 300, so
+    # the pair builder's seed check stops such an order before any column
+    xi = np.linspace(-6.0, 6.0, 2001)
+    with pytest.raises(EngineError, match="parabolic-cylinder column overflows"):
+        weber_column(400, xi)
+    with pytest.raises(EngineError, match="seed values overflow"):
+        weber_pair(400.0, weber_profile(400.0), xi)
+
+
 # ---------------------------------------------------------------------------
 # Whittaker, mu = 1/2
 # ---------------------------------------------------------------------------
@@ -202,6 +233,27 @@ def test_whittaker_m_matches_mpmath():
         col = whittaker_m_column(kappa, x, lam=1.0)
         ref = np.array([float(mpmath.whitm(kappa, 0.5, 2.0 * v)) for v in x])
         np.testing.assert_allclose(col.y, ref, rtol=1e-11)
+
+
+def kummer_m(kappa, z):
+    """z e^{-z/2} 1F1(1 - kappa; 2; z) and its z-derivative, by mpmath."""
+    a, z = 1.0 - kappa, mpmath.mpf(z)
+    f, df = mpmath.hyp1f1(a, 2, z), a / 2.0 * mpmath.hyp1f1(a + 1, 3, z)
+    e = mpmath.exp(-z / 2)
+    return float(z * e * f), float(e * ((1 - z / 2) * f + z * df))
+
+
+@pytest.mark.parametrize("zmax, tol", [(600.0, 1e-12), (30.0, 1e-11)])
+@pytest.mark.parametrize("kappa", [0.3, 1.37, 2.5])
+def test_whittaker_m_series_matches_mpmath_hyp1f1(kappa, zmax, tol):
+    # Near z = 600 the plain coefficients a_n underflow while the terms
+    # a_n z^n do not.  On (0, 30] the series stops at 1e-12 of its sum, and
+    # its derivative's tail is larger by about n / z_max.
+    z = np.linspace(0.0, zmax, 121)[1:]
+    col = whittaker_m_column(kappa, z, lam=0.5)  # argument equals z
+    ref, dref = np.array([kummer_m(kappa, v) for v in z]).T
+    assert np.max(np.abs(col.y - ref)) <= tol * np.max(np.abs(ref))
+    assert np.max(np.abs(col.dy - dref)) <= tol * np.max(np.abs(dref))
 
 
 def test_whittaker_w_column_is_w_up_to_scale():
@@ -359,6 +411,21 @@ def test_mathieu_coefficients_decay_and_normalization():
     assert c[0] > 0
     assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-14)
     assert abs(c[-1]) < 1e-50  # backward recurrence keeps tiny tails tiny
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.5, 5.0, 50.0])
+@pytest.mark.parametrize("ell, parity", [(0, "even")] + [
+    (ell, parity) for ell in (1, 2, 5, 8, 12, 20) for parity in ("even", "odd")
+])
+def test_plain_mathieu_column_matches_the_direct_sum(ell, parity, q):
+    nu = np.linspace(0.0, 2.0 * math.pi, 501)
+    col, a = mathieu_column(ell, q, nu, parity=parity)
+    harmonics, c = mathieu_coefficients(ell, parity, q, a=a)
+    f, df = (np.cos, lambda x: -np.sin(x)) if parity == "even" else (np.sin, np.cos)
+    y = sum(ck * f(h * nu) for h, ck in zip(harmonics, c))
+    dy = sum(ck * h * df(h * nu) for h, ck in zip(harmonics, c))
+    assert np.max(np.abs(col.y - y)) <= 1e-14 * np.max(np.abs(y))
+    assert np.max(np.abs(col.dy - dy)) <= 1e-14 * np.max(np.abs(dy))
 
 
 @pytest.mark.parametrize("q", [0.5, 5.0, 50.0, 1e-3])

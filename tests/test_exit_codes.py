@@ -187,9 +187,11 @@ def test_overflowing_pair_wronskian_fails_before_any_magnus_pass(tmp_path, monke
 @pytest.mark.parametrize("form", ["A = -1\nsector.x.B = 1", "A = 1\nsector.x.B = -1"],
                          ids=["negative_A", "negative_B"])
 def test_negative_form_coefficient_exits_1_naming_its_sign(tmp_path, monkeypatch, capsys, form):
-    # A*B < 0 is also below k/W^2, but the sign is the fault to name
+    # A*B < 0 is also below k/W^2, but the sign is the fault to name, and
+    # check sees it without building the pair
     monkeypatch.delenv("ERMAKOV_OUT", raising=False)
     path = tmp_path / "run.cfg"
     path.write_text(FREE + f"sector.x.{form}\noutput.dir = {tmp_path / 'out'}\n")
-    assert main(["run", str(path)]) == 1
-    assert "A and B must be nonnegative" in capsys.readouterr().err
+    for command in ("check", "run"):
+        assert main([command, str(path)]) == 1
+        assert "sector 'x': A and B must be nonnegative" in capsys.readouterr().err

@@ -808,6 +808,45 @@ def test_benchmark_gate_passes_on_its_workload(tmp_path, monkeypatch, workload):
     assert loop.check(reports) and loop.failed == 0
 
 
+def test_integer_weber_sector_certifies_to_roundoff(tmp_path):
+    # D_0 integrated outward from xi = 0 runs in its decaying direction, where
+    # the error grows like e^{xi^2/4} (invariant drift 4.1e-10 on this grid);
+    # in closed form only the integrated companion carries an error.
+    text = ("problem.kind = harmonic_oscillator\nproblem.omega = 1.0\nproblem.E = 0.5\n"
+            "sector.xi.grid = -6.5:6.5:2001\n")
+    report, _ = run_config(parse_config_text(text), output_dir=tmp_path)
+    (sector,) = report.sectors
+    assert sector["invariant_drift"] <= 1e-13
+    assert sector["integration_error"] <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_weber_benchmark_configs_integrate_to_roundoff(tmp_path, monkeypatch, seed):
+    # the integrated D_n column read up to 1.2e-10 here (seed 3, nu = 0)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    configs = workloads.generate("sweep", seed)
+    for name in ("harmonic_int_low", "harmonic_int_high"):
+        report, _ = run_config(parse_config_text(configs[name]), output_dir=tmp_path / name)
+        assert report.sectors[0]["integration_error"] <= 1e-12, name
+
+
+def test_sweep_takes_at_most_42_frequency_calls(tmp_path, monkeypatch):
+    # Counted by the benchmark's own tracer (catalog.omega2_calls).  Every
+    # Magnus pass takes one call, and a closed-form or series column takes
+    # none, so a column integrated where a closed form exists shows here.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    from tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        for name, text in workloads.generate("sweep", 3).items():
+            run_config(parse_config_text(text), output_dir=tmp_path / name)
+    assert tracer.counters[tracer.iteration]["catalog.omega2_calls"] <= 42
+
+
 COLD_START = """
 import json, sys, threading
 import ermakov
