@@ -30,7 +30,6 @@ from .linear import (
     FundamentalPair,
     IntegrationSettings,
     fundamental_pair,
-    integrate_normal_form,
     wronskian_check,
 )
 from .pinney import (
@@ -66,7 +65,6 @@ __all__ = [
     "el_invariant",
     "fundamental_pair",
     "geometric_frequency",
-    "integrate_normal_form",
     "invariant_drift",
     "lookup_system",
     "mathieu_char_value",

@@ -49,7 +49,7 @@ from .linear import (
     IntegrationSettings,
     companion_pair,
     fundamental_pair,
-    integrate_normal_form,
+    magnus_outward,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -89,9 +89,9 @@ def trig_pair(
     """
     if k0 == 0.0 or not math.isfinite(k0):
         raise ConfigurationError(f"trig pair needs a finite nonzero wavenumber, got {k0!r}")
-    s = integrate_normal_form(profile, grid, 0.0, (0.0, k0), settings)
-    c = np.cos(k0 * s.grid)
-    return FundamentalPair(s.grid, c, -k0 * np.sin(k0 * s.grid), s.y, s.dy, float(k0), s.error)
+    q = np.asarray(grid, dtype=float)
+    (s, ds), error = magnus_outward(profile, q, 0.0, (0.0, k0), settings)
+    return FundamentalPair(q, np.cos(k0 * q), -k0 * np.sin(k0 * q), s, ds, float(k0), error)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,8 @@ def whittaker_m_column(
         raise ConfigurationError("Whittaker grid must lie in (0, inf)")
     if lam <= 0.0:
         raise ConfigurationError(f"lambda must be positive, got {lam!r}")
-    z = 2.0 * lam * x
+    with np.errstate(over="ignore"):  # an argument past the double range fails the sum
+        z = 2.0 * lam * x
     s, ds = _whittaker_m_series(kappa, z, term_cap)
     expo = np.exp(-0.5 * z)
     m = z * expo * s
@@ -234,12 +235,13 @@ def whittaker_pair(
         w_a = math.exp(-0.5 * z_a) * z_a**kappa
     except OverflowError:
         raise EngineError(f"Whittaker W seed overflows at index kappa = {kappa!r}") from None
-    w_col = integrate_normal_form(
+    (w, dw), error = magnus_outward(
         profile, x, anchor_x, (w_a, w_a * 2.0 * lam * (kappa - 0.5 * z_a) / z_a), settings
     )
     mid = len(x) // 2
-    wronskian = float(m_col.y[mid] * w_col.dy[mid] - m_col.dy[mid] * w_col.y[mid])
-    return FundamentalPair(x, m_col.y, m_col.dy, w_col.y, w_col.dy, wronskian, w_col.error)
+    with np.errstate(over="ignore", invalid="ignore"):  # the pair rejects a W not finite
+        wronskian = float(m_col.y[mid] * dw[mid] - m_col.dy[mid] * w[mid])
+    return FundamentalPair(x, m_col.y, m_col.dy, w, dw, wronskian, error)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +333,7 @@ def mathieu_char_value(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # then the residual is nan
 def mathieu_coefficients(
     ell: int, parity: str, q: float, a: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -397,9 +400,10 @@ def mathieu_coefficients(
         c = -c
 
     # Consistency at row j, the one row that neither part solves: a nonzero
-    # residual means the characteristic value and the ladder disagree.
+    # residual means the characteristic value and the ladder disagree, and a
+    # nan one that a recurrence overflowed.
     residual = (a - diag[j]) * c[j] - q * (weights[j] * c[j - 1] + c[j + 1])
-    if abs(residual) > 1e-6 * max(1.0, abs(a)):
+    if not abs(residual) <= 1e-6 * max(1.0, abs(a)):
         raise EngineError(
             f"Mathieu coefficient ladder inconsistent (residual {residual:.3e})"
         )

@@ -109,16 +109,16 @@ def trajectory(
             raise ConfigurationError(f"x0 = {x0!r} outside the field grid [{lo}, {hi}]")
         return x0
 
-    if C == 0.0 or not requests:
+    if C == 0.0 or all(t_grid.size == 1 for _, t_grid in requests):  # each path is x0
         return [np.full_like(t_grid, float(on_grid(x0))) for x0, t_grid in requests]
 
     # c[0] (x - x_i)^3 + ... + c[3] on cell i: the Hermite cubic of rho^2
     h = np.diff(grid)
     r2 = rho * rho
     secant = np.diff(r2) / h
-    with np.errstate(over="ignore"):  # a cell wider than ~1e154 has h^2 = inf, c[0] = 0
+    with np.errstate(over="ignore"):  # c[0] = 0 where h^2 is inf (h > ~1e154) or 0 (h < ~1e-162)
         c = np.stack((
-            (drho2[:-1] + drho2[1:] - 2.0 * secant) / h**2,
+            (drho2[:-1] + drho2[1:] - 2.0 * secant) / np.where(h**2 > 0.0, h**2, np.inf),
             (3.0 * secant - 2.0 * drho2[:-1] - drho2[1:]) / h,
             drho2[:-1],
             r2[:-1],

@@ -14,10 +14,12 @@ Richardson estimate, the difference between the columns propagated with
 the final and with the coarse cell matrices, stored as
 :attr:`FundamentalPair.error`.
 
-:func:`integrate_normal_form`, :func:`fundamental_pair` and
-:func:`companion_pair` take the frequency profile, the output grid and an
-anchor; the grid and the anchor alone fix the range integrated.  In a
-preset the profile is the sector's own (see :mod:`ermakov.problems`).
+:func:`magnus_outward` is the one way to integrate a column: it takes the
+frequency profile, the output grid and an anchor, and the grid and the
+anchor alone fix the range integrated.  :func:`fundamental_pair` and
+:func:`companion_pair` pose their columns through it, as do the basis
+builders of :mod:`ermakov.bases`.  In a preset the profile is the sector's
+own (see :mod:`ermakov.problems`).
 """
 
 from __future__ import annotations
@@ -80,16 +82,11 @@ DEFAULT_SETTINGS = IntegrationSettings()
 
 @dataclass(frozen=True)
 class Column:
-    """One sampled solution with its derivative.
-
-    ``error`` is the global integration error estimate, relative to the
-    column's maximum (0 for closed-form and series columns).
-    """
+    """One closed-form or series solution, sampled with its exact derivative."""
 
     grid: np.ndarray
     y: np.ndarray
     dy: np.ndarray
-    error: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -288,14 +285,16 @@ def magnus_outward(
     state row relative to that row's maximum, where Y_coarse is propagated
     with the coarse cell matrices.
 
-    Raises :class:`IntegrationFailureError`, with ``last_q`` the last node
-    reached outward from the anchor, when a step's generator is not finite
-    (an Omega^2 sample is not, or the step is so wide that the generator
-    overflows, which no affordable refinement undoes) or a cell's settled
-    growth exponent is past the double range, a cell needs more than
+    Raises :class:`ConfigurationError` if ``grid`` is not strictly
+    increasing, and :class:`IntegrationFailureError`, with ``last_q`` the
+    last node reached outward from the anchor, when a step's generator is
+    not finite (an Omega^2 sample is not, or the step is so wide that the
+    generator overflows, which no affordable refinement undoes) or a cell's
+    settled growth exponent is past the double range, a cell needs more than
     :data:`MAX_SUBSTEPS` substeps, a pass more than :data:`MAX_PASS_SUBSTEPS`,
     or a state is not finite.
     """
+    grid = _increasing(grid)
     y0 = np.asarray(y0, dtype=float)
     n = y0.size // 2
     pos = int(np.searchsorted(grid, anchor))
@@ -394,32 +393,6 @@ def solve_ivp(*args, **kwargs):
 # Pair and column builders
 # ---------------------------------------------------------------------------
 
-def _integrate_columns(profile, grid, anchor, ics, settings):
-    """(grid, stacked state, error) of the columns with data ``ics`` at ``anchor``."""
-    grid = _increasing(grid)
-    y0 = [float(ic[0]) for ic in ics] + [float(ic[1]) for ic in ics]
-    return (grid, *magnus_outward(profile, grid, float(anchor), y0, settings))
-
-
-def integrate_normal_form(
-    profile,
-    grid: np.ndarray,
-    anchor: float,
-    ic: tuple[float, float],
-    settings: IntegrationSettings = DEFAULT_SETTINGS,
-) -> Column:
-    """Integrate y'' + Omega^2 y = 0 with data ``ic`` posed at ``anchor``.
-
-    The solution is carried outward from the anchor to both ends of
-    ``grid``, which fix the range integrated; an anchor off the grid, or
-    beyond either end, is added as a node.
-    """
-    if ic[0] == 0.0 and ic[1] == 0.0:
-        raise ConfigurationError("initial data (0, 0) only generates the trivial solution")
-    grid, (y, dy), error = _integrate_columns(profile, grid, anchor, [ic], settings)
-    return Column(grid, y, dy, error)
-
-
 def fundamental_pair(
     profile,
     grid: np.ndarray,
@@ -434,8 +407,9 @@ def fundamental_pair(
     anchor to both ends of ``grid``.
     """
     w = _pair_wronskian(ic1[0] * ic2[1] - ic1[1] * ic2[0])
-    grid, (y1, y2, dy1, dy2), error = _integrate_columns(
-        profile, grid, anchor, [ic1, ic2], settings
+    grid = np.asarray(grid, dtype=float)
+    (y1, y2, dy1, dy2), error = magnus_outward(
+        profile, grid, anchor, (ic1[0], ic2[0], ic1[1], ic2[1]), settings
     )
     return FundamentalPair(grid, y1, dy1, y2, dy2, w, error)
 
@@ -460,7 +434,5 @@ def companion_pair(
     (y2, dy2), error = magnus_outward(
         profile, column.grid, float(column.grid[idx]), (0.0, 1.0), settings
     )
-    return FundamentalPair(
-        column.grid, column.y, column.dy, y2, dy2, w, max(column.error, error)
-    )
+    return FundamentalPair(column.grid, column.y, column.dy, y2, dy2, w, error)
 

@@ -19,14 +19,15 @@ point instead of by (A, B, D), and builds it by the same superposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
     ConstraintViolationError,
+    EngineError,
     NodeApproachError,
     NonpositiveFormError,
 )
@@ -38,6 +39,19 @@ from .linear import (
 )
 
 CONSTRAINT_TOL = 1e-10
+
+
+def check_override(form: Mapping[str, float]) -> None:
+    """Reject a quadratic-form override that no pair can make valid: its keys
+    must be (A, B) or (A, B, D), A and B nonnegative (a positive amplitude
+    needs both), and A B and D^2 finite, so that the constraint can be checked."""
+    if set(form) not in ({"A", "B"}, {"A", "B", "D"}):
+        raise ConfigurationError("give (A, B) or (A, B, D) to override the quadratic form")
+    a, b, d = form["A"], form["B"], form.get("D", 0.0)
+    if a < 0.0 or b < 0.0:
+        raise ConfigurationError(f"A and B must be nonnegative, got ({a}, {b})")
+    if not (math.isfinite(a * b) and math.isfinite(d * d)):
+        raise ConfigurationError(f"A*B and D^2 must be finite, got {a * b!r} and {d * d!r}")
 
 
 @dataclass(frozen=True)
@@ -52,48 +66,37 @@ class PinneyCoefficients:
     def __post_init__(self):
         if self.k < 0.0:
             raise ConfigurationError(f"flux-squared constant k must be >= 0, got {self.k!r}")
-        if self.A < 0.0 or self.B < 0.0:
-            raise ConfigurationError(
-                f"A and B must be nonnegative for a positive amplitude, got ({self.A}, {self.B})"
-            )
+        check_override({"A": self.A, "B": self.B, "D": self.D})
+
+    @classmethod
+    def of(cls, k: float, wronskian: float, override: Mapping[str, float] | None = None):
+        """The form of flux-squared constant k on a pair of Wronskian W: without
+        an ``override`` the symmetric A = B = sqrt(k)/|W|, D = 0 ((1, 0, 0) at
+        k = 0).  An override (A, B, D) is taken as given; (A, B) gets D =
+        sqrt(A B - k/W^2) >= 0, clamped to 0 within 1e-12 k/W^2 of A B = k/W^2."""
+        if not override:
+            if k <= 0.0:  # the constructor rejects k < 0
+                return cls(1.0, 0.0, 0.0, k)
+            root = math.sqrt(k) / abs(wronskian)
+            return cls(root, root, 0.0, k)
+        check_override(override)
+        a, b = override["A"], override["B"]
+        if "D" in override:
+            return cls(a, b, override["D"], k)
+        target = k / (wronskian * wronskian)
+        disc = a * b - target
+        if disc < -1e-12 * target:
+            raise ConfigurationError(f"A*B = {a * b!r} is below k/W^2 = {target!r}: no real D")
+        return cls(a, b, math.sqrt(max(disc, 0.0)), k)
 
     def validate(self, wronskian: float, tol: float = CONSTRAINT_TOL) -> None:
         """Reject a residual |A B - D^2 - k/W^2| above ``tol`` times the largest
         of the constraint's own terms A B, D^2 and k/W^2, or a term that overflows."""
-        target = self.k / wronskian**2
-        bound = tol * max(self.A * self.B, self.D**2, target)
-        residual = abs(self.A * self.B - self.D**2 - target)
+        target = self.k / (wronskian * wronskian)
+        bound = tol * max(self.A * self.B, self.D * self.D, target)
+        residual = abs(self.A * self.B - self.D * self.D - target)
         if not residual <= bound < math.inf:
             raise ConstraintViolationError(residual, bound)
-
-
-def coefficients_from_ab(
-    A: float, B: float, k: float, wronskian: float, sign: float = 1.0
-) -> PinneyCoefficients:
-    """Complete (A, B, k) to valid coefficients via D = sign*sqrt(AB - k/W^2).
-
-    A discriminant within rounding of zero (1e-12 of k/W^2) is clamped to
-    D = 0, so the boundary choice A*B = k/W^2 is representable.
-    """
-    coeffs = PinneyCoefficients(A, B, 0.0, k)  # rejects a negative A, B or k first
-    target = k / wronskian**2
-    disc = A * B - target
-    if disc < 0.0:
-        if -disc <= 1e-12 * target:
-            disc = 0.0
-        else:
-            raise ConfigurationError(
-                f"A*B = {A * B!r} is below k/W^2 = {target!r}; no real D exists"
-            )
-    return replace(coeffs, D=math.copysign(math.sqrt(disc), sign))
-
-
-def symmetric_coefficients(k: float, wronskian: float) -> PinneyCoefficients:
-    """Default D = 0 coefficients: A = B = sqrt(k)/|W| (or (1,0,0) at k = 0)."""
-    if k == 0.0:
-        return PinneyCoefficients(1.0, 0.0, 0.0, 0.0)
-    root = math.sqrt(k) / abs(wronskian)
-    return PinneyCoefficients(root, root, 0.0, k)
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,7 @@ class ErmakovAmplitude:
     nodes: tuple[float, ...] = ()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a form or slope that is not finite raises
 def pinney_amplitude(coeffs: PinneyCoefficients, pair: FundamentalPair) -> ErmakovAmplitude:
     """Amplitude rho = sqrt(A y1^2 + B y2^2 + 2 D y1 y2) on the pair's grid.
 
@@ -124,6 +128,13 @@ def pinney_amplitude(coeffs: PinneyCoefficients, pair: FundamentalPair) -> Ermak
     coeffs.validate(pair.W)
     a, b, d = coeffs.A, coeffs.B, coeffs.D
     form = a * pair.y1**2 + b * pair.y2**2 + 2.0 * d * pair.y1 * pair.y2
+    dform = (
+        a * pair.y1 * pair.dy1
+        + b * pair.y2 * pair.dy2
+        + d * (pair.dy1 * pair.y2 + pair.y1 * pair.dy2)
+    )
+    if not (np.isfinite(form).all() and np.isfinite(dform).all()):
+        raise EngineError("quadratic form or its slope overflows the double range")
     scale = float(np.max(form)) if form.size else 0.0
     if scale <= 0.0:
         raise NonpositiveFormError(float(pair.grid[int(np.argmin(form))]))
@@ -136,11 +147,6 @@ def pinney_amplitude(coeffs: PinneyCoefficients, pair: FundamentalPair) -> Ermak
     node_mask = (form <= 1e-14 * scale) & (coeffs.k == 0.0)
     form = np.where(node_mask, 0.0, form)
     rho = np.sqrt(form)
-    dform = (
-        a * pair.y1 * pair.dy1
-        + b * pair.y2 * pair.dy2
-        + d * (pair.dy1 * pair.y2 + pair.y1 * pair.dy2)
-    )
     with np.errstate(divide="ignore", invalid="ignore"):
         drho = np.where(node_mask, np.nan, dform / np.where(node_mask, 1.0, rho))
     nodes = tuple(float(q) for q in pair.grid[node_mask])
@@ -183,10 +189,12 @@ def solve_ep_direct(
                 j = past[0]
                 i = j if abs(u[j]) <= abs(u[j - 1]) else j - 1
                 raise NodeApproachError(float(q[i] - u[i] / du[i]))
-    return pinney_amplitude(PinneyCoefficients(1.0, k / pair.W**2, 0.0, k), pair)
+    form = {"A": 1.0, "B": k / (pair.W * pair.W), "D": 0.0}
+    return pinney_amplitude(PinneyCoefficients.of(k, pair.W, form), pair)
 
 
-def el_invariant(amplitude: ErmakovAmplitude, k: float) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a sample not finite raises
+def el_invariant(amplitude: ErmakovAmplitude) -> np.ndarray:
     """Invariant samples I(q) = ((rho y' - rho' y)^2 + k y^2/rho^2) / 2 of an
     amplitude that :func:`pinney_amplitude` built, with a partner y from its pair.
 
@@ -200,18 +208,22 @@ def el_invariant(amplitude: ErmakovAmplitude, k: float) -> np.ndarray:
     Where B != 0, B rho^2 = (B y2 + D y1)^2 + k y1^2 / W^2 turns I into a
     weighted Wronskian drift, I = B W^2/2 + (B y2 + D y1)^2 (W(q)^2 - W^2) / (2 rho^2).
     Either way I moves only where W(q) does, so the invariant also certifies
-    a closed-form column against its integrated partner.
+    a closed-form column against its integrated partner.  A sample that is
+    not finite raises :class:`EngineError`.
     """
-    pair, coeffs = amplitude.pair, amplitude.coefficients
+    pair, coeffs, rho = amplitude.pair, amplitude.coefficients, amplitude.rho
     w = pair.wronskian_samples()
     if coeffs.B == 0.0:
-        return 0.5 * coeffs.A * w**2
-    rho = amplitude.rho
-    cross = np.where(rho > 0.0, -(coeffs.B * pair.y2 + coeffs.D * pair.y1) * w
-                     / np.where(rho > 0.0, rho, 1.0), math.sqrt(coeffs.B) * w)
-    out = 0.5 * cross**2
-    if k != 0.0:
-        out = out + 0.5 * k * pair.y1**2 / rho**2
+        out = 0.5 * coeffs.A * w**2
+    else:
+        cross = np.where(rho > 0.0, -(coeffs.B * pair.y2 + coeffs.D * pair.y1) * w
+                         / np.where(rho > 0.0, rho, 1.0), math.sqrt(coeffs.B) * w)
+        out = 0.5 * cross**2
+        if coeffs.k != 0.0:
+            out = out + 0.5 * coeffs.k * pair.y1**2 / rho**2
+    if not np.isfinite(out).all():
+        q = pair.grid[np.argmin(np.isfinite(out))]
+        raise EngineError(f"Ermakov-Lewis invariant is not finite at q = {float(q)!r}")
     return out
 
 

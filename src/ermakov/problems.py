@@ -46,6 +46,7 @@ from .linear import (
     IntegrationSettings,
     fundamental_pair,
 )
+from .pinney import check_override
 
 # problem parameters whose values are text (every other one is a number)
 TEXT_PARAMETERS = ("parity",)
@@ -107,15 +108,11 @@ class ProblemSpec:
                 raise ConfigurationError(
                     f"config references unknown sector {label!r}; sectors: {sorted(kind.sectors)}"
                 )
-            if set(request.form) not in (set(), {"A", "B"}, {"A", "B", "D"}):
-                raise ConfigurationError(
-                    f"sector {label!r}: give (A, B) or (A, B, D) to override the quadratic form"
-                )
-            if request.form and min(request.form["A"], request.form["B"]) < 0.0:
-                raise ConfigurationError(
-                    f"sector {label!r}: A and B must be nonnegative for a positive amplitude,"
-                    f" got ({request.form['A']}, {request.form['B']})"
-                )
+            if request.form:  # the same rules PinneyCoefficients.of applies in a run
+                try:
+                    check_override(request.form)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"sector {label!r}: {exc}") from None
 
 
 def _midpoint_pair(
@@ -173,6 +170,7 @@ def _sector(spec: ProblemSpec, profile: FrequencyProfile, default_grid, pair_bui
     coordinates), is a normal double in an open sector (C != 0), and each
     trajectory's x0 lies on the grid."""
     label, hbar = profile.sector.label, profile.hbar
+    _finite("hbar^2 / 2m", lambda: hbar * hbar / (2.0 * profile.m))  # the prefactor of Q
     request = spec.sectors.get(label, SectorRequest())
     lo, hi, n = request.grid or default_grid
     if not lo < hi or n < 2:

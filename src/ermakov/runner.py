@@ -26,15 +26,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import momentum_field, physical_amplitude, quantum_potential_ep, trajectory
-from .linear import DEFAULT_SETTINGS, FundamentalPair, IntegrationSettings
+from .linear import DEFAULT_SETTINGS, IntegrationSettings
 from .pinney import (
     ErmakovAmplitude,
     PinneyCoefficients,
-    coefficients_from_ab,
     el_invariant,
     invariant_drift,
     pinney_amplitude,
-    symmetric_coefficients,
 )
 from .problems import TEXT_PARAMETERS, ProblemSpec, SectorRequest, SectorSetup, build_problem
 from .render import format_real, table_chunks
@@ -222,22 +220,13 @@ class SectorResult:
     trajectories: tuple[tuple[tuple[float, float, int], np.ndarray, np.ndarray], ...] = ()
 
 
-def _resolve_coefficients(setup: SectorSetup, pair: FundamentalPair) -> PinneyCoefficients:
-    if not setup.form:
-        return symmetric_coefficients(setup.k, pair.W)
-    if "D" in setup.form:
-        return PinneyCoefficients(setup.form["A"], setup.form["B"], setup.form["D"], setup.k)
-    return coefficients_from_ab(setup.form["A"], setup.form["B"], setup.k, pair.W)
-
-
 def execute_sector(
     setup: SectorSetup, settings: IntegrationSettings = DEFAULT_SETTINGS
 ) -> SectorResult:
     """Run the full pipeline for one sector, with its form and trajectories."""
     pair = setup.build_pair(settings)
-    coeffs = _resolve_coefficients(setup, pair)
-    amplitude = pinney_amplitude(coeffs, pair)
-    inv = el_invariant(amplitude, setup.k)
+    amplitude = pinney_amplitude(PinneyCoefficients.of(setup.k, pair.W, setup.form), pair)
+    inv = el_invariant(amplitude)
     drift = invariant_drift(inv, grid=pair.grid)
     omega2 = setup.profile.omega2_array(pair.grid)
     rho, m = amplitude.rho, setup.profile.m

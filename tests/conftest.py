@@ -12,5 +12,8 @@ import os
 from hypothesis import settings
 
 settings.register_profile("default", derandomize=True, deadline=None, database=None)
-settings.register_profile("explore", deadline=None, database=None, max_examples=1000)
+# derandomize is set, not inherited: a profile registered here starts from the
+# loaded one, which is "default" with derandomize=True
+settings.register_profile("explore", derandomize=False, deadline=None, database=None,
+                          max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -17,7 +17,7 @@ from ermakov.bases import mathieu_char_value, mathieu_char_value_truncated, whit
 from ermakov.catalog import lookup_system, geometric_frequency
 from ermakov.fields import trajectory
 from ermakov.linear import wronskian_check
-from ermakov.pinney import coefficients_from_ab, pinney_amplitude, solve_ep_direct
+from ermakov.pinney import PinneyCoefficients, pinney_amplitude, solve_ep_direct
 from ermakov.problems import ProblemSpec, SectorRequest, build_problem
 from ermakov.runner import execute_sector
 
@@ -105,8 +105,7 @@ def test_criterion_3_superposition_identity(
             d = rng.uniform(-0.4, 0.4)
             k = rng.uniform(0.2, 2.0)
             b = (k / pair.W**2 + d**2) / a
-            coeffs = coefficients_from_ab(a, b, k, pair.W,
-                                          sign=1.0 if d >= 0 else -1.0)
+            coeffs = PinneyCoefficients.of(k, pair.W, {"A": a, "B": b, "D": d})
             amp = pinney_amplitude(coeffs, pair)
             mid = pair.grid.size // 2
             ic = (float(amp.rho[mid]), float(amp.drho[mid]))

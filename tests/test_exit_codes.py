@@ -2,23 +2,32 @@
 
 Configurations are drawn per kind from its entry in ``problems.KINDS``:
 its parameters, one name of each one-of group (sometimes both) and its
-sector labels.  Half of
+sector labels.  Every other key family comes from the parser's own tables:
+``runner._SECTOR_KEYS`` (the form override A, B, D among them),
+``_INTEGRATION_KEYS`` and ``_TOLERANCE_KEYS``, ``flux.enforce`` and
+``runner.OUTPUT_FORMATS``.  Half of
 them take values at the edges of the double range (+-1e300, +-1e-300, the
 smallest subnormal, zeros of both signs) and middle magnitudes (1e2 to 1e3,
 where a Weber pair's W^2 overflows) as well as ordinary ones; grids go
-down to two points and up to 1e300 wide, and the flux, trajectory and
-integration keys are optional.  Any exception that escapes ``cli.main``
-would be a traceback for a user, and fails the test.
+down to two points and up to 1e300 wide, and every key but the problem's
+is optional.  Any exception that escapes ``cli.main`` would be a traceback
+for a user, and fails the test.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import ermakov
 from ermakov import linear
 from ermakov.cli import main
 from ermakov.problems import KINDS, TEXT_PARAMETERS
-from ermakov.runner import _INTEGRATION_KEYS
+from ermakov.runner import _INTEGRATION_KEYS, _SECTOR_KEYS, _TOLERANCE_KEYS, OUTPUT_FORMATS
 
 ORDINARY = (1.0, 0.5, 1.3, 2.0, -0.5, -1.0)
 EDGES = (1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0)
@@ -59,20 +68,31 @@ def configs(draw):
         if _sometimes(draw, 5):
             lines.append(f"problem.{name} = {real()}")
     for label in KINDS[kind].sectors:
-        for key in ("C", "k"):
-            if _sometimes(draw, 4):
+        override = _sometimes(draw, 4)
+        for key in _SECTOR_KEYS:
+            if key == "grid":
+                if not _sometimes(draw, 4):  # mostly small grids, to keep the test fast
+                    lo = draw(st.sampled_from((0.05, -1.0, 0.0, 1e-300, -1e300)))
+                    width = draw(st.sampled_from((10.0, 1.0, 1e-300, 1e300)))
+                    n = draw(st.sampled_from((51, 11, 3, 2, 1)))
+                    lines.append(f"sector.{label}.grid = {lo!r}:{lo + width!r}:{n}")
+            elif key in ("A", "B", "D"):
+                # an override mostly gives A and B, sometimes D too, or one missing
+                if override and (key != "D") != _sometimes(draw, 4):
+                    lines.append(f"sector.{label}.{key} = {real()}")
+            elif _sometimes(draw, 4):
                 lines.append(f"sector.{label}.{key} = {real()}")
-        if not _sometimes(draw, 4):  # mostly small grids, to keep the test fast
-            lo = draw(st.sampled_from((0.05, -1.0, 0.0, 1e-300, -1e300)))
-            width = draw(st.sampled_from((10.0, 1.0, 1e-300, 1e300)))
-            n = draw(st.sampled_from((51, 11, 3, 2, 1)))
-            lines.append(f"sector.{label}.grid = {lo!r}:{lo + width!r}:{n}")
         if _sometimes(draw, 3):
             n = draw(st.sampled_from((11, 2, 1)))
             lines.append(f"trajectory.{label}.1 = {real()}:{real()}:{n}")
-    for key in _INTEGRATION_KEYS:
-        if _sometimes(draw, 6):
-            lines.append(f"integration.{key} = {real()}")
+    for section, keys in (("integration", _INTEGRATION_KEYS), ("tolerance", _TOLERANCE_KEYS)):
+        for key in keys:
+            if _sometimes(draw, 6):
+                lines.append(f"{section}.{key} = {real()}")
+    if _sometimes(draw, 4):
+        lines.append(f"flux.enforce = {draw(st.sampled_from(('true', 'false', 'yes')))}")
+    if _sometimes(draw, 4):
+        lines.append(f"output.format = {draw(st.sampled_from((*OUTPUT_FORMATS, 'xml')))}")
     return "\n".join(lines) + "\n"
 
 
@@ -122,6 +142,31 @@ SPAN_OVERFLOW_2 = FREE + "sector.x.grid = -1e308:1e308:2\n"
 MATHIEU_ORDER = ("problem.kind = two_center_elliptic\nproblem.a = 1\nproblem.Z = 0\n"
                  "problem.k_sq = 2\nproblem.ell = {}\nsector.mu.grid = 0:2:2001\n")
 MATHIEU_10, MATHIEU_16 = MATHIEU_ORDER.format(10), MATHIEU_ORDER.format(16)
+# overrides whose D^2 or A*B overflows: check and run both reject them (exit 1)
+D_OVERFLOW = FREE + "sector.x.A = 1\nsector.x.B = 1\nsector.x.D = -1e300\n"
+AB_OVERFLOW = FREE + "sector.x.A = 1e200\nsector.x.B = 1e200\n"
+# one cell 29 wide: the pointwise Wronskian reaches 3e170 and the invariant
+# overflows (exit 2)
+INVARIANT_OVERFLOW = ("problem.kind = harmonic_oscillator\nproblem.omega = 3\nproblem.E = 8\n"
+                      "sector.xi.grid = 1:30:2\n")
+# q_M = a^2 k_sq / 4 is subnormal, so the Mathieu ladder overflows (exit 2)
+LADDER_OVERFLOW = ("problem.kind = two_center_elliptic\nproblem.a = 20\nproblem.Z = 100\n"
+                   "problem.e2 = 1e-8\nproblem.k_sq = 5e-324\nproblem.ell = 1\n"
+                   "problem.parity = odd\nsector.nu.grid = -1e300:6:2\n")
+# z = 2 lam x overflows, so the Whittaker M series overflows (exit 2)
+ARGUMENT_OVERFLOW = ("problem.kind = coulomb_halfline\nproblem.alpha = 8\nproblem.E = -1e300\n"
+                     "sector.x.grid = 0.05:1e300:3\n")
+# cells 5e-301 wide, whose h^2 underflows to 0, and a one-sample path, which
+# is x0 itself: the run certifies (exit 0)
+# mu columns past 1e154, whose quadratic form overflows (exit 2), and
+# m = 5e-324, whose hbar^2 / 2m (the prefactor of Q) overflows (exit 1)
+FORM_OVERFLOW = ("problem.kind = two_center_elliptic\nproblem.a = 100\nproblem.Z = 1\n"
+                 "problem.E = 1\nproblem.ell = 1\n")
+Q_PREFACTOR_OVERFLOW = FREE.replace("k0 = 1", "k0 = 1e-132") + "problem.m = 5e-324\n"
+# kappa about 170: the Whittaker pair's W = M W' - M' W overflows (exit 2)
+WHITTAKER_W_OVERFLOW = "problem.kind = coulomb_halfline\nproblem.alpha = 700\nproblem.E = -8.5\n"
+ONE_SAMPLE_PATH = ("problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = 0.25\n"
+                   "sector.xi.grid = 0:1e-300:3\ntrajectory.xi.1 = 0:1:1\n")
 
 
 @settings(max_examples=2 * settings.default.max_examples,
@@ -141,6 +186,15 @@ MATHIEU_10, MATHIEU_16 = MATHIEU_ORDER.format(10), MATHIEU_ORDER.format(16)
 @example(TINY_STEP)
 @example(ORDER_120)
 @example(ORDER_200)
+@example(D_OVERFLOW)
+@example(AB_OVERFLOW)
+@example(INVARIANT_OVERFLOW)
+@example(LADDER_OVERFLOW)
+@example(ARGUMENT_OVERFLOW)
+@example(ONE_SAMPLE_PATH)
+@example(FORM_OVERFLOW)
+@example(Q_PREFACTOR_OVERFLOW)
+@example(WHITTAKER_W_OVERFLOW)
 def test_check_and_run_end_in_a_documented_exit_code(tmp_path, monkeypatch, text):
     monkeypatch.delenv("ERMAKOV_OUT", raising=False)
     path = tmp_path / "run.cfg"
@@ -155,11 +209,13 @@ def test_check_and_run_end_in_a_documented_exit_code(tmp_path, monkeypatch, text
      (SMALL_FLUX, 0), (SUBNORMAL_K, 1), (UNDERFLOW_K, 1), (MISMATCH, 1), (HUGE_FLUX, 0),
      (ORDER_120, 2), (ORDER_200, 2), (UNKNOWN_LABEL, 1), (PARTIAL_OVERRIDE, 1),
      (X0_OFF_GRID, 1), (TINY_LEDGER, 2), (SPAN_OVERFLOW, 1), (SPAN_OVERFLOW_2, 1),
-     (MATHIEU_10, 0), (MATHIEU_16, 0)],
+     (MATHIEU_10, 0), (MATHIEU_16, 0), (FORM_OVERFLOW, 2), (Q_PREFACTOR_OVERFLOW, 1),
+     (WHITTAKER_W_OVERFLOW, 2)],
     ids=["wide_kappa", "huge_kappa", "wide_cells", "tiny_step", "tiny_flux", "small_flux",
          "subnormal_k", "underflow_k", "mismatch", "huge_flux", "order_120", "order_200",
          "unknown_label", "partial_override", "x0_off_grid", "tiny_ledger", "span_overflow",
-         "span_overflow_2", "mathieu_10", "mathieu_16"],
+         "span_overflow_2", "mathieu_10", "mathieu_16", "form_overflow", "q_prefactor_overflow",
+         "whittaker_w_overflow"],
 )
 def test_float_range_edges_exit_as_documented(tmp_path, monkeypatch, capsys, text, code):
     # RuntimeWarnings are errors under the test settings, so none leaks here.
@@ -184,14 +240,47 @@ def test_overflowing_pair_wronskian_fails_before_any_magnus_pass(tmp_path, monke
     assert "numerical failure: pair Wronskian" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("form", ["A = -1\nsector.x.B = 1", "A = 1\nsector.x.B = -1"],
-                         ids=["negative_A", "negative_B"])
-def test_negative_form_coefficient_exits_1_naming_its_sign(tmp_path, monkeypatch, capsys, form):
-    # A*B < 0 is also below k/W^2, but the sign is the fault to name, and
-    # check sees it without building the pair
+@pytest.mark.parametrize(
+    "text, message",
+    [(FREE + "sector.x.A = -1\nsector.x.B = 1\n", "A and B must be nonnegative"),
+     (FREE + "sector.x.A = 1\nsector.x.B = -1\n", "A and B must be nonnegative"),
+     (PARTIAL_OVERRIDE, "give (A, B) or (A, B, D)"),
+     (FREE + "sector.x.A = 1\nsector.x.D = 0\n", "give (A, B) or (A, B, D)"),
+     (D_OVERFLOW, "A*B and D^2 must be finite"),
+     (AB_OVERFLOW, "A*B and D^2 must be finite")],
+    ids=["negative_A", "negative_B", "partial", "no_B", "d_overflow", "ab_overflow"],
+)
+def test_malformed_override_exits_1_alike_at_check_and_run(tmp_path, monkeypatch, capsys,
+                                                           text, message):
+    # the override's own rules need no pair (A*B < 0 is also below k/W^2, but
+    # the sign is the fault to name), so check names each fault as run does
     monkeypatch.delenv("ERMAKOV_OUT", raising=False)
     path = tmp_path / "run.cfg"
-    path.write_text(FREE + f"sector.x.{form}\noutput.dir = {tmp_path / 'out'}\n")
+    path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    errors = []
     for command in ("check", "run"):
         assert main([command, str(path)]) == 1
-        assert "sector 'x': A and B must be nonnegative" in capsys.readouterr().err
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("configuration error: sector 'x': ") and message in errors[0]
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [(D_OVERFLOW, 1), (AB_OVERFLOW, 1), (INVARIANT_OVERFLOW, 2), (LADDER_OVERFLOW, 2),
+     (ARGUMENT_OVERFLOW, 2), (ONE_SAMPLE_PATH, 0)],
+    ids=["d_overflow", "ab_overflow", "invariant_overflow", "ladder_overflow",
+         "argument_overflow", "one_sample_path"],
+)
+def test_run_leaks_no_warning_under_w_error(tmp_path, text, code):
+    # -W error makes any warning an exception, also one that pytest's
+    # filterwarnings would not catch, so a leak shows as a traceback here
+    path = tmp_path / "run.cfg"
+    path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ermakov.__file__).resolve().parent.parent)}
+    env.pop("ERMAKOV_OUT", None)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ermakov", "run", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == (1 if code else 0)

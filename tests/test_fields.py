@@ -16,7 +16,7 @@ from ermakov.errors import (
 )
 from ermakov.fields import momentum_field, physical_amplitude, trajectory
 from ermakov.linear import FundamentalPair
-from ermakov.pinney import ErmakovAmplitude, PinneyCoefficients, pinney_amplitude, symmetric_coefficients
+from ermakov.pinney import ErmakovAmplitude, PinneyCoefficients, pinney_amplitude
 from ermakov.problems import ProblemSpec, SectorRequest, SectorSetup, build_problem
 from ermakov.runner import execute_sector
 
@@ -234,6 +234,18 @@ def test_trajectory_starts_at_x0_in_wide_cells():
     assert np.array_equal(trajectory(1.0, grid, ones, zeros, 1.0, [(-1.0, t)])[0], t - 1.0)
 
 
+def test_trajectory_in_cells_whose_width_squares_to_zero():
+    # h = 5e-301 has h^2 = 0, so the cubic term is dropped, as in cells whose
+    # h^2 is inf; a one-sample path is x0 itself, inverted or not
+    grid = np.linspace(0.0, 1e-300, 3)
+    ones, slopes = np.ones_like(grid), np.array([0.0, 0.5, 1.0])
+    t = np.linspace(0.0, 1e-301, 3)
+    assert trajectory(1.0, grid, ones, slopes, 1.0, [(0.0, np.zeros(1))])[0] == [0.0]
+    single, path = trajectory(1.0, grid, ones, slopes, 1.0, [(0.0, np.zeros(1)), (0.0, t)])
+    assert single == [0.0]
+    np.testing.assert_allclose(path, t, rtol=1e-15)
+
+
 @pytest.mark.parametrize("lo, hi", [(-1e300, 0.0), (-1e18, 1.0)])
 def test_trajectory_rejects_cells_too_wide_for_its_travel(lo, hi):
     # the travel of 1 lies within the spacing of doubles in x0's cell
@@ -301,7 +313,7 @@ def test_continuity_first_integral_certified():
     assert np.max(np.abs(result.p * result.amplitude.rho**2 - setup.C)) <= 1e-10 * abs(setup.C)
     grid = result.amplitude.grid  # against the exact pair (cos, sin)
     pair = FundamentalPair(grid, np.cos(grid), -np.sin(grid), np.sin(grid), np.cos(grid), 1.0)
-    amp = pinney_amplitude(symmetric_coefficients(1.0, pair.W), pair)
+    amp = pinney_amplitude(PinneyCoefficients.of(1.0, pair.W), pair)
     np.testing.assert_allclose(result.amplitude.rho, amp.rho, atol=1e-14)
 
 

@@ -14,7 +14,6 @@ from ermakov.linear import (
     IntegrationSettings,
     companion_pair,
     fundamental_pair,
-    integrate_normal_form,
     magnus_outward,
     wronskian_check,
 )
@@ -36,20 +35,20 @@ def weber_profile(nu):
 
 
 def test_sine_endpoint():
-    sol = integrate_normal_form(CONST_ONE, np.linspace(0.0, math.pi / 2, 2001), 0.0, (0.0, 1.0))
-    assert abs(sol.y[-1] - 1.0) <= 1e-9
-    assert abs(sol.dy[-1]) <= 1e-9
+    (y, dy), _ = magnus_outward(CONST_ONE, np.linspace(0.0, math.pi / 2, 2001), 0.0, (0.0, 1.0))
+    assert abs(y[-1] - 1.0) <= 1e-9
+    assert abs(dy[-1]) <= 1e-9
 
 
 def test_linear_endpoint():
-    sol = integrate_normal_form(CONST_ZERO, np.linspace(0.0, 3.0, 2001), 0.0, (0.0, 1.0))
-    assert abs(sol.y[-1] - 3.0) <= 1e-10
+    (y, _), _ = magnus_outward(CONST_ZERO, np.linspace(0.0, 3.0, 2001), 0.0, (0.0, 1.0))
+    assert abs(y[-1] - 3.0) <= 1e-10
 
 
 def test_weber_ground_state_value():
     # D_0(xi) = exp(-xi^2/4); data (1, 0) at 0 gives y(2) = e^{-1}
-    sol = integrate_normal_form(weber_profile(0.0), np.linspace(0.0, 2.0, 2001), 0.0, (1.0, 0.0))
-    assert abs(sol.y[-1] - math.exp(-1.0)) <= 1e-8
+    (y, _), _ = magnus_outward(weber_profile(0.0), np.linspace(0.0, 2.0, 2001), 0.0, (1.0, 0.0))
+    assert abs(y[-1] - math.exp(-1.0)) <= 1e-8
 
 
 def test_fundamental_pair_trig():
@@ -102,8 +101,8 @@ def test_residual_second_order_in_grid_spacing():
     res = {}
     for n in (801, 1601):
         grid = np.linspace(0.0, 3.0, n)
-        sol = integrate_normal_form(profile, grid, 0.0, (1.0, 0.0))
-        res[n] = fd_residual(grid, sol.y, profile.omega2_array(grid))
+        (y, _), _ = magnus_outward(profile, grid, 0.0, (1.0, 0.0))
+        res[n] = fd_residual(grid, y, profile.omega2_array(grid))
     ratio = res[801] / res[1601]
     assert 3.5 <= ratio <= 4.5
 
@@ -113,8 +112,8 @@ def test_tolerance_monotonicity_against_closed_form():
     grid = np.linspace(0.0, math.pi / 2, 41)
     for rel in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
         settings = IntegrationSettings(rel_tol=rel)
-        sol = integrate_normal_form(CONST_ONE, grid, 0.0, (0.0, 1.0), settings)
-        errors.append(abs(sol.y[-1] - 1.0))
+        (y, _), _ = magnus_outward(CONST_ONE, grid, 0.0, (0.0, 1.0), settings)
+        errors.append(abs(y[-1] - 1.0))
     for coarse, fine in zip(errors, errors[1:]):
         # ties to within round-off happen when both runs take the same steps
         assert fine <= coarse * (1 + 1e-6) + 1e-14
@@ -123,13 +122,13 @@ def test_tolerance_monotonicity_against_closed_form():
 def test_endpoint_reproducible_under_refinement():
     rel = 1e-8
     grid = np.linspace(0.0, 4.0, 41)
-    base = integrate_normal_form(
+    (base, _), _ = magnus_outward(
         weber_profile(0.5), grid, 0.0, (1.0, 0.0), IntegrationSettings(rel_tol=rel)
     )
-    refined = integrate_normal_form(
+    (refined, _), _ = magnus_outward(
         weber_profile(0.5), grid, 0.0, (1.0, 0.0), IntegrationSettings(rel_tol=rel / 2)
     )
-    assert abs(base.y[-1] - refined.y[-1]) <= 10 * rel * max(1.0, abs(base.y[-1]))
+    assert abs(base[-1] - refined[-1]) <= 10 * rel * max(1.0, abs(base[-1]))
 
 
 def test_integration_failure_carries_last_q():
@@ -138,7 +137,7 @@ def test_integration_failure_carries_last_q():
         lambda q: np.where(np.asarray(q, float) < 0.5, 1.0, np.nan)
     )
     with pytest.raises(IntegrationFailureError) as err:
-        integrate_normal_form(profile, np.linspace(0.0, 2.0, 2001), 0.0, (1.0, 0.0))
+        magnus_outward(profile, np.linspace(0.0, 2.0, 2001), 0.0, (1.0, 0.0))
     assert err.value.last_q is not None
     assert err.value.last_q <= 0.75
 
@@ -151,24 +150,24 @@ def test_settings_validation():
 
 def test_trivial_data_rejected():
     grid = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ConfigurationError):
-        integrate_normal_form(CONST_ONE, grid, 0.0, (0.0, 0.0))
+    with pytest.raises(ConfigurationError):  # data (0, 0) only gives y = 0, and W = 0
+        fundamental_pair(CONST_ONE, grid, 0.0, ic1=(0.0, 0.0), ic2=(0.0, 1.0))
     with pytest.raises(ConfigurationError):  # the grid must increase strictly
-        integrate_normal_form(CONST_ONE, grid[::-1], 0.0, (1.0, 0.0))
+        magnus_outward(CONST_ONE, grid[::-1], 0.0, (1.0, 0.0))
     with pytest.raises(ConfigurationError):
         fundamental_pair(CONST_ONE, grid, 0.0, ic1=(1.0, 2.0), ic2=(0.5, 1.0))
 
 
 def test_anchor_splits_interval():
     grid = np.linspace(-3.0, 3.0, 301)
-    sol = integrate_normal_form(CONST_ONE, grid, 0.0, (1.0, 0.0))
-    np.testing.assert_allclose(sol.y, np.cos(grid), atol=1e-9)
+    (y, _), _ = magnus_outward(CONST_ONE, grid, 0.0, (1.0, 0.0))
+    np.testing.assert_allclose(y, np.cos(grid), atol=1e-9)
 
 
 def test_companion_pair_builds_independent_second_solution():
     grid = np.linspace(-4.0, 4.0, 801)
-    base = integrate_normal_form(CONST_ONE, grid, 0.0, (1.0, 0.0))
-    pair = companion_pair(CONST_ONE, Column(grid, base.y, base.dy))
+    (y, dy), _ = magnus_outward(CONST_ONE, grid, 0.0, (1.0, 0.0))
+    pair = companion_pair(CONST_ONE, Column(grid, y, dy))
     assert pair.W != 0.0
     assert wronskian_check(pair) <= 1e-9 * max(1.0, abs(pair.W))
 

@@ -19,12 +19,10 @@ from ermakov.linear import FundamentalPair
 from ermakov.problems import ProblemSpec, SectorRequest, build_problem
 from ermakov.pinney import (
     PinneyCoefficients,
-    coefficients_from_ab,
     el_invariant,
     invariant_drift,
     pinney_amplitude,
     solve_ep_direct,
-    symmetric_coefficients,
 )
 
 
@@ -81,6 +79,18 @@ def test_nonpositive_form_detected():
         PinneyCoefficients(-1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
         PinneyCoefficients(1.0, 1.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("a, b, d", [(1e200, 1e200, 0.0), (1.0, 1.0, -1e300), (-1.0, 1.0, 0.0)],
+                         ids=["ab_overflow", "d_overflow", "negative_A"])
+def test_form_rules_hold_for_every_form(a, b, d):
+    # the rules of a run's override need no pair, and hold for a form built by hand
+    with pytest.raises(ConfigurationError):
+        PinneyCoefficients.of(1.0, 1.0, {"A": a, "B": b, "D": d})
+    with pytest.raises(ConfigurationError):
+        PinneyCoefficients(a, b, d, 1.0)
+    with pytest.raises(ConfigurationError, match=r"give \(A, B\) or \(A, B, D\)"):
+        PinneyCoefficients.of(1.0, 1.0, {"A": a, "D": d})
 
 
 def test_direct_integration_fixed_points():
@@ -152,7 +162,7 @@ def test_direct_integration_default_anchor_is_range_midpoint():
 def test_superposition_matches_direct_integration_weber():
     xi = np.linspace(-4.0, 4.0, 1201)
     pair = weber_pair(0.5, weber_profile(0.5), xi)
-    coeffs = coefficients_from_ab(2.0, 1.0, 1.0, pair.W)
+    coeffs = PinneyCoefficients.of(1.0, pair.W, {"A": 2.0, "B": 1.0})
     amp = pinney_amplitude(coeffs, pair)
     mid = xi.size // 2
     ic = (float(amp.rho[mid]), float(amp.drho[mid]))
@@ -178,7 +188,7 @@ def test_el_invariant_free_particle_is_half():
     grid = np.linspace(-10.0, 10.0, 801)
     pair = cos_sin_pair(grid)
     amp = pinney_amplitude(PinneyCoefficients(1.0, 1.0, 0.0, 1.0), pair)
-    inv = el_invariant(amp, 1.0)
+    inv = el_invariant(amp)
     np.testing.assert_allclose(inv, 0.5, atol=1e-13)
 
 
@@ -190,11 +200,11 @@ def test_el_invariant_degenerate_parallel_solution():
     pair = cos_sin_pair(grid)
     amp = pinney_amplitude(PinneyCoefficients(1.0, 0.0, 0.0, 0.0), pair)
     assert amp.nodes
-    np.testing.assert_allclose(el_invariant(amp, 0.0), 0.5, rtol=1e-15)
+    np.testing.assert_allclose(el_invariant(amp), 0.5, rtol=1e-15)
     k = 1.01  # a sine of the wrong frequency
     defect = FundamentalPair(grid, pair.y1, pair.dy1, np.sin(k * grid), k * np.cos(k * grid), 1.0)
     amp = pinney_amplitude(PinneyCoefficients(2.0, 0.0, 0.0, 0.0), defect)
-    inv = el_invariant(amp, 0.0)
+    inv = el_invariant(amp)
     np.testing.assert_allclose(inv, defect.wronskian_samples() ** 2, rtol=1e-15)
     assert invariant_drift(inv).drift > 1e-2
 
@@ -206,15 +216,16 @@ def test_el_invariant_keeps_its_digits_across_a_wide_pair():
                        sectors={"x": SectorRequest(grid=(0.05, 30.0, 2001))})
     (setup,) = build_problem(spec)
     pair = setup.build_pair()
-    amp = pinney_amplitude(symmetric_coefficients(setup.k, pair.W), pair)
-    assert invariant_drift(el_invariant(amp, setup.k)).drift <= 1e-12
+    amp = pinney_amplitude(PinneyCoefficients.of(setup.k, pair.W), pair)
+    assert invariant_drift(el_invariant(amp)).drift <= 1e-12
     # where nothing cancels, the pair form agrees with the general formula
     xi = np.linspace(-4.0, 4.0, 801)
     pair = weber_pair(0.5, weber_profile(0.5), xi)
-    amp = pinney_amplitude(coefficients_from_ab(2.0, 1.0, 1.0, pair.W, sign=-1.0), pair)
+    # A B = k/W^2 = 2 here, so D = 0 within rounding
+    amp = pinney_amplitude(PinneyCoefficients.of(1.0, pair.W, {"A": 2.0, "B": 1.0}), pair)
     general = 0.5 * ((amp.rho * pair.dy1 - amp.drho * pair.y1) ** 2
                      + pair.y1**2 / amp.rho**2)
-    np.testing.assert_allclose(el_invariant(amp, 1.0), general, rtol=1e-12)
+    np.testing.assert_allclose(el_invariant(amp), general, rtol=1e-12)
 
 
 def test_invariant_drift_basics():
@@ -244,7 +255,7 @@ def test_invariant_drift_reports_location():
 def test_scaling_covariance_of_quadratic_form():
     grid = np.linspace(-4.0, 4.0, 801)
     pair = weber_pair(0.5, weber_profile(0.5), grid)
-    coeffs = coefficients_from_ab(1.5, 1.2, 0.7, pair.W)
+    coeffs = PinneyCoefficients.of(0.7, pair.W, {"A": 1.5, "B": 1.2})
     amp = pinney_amplitude(coeffs, pair)
     c = 1.9
     scaled_pair = FundamentalPair(
@@ -256,17 +267,19 @@ def test_scaling_covariance_of_quadratic_form():
 
 
 def test_coefficient_completion_and_signs():
-    co = coefficients_from_ab(2.0, 1.0, 1.0, 1.0)
+    co = PinneyCoefficients.of(1.0, 1.0, {"A": 2.0, "B": 1.0})
     assert co.D == pytest.approx(1.0)
-    co = coefficients_from_ab(2.0, 1.0, 1.0, 1.0, sign=-1.0)
-    assert co.D == pytest.approx(-1.0)
+    co = PinneyCoefficients.of(1.0, 1.0, {"A": 2.0, "B": 1.0, "D": -1.0})
+    assert co.D == -1.0
     with pytest.raises(ConfigurationError):
-        coefficients_from_ab(0.5, 0.5, 1.0, 1.0)
+        PinneyCoefficients.of(1.0, 1.0, {"A": 0.5, "B": 0.5})
 
 
 def test_symmetric_defaults():
-    co = symmetric_coefficients(4.0, 2.0)
+    co = PinneyCoefficients.of(4.0, 2.0)
     assert co.A == co.B == pytest.approx(1.0)
     assert co.D == 0.0
-    co = symmetric_coefficients(0.0, 2.0)
+    co = PinneyCoefficients.of(0.0, 2.0)
     assert (co.A, co.B, co.D, co.k) == (1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ConfigurationError):
+        PinneyCoefficients.of(-1.0, 2.0)

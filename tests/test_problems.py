@@ -9,7 +9,7 @@ from ermakov import bases, problems
 from ermakov.bases import mathieu_char_value, mathieu_column
 from ermakov.catalog import FrequencyProfile
 from ermakov.errors import ConfigurationError
-from ermakov.pinney import symmetric_coefficients
+from ermakov.pinney import PinneyCoefficients
 from ermakov.problems import ProblemSpec, SectorRequest, build_problem
 from ermakov.runner import parse_config_text, run_config
 
@@ -24,7 +24,7 @@ def test_free_particle_defaults():
     np.testing.assert_allclose(setup.profile.omega2_array(grid), 1.0, rtol=1e-15)
     assert (setup.C, setup.k) == (1.0, 1.0)
     pair = setup.build_pair()
-    coeffs = symmetric_coefficients(setup.k, pair.W)
+    coeffs = PinneyCoefficients.of(setup.k, pair.W)
     assert (coeffs.A, coeffs.B, coeffs.D, coeffs.k) == (1.0, 1.0, 0.0, 1.0)
 
 
