@@ -36,76 +36,36 @@ _SINGULAR_CUTOFF = 1e-12
 class Weight:
     """Closed-form weight descriptor s(q) with exact log-derivatives.
 
-    Supported kinds: "unit" (s = 1), "power" (s = q^n), "sin" (s = sin q),
-    and "quadric" (s = sqrt(sign * (a2-q)(b2-q)(c2-q)) on a root-free
-    branch interval).
+    Every algebraic weight is s = prod |q - r|^p over its (root r, power p)
+    pairs, so (ln s)' = sum p / (q - r) and (ln s)'' = -sum p / (q - r)^2:
+    "unit" (s = 1) has no pairs, "power" (s = q^n) is (0, n), and "quadric"
+    (s = sqrt(|(a2-q)(b2-q)(c2-q)|)) is (a2, 1/2), (b2, 1/2), (c2, 1/2).
+    "sin" (s = sin q) is the one transcendental kind.
     """
 
-    def __init__(self, kind: str, **params):
-        self.kind = kind
-        self.params = dict(params)
-        if kind == "quadric":
-            a2, b2, c2 = params["a2"], params["b2"], params["c2"]
-            lo, hi = params["interval"]
-            mid = 0.5 * (lo + hi)
-            prod = (a2 - mid) * (b2 - mid) * (c2 - mid)
-            if prod == 0.0:
-                raise ConfigurationError(
-                    "quadric branch interval midpoint coincides with an axis root"
-                )
-            sign = 1.0 if prod > 0 else -1.0
-            # The absolute value is only removable if the cubic keeps one
-            # sign on the whole branch interval.
-            probe = np.linspace(lo, hi, 65)
-            vals = sign * (a2 - probe) * (b2 - probe) * (c2 - probe)
-            if np.min(vals[1:-1]) <= 0.0:
-                raise ConfigurationError(
-                    f"quadric weight changes sign inside branch interval [{lo}, {hi}];"
-                    " choose an interval free of the axis roots"
-                )
-            self.params["sign"] = sign
-
-    # -- raw cubic helpers (quadric kind) --------------------------------
-    def _cubic(self, q):
-        a2, b2, c2 = self.params["a2"], self.params["b2"], self.params["c2"]
-        s = self.params["sign"]
-        p = s * (a2 - q) * (b2 - q) * (c2 - q)
-        dp = -s * ((b2 - q) * (c2 - q) + (a2 - q) * (c2 - q) + (a2 - q) * (b2 - q))
-        d2p = 2.0 * s * ((a2 - q) + (b2 - q) + (c2 - q))
-        return p, dp, d2p
+    def __init__(self, kind: str, roots: tuple[tuple[float, float], ...] = (), **params):
+        self.kind, self.roots, self.params = kind, tuple(roots), dict(params)
 
     def value(self, q):
         """s(q); accepts scalars or arrays."""
-        if self.kind == "unit":
-            return np.ones_like(q, dtype=float)
-        if self.kind == "power":
-            return np.asarray(q, dtype=float) ** self.params["n"]
+        q = np.asarray(q, dtype=float)
         if self.kind == "sin":
             return np.sin(q)
-        p, _, _ = self._cubic(q)
-        return np.sqrt(p)
+        return math.prod((np.abs(q - r) ** p for r, p in self.roots), start=np.ones_like(q))
 
     def dlog(self, q):
         """(ln s)'(q)."""
-        if self.kind == "unit":
-            return np.zeros_like(q, dtype=float)
-        if self.kind == "power":
-            return self.params["n"] / np.asarray(q, dtype=float)
+        q = np.asarray(q, dtype=float)
         if self.kind == "sin":
             return np.cos(q) / np.sin(q)
-        p, dp, _ = self._cubic(q)
-        return dp / (2.0 * p)
+        return sum((p / (q - r) for r, p in self.roots), np.zeros_like(q))
 
     def d2log(self, q):
         """(ln s)''(q)."""
-        if self.kind == "unit":
-            return np.zeros_like(q, dtype=float)
-        if self.kind == "power":
-            return -self.params["n"] / np.asarray(q, dtype=float) ** 2
+        q = np.asarray(q, dtype=float)
         if self.kind == "sin":
             return -1.0 / np.sin(q) ** 2
-        p, dp, d2p = self._cubic(q)
-        return d2p / (2.0 * p) - dp**2 / (2.0 * p**2)
+        return sum((-p / (q - r) ** 2 for r, p in self.roots), np.zeros_like(q))
 
     def geometric_omega2(self, q):
         """-(ln s)''/2 - ((ln s)')^2/4, the curvature shift of the rescaling."""
@@ -134,7 +94,7 @@ class Weight:
 
     @classmethod
     def power(cls, n: int) -> "Weight":
-        return cls("power", n=n)
+        return cls("power", ((0.0, n),), n=n)
 
     @classmethod
     def sine(cls) -> "Weight":
@@ -142,7 +102,13 @@ class Weight:
 
     @classmethod
     def quadric(cls, a2: float, b2: float, c2: float, interval: tuple[float, float]) -> "Weight":
-        return cls("quadric", a2=a2, b2=b2, c2=c2, interval=tuple(interval))
+        """The quadric weight on a branch interval, which may end on axis roots."""
+        lo, hi = interval
+        if any(lo < r < hi for r in (a2, b2, c2)):
+            raise ConfigurationError(f"quadric branch interval [{lo}, {hi}] holds an axis root;"
+                                     " choose an interval between adjacent roots")
+        return cls("quadric", ((a2, 0.5), (b2, 0.5), (c2, 0.5)),
+                   a2=a2, b2=b2, c2=c2, interval=(lo, hi))
 
 
 def _detect_singular_endpoints(weight: Weight, domain: tuple[float, float]) -> tuple[float, ...]:
@@ -154,11 +120,7 @@ def _detect_singular_endpoints(weight: Weight, domain: tuple[float, float]) -> t
             if weight.kind != "unit":
                 singular.append(endpoint)
             continue
-        try:
-            s = float(weight.value(endpoint))
-        except (ValueError, ZeroDivisionError, FloatingPointError):
-            singular.append(endpoint)
-            continue
+        s = float(weight.value(endpoint))
         if not math.isfinite(s) or abs(s) < _SINGULAR_CUTOFF:
             singular.append(endpoint)
     return tuple(singular)

@@ -28,21 +28,24 @@ from .errors import (
 from .linear import solve_ivp  # noqa: F401
 from .pinney import ErmakovAmplitude
 
-_WEIGHT_FLOOR = 1e-12
 _NEWTON_STEPS = 8
 _EPS = float(np.finfo(float).eps)
 
 
 def physical_amplitude(amplitude: ErmakovAmplitude, sector: SectorSpec) -> np.ndarray:
-    """R = rho / sqrt(s) on the amplitude grid (the R output column)."""
+    """R = rho / sqrt(s) on the amplitude grid (the R output column); a sample
+    where s is not positive and finite, or R is not finite, raises
+    :class:`SingularEndpointError`."""
     s = np.asarray(sector.weight.value(amplitude.grid), dtype=float)
-    bad = ~np.isfinite(s) | (s < _WEIGHT_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        R = amplitude.rho / np.sqrt(s)
+    bad = ~((s > 0.0) & np.isfinite(s) & np.isfinite(R))
     if np.any(bad):
         raise SingularEndpointError(
             float(amplitude.grid[int(np.argmax(bad))]),
             "weight vanishes on the requested grid; clip it off the singular endpoint",
         )
-    return amplitude.rho / np.sqrt(s)
+    return R
 
 
 def momentum_field(C: float, rho: np.ndarray) -> np.ndarray:

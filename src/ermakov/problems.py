@@ -25,7 +25,8 @@ is a configuration error.
 
 The harmonic and two-center sectors work in their dimensionless coordinates
 (their profiles take m = hbar = 1), so their flux constants are read in the
-same normalized units.  Both two-center sectors carry unit weight, R = rho.
+same normalized units.  The free-particle x and the two-center nu and mu
+sectors are the catalog's (cartesian, elliptic_cylinder): unit weight, R = rho.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .bases import mathieu_char_value, mathieu_pair, trig_pair, weber_pair, whittaker_pair
-from .catalog import FrequencyProfile, SectorSpec, Weight
+from .catalog import FrequencyProfile, SectorSpec, Weight, lookup_system
 from .errors import ConfigurationError
 from .linear import (
     DEFAULT_SETTINGS,
@@ -209,8 +210,7 @@ def _free_particle(spec: ProblemSpec) -> list[SectorSetup]:
         raise ConfigurationError(f"free particle needs k0^2 > 0, got k0 = {k0!r}")
     e_sector = _finite("E_sector", lambda: hbar**2 * k0_sq / (2.0 * m))
     omega2 = _finite("2 m / hbar^2", lambda: 2.0 * m / hbar**2) * e_sector
-    sector = SectorSpec("x", (-math.inf, math.inf), Weight.unit())
-    profile = FrequencyProfile(sector, lambda x: omega2, m, hbar)
+    profile = FrequencyProfile(lookup_system("cartesian").sector("x"), lambda x: omega2, m, hbar)
     return [_sector(spec, profile, (-10.0, 10.0, 2001), partial(trig_pair, k0), k0_sq)]
 
 
@@ -275,11 +275,9 @@ def _two_center_elliptic(spec: ProblemSpec) -> list[SectorSetup]:
         ch = np.cosh(mu)
         return ak2 * ch**2 + 2.0 * gamma * z_charge * ch + big_gamma
 
-    nu_profile = FrequencyProfile(
-        SectorSpec("nu", (0.0, 2.0 * math.pi), Weight.unit()),
-        lambda nu: -ak2 * np.cos(nu) ** 2 - big_gamma,
-    )
-    mu_profile = FrequencyProfile(SectorSpec("mu", (0.0, math.inf), Weight.unit()), omega2_mu)
+    system = lookup_system("elliptic_cylinder")
+    nu_profile = FrequencyProfile(system.sector("nu"), lambda nu: -ak2 * np.cos(nu) ** 2 - big_gamma)
+    mu_profile = FrequencyProfile(system.sector("mu"), omega2_mu)
     return [
         _sector(spec, nu_profile, (0.0, 2.0 * math.pi, 2001), nu_pair),
         _sector(spec, mu_profile, (0.0, 3.0, 2001), mu_pair),

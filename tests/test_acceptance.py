@@ -6,13 +6,16 @@ fixed seed so the suite is reproducible.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dop853_reference import direct_amplitude
 
+import ermakov
 from ermakov.bases import mathieu_char_value, mathieu_char_value_truncated, whittaker_m_column
 from ermakov.catalog import lookup_system, geometric_frequency
 from ermakov.fields import trajectory
@@ -249,7 +252,8 @@ def test_criterion_11_cli_determinism(tmp_path):
         out = tmp_path / sub
         proc = subprocess.run(
             [sys.executable, "-m", "ermakov", "run", str(cfg)],
-            env={**__import__("os").environ, "ERMAKOV_OUT": str(out)},
+            env={**os.environ, "ERMAKOV_OUT": str(out),
+                 "PYTHONPATH": str(Path(ermakov.__file__).resolve().parent.parent)},
             capture_output=True,
             text=True,
         )

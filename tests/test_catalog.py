@@ -77,6 +77,8 @@ def test_geometric_frequency_unit_weight_is_zero():
     sector = lookup_system("cartesian").sector("x")
     for q in (-3.0, 0.0, 7.5):
         assert geometric_frequency(sector, q) == 0.0
+    q = np.linspace(-5.0, 5.0, 11)
+    np.testing.assert_array_equal(sector.weight.geometric_omega2(q), np.zeros_like(q))
 
 
 def test_geometric_frequency_spherical_radial_vanishes():
@@ -195,6 +197,8 @@ def test_singular_endpoint_reported():
 def test_quadric_interval_with_root_rejected():
     with pytest.raises(ConfigurationError):
         Weight.quadric(3.0, 2.0, 1.0, (1.5, 2.5))  # contains the root at 2
+    with pytest.raises(ConfigurationError):
+        Weight.quadric(3.0, 2.0, 1.0, (1.5, 2.001))  # the root at 2, just inside the upper end
 
 
 def test_quadric_system_branches():
@@ -204,6 +208,9 @@ def test_quadric_system_branches():
         lo, hi = sector.domain
         mid = 0.5 * (lo + hi)
         assert sector.weight.value(mid) > 0
+    # the branches end on axis roots, which are their singular endpoints
+    singular = {s.label: s.singular_endpoints for s in system.sectors}
+    assert singular == {"lambda": (3.0,), "mu": (2.0, 3.0), "nu": (1.0, 2.0)}
     with pytest.raises(ConfigurationError):
         confocal_quadric_system(1.0, 2.0, 3.0)
 

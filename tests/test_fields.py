@@ -47,6 +47,15 @@ def test_physical_amplitude_spherical_cancellation():
     np.testing.assert_allclose(physical_amplitude(amp, sector), 1.0, rtol=1e-14)
 
 
+def test_physical_amplitude_tiny_weight_is_not_singular():
+    # s = r^2 = 1e-14 at r = 1e-7 is positive and R = rho / r stays finite
+    sector = lookup_system("spherical").sector("r")
+    grid = np.linspace(1e-7, 1.0, 11)
+    R = physical_amplitude(amplitude_on(grid, np.ones_like(grid)), sector)
+    assert np.all(np.isfinite(R))
+    assert R[0] == pytest.approx(1e7, rel=1e-15)
+
+
 def test_physical_amplitude_singular_weight():
     sector = lookup_system("cylindrical").sector("r")
     grid = np.linspace(0.0, 1.0, 11)  # includes the r = 0 zero of the weight

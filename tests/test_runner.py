@@ -750,10 +750,46 @@ def test_streamed_group_memory_is_bounded_by_the_chunk(tmp_path, fmt):
         with open(path, "rb") as f:
             assert sum(1 for _ in f) == 200_001 + (fmt == "csv")
 
+# `ermakov catalog` stdout, byte for byte: the describe() strings of every weight
+CATALOG_STDOUT = "\n".join((
+    'cartesian',
+    '  x        domain [-inf, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    '  y        domain [-inf, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    '  z        domain [-inf, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    'cylindrical',
+    '  r        domain [0.0, inf]  s(q) = q                        Omega_geom^2 = 1/(4 q^2)',
+    '  theta    domain [0.0, 6.283185307179586]  s(q) = 1                        Omega_geom^2 = 0',
+    '  z        domain [-inf, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    'spherical',
+    '  r        domain [0.0, inf]  s(q) = q^2                      Omega_geom^2 = 0',
+    '  theta    domain [0.0, 3.141592653589793]  s(q) = sin(q)                   '
+    'Omega_geom^2 = 1/4 + 1/(4 sin^2 q)',
+    '  phi      domain [0.0, 6.283185307179586]  s(q) = 1                        Omega_geom^2 = 0',
+    'parabolic3d',
+    '  u        domain [0.0, inf]  s(q) = q                        Omega_geom^2 = 1/(4 q^2)',
+    '  v        domain [0.0, inf]  s(q) = q                        Omega_geom^2 = 1/(4 q^2)',
+    '  phi      domain [0.0, 6.283185307179586]  s(q) = 1                        Omega_geom^2 = 0',
+    'elliptic_cylinder',
+    '  mu       domain [0.0, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    '  nu       domain [0.0, 6.283185307179586]  s(q) = 1                        Omega_geom^2 = 0',
+    '  z        domain [-inf, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    'parabolic_cylinder',
+    '  u        domain [-inf, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    '  v        domain [-inf, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    '  z        domain [-inf, inf]  s(q) = 1                        Omega_geom^2 = 0',
+    'confocal_quadric',
+    '  lambda   domain [3.0, 5.0]  s(q) = sqrt(|(3.0 - q)(2.0 - q)(1.0 - q)|) '
+    "Omega_geom^2 = -P''/(4P) + 3 P'^2/(16 P^2) with P the cubic under the root",
+    '  mu       domain [2.0, 3.0]  s(q) = sqrt(|(3.0 - q)(2.0 - q)(1.0 - q)|) '
+    "Omega_geom^2 = -P''/(4P) + 3 P'^2/(16 P^2) with P the cubic under the root",
+    '  nu       domain [1.0, 2.0]  s(q) = sqrt(|(3.0 - q)(2.0 - q)(1.0 - q)|) '
+    "Omega_geom^2 = -P''/(4P) + 3 P'^2/(16 P^2) with P the cubic under the root",
+)) + "\n"
+
+
 def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0
-    out = capsys.readouterr().out
-    assert "spherical" in out and "confocal_quadric" in out
+    assert capsys.readouterr().out == CATALOG_STDOUT
 
 
 def test_benchmark_tracer_sees_one_solve_per_half_range(tmp_path, monkeypatch):
