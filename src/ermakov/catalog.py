@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ConfigurationError, SingularEndpointError, UnknownSystemError
 
-_SINGULAR_CUTOFF = 1e-12
 
-
+@dataclass(frozen=True, eq=False)
 class Weight:
     """Closed-form weight descriptor s(q) with exact log-derivatives.
 
@@ -40,11 +40,23 @@ class Weight:
     pairs, so (ln s)' = sum p / (q - r) and (ln s)'' = -sum p / (q - r)^2:
     "unit" (s = 1) has no pairs, "power" (s = q^n) is (0, n), and "quadric"
     (s = sqrt(|(a2-q)(b2-q)(c2-q)|)) is (a2, 1/2), (b2, 1/2), (c2, 1/2).
-    "sin" (s = sin q) is the one transcendental kind.
+    "sin" (s = sin q) is the one transcendental kind.  A weight cannot be
+    changed once it is made: its ``params`` is a read-only mapping.
     """
 
-    def __init__(self, kind: str, roots: tuple[tuple[float, float], ...] = (), **params):
-        self.kind, self.roots, self.params = kind, tuple(roots), dict(params)
+    kind: str
+    roots: tuple[tuple[float, float], ...] = ()
+    params: Mapping[str, object] = field(default_factory=lambda: MappingProxyType({}))
+
+    def is_singular(self, q: float) -> bool:
+        """Whether s vanishes or diverges at q: at a finite root of nonzero
+        power, at a multiple of pi for sin, and at an infinite end for every
+        weight but unit."""
+        if math.isinf(q):
+            return self.kind != "unit"
+        if self.kind == "sin":
+            return (q / math.pi).is_integer()
+        return any(q == r and p != 0 for r, p in self.roots)
 
     def value(self, q):
         """s(q); accepts scalars or arrays."""
@@ -94,7 +106,7 @@ class Weight:
 
     @classmethod
     def power(cls, n: int) -> "Weight":
-        return cls("power", ((0.0, n),), n=n)
+        return cls("power", ((0.0, n),), MappingProxyType({"n": n}))
 
     @classmethod
     def sine(cls) -> "Weight":
@@ -107,23 +119,8 @@ class Weight:
         if any(lo < r < hi for r in (a2, b2, c2)):
             raise ConfigurationError(f"quadric branch interval [{lo}, {hi}] holds an axis root;"
                                      " choose an interval between adjacent roots")
-        return cls("quadric", ((a2, 0.5), (b2, 0.5), (c2, 0.5)),
-                   a2=a2, b2=b2, c2=c2, interval=(lo, hi))
-
-
-def _detect_singular_endpoints(weight: Weight, domain: tuple[float, float]) -> tuple[float, ...]:
-    """Endpoints where s -> 0 or s -> infinity, detected with a 1e-12 cutoff."""
-    singular = []
-    for endpoint in domain:
-        if not math.isfinite(endpoint):
-            # Non-constant weights are unbounded (or vanish) at infinity.
-            if weight.kind != "unit":
-                singular.append(endpoint)
-            continue
-        s = float(weight.value(endpoint))
-        if not math.isfinite(s) or abs(s) < _SINGULAR_CUTOFF:
-            singular.append(endpoint)
-    return tuple(singular)
+        params = {"a2": a2, "b2": b2, "c2": c2, "interval": (lo, hi)}
+        return cls("quadric", ((a2, 0.5), (b2, 0.5), (c2, 0.5)), MappingProxyType(params))
 
 
 @dataclass(frozen=True)
@@ -138,35 +135,21 @@ class SectorSpec:
         Closed interval of validity; infinite endpoints allowed.
     weight : Weight
         Closed-form weight descriptor, s(q) > 0 on the open interval.
-    singular_endpoints : tuple of float
-        Endpoints where s vanishes or diverges.
     """
 
     label: str
     domain: tuple[float, float]
     weight: Weight
-    singular_endpoints: tuple[float, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         lo, hi = self.domain
         if not lo < hi:
             raise ConfigurationError(f"sector {self.label!r}: empty domain {self.domain!r}")
-        if self.singular_endpoints is None:
-            object.__setattr__(
-                self, "singular_endpoints", _detect_singular_endpoints(self.weight, self.domain)
-            )
 
-    def require_interior(self, q: float) -> None:
-        lo, hi = self.domain
-        if lo < q < hi:
-            return
-        # At or beyond an endpoint: report the singular one if applicable.
-        endpoint = lo if q <= lo else hi
-        if endpoint in self.singular_endpoints:
-            raise SingularEndpointError(endpoint)
-        raise ConfigurationError(
-            f"sector {self.label!r}: q = {q!r} outside open domain ({lo}, {hi})"
-        )
+    @property
+    def singular_endpoints(self) -> tuple[float, ...]:
+        """Endpoints where s vanishes or diverges, read from the weight."""
+        return tuple(q for q in self.domain if self.weight.is_singular(q))
 
 
 @dataclass(frozen=True)
@@ -217,7 +200,16 @@ class FrequencyProfile:
 
 def geometric_frequency(sector: SectorSpec, q: float) -> float:
     """Geometric frequency -(ln s)''/2 - ((ln s)')^2/4 at interior q."""
-    sector.require_interior(float(q))
+    q = float(q)
+    lo, hi = sector.domain
+    if not lo < q < hi:
+        # At or beyond an endpoint: report the singular one if applicable.
+        endpoint = lo if q <= lo else hi
+        if sector.weight.is_singular(endpoint):
+            raise SingularEndpointError(endpoint)
+        raise ConfigurationError(
+            f"sector {sector.label!r}: q = {q!r} outside open domain ({lo}, {hi})"
+        )
     return float(sector.weight.geometric_omega2(q))
 
 
@@ -226,119 +218,63 @@ def geometric_frequency(sector: SectorSpec, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 _INF = math.inf
+_FREE = (-_INF, _INF)
+_HALF = (0.0, _INF)
+_TURN = (0.0, 2.0 * math.pi)
 
 
-def _cartesian() -> CoordinateSystem:
-    sectors = tuple(
-        SectorSpec(label, (-_INF, _INF), Weight.unit()) for label in ("x", "y", "z")
-    )
-    return CoordinateSystem("cartesian", sectors)
-
-
-def _cylindrical() -> CoordinateSystem:
-    return CoordinateSystem(
-        "cylindrical",
-        (
-            SectorSpec("r", (0.0, _INF), Weight.power(1)),
-            SectorSpec("theta", (0.0, 2.0 * math.pi), Weight.unit()),
-            SectorSpec("z", (-_INF, _INF), Weight.unit()),
-        ),
-    )
-
-
-def _spherical() -> CoordinateSystem:
-    return CoordinateSystem(
-        "spherical",
-        (
-            SectorSpec("r", (0.0, _INF), Weight.power(2)),
-            SectorSpec("theta", (0.0, math.pi), Weight.sine()),
-            SectorSpec("phi", (0.0, 2.0 * math.pi), Weight.unit()),
-        ),
-    )
-
-
-def _parabolic3d() -> CoordinateSystem:
-    return CoordinateSystem(
-        "parabolic3d",
-        (
-            SectorSpec("u", (0.0, _INF), Weight.power(1)),
-            SectorSpec("v", (0.0, _INF), Weight.power(1)),
-            SectorSpec("phi", (0.0, 2.0 * math.pi), Weight.unit()),
-        ),
-    )
-
-
-def _elliptic_cylinder() -> CoordinateSystem:
-    # Separation in these coordinates lands directly on normal-form (Mathieu)
-    # equations, so both angular-like sectors carry unit weight; the joint
-    # metric factor a*sqrt(sinh^2 mu + sin^2 nu) is not a per-sector weight.
-    return CoordinateSystem(
-        "elliptic_cylinder",
-        (
-            SectorSpec("mu", (0.0, _INF), Weight.unit()),
-            SectorSpec("nu", (0.0, 2.0 * math.pi), Weight.unit()),
-            SectorSpec("z", (-_INF, _INF), Weight.unit()),
-        ),
-    )
-
-
-def _parabolic_cylinder() -> CoordinateSystem:
-    return CoordinateSystem(
-        "parabolic_cylinder",
-        (
-            SectorSpec("u", (-_INF, _INF), Weight.unit()),
-            SectorSpec("v", (-_INF, _INF), Weight.unit()),
-            SectorSpec("z", (-_INF, _INF), Weight.unit()),
-        ),
-    )
-
-
-_DEFAULT_QUADRIC_AXES = (3.0, 2.0, 1.0)
-
-
-def confocal_quadric_system(
-    a2: float = _DEFAULT_QUADRIC_AXES[0],
-    b2: float = _DEFAULT_QUADRIC_AXES[1],
-    c2: float = _DEFAULT_QUADRIC_AXES[2],
-    lambda_interval: tuple[float, float] | None = None,
-) -> CoordinateSystem:
+def confocal_quadric_system(a2: float = 3.0, b2: float = 2.0, c2: float = 1.0) -> CoordinateSystem:
     """Confocal-quadric family with user-specified axis parameters.
 
     The three branch intervals are the standard ones separated by the axis
-    roots; the unbounded lambda branch needs a finite upper cut (default
-    a2 + (a2 - c2)).
+    roots; the unbounded lambda branch is cut at a2 + (a2 - c2).
     """
     if not a2 > b2 > c2:
         raise ConfigurationError(f"require a2 > b2 > c2, got ({a2}, {b2}, {c2})")
-    if lambda_interval is None:
-        lambda_interval = (a2, a2 + (a2 - c2))
-    return CoordinateSystem(
-        "confocal_quadric",
-        (
-            SectorSpec("lambda", lambda_interval, Weight.quadric(a2, b2, c2, lambda_interval)),
-            SectorSpec("mu", (b2, a2), Weight.quadric(a2, b2, c2, (b2, a2))),
-            SectorSpec("nu", (c2, b2), Weight.quadric(a2, b2, c2, (c2, b2))),
-        ),
-    )
+    branches = (("lambda", (a2, a2 + (a2 - c2))), ("mu", (b2, a2)), ("nu", (c2, b2)))
+    return CoordinateSystem("confocal_quadric", tuple(
+        SectorSpec(label, interval, Weight.quadric(a2, b2, c2, interval))
+        for label, interval in branches
+    ))
 
 
-_SYSTEM_BUILDERS: dict[str, Callable[[], CoordinateSystem]] = {
-    "cartesian": _cartesian,
-    "cylindrical": _cylindrical,
-    "spherical": _spherical,
-    "parabolic3d": _parabolic3d,
-    "elliptic_cylinder": _elliptic_cylinder,
-    "parabolic_cylinder": _parabolic_cylinder,
-    "confocal_quadric": confocal_quadric_system,
-}
+_SYSTEMS: dict[str, CoordinateSystem] = {system.name: system for system in (
+    CoordinateSystem("cartesian", tuple(SectorSpec(x, _FREE, Weight.unit()) for x in "xyz")),
+    CoordinateSystem("cylindrical", (
+        SectorSpec("r", _HALF, Weight.power(1)),
+        SectorSpec("theta", _TURN, Weight.unit()),
+        SectorSpec("z", _FREE, Weight.unit()),
+    )),
+    CoordinateSystem("spherical", (
+        SectorSpec("r", _HALF, Weight.power(2)),
+        SectorSpec("theta", (0.0, math.pi), Weight.sine()),
+        SectorSpec("phi", _TURN, Weight.unit()),
+    )),
+    CoordinateSystem("parabolic3d", (
+        SectorSpec("u", _HALF, Weight.power(1)),
+        SectorSpec("v", _HALF, Weight.power(1)),
+        SectorSpec("phi", _TURN, Weight.unit()),
+    )),
+    # Separation in these coordinates lands directly on normal-form (Mathieu)
+    # equations, so both angular-like sectors carry unit weight; the joint
+    # metric factor a*sqrt(sinh^2 mu + sin^2 nu) is not a per-sector weight.
+    CoordinateSystem("elliptic_cylinder", (
+        SectorSpec("mu", _HALF, Weight.unit()),
+        SectorSpec("nu", _TURN, Weight.unit()),
+        SectorSpec("z", _FREE, Weight.unit()),
+    )),
+    CoordinateSystem("parabolic_cylinder", tuple(
+        SectorSpec(x, _FREE, Weight.unit()) for x in ("u", "v", "z")
+    )),
+    confocal_quadric_system(),
+)}
 
-CATALOG_KEYS: tuple[str, ...] = tuple(_SYSTEM_BUILDERS)
+CATALOG_KEYS: tuple[str, ...] = tuple(_SYSTEMS)
 
 
 def lookup_system(name: str) -> CoordinateSystem:
     """Return the catalog system for ``name`` (immutable, safe to share)."""
     try:
-        builder = _SYSTEM_BUILDERS[name]
+        return _SYSTEMS[name]
     except KeyError:
         raise UnknownSystemError(name, CATALOG_KEYS) from None
-    return builder()

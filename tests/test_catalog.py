@@ -215,6 +215,51 @@ def test_quadric_system_branches():
         confocal_quadric_system(1.0, 2.0, 3.0)
 
 
+def test_singular_endpoints_are_exact():
+    # an endpoint is singular only where the weight has a root of nonzero
+    # power, sin a multiple of pi, or the end is infinite (every weight but unit)
+    singular = {(name, s.label): s.singular_endpoints
+                for name in CATALOG_KEYS for s in lookup_system(name).sectors}
+    expected = dict.fromkeys(singular, ())
+    for sector in (("cylindrical", "r"), ("spherical", "r"), ("parabolic3d", "u"),
+                   ("parabolic3d", "v")):
+        expected[sector] = (0.0, math.inf)
+    expected["spherical", "theta"] = (0.0, math.pi)
+    expected["confocal_quadric", "lambda"] = (3.0,)
+    expected["confocal_quadric", "mu"] = (2.0, 3.0)
+    expected["confocal_quadric", "nu"] = (1.0, 2.0)
+    assert singular == expected
+    for name in CATALOG_KEYS:
+        for s in lookup_system(name).sectors:
+            assert (s.singular_endpoints == ()) == (s.weight.kind == "unit")
+
+
+def test_endpoint_near_a_root_is_not_singular():
+    # s(1e-7) = 1e-14 is small but finite and positive: not a singular end
+    sector = SectorSpec("r", (1e-7, 1.0), Weight.power(2))
+    assert sector.singular_endpoints == ()
+    with pytest.raises(ConfigurationError):
+        geometric_frequency(sector, 1e-7)
+    # 1/q^2 - 1/q^2, exact up to the rounding of either term
+    assert abs(geometric_frequency(sector, 2e-7)) <= 4 * np.finfo(float).eps / 2e-7**2
+
+
+def test_catalog_systems_are_shared_and_immutable():
+    for name in CATALOG_KEYS:
+        assert lookup_system(name) is lookup_system(name)
+    weight = lookup_system("spherical").sector("r").weight
+    with pytest.raises(AttributeError):
+        weight.kind = "unit"
+    with pytest.raises(AttributeError):
+        weight.roots = ()
+    with pytest.raises(TypeError):
+        weight.params["n"] = 1
+    quadric = lookup_system("confocal_quadric").sector("mu").weight
+    with pytest.raises(TypeError):
+        quadric.params["interval"] = (1.0, 3.0)
+    assert weight.params["n"] == 2 and quadric.params["interval"] == (2.0, 3.0)
+
+
 def test_unknown_sector_label():
     with pytest.raises(ConfigurationError):
         lookup_system("spherical").sector("w")

@@ -165,6 +165,9 @@ FORM_OVERFLOW = ("problem.kind = two_center_elliptic\nproblem.a = 100\nproblem.Z
 Q_PREFACTOR_OVERFLOW = FREE.replace("k0 = 1", "k0 = 1e-132") + "problem.m = 5e-324\n"
 # kappa about 170: the Whittaker pair's W = M W' - M' W overflows (exit 2)
 WHITTAKER_W_OVERFLOW = "problem.kind = coulomb_halfline\nproblem.alpha = 700\nproblem.E = -8.5\n"
+# a Coulomb grid from 1e-6: equal substeps must resolve 1/x at 1e-6 across the
+# first cell, 60 000 times wider, and refinement reaches its cap (exit 2)
+COULOMB_NEAR_ORIGIN = COULOMB + "problem.E = -0.5\nsector.x.grid = 1e-6:120:2001\n"
 ONE_SAMPLE_PATH = ("problem.kind = harmonic_oscillator\nproblem.omega = 1\nproblem.E = 0.25\n"
                    "sector.xi.grid = 0:1e-300:3\ntrajectory.xi.1 = 0:1:1\n")
 
@@ -266,11 +269,37 @@ def test_malformed_override_exits_1_alike_at_check_and_run(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "text, code, message",
+    [(COULOMB_NEAR_ORIGIN, 2, "numerical failure: Magnus refinement reached its substep cap"),
+     (COULOMB + "problem.E = -0.5\nsector.x.grid = 0:15:101\n", 1,
+      "configuration error: coulomb grid must start at x > 0"),
+     (FREE.replace("problem.k0 = 1", "problem.k0"), 1,
+      "configuration error: line 2: expected key=value, got 'problem.k0'"),
+     (FREE.replace("problem.k0 = 1", "problem.k0 ="), 1,
+      "configuration error: line 2: empty key or value")],
+    ids=["coulomb_near_origin", "coulomb_from_zero", "no_equals", "empty_value"],
+)
+def test_named_faults_exit_with_their_message(tmp_path, monkeypatch, capsys, text, code,
+                                              message):
+    # a configuration error is named alike by check and run (exit 1); a
+    # numerical limit passes check and ends run in exit 2, never a traceback
+    monkeypatch.delenv("ERMAKOV_OUT", raising=False)
+    path = tmp_path / "run.cfg"
+    path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["check", str(path)]) == (1 if code == 1 else 0)
+    check_err = capsys.readouterr().err
+    assert main(["run", str(path)]) == code
+    run_err = capsys.readouterr().err
+    assert run_err.startswith(message)
+    assert check_err == (run_err if code == 1 else "")
+
+
+@pytest.mark.parametrize(
     "text, code",
     [(D_OVERFLOW, 1), (AB_OVERFLOW, 1), (INVARIANT_OVERFLOW, 2), (LADDER_OVERFLOW, 2),
-     (ARGUMENT_OVERFLOW, 2), (ONE_SAMPLE_PATH, 0)],
+     (ARGUMENT_OVERFLOW, 2), (ONE_SAMPLE_PATH, 0), (COULOMB_NEAR_ORIGIN, 2)],
     ids=["d_overflow", "ab_overflow", "invariant_overflow", "ladder_overflow",
-         "argument_overflow", "one_sample_path"],
+         "argument_overflow", "one_sample_path", "coulomb_near_origin"],
 )
 def test_run_leaks_no_warning_under_w_error(tmp_path, text, code):
     # -W error makes any warning an exception, also one that pytest's

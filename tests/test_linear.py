@@ -381,6 +381,21 @@ def test_overflowing_cell_stops_once_its_growth_settles(monkeypatch):
     assert len(counts) <= 3
 
 
+def test_substep_cap_stops_refinement_at_the_anchor(monkeypatch):
+    # Omega^2 = 100 (1 + q^2) on cells of width 1 needs more than 8 substeps
+    # a cell: with the cap lowered to 8 the first pass fails at the anchor,
+    # while the default cap meets rel_tol.
+    profile = unit_profile(lambda q: 100.0 * (1.0 + np.asarray(q, float) ** 2))
+    grid = np.linspace(0.0, 4.0, 5)
+    _, error = magnus_outward(profile, grid, 0.0, (1.0, 0.0))
+    assert error <= IntegrationSettings().rel_tol
+    monkeypatch.setattr(linear, "MAX_SUBSTEPS", 8)
+    cap = "Magnus refinement reached its substep cap"
+    with pytest.raises(IntegrationFailureError, match=cap) as err:
+        magnus_outward(profile, grid, 0.0, (1.0, 0.0))
+    assert err.value.last_q == 0.0
+
+
 def test_companion_anchor_ignores_rounding_between_mirror_maxima():
     # |y| = |x| e^{-x^2/4} peaks at x = -sqrt(2) and sqrt(2); a rounding-sized
     # excess on the right must not move the anchor off the first peak
