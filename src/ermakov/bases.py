@@ -54,6 +54,9 @@ from .linear import (
 
 _SQRT_PI = math.sqrt(math.pi)
 _M_TAIL_TOL = 1e-12  # Whittaker M series tail, relative to the sum
+_M_TERM_CAP = 2000  # Whittaker M series terms before the sum is refused
+_CHAR_TOL = 1e-10  # Mathieu characteristic value's largest move on a doubled truncation
+_CHAR_SIZE_CAP = 1024  # Mathieu ladder rows above which doubling is refused
 # Eigensolver roundoff, relative to the ladder matrix's norm: two truncations
 # closer than this agree to within the accuracy of the eigenvalues themselves.
 _EIG_FLOOR = 16.0 * np.finfo(float).eps
@@ -154,21 +157,19 @@ def weber_pair(
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum that stops being finite raises
-def _whittaker_m_series(
-    kappa: float, z: np.ndarray, term_cap: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _whittaker_m_series(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kummer series S(z) = 1F1(1 - kappa; 2; z) and S'(z) on a grid z > 0.
 
     Each term a_n z^n is largest at z_max, so a scalar pass forms b_n = a_n z_max^n
     (a_n alone underflows at large z_max) and one Horner pass in z / z_max sums
     them.  The tail is bounded by the geometric estimate once the term ratio
     drops below 1/2 and must fall to _M_TAIL_TOL of max(1, |S(z_max)|); failing
-    that within ``term_cap`` terms, or a sum that stops being finite, raises
+    that within _M_TERM_CAP terms, or a sum that stops being finite, raises
     :class:`SeriesConvergenceError`.
     """
     zmax = float(np.max(z))
     b, total = [1.0], 1.0
-    for n in range(term_cap):
+    for n in range(_M_TERM_CAP):
         b.append(b[-1] * (1.0 - kappa + n) / ((2.0 + n) * (1.0 + n)) * zmax)
         total += b[-1]
         bound = abs((1.0 - kappa + n + 1) / ((3.0 + n) * (2.0 + n))) * zmax
@@ -177,7 +178,7 @@ def _whittaker_m_series(
             break
     else:
         raise SeriesConvergenceError(
-            f"Whittaker M series did not meet its tail bound within {term_cap} terms"
+            f"Whittaker M series did not meet its tail bound within {_M_TERM_CAP} terms"
         )
     b = np.array(b)  # S = sum b_n u^n and z_max S' = sum n b_n u^(n-1), u = z / z_max
     terms = np.stack((b, np.append(b[1:] * np.arange(1, b.size), 0.0)), axis=1)
@@ -187,9 +188,7 @@ def _whittaker_m_series(
     return acc[0], acc[1] / zmax
 
 
-def whittaker_m_column(
-    kappa: float, x_grid: np.ndarray, lam: float, term_cap: int = 2000
-) -> Column:
+def whittaker_m_column(kappa: float, x_grid: np.ndarray, lam: float) -> Column:
     """M_{kappa,1/2}(2 lam x) with the leading series coefficient fixed to 1."""
     x = np.asarray(x_grid, dtype=float)
     if np.any(x <= 0.0):
@@ -198,7 +197,7 @@ def whittaker_m_column(
         raise ConfigurationError(f"lambda must be positive, got {lam!r}")
     with np.errstate(over="ignore"):  # an argument past the double range fails the sum
         z = 2.0 * lam * x
-    s, ds = _whittaker_m_series(kappa, z, term_cap)
+    s, ds = _whittaker_m_series(kappa, z)
     expo = np.exp(-0.5 * z)
     m = z * expo * s
     dm_dz = expo * ((1.0 - 0.5 * z) * s + z * ds)
@@ -295,49 +294,44 @@ def mathieu_char_value_truncated(ell: int, parity: str, q: float, size: int) -> 
     return float(np.linalg.eigvalsh(matrix)[index])
 
 
-def mathieu_char_value(
-    ell: int,
-    parity: str,
-    q: float,
-    tol: float = 1e-10,
-    size_cap: int = 1024,
-) -> float:
+def mathieu_char_value(ell: int, parity: str, q: float) -> float:
     """Converged characteristic value a_ell (even) or b_ell (odd).
 
     Convergence means doubling the truncation changes the value by at most
-    ``tol``, floored at the eigensolver's roundoff (a few ulp of the ladder
+    _CHAR_TOL, floored at the eigensolver's roundoff (a few ulp of the ladder
     matrix's norm, which grows with the truncation); the doubled value is
     returned.  Each truncation is solved by an exact dense symmetric
     eigensolver, in O(size^3) (see :func:`mathieu_char_value_truncated`), so
-    the truncation starts at 4 ell + 20 rows and is refused above 2 size_cap:
+    the truncation starts at 4 ell + 20 rows and is refused above 2 _CHAR_SIZE_CAP:
     one of 2048 rows takes about 1 s and 32 MB on a 2-core x86_64 host.
     """
     if not math.isfinite(q):
         raise ConfigurationError(f"Mathieu parameter q must be finite, got {q!r}")
     size = max(32, 4 * int(ell) + 20)
-    if size > size_cap:
+    if size > _CHAR_SIZE_CAP:
         raise CharValueConvergenceError(
-            f"order ell = {ell} needs a first truncation of {size} rows, above the cap {size_cap}"
+            f"order ell = {ell} needs a first truncation of {size} rows,"
+            f" above the cap {_CHAR_SIZE_CAP}"
         )
     prev = mathieu_char_value_truncated(ell, parity, q, size)
-    while size <= size_cap:
+    while size <= _CHAR_SIZE_CAP:
         size *= 2
         cur = mathieu_char_value_truncated(ell, parity, q, size)
         # 4 size^2 + 4 |q| bounds the norm of the ladder matrix
-        if abs(cur - prev) <= max(tol, _EIG_FLOOR * (4.0 * size * size + 4.0 * abs(q))):
+        if abs(cur - prev) <= max(_CHAR_TOL, _EIG_FLOOR * (4.0 * size * size + 4.0 * abs(q))):
             return cur
         prev = cur
     raise CharValueConvergenceError(
         f"characteristic value (ell={ell}, parity={parity}, q={q}) not converged"
-        f" at truncation cap {size_cap}"
+        f" at truncation cap {_CHAR_SIZE_CAP}"
     )
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # then the residual is nan
 def mathieu_coefficients(
-    ell: int, parity: str, q: float, a: float | None = None
+    ell: int, parity: str, q: float, a: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(harmonics, coefficients) of the periodic solution of order ``ell``.
+    """(harmonics, coefficients) of the periodic solution of order ``ell`` and char value ``a``.
 
     Coefficients come from the three-term ladder, recurred from the top row
     down and from the bottom row up to the order's harmonic, the direction in
@@ -349,8 +343,6 @@ def mathieu_coefficients(
     """
     first, step, index = _mathieu_ladder(ell, parity)
     size = max(40, index + 25)
-    if a is None:
-        a = mathieu_char_value(ell, parity, q)
     harmonics = (first + step * np.arange(size)).astype(float)
     c = np.zeros(size, dtype=float)
     if q == 0.0:
@@ -416,26 +408,23 @@ def mathieu_column(
     grid: np.ndarray,
     modified: bool = False,
     parity: str = "even",
-    a: float | None = None,
-) -> tuple[Column, float]:
-    """Periodic (or hyperbolically continued) Mathieu column and its char value.
+    *,
+    a: float,
+) -> Column:
+    """Periodic (or hyperbolically continued) Mathieu column of char value ``a``.
 
     Plain:    sum_k c_k cos(h_k nu)   or  sum_k c_k sin(h_k nu), a part of
               e^{i h_0 nu} P(e^{2i nu}), summed with its derivative by one Horner pass
     Modified: sum_k c_k cosh(h_k mu)  or  sum_k c_k sinh(h_k mu), term by term
-
-    ``a`` is the characteristic value when the caller has already solved it.
     """
     grid = np.asarray(grid, dtype=float)
-    if a is None:
-        a = mathieu_char_value(ell, parity, q)
-    harmonics, coeffs = mathieu_coefficients(ell, parity, q, a=a)
+    harmonics, coeffs = mathieu_coefficients(ell, parity, q, a)
     if not modified:
         terms = np.stack((coeffs, coeffs * harmonics), axis=1)  # S and -i S'
         s = np.polynomial.polynomial.polyval(np.exp(2j * grid), terms)  # Horner's rule
         s *= np.exp(1j * harmonics[0] * grid)
         y, dy = (s[0].real, -s[1].imag) if parity == "even" else (s[0].imag, s[1].real)
-        return Column(grid, np.ascontiguousarray(y), np.ascontiguousarray(dy)), a
+        return Column(grid, np.ascontiguousarray(y), np.ascontiguousarray(dy))
     if float(np.max(harmonics)) * float(np.max(np.abs(grid))) > 700.0:
         raise ConfigurationError(
             "hyperbolic-sum terms would overflow on this grid; reduce the grid"
@@ -448,7 +437,7 @@ def mathieu_column(
             arg = h * grid
             y += c * f(arg)
             dy += c * h * df(arg)
-    return Column(grid, y, dy), a
+    return Column(grid, y, dy)
 
 
 def mathieu_pair(
@@ -459,17 +448,17 @@ def mathieu_pair(
     settings: IntegrationSettings = DEFAULT_SETTINGS,
     modified: bool = False,
     parity: str = "even",
-    a: float | None = None,
+    *,
+    a: float,
 ) -> FundamentalPair:
     """Mathieu fundamental pair of ``profile``, which poses a - 2q cos 2nu
     (or its hyperbolic continuation 2q cosh 2mu - a when ``modified``),
-    with a the characteristic value of the requested order and parity
-    (solved here unless given).
+    with ``a`` the characteristic value of the requested order and parity.
 
     The first column is the periodic solution built from the coefficient
     ladder; the second is a second-kind companion of the same equation from
     identity-data integration (the opposite-parity periodic function belongs
     to a different characteristic value whenever q != 0).
     """
-    column, _ = mathieu_column(ell, q, grid, modified=modified, parity=parity, a=a)
+    column = mathieu_column(ell, q, grid, modified=modified, parity=parity, a=a)
     return companion_pair(profile, column, settings)

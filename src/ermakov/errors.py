@@ -21,11 +21,7 @@ class UnknownSystemError(ConfigurationError):
     """Coordinate-system lookup with a key outside the catalog."""
 
     def __init__(self, name: str, valid: tuple[str, ...]):
-        self.name = name
-        self.valid = tuple(valid)
-        super().__init__(
-            f"unknown coordinate system {name!r}; valid keys: {', '.join(self.valid)}"
-        )
+        super().__init__(f"unknown coordinate system {name!r}; valid keys: {', '.join(valid)}")
 
 
 class ConstraintViolationError(ConfigurationError):
@@ -33,7 +29,6 @@ class ConstraintViolationError(ConfigurationError):
 
     def __init__(self, residual: float, tolerance: float):
         self.residual = residual
-        self.tolerance = tolerance
         super().__init__(
             f"superposition constraint violated: |A*B - D^2 - k/W^2| = {residual:.3e}"
             f" exceeds tolerance {tolerance:.3e}"
@@ -85,11 +80,9 @@ class NodeApproachError(EngineError):
 class NodeSingularityError(EngineError):
     """A field with zeros was asked for a quantity singular at nodes."""
 
-    def __init__(self, nodes, message: str | None = None):
+    def __init__(self, nodes):
         self.nodes = list(nodes)
-        super().__init__(
-            message or f"field has nodes at q = {self.nodes!r}; quantity undefined there"
-        )
+        super().__init__(f"field has nodes at q = {self.nodes!r}; quantity undefined there")
 
 
 class PathExitsGridError(EngineError):

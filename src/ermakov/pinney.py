@@ -89,11 +89,11 @@ class PinneyCoefficients:
             raise ConfigurationError(f"A*B = {a * b!r} is below k/W^2 = {target!r}: no real D")
         return cls(a, b, math.sqrt(max(disc, 0.0)), k)
 
-    def validate(self, wronskian: float, tol: float = CONSTRAINT_TOL) -> None:
-        """Reject a residual |A B - D^2 - k/W^2| above ``tol`` times the largest
+    def validate(self, wronskian: float) -> None:
+        """Reject a residual |A B - D^2 - k/W^2| above CONSTRAINT_TOL times the largest
         of the constraint's own terms A B, D^2 and k/W^2, or a term that overflows."""
         target = self.k / (wronskian * wronskian)
-        bound = tol * max(self.A * self.B, self.D * self.D, target)
+        bound = CONSTRAINT_TOL * max(self.A * self.B, self.D * self.D, target)
         residual = abs(self.A * self.B - self.D * self.D - target)
         if not residual <= bound < math.inf:
             raise ConstraintViolationError(residual, bound)
@@ -101,19 +101,15 @@ class PinneyCoefficients:
 
 @dataclass(frozen=True)
 class ErmakovAmplitude:
-    """Sampled amplitude rho > 0 with derivative and provenance.
-
-    ``coefficients``/``pair`` are the quadratic form and pair that
-    :func:`pinney_amplitude` built the amplitude from (None when samples
-    are assembled by hand).
-    """
+    """Sampled amplitude rho > 0 with derivative, and the quadratic form and
+    pair that :func:`pinney_amplitude` built it from."""
 
     grid: np.ndarray
     rho: np.ndarray
     drho: np.ndarray
-    coefficients: PinneyCoefficients | None = None
-    pair: FundamentalPair | None = None
-    nodes: tuple[float, ...] = ()
+    coefficients: PinneyCoefficients
+    pair: FundamentalPair
+    nodes: tuple[float, ...]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a form or slope that is not finite raises

@@ -21,7 +21,6 @@ are therefore those of ``format_real`` applied to every value.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
@@ -211,14 +210,6 @@ def _render_into(x: np.ndarray, cells: np.ndarray, at: int) -> None:
         value[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
-@lru_cache(maxsize=None)
-def _pool(pid: int):
-    """Process ``pid``'s two render threads (a forked child starts its own)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(2, thread_name_prefix="render")
-
-
 def table_chunks(names: tuple[str, ...], columns, fmt: str):
     """The csv (header line, comma-separated rows) or json-lines (one object
     per row) table of the equal-length 1-D ``columns``, every value rendered
@@ -262,18 +253,16 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
         if rows:
             yield render(0, rows)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only such a table pays for the import
+
     _tables()  # built here, once, not by both render threads at the same time
-    pool, ahead, half = _pool(os.getpid()), deque(), -(-step // 2)
-    try:
+    ahead, half = deque(), -(-step // 2)
+    # the table's own two threads; leaving the block, on end or close, waits for every job
+    with ThreadPoolExecutor(2, thread_name_prefix="render") as pool:
         for start in range(0, rows, step):
             stop = min(start + step, rows)
             ahead.append([pool.submit(render, a, min(a + half, stop))
                           for a in range(start, stop, half)])
             if len(ahead) > 1:  # one block ahead keeps both threads busy
-                yield np.concatenate([job.result() for job in ahead[0]])
-                ahead.popleft()
+                yield np.concatenate([job.result() for job in ahead.popleft()])
         yield np.concatenate([job.result() for job in ahead[0]])
-    finally:  # leave no block of this table queued or running
-        for job in sum(ahead, []):
-            if not job.cancel():
-                job.exception()  # waits for it to finish

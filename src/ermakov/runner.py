@@ -125,14 +125,12 @@ def parse_config_text(text: str) -> RunConfig:
         entries[key] = value
 
     problem_kind = None
-    problem_mh = {"m": 1.0, "hbar": 1.0}
+    problem_mh: dict[str, float] = {}
     params: dict[str, object] = {}
     requests: dict[str, dict] = {}  # label -> SectorRequest fields
     integration: dict[str, float] = {}
     tol_kw: dict[str, float] = {}
-    flux_enforce = False
-    output_dir = "out"
-    output_format = "csv"
+    run_kw: dict[str, object] = {}
 
     for key, raw_value in entries.items():
         parts = key.split(".")
@@ -156,9 +154,13 @@ def parse_config_text(text: str) -> RunConfig:
             else:
                 request.setdefault("form", {})[what] = _parse_real(raw_value, key)
         elif section == "trajectory" and len(parts) == 3:
-            request = requests.setdefault(parts[1], {})
-            request["trajectories"] = (*request.get("trajectories", ()),
-                                       _parse_triplet(raw_value, key))
+            index = int(parts[2]) if parts[2].isascii() and parts[2].isdigit() else 0
+            if index < 1:
+                raise ConfigurationError(f"{key}: the index must be a positive integer")
+            given = requests.setdefault(parts[1], {}).setdefault("trajectories", {})
+            if index in given:  # index -> (key, trajectory)
+                raise ConfigurationError(f"{key}: index {index} is also given by {given[index][0]}")
+            given[index] = key, _parse_triplet(raw_value, key)
         elif section == "integration" and len(parts) == 2 and parts[1] in _INTEGRATION_KEYS:
             integration[parts[1]] = _parse_real(raw_value, key)
         elif section == "tolerance" and len(parts) == 2 and parts[1] in _TOLERANCE_KEYS:
@@ -166,30 +168,32 @@ def parse_config_text(text: str) -> RunConfig:
         elif key == "flux.enforce":
             if raw_value.lower() not in ("true", "false"):
                 raise ConfigurationError(f"flux.enforce must be true/false, got {raw_value!r}")
-            flux_enforce = raw_value.lower() == "true"
-        elif key == "output.dir":
-            output_dir = raw_value
-        elif key == "output.format":
-            output_format = raw_value
+            run_kw["flux_enforce"] = raw_value.lower() == "true"
+        elif key in ("output.dir", "output.format"):
+            run_kw[key.replace(".", "_")] = raw_value
         else:
             raise ConfigurationError(f"unknown configuration key {key!r}")
 
     if problem_kind is None:
         raise ConfigurationError("missing required key problem.kind")
+    for label, request in requests.items():  # a label's paths are numbered 1..n, in order
+        given = request.get("trajectories", {})
+        if given and max(given) > len(given):
+            raise ConfigurationError(
+                f"{given[max(given)][0]}: trajectory.{label} indices must run 1..{len(given)}"
+            )
+        request["trajectories"] = tuple(given[i][1] for i in sorted(given))
     spec = ProblemSpec(
         kind=problem_kind,
-        m=problem_mh["m"],
-        hbar=problem_mh["hbar"],
         params=params,
         sectors={label: SectorRequest(**request) for label, request in requests.items()},
+        **problem_mh,
     )
     return RunConfig(
         problem=spec,
         settings=IntegrationSettings(**integration),
         tolerances=Tolerances(**tol_kw),
-        flux_enforce=flux_enforce,
-        output_dir=output_dir,
-        output_format=output_format,
+        **run_kw,
     )
 
 
@@ -217,7 +221,7 @@ class SectorResult:
     invariant: np.ndarray
     invariant_drift: float
     pair_condition: float
-    trajectories: tuple[tuple[tuple[float, float, int], np.ndarray, np.ndarray], ...] = ()
+    trajectories: tuple[tuple[tuple[float, float, int], np.ndarray, np.ndarray], ...]
 
 
 def execute_sector(
@@ -312,30 +316,25 @@ def certify(results: list[SectorResult], tolerances: Tolerances, flux_enforce: b
 # ---------------------------------------------------------------------------
 
 def _json_render(value, indent: int = 0) -> str:
+    """A report's dicts, lists, bools, ints, floats (non-finite ones quoted) and str."""
     pad = "  " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = ",\n".join(
             f'{pad}  {json.dumps(str(k))}: {_json_render(v, indent + 1)}'
             for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, list):
         items = ",\n".join(f"{pad}  {_json_render(v, indent + 1)}" for v in value)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        text = format_real(float(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        text = format_real(value)
         return json.dumps(text) if text in ("nan", "inf", "-inf") else text
-    if value is None:
-        return "null"
-    return json.dumps(str(value))
+    return json.dumps(value)
 
 
 def _atomic_write(path: Path, parts) -> None:
@@ -409,11 +408,11 @@ def _field_columns(result: SectorResult) -> tuple[np.ndarray, ...]:
     )
 
 
-def prepare(config: RunConfig, output_dir: str | Path | None = None):
+def prepare(config: RunConfig, output_dir: str | Path):
     """(output directory, sector setups) of ``config``, validated up to the
-    numerics: the directory (``config.output_dir`` unless given) lies under no
-    non-directory, and :func:`build_problem` accepts the problem."""
-    out = Path(output_dir if output_dir is not None else config.output_dir)
+    numerics: ``output_dir`` lies under no non-directory, and
+    :func:`build_problem` accepts the problem."""
+    out = Path(output_dir)
     for part in (out, *out.parents):
         if part.exists():
             if not part.is_dir():
@@ -424,7 +423,7 @@ def prepare(config: RunConfig, output_dir: str | Path | None = None):
     return out, build_problem(config.problem)
 
 
-def run_config(config: RunConfig, output_dir: str | Path | None = None):
+def run_config(config: RunConfig, output_dir: str | Path):
     """Execute every sector, certify, and emit field files plus the report.
 
     Returns (report, written paths).  After :func:`prepare`, every sector is

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import mathieu_a, mathieu_b, pbdv
 
+from ermakov import bases
 from ermakov.bases import (
     inv_gamma,
     mathieu_char_value,
@@ -285,9 +286,10 @@ def test_whittaker_quantized_kappa_degenerates():
     assert wronskian_check(pair) <= 1e-8 * max(1.0, abs(pair.W))
 
 
-def test_whittaker_series_term_cap_flag():
+def test_whittaker_series_term_cap_flag(monkeypatch):
+    monkeypatch.setattr(bases, "_M_TERM_CAP", 10)
     with pytest.raises(SeriesConvergenceError):
-        whittaker_m_column(1.3, np.array([40.0]), lam=1.0, term_cap=10)
+        whittaker_m_column(1.3, np.array([40.0]), lam=1.0)
 
 
 def test_whittaker_grid_validation():
@@ -362,10 +364,12 @@ def test_mathieu_truncation_matches_extended_precision(ell, parity, q):
     assert abs(a - float(ref)) <= 1e-13 * max(1.0, abs(a))
 
 
-def test_mathieu_char_convergence_error():
+def test_mathieu_char_convergence_error(monkeypatch):
     # the q = 1e5 truncation still moves by 4e-8 between 64 and 128 rows
-    with pytest.raises(CharValueConvergenceError):
-        mathieu_char_value(0, "even", 1e5, tol=0.0, size_cap=64)
+    with monkeypatch.context() as patch, pytest.raises(CharValueConvergenceError):
+        patch.setattr(bases, "_CHAR_TOL", 0.0)
+        patch.setattr(bases, "_CHAR_SIZE_CAP", 64)
+        mathieu_char_value(0, "even", 1e5)
     with pytest.raises(CharValueConvergenceError):  # first truncation above the cap
         mathieu_char_value(300, "even", 1.0)
 
@@ -383,14 +387,16 @@ def test_mathieu_invalid_orders():
 
 def test_mathieu_harmonic_limit_ce2():
     nu = np.linspace(0.0, 2.0 * math.pi, 501)
-    col, a = mathieu_column(2, 0.0, nu)
+    a = mathieu_char_value(2, "even", 0.0)
+    col = mathieu_column(2, 0.0, nu, a=a)
     assert a == pytest.approx(4.0, abs=1e-12)
     np.testing.assert_allclose(col.y, np.cos(2.0 * nu), atol=1e-12)
 
 
 def test_mathieu_modified_harmonic_limit_se1():
     mu = np.linspace(0.0, 3.0, 301)
-    col, _ = mathieu_column(1, 0.0, mu, modified=True, parity="odd")
+    col = mathieu_column(1, 0.0, mu, modified=True, parity="odd",
+                         a=mathieu_char_value(1, "odd", 0.0))
     ratio = col.y[1:] / np.sinh(mu[1:])
     assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
 
@@ -398,7 +404,8 @@ def test_mathieu_modified_harmonic_limit_se1():
 def test_mathieu_ce0_ode_residual():
     # fourth-order stencil keeps the differencing error below the target
     nu = np.linspace(0.0, 2.0 * math.pi, 4001)
-    col, a = mathieu_column(0, 0.25, nu)
+    a = mathieu_char_value(0, "even", 0.25)
+    col = mathieu_column(0, 0.25, nu, a=a)
     h = nu[1] - nu[0]
     y = col.y
     d2 = (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h**2)
@@ -407,7 +414,7 @@ def test_mathieu_ce0_ode_residual():
 
 
 def test_mathieu_coefficients_decay_and_normalization():
-    harmonics, c = mathieu_coefficients(0, "even", 0.5)
+    harmonics, c = mathieu_coefficients(0, "even", 0.5, mathieu_char_value(0, "even", 0.5))
     assert c[0] > 0
     assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-14)
     assert abs(c[-1]) < 1e-50  # backward recurrence keeps tiny tails tiny
@@ -419,8 +426,9 @@ def test_mathieu_coefficients_decay_and_normalization():
 ])
 def test_plain_mathieu_column_matches_the_direct_sum(ell, parity, q):
     nu = np.linspace(0.0, 2.0 * math.pi, 501)
-    col, a = mathieu_column(ell, q, nu, parity=parity)
-    harmonics, c = mathieu_coefficients(ell, parity, q, a=a)
+    a = mathieu_char_value(ell, parity, q)
+    col = mathieu_column(ell, q, nu, parity=parity, a=a)
+    harmonics, c = mathieu_coefficients(ell, parity, q, a)
     f, df = (np.cos, lambda x: -np.sin(x)) if parity == "even" else (np.sin, np.cos)
     y = sum(ck * f(h * nu) for h, ck in zip(harmonics, c))
     dy = sum(ck * h * df(h * nu) for h, ck in zip(harmonics, c))
@@ -439,7 +447,7 @@ def test_mathieu_ladder_holds_on_every_row(q):
     for parity in ("even", "odd"):
         for ell in range(parity == "odd", 60):
             a = mathieu_char_value(ell, parity, q)
-            harmonics, c = mathieu_coefficients(ell, parity, q, a=a)
+            harmonics, c = mathieu_coefficients(ell, parity, q, a)
             # row k: (a - h_k^2) c_k = q (c_{k-1} + c_{k+1}), with c_{-1} = c_1
             # for cos(2k nu) and c_{-1} = +-c_0 for cos/sin((2k+1) nu)
             diag, below = harmonics**2, np.concatenate(([0.0], c[:-1]))
@@ -453,11 +461,13 @@ def test_mathieu_ladder_holds_on_every_row(q):
 
 def test_mathieu_pair_certified():
     nu = np.linspace(0.0, 2.0 * math.pi, 1001)
-    pair = mathieu_pair(0, 0.5, mathieu_profile(0, "even", 0.5), nu)
+    pair = mathieu_pair(0, 0.5, mathieu_profile(0, "even", 0.5), nu,
+                        a=mathieu_char_value(0, "even", 0.5))
     assert wronskian_check(pair) <= 1e-8 * max(1.0, abs(pair.W))
     mu = np.linspace(0.0, 3.0, 1001)
     profile = mathieu_profile(1, "odd", 0.25, modified=True)
-    pair_mod = mathieu_pair(1, 0.25, profile, mu, modified=True, parity="odd")
+    pair_mod = mathieu_pair(1, 0.25, profile, mu, modified=True, parity="odd",
+                            a=mathieu_char_value(1, "odd", 0.25))
     assert wronskian_check(pair_mod) <= 1e-8 * max(1.0, abs(pair_mod.W))
 
 
@@ -465,7 +475,8 @@ def test_modified_column_solves_hyperbolic_equation():
     # restricted to mu <= 2: beyond that the hyperbolic-sum round-off noise
     # (absolute, ~1e-11) is amplified by 1/h^2 and swamps the FD oracle
     mu = np.linspace(0.0, 2.0, 2001)
-    col, a = mathieu_column(0, 0.5, mu, modified=True)
+    a = mathieu_char_value(0, "even", 0.5)
+    col = mathieu_column(0, 0.5, mu, modified=True, a=a)
     h = mu[1] - mu[0]
     y = col.y
     d2 = (-y[4:] + 16 * y[3:-1] - 30 * y[2:-2] + 16 * y[1:-3] - y[:-4]) / (12 * h**2)
@@ -486,10 +497,11 @@ def test_modified_column_solves_hyperbolic_equation():
         (partial(weber_pair, 0.5, weber_profile(0.5)), np.linspace(-5, 5, 801)),
         (partial(whittaker_pair, 1.3, 1.0, whittaker_profile(1.3, 1.0)),
          np.linspace(0.05, 12.0, 801)),
-        (partial(mathieu_pair, 0, 0.5, mathieu_profile(0, "even", 0.5)),
+        (partial(mathieu_pair, 0, 0.5, mathieu_profile(0, "even", 0.5),
+                 a=mathieu_char_value(0, "even", 0.5)),
          np.linspace(0, 2 * math.pi, 801)),
         (partial(mathieu_pair, 1, 0.25, mathieu_profile(1, "odd", 0.25, modified=True),
-                 modified=True, parity="odd"),
+                 modified=True, parity="odd", a=mathieu_char_value(1, "odd", 0.25)),
          np.linspace(0, 3, 801)),
     ],
 )
@@ -500,3 +512,8 @@ def test_every_basis_pair_passes_wronskian_on_subgrids(kind, grid):
     rng = np.random.default_rng(11)
     idx = np.sort(rng.choice(grid.size, size=101, replace=False))
     assert wronskian_drift_at(pair, idx) <= tol
+
+
+def test_trig_pair_rejects_a_zero_wavenumber():
+    with pytest.raises(ConfigurationError, match="finite nonzero wavenumber, got 0.0"):
+        trig_pair(0.0, trig_profile(0.0), np.linspace(0.0, 1.0, 5))

@@ -263,3 +263,11 @@ def test_catalog_systems_are_shared_and_immutable():
 def test_unknown_sector_label():
     with pytest.raises(ConfigurationError):
         lookup_system("spherical").sector("w")
+
+
+def test_empty_domain_and_nonpositive_mass_are_configuration_errors():
+    with pytest.raises(ConfigurationError, match=r"sector 'x': empty domain \(1.0, 1.0\)"):
+        SectorSpec("x", (1.0, 1.0), Weight.unit())
+    sector = SectorSpec("x", (-math.inf, math.inf), Weight.unit())
+    with pytest.raises(ConfigurationError, match="m and hbar must be positive"):
+        FrequencyProfile(sector, lambda q: 1.0, m=0.0)

@@ -313,3 +313,34 @@ def test_run_leaks_no_warning_under_w_error(tmp_path, text, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert len(proc.stderr.splitlines()) == (1 if code else 0)
+
+
+TWO_CENTER = "problem.kind = two_center_elliptic\nproblem.Z = 1\nproblem.k_sq = 2\nproblem.ell = 1\n"
+# a label's trajectory indices are positive integers, exactly 1..n, each once
+PATHS = FREE + "trajectory.x.1 = -1:1:3\n"
+
+
+@pytest.mark.parametrize(
+    "text, check, run, message",
+    [(FREE + "output.format = xml\n", 1, 1, "output.format must be one of"),
+     (TWO_CENTER + "problem.a = -1\n", 1, 1, "needs focal half-distance a > 0"),
+     # the check cannot see the mu column's cosh(h mu) pass the double range
+     (MATHIEU_ORDER.format(2).replace("0:2:2001", "0:30:201"), 0, 1,
+      "hyperbolic-sum terms would overflow"),
+     (PATHS + "trajectory.x.zz = 0:1:2\n", 1, 1, "trajectory.x.zz: the index must be a positive"),
+     (PATHS + "trajectory.x.0 = 0:1:2\n", 1, 1, "trajectory.x.0: the index must be a positive"),
+     (PATHS + "trajectory.x.01 = 0:1:2\n", 1, 1,
+      "trajectory.x.01: index 1 is also given by trajectory.x.1"),
+     (PATHS + "trajectory.x.3 = 0:1:2\n", 1, 1,
+      r"trajectory.x.3: trajectory.x indices must run 1..2")],
+    ids=["output_format", "negative_focal_distance", "hyperbolic_overflow", "path_index_text",
+         "path_index_zero", "path_index_clash", "path_index_gap"],
+)
+def test_error_paths_exit_with_their_message(tmp_path, monkeypatch, capsys, text, check, run,
+                                             message):
+    monkeypatch.delenv("ERMAKOV_OUT", raising=False)
+    path = tmp_path / "run.cfg"
+    path.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    for command, code in (("check", check), ("run", run)):
+        assert main([command, str(path)]) == code
+        assert (message in capsys.readouterr().err) == (code == 1), command

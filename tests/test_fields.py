@@ -23,7 +23,7 @@ from ermakov.runner import execute_sector
 
 def amplitude_on(grid, rho, drho=None):
     drho = np.zeros_like(rho) if drho is None else drho
-    return ErmakovAmplitude(grid, rho, drho, PinneyCoefficients(1, 0, 0, 0))
+    return ErmakovAmplitude(grid, rho, drho, PinneyCoefficients(1, 0, 0, 0), pair=None, nodes=())
 
 
 def test_physical_amplitude_cartesian_identity():

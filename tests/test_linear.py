@@ -406,3 +406,11 @@ def test_companion_anchor_ignores_rounding_between_mirror_maxima():
     y[right] = -y[left] * (1.0 + 4e-16)
     pair = companion_pair(weber_profile(1.0), Column(grid, y, (1.0 - grid**2 / 2.0) * gauss))
     assert pair.W == y[left]
+
+
+def test_column_leaving_the_finite_range_fails_where_it_left():
+    # y'' = y from y = 1e307 grows by e per unit and passes the double range after q = 3
+    profile = unit_profile(lambda q: -np.ones_like(np.asarray(q, float)))
+    with pytest.raises(IntegrationFailureError, match="integration left the finite range") as err:
+        magnus_outward(profile, np.linspace(0.0, 10.0, 11), 0.0, (1e307, 0.0))
+    assert err.value.last_q == 3.0

@@ -283,3 +283,14 @@ def test_symmetric_defaults():
     assert (co.A, co.B, co.D, co.k) == (1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ConfigurationError):
         PinneyCoefficients.of(-1.0, 2.0)
+
+
+def test_open_form_that_underflows_to_zero_is_rejected():
+    # k > 0 makes the form positive definite, but at q = 1 both columns are
+    # 1e-200 and y1^2 + y2^2 underflows to 0, where rho would vanish
+    grid = np.array([0.0, 1.0, 2.0])
+    pair = FundamentalPair(grid, np.array([1.0, 1e-200, 1.0]), np.ones(3),
+                           np.array([0.0, 1e-200, 1.0]), np.ones(3), 1.0)
+    with pytest.raises(NonpositiveFormError, match="first offending q = 1.0") as err:
+        pinney_amplitude(PinneyCoefficients.of(1.0, pair.W), pair)
+    assert err.value.q == 1.0

@@ -143,7 +143,8 @@ def test_two_center_gamma_from_order():
     assert gamma == pytest.approx(-a_m - 1.0, abs=1e-12)
     # the angular pair starts from the periodic Mathieu column
     grid = setups["nu"].grid
-    np.testing.assert_array_equal(setups["nu"].build_pair().y1, mathieu_column(0, 0.5, grid)[0].y)
+    np.testing.assert_array_equal(setups["nu"].build_pair().y1,
+                                  mathieu_column(0, 0.5, grid, a=a_m).y)
     # angular profile and the Mathieu equation a_M - 2 q_M cos 2nu agree pointwise
     direct = setups["nu"].profile.omega2_array(grid)
     np.testing.assert_allclose(direct, a_m - 2.0 * 0.5 * np.cos(2.0 * grid), atol=1e-12)
@@ -156,7 +157,8 @@ def test_two_center_radial_charge_free_is_modified_mathieu():
     )
     setups = {s.label: s for s in build_problem(spec)}
     grid = setups["mu"].grid
-    column, _ = mathieu_column(1, 0.5, grid, modified=True, parity="odd")
+    column = mathieu_column(1, 0.5, grid, modified=True, parity="odd",
+                            a=mathieu_char_value(1, "odd", 0.5))
     np.testing.assert_array_equal(setups["mu"].build_pair().y1, column.y)
 
 
@@ -253,3 +255,8 @@ def test_mathieu_char_value_solved_once_per_run(tmp_path, monkeypatch):
     report, _ = run_config(config, output_dir=tmp_path)
     assert report.verdict == "pass"
     assert calls == [(2, "even", 0.5)]
+
+
+def test_nonfinite_parameter_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="parameter 'k0' must be finite, got inf"):
+        ProblemSpec("free_particle", params={"k0": math.inf})

@@ -97,10 +97,10 @@ def test_lookup_tables_are_built_once_for_the_render_threads():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_renders_tables_of_several_blocks():
-    # A forked child has none of its parent's render threads; it starts its
-    # own instead of waiting forever on blocks handed to threads it lacks.
+    # A forked child has none of its parent's threads; each table it renders
+    # starts its own instead of waiting forever on threads it lacks.
     columns = (np.arange(3 * _CHUNK, dtype=float),)
-    text = b"".join(table_chunks(("x",), columns, "csv"))  # starts the render threads
+    text = b"".join(table_chunks(("x",), columns, "csv"))  # on the table's own threads
     pid = os.fork()
     if pid == 0:  # the child leaves here, whatever happens
         code = 1
@@ -155,3 +155,8 @@ def test_written_tables_match_per_value_rule(tmp_path, preset, fmt):
     assert tables and {p.suffix for p in tables} == {".csv" if fmt == "csv" else ".jsonl"}
     for path in tables:
         assert path.read_bytes() == _rerendered(path).encode()
+
+
+def test_columns_unlike_the_names_are_refused():
+    with pytest.raises(ValueError, match="as many as names and of equal length"):
+        list(table_chunks(("a", "b"), [np.zeros(3)], "csv"))

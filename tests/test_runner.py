@@ -9,15 +9,17 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ermakov
-from ermakov import fields, linear, render, runner
+from ermakov import fields, linear, runner
 from ermakov.cli import main
 from ermakov.errors import ConfigurationError, ConstraintViolationError
 from ermakov.runner import (
@@ -653,21 +655,18 @@ def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fail
     run_config(parse_config_text(two_paths), output_dir=tmp_path / "whole")
     last = []  # stem of the trajectory file that fails
     jobs = []  # every block handed to a render thread
-    pool = render._pool(os.getpid())
 
-    class SlowPool:  # a block starts 50 ms late, so one left queued or running shows
-        def __init__(self, pid):
-            assert pid == os.getpid()
-
+    # a block starts 50 ms late, so one left queued or running shows
+    class SlowPool(futures.ThreadPoolExecutor):
         def submit(self, fn, *args):
             def late():
                 time.sleep(0.05)
                 return fn(*args)
 
-            jobs.append(pool.submit(late))
+            jobs.append(super().submit(late))
             return jobs[-1]
 
-    monkeypatch.setattr(render, "_pool", SlowPool)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", SlowPool)
     table_chunks = runner.table_chunks
     if failing == "chunk_source":
         def chunks(names, columns, fmt):
@@ -965,3 +964,22 @@ def test_loose_integration_fails_integration_check(tmp_path, cfg):
         checks[name] = sector["checks"]["integration"], sector["integration_error"]
     assert checks["default"][0] is True and checks["default"][1] <= 1e-9
     assert checks["loose"][0] is False and checks["loose"][1] > 1e-9
+
+
+def test_trajectories_are_numbered_by_their_index(tmp_path):
+    # the keys' order in the file does not decide the table's number
+    text = FREE + "trajectory.x.2 = 1:1:3\ntrajectory.x.1 = -1:1:3\n"
+    run_config(parse_config_text(text), output_dir=tmp_path)
+    first, second = (np.loadtxt(tmp_path / f"x_trajectory_{i}.csv", delimiter=",", skiprows=1)
+                     for i in (1, 2))
+    assert first[0, 1] == -1.0 and second[0, 1] == 1.0
+
+
+def test_render_threads_end_with_their_table(tmp_path):
+    # 32001 rows of ten columns render as several blocks, on the table's own
+    # two threads, which end when its file is written
+    before = threading.active_count()
+    text = HARMONIC + "problem.E = 1.5\nsector.xi.grid = -6:6:32001\n"
+    run_config(parse_config_text(text), output_dir=tmp_path)
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate() if t.name.startswith("render")]
