@@ -5,8 +5,8 @@ The current s R^2 S' of R = rho / sqrt(s) is rho^2 S' = C, so p = C / rho^2
 C = 0 marks bound sectors, C != 0 open ones.  Trajectories of
 x' = C / (m rho^2) are the quadrature t = t0 + (m/C) int_{x0}^{x} rho^2 dx,
 exact on cubic Hermite cells of rho^2 (its samples and exact slope
-2 rho rho'), inverted by Newton steps; one call takes all of a sector's
-requests, builds the cells once and steps every path in one loop.
+2 rho rho'), inverted by bracketed Newton steps; one call takes all of a
+sector's requests, builds the cells once and steps every path in one loop.
 """
 
 from __future__ import annotations
@@ -96,10 +96,11 @@ def trajectory(
     for all requests; each path's node values of S are summed outward from its
     x0's cell, so no large partial sum is subtracted near x0.  S(x) = s is then
     solved by Newton steps from a linear-interpolation guess, all samples in
-    one loop, each path until its own steps stop.  A path stops with an error
-    if it meets a node of rho or leaves the grid, and a travel max |C/m (t - t0)|
-    / rho^2(x0) within the spacing of doubles in x0's cell is a configuration
-    error; the error raised is that of the first request that fails.
+    one loop, each path until its own steps stop; a step out of the bracket of
+    rho's nearest nodes (or grid ends), where S is monotone, bisects it.  A path
+    stops with an error if it meets a node of rho or leaves the grid, and a
+    travel max |C/m (t - t0)| / rho^2(x0) within the spacing of doubles in x0's
+    cell is a configuration error; the first failing request's error is raised.
     """
     grid = np.asarray(grid, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -134,7 +135,7 @@ def trajectory(
         return ((c[0, i] * d + c[1, i]) * d + c[2, i]) * d + c[3, i]
 
     def locate(x):
-        i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+        i = np.searchsorted(grid[1:-1], x, side="right")  # cell i holds x, or is an end cell
         return i, x - grid[i]
 
     def S_at(x, S, row=0):  # S of the path whose node values start at S[row]
@@ -174,7 +175,7 @@ def trajectory(
     r2_rows = cell_r2(k, d0)
 
     def prepare(x0, t_grid, S, k, r2_0):
-        """(S at the nodes, targets of S, Newton guess, x0, scale of S) of a path."""
+        """(S at the nodes, targets of S, Newton guess, x0, scale of S, nearest nodes) of a path."""
         on_grid(x0)
         near = np.append(nodes, x0) if r2_0 <= 64.0 * _EPS * r2_end[k] else nodes
         x_left = near[near <= x0].max(initial=-np.inf)
@@ -206,17 +207,23 @@ def trajectory(
             raise PathExitsGridError(t0 + float(table[-1]) / v, hi)
         if s_lo < table[0] - pad * rho[0] ** 2:
             raise PathExitsGridError(t0 + float(table[0]) / v, lo)
-        return S, s, np.interp(s, table, grid), float(x0), max(abs(S[0]), abs(S[-1]))
+        return (S, s, np.interp(s, table, grid), float(x0), max(abs(S[0]), abs(S[-1])),
+                x_left, x_right)
 
     def solve(paths):
-        S_rows, s, x, starts, scale = map(np.hstack, zip(*paths))
+        S_rows, s, x, starts, scale, a, b = map(np.hstack, zip(*paths))
         sizes = [path[1].size for path in paths]
         which = np.repeat(np.arange(len(paths)), sizes)  # the path of each sample
-        row, live = which * grid.size, np.arange(x.size)
+        a, b = np.maximum(a[which], lo - 2.0 * pad), np.minimum(b[which], hi + 2.0 * pad)
+        x, row, live = np.minimum(np.maximum(x, a), b), which * grid.size, np.arange(x.size)
         for _ in range(_NEWTON_STEPS):
-            f, slope = S_at(x[live], S_rows, row[live])
+            f, slope = S_at(x_live := x[live], S_rows, row[live])
             step = (f - s[live]) / slope
-            x[live] -= step
+            x[live] = x_live - step
+            if not (inside := (x >= a) & (x <= b)).all():
+                at = np.searchsorted(live, out := np.flatnonzero(~inside))  # out's places in live
+                a[out], b[out] = np.where(f[at] < s[out], (x_live[at], b[out]), (a[out], x_live[at]))
+                x[out], step[at] = 0.5 * (a[out] + b[out]), np.inf
             # a path steps on while any of its steps is large (nan is not)
             moving = np.bincount(which[live], np.abs(step) > _EPS * (hi - lo), len(paths)) > 0
             live = live[moving[which[live]]]

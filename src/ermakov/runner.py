@@ -4,21 +4,23 @@ Reads a flat key=value run description, executes each sector pipeline
 (profile -> pair -> quadratic form -> invariant -> fields -> trajectories),
 and emits field tables plus a certification report.  Every sector is
 computed and certified before any file is written; each file is then
-written atomically (write-then-rename), one at a time, so a failure leaves
-no partial file.  A table is streamed from its columns to its file in chunks
-of a few MB and written in order, so emit memory does not grow with the
-grid; a table of several chunks is rendered on two threads.  Outputs are
-deterministic: fixed column and key order, reals rendered with 17
-significant digits (:mod:`.render`).
+written atomically (write, then swap or rename), one at a time, so a
+failure leaves no partial file.  A table is streamed from its columns to
+its file in chunks of a few MB and written in order, so emit memory does
+not grow with the grid; a table of several chunks is rendered on two
+threads.  Outputs are deterministic: fixed column and key order, reals
+rendered with 17 significant digits (:mod:`.render`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -39,6 +41,12 @@ from .render import format_real, table_chunks
 
 FIELD_COLUMNS = ("q", "omega2", "y1", "y2", "wronskian", "rho", "R", "p", "Q", "invariant")
 OUTPUT_FORMATS = ("csv", "json-lines")
+_libc = ctypes.CDLL(None, use_errno=True) if sys.platform == "linux" else None
+_renameat2 = getattr(_libc, "renameat2", None)  # None where libc has no renameat2
+if _renameat2 is not None:  # (olddirfd, oldpath, newdirfd, newpath, flags) -> 0, or -1
+    _renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p) * 2 + (ctypes.c_uint,)
+    _renameat2.restype = ctypes.c_int
+_AT_FDCWD, _RENAME_EXCHANGE = -100, 2
 
 
 @dataclass(frozen=True)
@@ -338,14 +346,19 @@ def _json_render(value, indent: int = 0) -> str:
 
 
 def _atomic_write(path: Path, parts) -> None:
-    """Write the byte chunks ``parts`` to ``path`` through a ``.tmp`` file,
-    each as it arrives, then rename; on any failure the ``.tmp`` file goes."""
+    """Write the byte chunks ``parts`` to ``path`` through a ``.tmp`` file, each as it
+    arrives, then swap it with a regular file at ``path`` (no ext4 writeback, unlike a
+    rename over it) and unlink the old file, else ``os.replace``; a failure unlinks ``.tmp``."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
             for part in parts:
                 f.write(part)
-        os.replace(tmp, path)
+        swap = _renameat2 is not None and not os.path.islink(path) and os.path.isfile(path)
+        if swap and _renameat2(_AT_FDCWD, bytes(tmp), _AT_FDCWD, bytes(path), _RENAME_EXCHANGE) == 0:
+            tmp.unlink()  # the old file
+        else:
+            os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             tmp.unlink()

@@ -209,6 +209,27 @@ def test_trajectory_cell_dip_counts_as_node():
                                atol=1e-9)
 
 
+
+@pytest.mark.parametrize("grid, rho, drho2, x0, t", [
+    # Newton's second step left the grid (q = -0.36), and inversion failed
+    ([0.0, 1.0, 2.0], [0.127, 0.005, 0.196], [1.6, -52.7, 0.1], 0.37, [0.0, -0.42]),
+    # Newton's steps left the grid and met a root of the extrapolated cubic
+    # there (x = -0.498 at t = -0.35), which passed the residual check
+    ([0.0, 1.779, 2.0], [0.027, 0.198, 0.27], [14.8, 2.6, 9.5], 1.14, np.linspace(0, -1.4, 5)),
+], ids=["inversion_failed", "off_grid_root"])
+def test_trajectory_newton_steps_stay_in_the_bracket(grid, rho, drho2, x0, t):
+    # Hand-built fields (drho2 is not 2 rho rho') whose rho^2 cubic is positive on
+    # [0, x0], so S falls monotonically to the left of x0: each sample's root lies
+    # between 0 and x0, where a step that leaves the bracket bisects it instead
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.optimize import brentq
+
+    grid, rho, drho2, t = map(np.asarray, (grid, rho, drho2, t))
+    S = CubicHermiteSpline(grid, rho**2, drho2).antiderivative()
+    exact = [brentq(lambda x: S(x) - S(x0) - s, 0.0, x0, xtol=1e-15) if s else x0 for s in t]
+    np.testing.assert_allclose(trajectory(1.0, grid, rho, drho2, 1.0, [(x0, t)])[0], exact,
+                               rtol=0.0, atol=1e-13)
+
 def test_trajectory_hermite_cells_converge_at_fourth_order():
     # R^2 = e^x: t - t0 = (m/C)(e^x - e^x0), so x(t) = log(e^x0 + C t / m)
     C, m, x0 = 1.5, 2.0, 0.1

@@ -1,12 +1,15 @@
 """Config parsing, pipeline runs, report emission, CLI exit codes."""
 
 import contextlib
+import ctypes
 import dataclasses
+import errno
 import itertools
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -650,9 +653,11 @@ def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fail
     # 9051 rows render in one pass, the second file fails inside the second
     # block and the first file, written before it, stays whole.  A block that
     # fails on a render thread fails the same way, and after every failure no
-    # block is left queued or running.
+    # block is left queued or running.  Over the outputs of a whole run, each
+    # file stays byte for byte the old one or its rewrite, which is the same.
     two_paths = FREE_CFG + "trajectory.x.2 = 0.0:5.0:9000\n"
-    run_config(parse_config_text(two_paths), output_dir=tmp_path / "whole")
+    for text, stem in ((FREE_CFG, "whole_0"), (two_paths, "whole_1")):
+        run_config(parse_config_text(text), output_dir=tmp_path / stem)
     last = []  # stem of the trajectory file that fails
     jobs = []  # every block handed to a render thread
 
@@ -692,18 +697,115 @@ def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fail
 
         monkeypatch.setattr(runner, "open", open_file, raising=False)
     for text, kept in ((FREE_CFG, []), (two_paths, ["x_trajectory_1.csv"])):
-        out = tmp_path / f"kept_{len(kept)}"
-        last[:] = [f"x_trajectory_{len(kept) + 1}."]
-        jobs.clear()
-        with pytest.raises(ConfigurationError, match="cannot write to output directory") as raised:
-            run_config(parse_config_text(text), output_dir=out)
-        assert all(job.done() for job in jobs)  # while ``raised`` keeps the failed frames alive
-        if failing == "render_thread" and kept:
-            assert isinstance(jobs[-1].exception(), OSError)
-        assert sorted(p.name for p in out.iterdir()) == ["x_fields.csv", *kept]
-        assert (out / "x_fields.csv").stat().st_size > 0
-        for name in kept:
-            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+        whole = tmp_path / f"whole_{len(kept)}"
+        rerun = shutil.copytree(whole, tmp_path / f"rerun_{len(kept)}")
+        for out in (tmp_path / f"kept_{len(kept)}", rerun):
+            last[:] = [f"x_trajectory_{len(kept) + 1}."]
+            jobs.clear()
+            with pytest.raises(ConfigurationError,
+                               match="cannot write to output directory") as raised:
+                run_config(parse_config_text(text), output_dir=out)
+            assert all(job.done() for job in jobs)  # while ``raised`` keeps the frames alive
+            if failing == "render_thread" and kept:
+                assert isinstance(jobs[-1].exception(), OSError)
+            if out == rerun:  # no .tmp file, and every old file whole
+                assert _contents(out) == _contents(whole)
+                continue
+            assert sorted(p.name for p in out.iterdir()) == ["x_fields.csv", *kept]
+            assert (out / "x_fields.csv").stat().st_size > 0
+            for name in kept:
+                assert (out / name).read_bytes() == (whole / name).read_bytes()
+
+
+def _contents(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_directory_at_an_output_path_stays_where_it_is(tmp_path, capsys):
+    # only a regular file is swapped out: a directory at an output path fails
+    # the write, as a rename onto it does, and keeps its name and contents
+    out = tmp_path / "out"
+    (out / "x_fields.csv").mkdir(parents=True)
+    (out / "x_fields.csv" / "notes.txt").write_text("kept")
+    assert main(["run", write_cfg(tmp_path, FREE_CFG + f"output.dir = {out}\n")]) == 1
+    assert "cannot write to output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["x_fields.csv"]
+    assert (out / "x_fields.csv" / "notes.txt").read_text() == "kept"
+
+
+def test_a_reader_sees_one_whole_version_while_a_table_is_rewritten(tmp_path):
+    # 200 rewrites alternate two contents, each written in two parts, while a
+    # thread reads the table: every read returns one whole version, and the
+    # table's name never goes missing
+    path = tmp_path / "table.csv"
+    versions = [b"t,x\n" + b"".join(b"%d,%d\n" % (i, v * i) for i in range(500)) for v in (1, 2)]
+    runner._atomic_write(path, [versions[0]])
+    reads, errors, done = [], [], threading.Event()
+
+    def reader():
+        try:
+            while not done.is_set():
+                reads.append(path.read_bytes())
+        except OSError as exc:  # a missing name shows as FileNotFoundError
+            errors.append(exc)
+
+    thread = threading.Thread(target=reader)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread.start()
+        for i in range(1, 201):
+            version = versions[i % 2]
+            runner._atomic_write(path, [version[:1000], version[1000:]])
+    finally:
+        done.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert errors == []
+    assert reads and set(reads) <= set(versions)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+@pytest.mark.parametrize("swap", ["unavailable", "einval"])
+def test_writes_without_the_swap_match_the_swap(tmp_path, monkeypatch, swap):
+    # where libc has no renameat2, or the call fails, os.replace puts every
+    # file in place, on a first run and on a rerun, with the same bytes
+    config = parse_config_text(FREE_CFG + "trajectory.x.2 = 0.0:5.0:9000\n")
+
+    def first_run_and_rerun(out):
+        contents = []
+        for _ in range(2):
+            run_config(config, output_dir=out)
+            contents.append(_contents(out))
+        return contents
+
+    swapped = first_run_and_rerun(tmp_path / "swapped")
+    calls = []
+
+    def einval(*args):
+        calls.append(args)
+        ctypes.set_errno(errno.EINVAL)
+        return -1
+
+    monkeypatch.setattr(runner, "_renameat2", None if swap == "unavailable" else einval)
+    assert first_run_and_rerun(tmp_path / "replaced") == swapped
+    assert swapped[0] == swapped[1]
+    assert len(calls) == (0 if swap == "unavailable" else len(swapped[0]))  # one per rerun file
+
+
+@pytest.mark.skipif(runner._renameat2 is None, reason="renameat2 is a Linux call")
+def test_rewriting_a_regular_file_swaps_it_without_os_replace(tmp_path, monkeypatch):
+    config = parse_config_text(FREE_CFG)
+    run_config(config, output_dir=tmp_path)
+    before = _contents(tmp_path)
+
+    def replace(*args):
+        raise AssertionError("os.replace called")
+
+    monkeypatch.setattr(runner.os, "replace", replace)
+    run_config(config, output_dir=tmp_path)
+    assert _contents(tmp_path) == before
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
