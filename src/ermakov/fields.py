@@ -28,7 +28,7 @@ from .errors import (
 from .linear import solve_ivp  # noqa: F401
 from .pinney import ErmakovAmplitude
 
-_NEWTON_STEPS = 8
+_STEPS = 64  # Newton and bisection steps of a path: 53 halvings take any bracket below eps
 _EPS = float(np.finfo(float).eps)
 
 
@@ -216,7 +216,7 @@ def trajectory(
         which = np.repeat(np.arange(len(paths)), sizes)  # the path of each sample
         a, b = np.maximum(a[which], lo - 2.0 * pad), np.minimum(b[which], hi + 2.0 * pad)
         x, row, live = np.minimum(np.maximum(x, a), b), which * grid.size, np.arange(x.size)
-        for _ in range(_NEWTON_STEPS):
+        for _ in range(_STEPS):
             f, slope = S_at(x_live := x[live], S_rows, row[live])
             step = (f - s[live]) / slope
             x[live] = x_live - step

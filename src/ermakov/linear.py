@@ -149,18 +149,20 @@ def _increasing(grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise 2x2 products a @ b."""
-    return np.stack((
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    ))
+    """Elementwise 2x2 products a @ b, a and b of equal ndim: entry (i, k) is
+    a_i0 b_0k + a_i1 b_1k, each term one broadcast over (i, k), so that no
+    temporary is larger than the output."""
+    a, b = a.reshape(2, 2, 1, *a.shape[1:]), b.reshape(1, 2, 2, *b.shape[1:])
+    out = np.multiply(a[:, 0], b[:, 0], order="C")  # fancy-indexed operands hold entries innermost
+    out += np.multiply(a[:, 1], b[:, 1], order="C")
+    return out.reshape(4, *out.shape[2:])
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
     """Inverse of determinant-1 matrices: the step back across each cell."""
-    return np.stack((m[3], -m[1], -m[2], m[0]))
+    adj = m[[3, 1, 2, 0]]
+    np.negative(adj[1:3], out=adj[1:3])
+    return adj
 
 
 def _magnus_steps(w2: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +297,7 @@ def magnus_outward(
     or a state is not finite.
     """
     grid = _increasing(grid)
-    y0 = np.asarray(y0, dtype=float)
-    n = y0.size // 2
+    y, dy = np.asarray(y0, dtype=float).reshape(2, -1, 1)  # (y_1 .. y_n), (y_1' .. y_n')
     pos = int(np.searchsorted(grid, anchor))
     on_grid = pos < grid.size and grid[pos] == anchor
     nodes = grid if on_grid else np.insert(grid, pos, anchor)
@@ -364,7 +365,6 @@ def magnus_outward(
     phi[..., :pos] = _prefix_products(_adjugate(cells[..., :pos])[..., ::-1])[..., ::-1]
     phi[:, :, pos] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
     phi[..., pos + 1:] = _prefix_products(cells[..., pos:])
-    y, dy = y0[:n, None], y0[n:, None]
     state, coarse_state = (
         np.concatenate((p[0] * y + p[1] * dy, p[2] * y + p[3] * dy)) for p in phi.swapaxes(0, 1)
     )

@@ -228,6 +228,7 @@ class SectorResult:
     Q: np.ndarray
     invariant: np.ndarray
     invariant_drift: float
+    invariant_worst_q: float
     pair_condition: float
     trajectories: tuple[tuple[tuple[float, float, int], np.ndarray, np.ndarray], ...]
 
@@ -259,6 +260,7 @@ def execute_sector(
         Q=q_pot,
         invariant=inv,
         invariant_drift=drift.drift,
+        invariant_worst_q=drift.location,
         pair_condition=pair.condition(),
         trajectories=tuple(zip(setup.trajectories, t_grids, paths)),
     )
@@ -296,6 +298,7 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
         "coefficients": {"A": coeffs.A, "B": coeffs.B, "D": coeffs.D},
         "invariant_reference": float(result.invariant[result.invariant.size // 2]),
         "invariant_drift": result.invariant_drift,
+        "invariant_worst_q": result.invariant_worst_q,
         "pair_condition": result.pair_condition,
         "integration_error": pair.error,
         "checks": checks,

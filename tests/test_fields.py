@@ -230,6 +230,26 @@ def test_trajectory_newton_steps_stay_in_the_bracket(grid, rho, drho2, x0, t):
     np.testing.assert_allclose(trajectory(1.0, grid, rho, drho2, 1.0, [(x0, t)])[0], exact,
                                rtol=0.0, atol=1e-13)
 
+
+def test_trajectory_inversion_does_not_run_out_of_steps():
+    # Hand-built 3-7 point fields whose rho^2 cubics are steep: from the linear
+    # guess some samples need more than 8 Newton steps, or several bisections.
+    # Paths that meet a node or leave the grid are skipped; every other path
+    # must invert, none stopping short with "trajectory inversion left residual".
+    rng = np.random.default_rng(0)
+    finished = 0
+    while finished < 2000:
+        n = int(rng.integers(3, 8))
+        grid = np.linspace(0.0, 2.0, n)
+        rho, drho2 = rng.uniform(0.001, 0.3, n), rng.normal(0.0, 20.0, n)
+        x0, t = float(rng.uniform(0.0, 2.0)), np.concatenate(([0.0], rng.uniform(-0.04, 0.04, 5)))
+        try:
+            trajectory(1.0, grid, rho, drho2, 1.0, [(x0, t)])
+        except (NodeApproachError, PathExitsGridError):
+            continue
+        finished += 1
+
+
 def test_trajectory_hermite_cells_converge_at_fourth_order():
     # R^2 = e^x: t - t0 = (m/C)(e^x - e^x0), so x(t) = log(e^x0 + C t / m)
     C, m, x0 = 1.5, 2.0, 0.1

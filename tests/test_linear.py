@@ -414,3 +414,81 @@ def test_column_leaving_the_finite_range_fails_where_it_left():
     with pytest.raises(IntegrationFailureError, match="integration left the finite range") as err:
         magnus_outward(profile, np.linspace(0.0, 10.0, 11), 0.0, (1e307, 0.0))
     assert err.value.last_q == 3.0
+
+
+# The 2x2 kernel, held bit for bit to the written-out entries: the np.stack
+# expressions below are the reference.
+
+def stacked_matmul(a, b):
+    return np.stack((
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    ))
+
+
+def stacked_adjugate(m):
+    return np.stack((m[3], -m[1], -m[2], m[0]))
+
+
+def assert_same_doubles(actual, expected):
+    """Equal shapes and values, nan in the same places, and zeros of the same sign."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual) | np.isnan(actual),
+                          np.signbit(expected) | np.isnan(expected))
+
+
+def kernel_inputs(shape, scale, seed):
+    """Random matrices with signed zeros; at scale 1e200 products overflow
+    to inf, and inf - inf gives nan."""
+    m = np.random.default_rng(seed).normal(size=shape) * scale
+    m.flat[::7], m.flat[3::11] = 0.0, -0.0
+    return m
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflowing"])
+@pytest.mark.parametrize("a_shape, b_shape, view", [
+    ((4, 2, 300), (4, 2, 300), lambda m: m),
+    ((4, 300), (4, 300), lambda m: m),
+    ((4, 17, 64), (4, 17, 64), lambda m: m),
+    ((4, 17, 64), (4, 17, 64), lambda m: m[..., 1::2]),  # the pairwise reduction's halves
+    ((4, 2, 301), (4, 2, 301), lambda m: m[..., ::-1][..., 3:]),
+    ((4, 300), (4, 300), lambda m: m[:, np.arange(1, 300, 2)]),  # entries innermost
+    ((4, 1), (4, 300), lambda m: m),
+    ((4, 17, 1), (4, 1, 64), lambda m: m),
+], ids=["pairs", "flat", "cells", "strided", "reversed", "fancy", "broadcast", "outer"])
+def test_matmul_and_adjugate_match_the_written_out_entries(a_shape, b_shape, view, scale):
+    a = view(kernel_inputs(a_shape, scale, 1))
+    b = view(kernel_inputs(b_shape, scale, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_doubles(linear._matmul(a, b), stacked_matmul(a, b))
+        assert_same_doubles(linear._matmul(b, a), stacked_matmul(b, a))
+        assert_same_doubles(linear._adjugate(a), stacked_adjugate(a))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflowing"])
+@pytest.mark.parametrize("shape", [(4, 1), (4, 2, 7), (4, 256), (4, 2, 257), (4, 2, 1000)])
+def test_prefix_products_match_the_written_out_scan(monkeypatch, shape, scale):
+    # both sides of _SCAN_SPLIT, and a reversed view as the left half-range takes
+    m = kernel_inputs(shape, scale, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        actual = [linear._prefix_products(x) for x in (m, m[..., ::-1])]
+        monkeypatch.setattr(linear, "_matmul", stacked_matmul)
+        expected = [linear._prefix_products(x) for x in (m, m[..., ::-1])]
+    for got, want in zip(actual, expected):
+        assert_same_doubles(got, want)
+
+
+def test_propagation_matches_the_written_out_kernel(monkeypatch):
+    # every cell matrix, pairing and prefix product of a refining run, and the
+    # states they give
+    grid = np.concatenate((np.linspace(-6.0, 0.0, 41), np.linspace(0.5, 6.0, 12)))
+    state, error = magnus_outward(weber_profile(0.87), grid, 0.3, (1.0, 0.0, 0.0, 1.0))
+    monkeypatch.setattr(linear, "_matmul", stacked_matmul)
+    monkeypatch.setattr(linear, "_adjugate", stacked_adjugate)
+    expected_state, expected_error = magnus_outward(weber_profile(0.87), grid, 0.3,
+                                                    (1.0, 0.0, 0.0, 1.0))
+    assert_same_doubles(state, expected_state)
+    assert error == expected_error

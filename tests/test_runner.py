@@ -545,6 +545,16 @@ def test_readme_names_exactly_the_sector_and_flux_report_keys():
         assert re.findall(r"`(\w+)`", listed) == list(emitted), block
 
 
+def test_certify_reports_where_the_invariant_is_worst():
+    spec = ProblemSpec(kind="harmonic_oscillator", params={"omega": 1.0, "E": 1.37}, sectors={})
+    result = execute_sector(build_problem(spec)[0])
+    sector = certify([result], Tolerances(), False, "harmonic_oscillator").as_dict()["sectors"][0]
+    deviation = np.abs(result.invariant - result.invariant[result.invariant.size // 2])
+    assert deviation.max() > 0.0  # a drift that has a place, not the all-equal default
+    assert sector["invariant_worst_q"] == result.amplitude.grid[np.argmax(deviation)]
+    assert sector["invariant_drift"] == deviation.max() / abs(sector["invariant_reference"])
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
