@@ -136,73 +136,94 @@ def _tables() -> _Tables:
     )
 
 
-def _scaled(f, e, p, t: _Tables):
-    """(yh, yl) with yh + yl = f 2^e 10^p to about 2^-106 relative."""
-    row = p - _P_LO
+def _scaled(f, e, row, t: _Tables):
+    """(yh, yl) with yh + yl = f 2^e 10^(row + _P_LO) to about 2^-106 relative."""
     hi_hi, hi_lo, lo, k = (np.take(a, row) for a in (t.hi_hi, t.hi_lo, t.lo, t.k))
-    ph = f * (hi_hi + hi_lo)
-    c = _SPLIT * f
-    f_hi = c - (c - f)
+    k += e
+    ph = hi_hi + hi_lo
+    ph *= f
+    f_hi = _SPLIT * f
+    f_hi -= f_hi - f  # Veltkamp: c - (c - f)
     f_lo = f - f_hi
-    err = ((f_hi * hi_hi - ph) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo
-    s = err + f * lo
-    yh = ph + s
-    yl = s - (yh - ph)
-    return np.ldexp(yh, e + k), np.ldexp(yl, e + k)
+    err = f_hi * hi_hi  # then ((f_hi hi_hi - ph) + f_hi hi_lo + f_lo hi_hi) + f_lo hi_lo
+    err -= ph
+    err += np.multiply(f_hi, hi_lo, out=f_hi)
+    err += np.multiply(f_lo, hi_hi, out=hi_hi)
+    err += np.multiply(f_lo, hi_lo, out=hi_lo)
+    err += np.multiply(f, lo, out=lo)  # s = err + f lo
+    yh = np.add(ph, err, out=f_hi)
+    err -= np.subtract(yh, ph, out=ph)  # yl = s - (yh - ph)
+    return np.ldexp(yh, k, out=yh), np.ldexp(err, k, out=err)
 
 
 def _out_of_range(yh, yl):
-    low = (yh < 1e16) | ((yh == 1e16) & (yl < 0.0))
-    high = (yh > 1e17) | ((yh == 1e17) & (yl >= 0.0))
-    return low, high
+    return ((yh < 1e16) | ((yh == 1e16) & (yl < 0.0)),
+            (yh > 1e17) | ((yh == 1e17) & (yl >= 0.0)))
 
 
-def _render_into(x: np.ndarray, cells: np.ndarray, at: int) -> None:
+def _decimal(x, t: _Tables):
+    """(N, E, special): |x| = N 10^(E - 16) to 17 digits where certain, N = 1e16 if special."""
+    ax = np.abs(x)
+    special = ~np.isfinite(ax) | (ax == 0.0)
+    np.putmask(ax, special, 1.0)
+    big_e = np.floor(np.log10(ax)).astype(np.intp)
+    f, e = np.frexp(ax, out=(ax, None))
+    yh, yl = _scaled(f, e, (16 - _P_LO) - big_e, t)
+    low, high = _out_of_range(yh, yl)
+    off = np.flatnonzero(low | high)
+    if off.size:  # log10 put E one off, next to a power of ten
+        big_e[off] += high[off].astype(np.intp) - low[off]
+        yh[off], yl[off] = _scaled(f[off], e[off], (16 - _P_LO) - big_e[off], t)
+        low, high = _out_of_range(yh, yl)
+        special |= low | high
+    fl = np.floor(yl)
+    frac = np.subtract(yl, fl, out=yl)
+    special |= np.abs(frac - 0.5) <= _TIE_BAND
+    n = yh.astype(np.int64) + fl.astype(np.int64)
+    n += frac > 0.5
+    top = n == 10**17  # rounded up to the next power of ten
+    np.putmask(n, top | special, 10**16)
+    return n, big_e + top, special
+
+
+def _digits(n, words, value, t: _Tables):
+    """Write the 17 digits of ``n`` into both copies; return its trailing zero digits."""
+    hi9 = n // 10**8
+    lo8 = (n - hi9 * 10**8).astype(np.int32)
+    hi9 = hi9.astype(np.int32)
+    lead = hi9 // 10**8
+    value[:, _INT] = value[:, _FRAC] = lead + ord("0")
+    groups = []
+    for part in (hi9 - lead * 10**8, lo8):  # digits 2-9, then 10-17; a % b is slower
+        upper = part // 10**4
+        groups += (upper.astype(np.intp), (part - upper * 10**4).astype(np.intp))
+    for i, g in enumerate(groups):
+        words[:, _INT // 4 + 1 + i] = words[:, _FRAC // 4 + 1 + i] = np.take(t.quads, g)
+    zeros, run = np.take(t.trailing, groups[3]), groups[3] == 0
+    for g in groups[2::-1]:
+        zeros += run * np.take(t.trailing, g)
+        run &= g == 0
+    return zeros
+
+
+def _render_into(x: np.ndarray, cells: np.ndarray, at: int, patterns: np.ndarray) -> None:
     """Write ``format_real(x[i])`` into row i of the uint8 array ``cells``.
 
     Columns ``at`` .. ``at + _WIDTH`` of every row must hold ``_TEMPLATE``,
     and ``at`` and the row length must be multiples of 4; those columns are
-    left holding the rendering, spread out among zero bytes.
+    left holding the rendering, spread out among zero bytes.  ``patterns``
+    holds the keep masks widened to the row length, 0xFF outside those columns.
     """
     t = _tables()
-    ax = np.abs(x)
-    special = ~np.isfinite(ax) | (ax == 0.0)
-    ax[special] = 1.0
-    f, e = np.frexp(ax)
-    big_e = np.floor(np.log10(ax)).astype(np.int32)
-    yh, yl = _scaled(f, e, 16 - big_e, t)
-    low, high = _out_of_range(yh, yl)
-    off = np.flatnonzero(low | high)
-    if off.size:  # log10 put E one off, next to a power of ten
-        big_e[off] += high[off].astype(np.int32) - low[off]
-        yh[off], yl[off] = _scaled(f[off], e[off], 16 - big_e[off], t)
-        low, high = _out_of_range(yh, yl)
-        special |= low | high
-    fl = np.floor(yl)
-    frac = yl - fl
-    special |= np.abs(frac - 0.5) <= _TIE_BAND
-    n = yh.astype(np.int64) + fl.astype(np.int64) + (frac > 0.5)
-    top = n == 10**17  # rounded up to the next power of ten
-    n[top | special] = 10**16
-    big_e += top
-
-    hi9, lo8 = (part.astype(np.int32) for part in np.divmod(n, 10**8))
-    groups = (hi9 % 10**8 // 10**4, hi9 % 10**4, lo8 // 10**4, lo8 % 10**4)
-    zeros = np.take(t.trailing, groups[3])  # trailing zero digits of n
-    run = groups[3] == 0
-    for g in groups[2::-1]:
-        zeros += run * np.take(t.trailing, g)
-        run &= g == 0
+    n, big_e, special = _decimal(x, t)
     words = cells.view(np.uint32)[:, at // 4 :]
     value = cells[:, at : at + _WIDTH]
-    for i, g in enumerate(groups):
-        words[:, _INT // 4 + 1 + i] = words[:, _FRAC // 4 + 1 + i] = np.take(t.quads, g)
-    value[:, _INT] = value[:, _FRAC] = hi9 // 10**8 + ord("0")
+    zeros = _digits(n, words, value, t)
     value[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     words[:, _EXP // 4] = np.take(t.exponents, big_e + 330)
     fixed = (big_e >= _FIXED_LO) & (big_e <= _FIXED_HI)
-    layout = np.where(fixed, big_e - _FIXED_LO, _EXPONENT)
-    np.bitwise_and(value, np.take(t.patterns, layout * 17 + (16 - zeros), axis=0), out=value)
+    row = np.where(fixed, big_e - _FIXED_LO, _EXPONENT) * 17 + (16 - zeros)
+    np.bitwise_and(cells, np.take(patterns, row, axis=0), out=cells)
 
     for i in np.flatnonzero(special).tolist():
         text = format_real(float(x[i])).encode()
@@ -238,14 +259,14 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
         frame[i, at - len(s) : at] = np.frombuffer(s.encode(), dtype=np.uint8)
     frame[:, at : at + _WIDTH] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
     frame[-1, at + _WIDTH : at + _WIDTH + len(suffix)] = np.frombuffer(suffix.encode(), np.uint8)
+    # keep masks as wide as a cell; the lookup tables are built here, before any thread
+    patterns = np.pad(_tables().patterns, ((0, 0), (at, cell - at - _WIDTH)), constant_values=0xFF)
     step, rows = max(1, _CHUNK // width), len(columns[0])
 
     def render(start, stop):
         block = np.stack([c[start:stop] for c in columns], axis=1, dtype=np.float64)
-        buf = np.empty((block.shape[0], width, cell), dtype=np.uint8)
-        buf[...] = frame
-        buf = buf.reshape(block.size, cell)
-        _render_into(block.ravel(), buf, at)
+        buf = np.tile(frame.ravel(), len(block))
+        _render_into(block.ravel(), buf.reshape(-1, cell), at, patterns)
         return buf[buf != 0]
 
     yield head.encode()
@@ -255,7 +276,6 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
         return
     from concurrent.futures import ThreadPoolExecutor  # only such a table pays for the import
 
-    _tables()  # built here, once, not by both render threads at the same time
     ahead, half = deque(), -(-step // 2)
     # the table's own two threads; leaving the block, on end or close, waits for every job
     with ThreadPoolExecutor(2, thread_name_prefix="render") as pool:

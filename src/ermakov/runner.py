@@ -207,8 +207,8 @@ def parse_config_text(text: str) -> RunConfig:
 
 def parse_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None
     return parse_config_text(text)
 
@@ -300,6 +300,7 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
         "invariant_drift": result.invariant_drift,
         "invariant_worst_q": result.invariant_worst_q,
         "pair_condition": result.pair_condition,
+        "invariant_floor": sys.float_info.epsilon * result.pair_condition,  # a diagnostic
         "integration_error": pair.error,
         "checks": checks,
         "pass": all(checks.values()),
@@ -426,9 +427,11 @@ def _field_columns(result: SectorResult) -> tuple[np.ndarray, ...]:
 
 def prepare(config: RunConfig, output_dir: str | Path):
     """(output directory, sector setups) of ``config``, validated up to the
-    numerics: ``output_dir`` lies under no non-directory, and
-    :func:`build_problem` accepts the problem."""
+    numerics: ``output_dir`` holds no NUL byte and lies under no
+    non-directory, and :func:`build_problem` accepts the problem."""
     out = Path(output_dir)
+    if "\0" in str(out):
+        raise ConfigurationError(f"output directory {str(out)!r} holds a NUL byte")
     for part in (out, *out.parents):
         if part.exists():
             if not part.is_dir():

@@ -174,6 +174,23 @@ def test_pair_condition_marks_a_wronskian_certificate_at_roundoff():
             assert result.pair_condition <= 10.0, (kind, result.label)
 
 
+def test_invariant_floor_is_the_roundoff_of_the_pair_condition():
+    # Z = 1, ell = 8 fails its invariant at a drift of 1.0e-8, under the floor
+    # eps kappa its pair reaches; every preset sector's floor is near eps
+    ill = mu_sector({"a": 1.0, "Z": 1.0, "k_sq": 2.0, "ell": 8, "parity": "even"})
+    runs = [([ill], "two_center_elliptic")]
+    runs += [(sector_results(kind, params, flux, {}, {}, {}), kind)
+             for kind, params, flux in PRESETS.values()]
+    for results, kind in runs:
+        sectors = certify(results, Tolerances(), False, kind).sectors
+        for result, sector in zip(results, sectors):
+            assert sector["invariant_floor"] == np.finfo(float).eps * result.pair_condition
+            if result is ill:
+                assert not sector["checks"]["invariant"] and sector["invariant_floor"] >= 1e-7
+            else:
+                assert sector["invariant_floor"] <= 1e-14, (kind, result.label)
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -295,6 +295,28 @@ def test_named_faults_exit_with_their_message(tmp_path, monkeypatch, capsys, tex
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [(FREE.encode() + b"\xff = 1\n",
+      "configuration error: cannot read config 'run.cfg': 'utf-8' codec can't decode byte 0xff"),
+     (FREE.encode() + b"output.dir = o\0ut\n",
+      r"configuration error: output directory 'o\x00ut' holds a NUL byte")],
+    ids=["not_utf8", "nul_in_output_dir"],
+)
+def test_unusable_bytes_exit_1_alike_at_check_and_run(tmp_path, monkeypatch, capsys, data,
+                                                      message):
+    # bytes that no str or path can hold end in a one-line message, not a traceback
+    monkeypatch.delenv("ERMAKOV_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_bytes(data)
+    errors = []
+    for command in ("check", "run"):
+        assert main([command, "run.cfg"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(message) and errors[0].count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "text, code",
     [(D_OVERFLOW, 1), (AB_OVERFLOW, 1), (INVARIANT_OVERFLOW, 2), (LADDER_OVERFLOW, 2),
      (ARGUMENT_OVERFLOW, 2), (ONE_SAMPLE_PATH, 0), (COULOMB_NEAR_ORIGIN, 2)],

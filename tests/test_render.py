@@ -76,6 +76,51 @@ def test_kernel_on_extremes():
                        -1.7976931348623157e308, math.nan, math.inf, -math.inf])
 
 
+def _one_value_per_pattern_row() -> list[float]:
+    """A value for each (layout, last nonzero digit) row of the keep masks,
+    with its negative and its two neighbours."""
+    rng = np.random.default_rng(7)
+    values = []
+    for layout in range(22):
+        for last in range(17):
+            exponent = layout - 4 if layout < 21 else (-300, -5, 17, 300)[last % 4]
+            # the double nearest to a short decimal may show other digits at
+            # 17, so digit strings are drawn until one shows its own
+            for _ in range(200):
+                digits = "".join(map(str, rng.integers(1, 10, last + 1)))
+                x = float(f"{digits[0]}.{digits[1:]}e{exponent}")
+                if ("%.16e" % x).split("e")[0].replace(".", "").rstrip("0") == digits:
+                    break
+            else:
+                raise AssertionError(f"no value for layout {layout}, last digit {last}")
+            values += [x, -x, *_neighbours(x)[::2]]
+    return values
+
+
+@pytest.mark.parametrize("fmt, names", [
+    ("csv", ("x",)), ("csv", ("t", "x")),  # at = 4
+    ("json-lines", ("x",)), ("json-lines", ("t", "x")),  # at = 8
+    ("json-lines", ("abcdef", "x")),  # at = 12
+    ("json-lines", ("abcdefghij", "x")),  # at = 16
+])
+def test_every_pattern_row_in_one_block_and_in_several(fmt, names):
+    # the prefixes set the cell's start `at`, so the widened keep masks are
+    # held at each of its offsets, on one thread and on both render threads
+    values = np.array(_one_value_per_pattern_row())
+    for rows in (len(values), 3 * _CHUNK // len(names) + 7):
+        columns = tuple(np.resize(np.roll(values, 101 * i), rows) for i in range(len(names)))
+        chunks = list(table_chunks(names, columns, fmt))
+        assert len(chunks) == 1 + -(-rows // (_CHUNK // len(names)))
+        if fmt == "csv":
+            expected = [",".join(names)]
+            expected += [",".join(format_real(float(v)) for v in row) for row in zip(*columns)]
+        else:
+            expected = ["{" + ", ".join(f'"{name}": {format_real(float(v))}'
+                                        for name, v in zip(names, row)) + "}"
+                        for row in zip(*columns)]
+        assert b"".join(chunks).decode().split("\n") == expected + [""]
+
+
 def test_lookup_tables_are_built_once_for_the_render_threads():
     # Two render threads starting together would each build the lookup
     # tables; the calling thread builds them before the first hand-off.
