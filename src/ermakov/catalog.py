@@ -195,6 +195,8 @@ class FrequencyProfile:
     def omega2_array(self, q: np.ndarray) -> np.ndarray:
         """Vectorized Omega^2 without per-point domain checks."""
         q = np.asarray(q, dtype=float)
+        if self.sector.weight.kind == "unit":  # its curvature term is -0.0, and x + -0.0 == x
+            return np.broadcast_to(np.asarray(self.physical(q), dtype=float), q.shape).copy()
         return np.asarray(self.sector.weight.geometric_omega2(q) + self.physical(q), dtype=float)
 
 

@@ -36,7 +36,8 @@ def physical_amplitude(amplitude: ErmakovAmplitude, sector: SectorSpec) -> np.nd
     """R = rho / sqrt(s) on the amplitude grid (the R output column); a sample
     where s is not positive and finite, or R is not finite, raises
     :class:`SingularEndpointError`."""
-    s = np.asarray(sector.weight.value(amplitude.grid), dtype=float)
+    weight = sector.weight  # a unit weight is s = 1.0, with no array to build
+    s = 1.0 if weight.kind == "unit" else np.asarray(weight.value(amplitude.grid), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         R = amplitude.rho / np.sqrt(s)
     bad = ~((s > 0.0) & np.isfinite(s) & np.isfinite(R))

@@ -138,7 +138,7 @@ def _tables() -> _Tables:
 
 def _scaled(f, e, row, t: _Tables):
     """(yh, yl) with yh + yl = f 2^e 10^(row + _P_LO) to about 2^-106 relative."""
-    hi_hi, hi_lo, lo, k = (np.take(a, row) for a in (t.hi_hi, t.hi_lo, t.lo, t.k))
+    hi_hi, hi_lo, lo, k = (a.take(row) for a in (t.hi_hi, t.hi_lo, t.lo, t.k))
     k += e
     ph = hi_hi + hi_lo
     ph *= f
@@ -198,15 +198,15 @@ def _digits(n, words, value, t: _Tables):
         upper = part // 10**4
         groups += (upper.astype(np.intp), (part - upper * 10**4).astype(np.intp))
     for i, g in enumerate(groups):
-        words[:, _INT // 4 + 1 + i] = words[:, _FRAC // 4 + 1 + i] = np.take(t.quads, g)
-    zeros, run = np.take(t.trailing, groups[3]), groups[3] == 0
+        words[:, _INT // 4 + 1 + i] = words[:, _FRAC // 4 + 1 + i] = t.quads.take(g)
+    zeros, run = t.trailing.take(groups[3]), groups[3] == 0
     for g in groups[2::-1]:
-        zeros += run * np.take(t.trailing, g)
+        zeros += run * t.trailing.take(g)
         run &= g == 0
     return zeros
 
 
-def _render_into(x: np.ndarray, cells: np.ndarray, at: int, patterns: np.ndarray) -> None:
+def _render_into(x: np.ndarray, cells: np.ndarray, at: int, patterns, t: _Tables) -> None:
     """Write ``format_real(x[i])`` into row i of the uint8 array ``cells``.
 
     Columns ``at`` .. ``at + _WIDTH`` of every row must hold ``_TEMPLATE``,
@@ -214,21 +214,42 @@ def _render_into(x: np.ndarray, cells: np.ndarray, at: int, patterns: np.ndarray
     left holding the rendering, spread out among zero bytes.  ``patterns``
     holds the keep masks widened to the row length, 0xFF outside those columns.
     """
-    t = _tables()
     n, big_e, special = _decimal(x, t)
     words = cells.view(np.uint32)[:, at // 4 :]
     value = cells[:, at : at + _WIDTH]
     zeros = _digits(n, words, value, t)
     value[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    words[:, _EXP // 4] = np.take(t.exponents, big_e + 330)
+    words[:, _EXP // 4] = t.exponents.take(big_e + 330)
     fixed = (big_e >= _FIXED_LO) & (big_e <= _FIXED_HI)
     row = np.where(fixed, big_e - _FIXED_LO, _EXPONENT) * 17 + (16 - zeros)
-    np.bitwise_and(cells, np.take(patterns, row, axis=0), out=cells)
+    np.bitwise_and(cells, patterns.take(row, axis=0), out=cells)
 
     for i in np.flatnonzero(special).tolist():
         text = format_real(float(x[i])).encode()
         value[i] = 0
         value[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+
+
+@lru_cache(maxsize=16)
+def _layout(names: tuple[str, ...], fmt: str):
+    """(header, frame row, at, cell, keep masks widened to the cell), read-only, per
+    (names, format).  One cell per value: its column's prefix, right-aligned at a
+    multiple of 4, the template from ``at``, and the row suffix after the last column."""
+    if fmt == "csv":
+        head, suffix, prefixes = ",".join(names) + "\n", "\n", [""] + [","] * (len(names) - 1)
+    else:
+        head, suffix = "", "}\n"
+        prefixes = [("{" if i == 0 else ", ") + json.dumps(n) + ": " for i, n in enumerate(names)]
+    at = -(-max(len(s) for s in prefixes) // 4) * 4
+    cell = -(-(at + _WIDTH + len(suffix)) // 4) * 4
+    frame = np.zeros((len(names), cell), dtype=np.uint8)
+    for i, s in enumerate(prefixes):
+        frame[i, at - len(s) : at] = np.frombuffer(s.encode(), dtype=np.uint8)
+    frame[:, at : at + _WIDTH] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
+    frame[-1, at + _WIDTH : at + _WIDTH + len(suffix)] = np.frombuffer(suffix.encode(), np.uint8)
+    patterns = np.pad(_tables().patterns, ((0, 0), (at, cell - at - _WIDTH)), constant_values=0xFF)
+    frame.flags.writeable = patterns.flags.writeable = False  # a view of each is read-only too
+    return head.encode(), frame.ravel(), at, cell, patterns
 
 
 def table_chunks(names: tuple[str, ...], columns, fmt: str):
@@ -241,35 +262,17 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
     columns = list(columns)
     if len(columns) != width or len({len(c) for c in columns}) != 1:
         raise ValueError("table columns must be as many as names and of equal length")
-    if fmt == "csv":
-        head = ",".join(names) + "\n"
-        prefixes = [""] + [","] * (width - 1)
-        suffix = "\n"
-    else:
-        head = ""
-        prefixes = ["{" + json.dumps(names[0]) + ": "]
-        prefixes += [", " + json.dumps(name) + ": " for name in names[1:]]
-        suffix = "}\n"
-    # One cell per value: its column's prefix, right-aligned at a multiple
-    # of 4, the template, and the row suffix after the last column.
-    at = -(-max(len(s) for s in prefixes) // 4) * 4
-    cell = -(-(at + _WIDTH + len(suffix)) // 4) * 4
-    frame = np.zeros((width, cell), dtype=np.uint8)
-    for i, s in enumerate(prefixes):
-        frame[i, at - len(s) : at] = np.frombuffer(s.encode(), dtype=np.uint8)
-    frame[:, at : at + _WIDTH] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
-    frame[-1, at + _WIDTH : at + _WIDTH + len(suffix)] = np.frombuffer(suffix.encode(), np.uint8)
-    # keep masks as wide as a cell; the lookup tables are built here, before any thread
-    patterns = np.pad(_tables().patterns, ((0, 0), (at, cell - at - _WIDTH)), constant_values=0xFF)
+    # the lookup tables and the layout are built here, before any thread
+    t, (head, frame, at, cell, patterns) = _tables(), _layout(tuple(names), fmt)
     step, rows = max(1, _CHUNK // width), len(columns[0])
 
     def render(start, stop):
         block = np.stack([c[start:stop] for c in columns], axis=1, dtype=np.float64)
-        buf = np.tile(frame.ravel(), len(block))
-        _render_into(block.ravel(), buf.reshape(-1, cell), at, patterns)
+        buf = np.tile(frame, len(block))
+        _render_into(block.ravel(), buf.reshape(-1, cell), at, patterns, t)
         return buf[buf != 0]
 
-    yield head.encode()
+    yield head
     if rows <= step:  # a table of one block is rendered here, with no hand-off
         if rows:
             yield render(0, rows)

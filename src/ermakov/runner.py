@@ -17,11 +17,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
-import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +333,7 @@ def _json_render(value, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
         items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_json_render(v, indent + 1)}'
+            f'{pad}  {_json_str(str(k))}: {_json_render(v, indent + 1)}'
             for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
@@ -345,8 +346,8 @@ def _json_render(value, indent: int = 0) -> str:
         return str(value)
     if isinstance(value, float):
         text = format_real(value)
-        return json.dumps(text) if text in ("nan", "inf", "-inf") else text
-    return json.dumps(value)
+        return f'"{text}"' if text in ("nan", "inf", "-inf") else text
+    return _json_str(value)
 
 
 def _atomic_write(path: Path, parts) -> None:
@@ -354,18 +355,21 @@ def _atomic_write(path: Path, parts) -> None:
     arrives, then swap it with a regular file at ``path`` (no ext4 writeback, unlike a
     rename over it) and unlink the old file, else ``os.replace``; a failure unlinks ``.tmp``."""
     tmp = path.with_name(path.name + ".tmp")
+    new, old = os.fsencode(tmp), os.fsencode(path)
     try:
         with open(tmp, "wb") as f:
             for part in parts:
                 f.write(part)
-        swap = _renameat2 is not None and not os.path.islink(path) and os.path.isfile(path)
-        if swap and _renameat2(_AT_FDCWD, bytes(tmp), _AT_FDCWD, bytes(path), _RENAME_EXCHANGE) == 0:
-            tmp.unlink()  # the old file
+        swap = False  # only with a regular file, not a symlink; none where lstat fails
+        with contextlib.suppress(OSError):
+            swap = _renameat2 is not None and stat.S_ISREG(os.lstat(old).st_mode)
+        if swap and _renameat2(_AT_FDCWD, new, _AT_FDCWD, old, _RENAME_EXCHANGE) == 0:
+            os.unlink(new)  # the old file
         else:
-            os.replace(tmp, path)
+            os.replace(new, old)
     except BaseException:
         with contextlib.suppress(OSError):
-            tmp.unlink()
+            os.unlink(new)
         raise
 
 

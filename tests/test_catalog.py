@@ -187,6 +187,46 @@ def test_effective_frequency_polar_table_form():
     np.testing.assert_allclose(profile.omega2_array(theta), expected, rtol=1e-10)
 
 
+
+def _curvature_plus_physical(profile, q):
+    """Omega^2 as the weight's curvature term plus the physical part, summed."""
+    q = np.asarray(q, dtype=float)
+    return np.asarray(profile.sector.weight.geometric_omega2(q) + profile.physical(q), dtype=float)
+
+
+_UNIT_SECTORS = [(name, sector) for name in CATALOG_KEYS
+                 for sector in lookup_system(name).sectors if sector.weight.kind == "unit"]
+
+
+@pytest.mark.parametrize("name, sector", _UNIT_SECTORS,
+                         ids=[f"{name}.{sector.label}" for name, sector in _UNIT_SECTORS])
+def test_unit_weight_frequency_is_the_summed_one_bit_for_bit(name, sector):
+    # a unit weight's curvature term is -0.0 everywhere, and x + -0.0 is x
+    # for every double, so skipping it moves no bit: not for a scalar
+    # physical part, nor for samples of +0.0, -0.0 and NaN
+    q = np.array([-3.5, -0.0, 0.0, 0.25, 1.0, 2.0, 7.0])
+    samples = np.array([0.0, -0.0, math.nan, 1.5, -2.25, 5e-324, -1e300])
+    physicals = [
+        lambda q: 2.5,  # the free particle's constant
+        lambda q: -0.0,
+        lambda q: samples.copy(),
+        lambda q: 1.0 - q**2,
+        lambda q: np.asarray(q, dtype=np.float32),
+    ]
+    for physical in physicals:
+        profile = FrequencyProfile(sector, physical)
+        got, summed = profile.omega2_array(q), _curvature_plus_physical(profile, q)
+        assert got.dtype == np.float64 and got.shape == q.shape and got.flags.writeable
+        assert got.view(np.uint64).tolist() == summed.view(np.uint64).tolist()
+
+
+def test_non_unit_weight_still_adds_its_curvature():
+    # the cylindrical radial weight s = r shifts Omega^2 by 1 / (4 r^2)
+    profile = FrequencyProfile(lookup_system("cylindrical").sector("r"), lambda r: np.zeros_like(r))
+    r = np.array([0.5, 1.0, 2.0])
+    np.testing.assert_array_equal(profile.omega2_array(r), 0.25 / r**2)
+    assert profile.omega2_array(r).tolist() == _curvature_plus_physical(profile, r).tolist()
+
 def test_singular_endpoint_reported():
     sector = lookup_system("cylindrical").sector("r")
     with pytest.raises(SingularEndpointError) as err:

@@ -33,6 +33,21 @@ def test_physical_amplitude_cartesian_identity():
     np.testing.assert_array_equal(physical_amplitude(amplitude_on(grid, rho), sector), rho)
 
 
+
+def test_physical_amplitude_unit_weight_is_rho_and_still_checked():
+    # s = 1 is not built as an array: R is rho bit for bit, a fresh array,
+    # and a sample where rho is not finite still raises
+    sector = lookup_system("cartesian").sector("x")
+    grid = np.linspace(-2, 2, 11)
+    rho = np.array([1.0, -0.0, 0.0, 5e-324, 3.0, 1e308, 2.0, 0.5, 7.0, 1.25, 9.0])
+    R = physical_amplitude(amplitude_on(grid, rho), sector)
+    assert R is not rho and R.view(np.uint64).tolist() == rho.view(np.uint64).tolist()
+    for bad in (math.inf, math.nan):
+        rho[4] = bad
+        with pytest.raises(SingularEndpointError) as err:
+            physical_amplitude(amplitude_on(grid, rho), sector)
+        assert err.value.endpoint == grid[4]
+
 def test_physical_amplitude_cylindrical_cancellation():
     sector = lookup_system("cylindrical").sector("r")
     grid = np.linspace(0.5, 9.0, 35)

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import signal
+import threading
 import time
 from fractions import Fraction
 
@@ -139,6 +140,67 @@ def test_lookup_tables_are_built_once_for_the_render_threads():
         assert b"".join(chunks).decode().split("\n") == text.split("\n")  # reports the first bad row
     assert render._tables.cache_info().misses == 1
 
+
+
+def test_cached_layout_is_read_only():
+    # the layout is shared by every table of its names and format, and by
+    # both render threads, so none of its arrays can be written to
+    list(table_chunks(("t", "x"), (np.ones(1), np.ones(1)), "json-lines"))
+    head, frame, at, cell, patterns = render._layout(("t", "x"), "json-lines")
+    assert head == b"" and frame.size == 2 * cell and patterns.shape[1] == cell
+    for array in (frame, patterns, frame.reshape(-1, cell)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., at] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        np.bitwise_and(patterns, 0, out=patterns)
+
+
+def _expected_table(names, columns, fmt) -> bytes:
+    """The table under the per-value rule, the names escaped as json.dumps does."""
+    if fmt == "csv":
+        rows = [",".join(names)] + [",".join(format_real(float(v)) for v in row)
+                                    for row in zip(*columns)]
+    else:
+        rows = ["{" + ", ".join(f"{json.dumps(name)}: {format_real(float(v))}"
+                                for name, v in zip(names, row)) + "}"
+                for row in zip(*columns)]
+    return ("\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@pytest.mark.parametrize("names", [
+    ("x",), ("t", "x"),
+    ('say "q"', "back\\slash", "tab\tnew\nline\x07", "na\u00efve \u03a9", "\U0001f600", "x"),
+], ids=["one", "two", "escapes"])
+def test_tables_through_the_layout_cache_match_a_cold_cache(fmt, names):
+    rng = np.random.default_rng(41)
+    columns = tuple(rng.standard_normal(40) * 10.0 ** rng.uniform(-30, 30, 40) for _ in names)
+    render._layout.cache_clear()
+    cold = b"".join(table_chunks(names, columns, fmt))
+    warm = [b"".join(table_chunks(names, columns, fmt)) for _ in range(2)]
+    info = render._layout.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert warm == [cold, cold] and cold == _expected_table(names, columns, fmt)
+
+
+def test_table_of_several_blocks_builds_its_layout_before_its_threads(monkeypatch):
+    # on a cold cache, the calling thread builds the layout before the first
+    # block is handed to a render thread, and both threads share it
+    cached, threads = render._layout, []
+
+    def layout(names, fmt):
+        threads.append(threading.current_thread())
+        return cached(names, fmt)
+
+    monkeypatch.setattr(render, "_layout", layout)
+    rng = np.random.default_rng(43)
+    columns = tuple(rng.standard_normal(3 * _CHUNK) for _ in range(2))
+    for fmt in ("csv", "json-lines"):
+        cached.cache_clear()
+        chunks = list(table_chunks(("t", "x"), columns, fmt))
+        assert len(chunks) == 1 + 6 and cached.cache_info().misses == 1
+        assert b"".join(chunks) == _expected_table(("t", "x"), columns, fmt)
+    assert threads == [threading.main_thread()] * 2
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_renders_tables_of_several_blocks():

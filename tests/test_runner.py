@@ -818,6 +818,48 @@ def test_rewriting_a_regular_file_swaps_it_without_os_replace(tmp_path, monkeypa
     assert _contents(tmp_path) == before
 
 
+
+def test_symlinks_at_output_paths_are_replaced_and_their_targets_kept(tmp_path, monkeypatch):
+    # a symlink at an output path is replaced by the new regular file, never
+    # swapped: its target keeps its bytes, and a dangling link's target stays
+    # missing; the regular files of a rerun are still swapped
+    config = parse_config_text(FREE_CFG)
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    run_config(config, output_dir=whole)
+    run_config(config, output_dir=out)
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"kept\n")
+    (out / "x_fields.csv").unlink()
+    (out / "x_fields.csv").symlink_to(target)
+    (out / "report.json").unlink()
+    (out / "report.json").symlink_to(tmp_path / "missing.json")
+    swapped = []
+    if runner._renameat2 is not None:
+        def renameat2(*args, swap=runner._renameat2):
+            swapped.append(os.fsdecode(args[3]))
+            return swap(*args)
+
+        monkeypatch.setattr(runner, "_renameat2", renameat2)
+    run_config(config, output_dir=out)
+    assert not any(p.is_symlink() for p in out.iterdir())
+    assert _contents(out) == _contents(whole)
+    assert target.read_bytes() == b"kept\n" and not (tmp_path / "missing.json").exists()
+    if runner._renameat2 is not None:
+        assert sorted(Path(p).name for p in swapped) == ["x_trajectory_1.csv"]
+
+
+def test_report_strings_are_escaped_as_json_dumps_escapes_them():
+    # quotes, backslashes, control characters and non-ASCII letters in keys
+    # and values come out as json.dumps (ASCII only) writes them; a report
+    # without floats or empty containers is json.dumps with indent=2
+    texts = ['say "hi"', "back\\slash", "bell\x07 tab\t nl\n nul\x00", "na\u00efve \u03a9",
+             "\U0001f600", "\x7f\u2028"]
+    report = {"verdict": "pass", "strings": texts, "nested": {t: [t, True, 3] for t in texts}}
+    text = runner._json_render(report)
+    assert text == json.dumps(report, indent=2)
+    assert text.isascii() and json.loads(text) == report
+    assert runner._json_render([math.nan, -math.inf, 0.1]) == '[\n  "nan",\n  "-inf",\n  0.10000000000000001\n]'
+
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 def test_streamed_table_memory_is_bounded_by_the_chunk(tmp_path, fmt):
     # A 10-column table of 200001 rows holds 16 MB of float64 data.  Writing
