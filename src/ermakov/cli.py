@@ -97,7 +97,3 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -217,6 +217,7 @@ def trajectory(
         which = np.repeat(np.arange(len(paths)), sizes)  # the path of each sample
         a, b = np.maximum(a[which], lo - 2.0 * pad), np.minimum(b[which], hi + 2.0 * pad)
         x, row, live = np.minimum(np.maximum(x, a), b), which * grid.size, np.arange(x.size)
+        last = np.full(x.size, np.inf)  # each sample's last |step|
         for _ in range(_STEPS):
             f, slope = S_at(x_live := x[live], S_rows, row[live])
             step = (f - s[live]) / slope
@@ -225,8 +226,12 @@ def trajectory(
                 at = np.searchsorted(live, out := np.flatnonzero(~inside))  # out's places in live
                 a[out], b[out] = np.where(f[at] < s[out], (x_live[at], b[out]), (a[out], x_live[at]))
                 x[out], step[at] = 0.5 * (a[out] + b[out]), np.inf
-            # a path steps on while any of its steps is large (nan is not)
-            moving = np.bincount(which[live], np.abs(step) > _EPS * (hi - lo), len(paths)) > 0
+            # a path steps on while any of its steps is large (nan is not) and not settled:
+            # a finite step no smaller than its last, from a residual within the final bound
+            size, bound = np.abs(step), 64.0 * _EPS * (scale[which[live]] + np.abs(x_live * slope))
+            settled = (size >= last[live]) & (size < np.inf) & (np.abs(f - s[live]) <= bound)
+            last[live] = size
+            moving = np.bincount(which[live], (size > _EPS * (hi - lo)) & ~settled, len(paths)) > 0
             live = live[moving[which[live]]]
             if not live.size:
                 break

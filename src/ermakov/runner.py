@@ -353,11 +353,17 @@ def _json_render(value, indent: int = 0) -> str:
 def _atomic_write(path: Path, parts) -> None:
     """Write the byte chunks ``parts`` to ``path`` through a ``.tmp`` file, each as it
     arrives, then swap it with a regular file at ``path`` (no ext4 writeback, unlike a
-    rename over it) and unlink the old file, else ``os.replace``; a failure unlinks ``.tmp``."""
+    rename over it) and unlink the old file, else ``os.replace``; a failure unlinks ``.tmp``.
+    ``.tmp`` is made anew, never opened through a symlink or a file already there."""
     tmp = path.with_name(path.name + ".tmp")
     new, old = os.fsencode(tmp), os.fsencode(path)
     try:
-        with open(tmp, "wb") as f:
+        try:
+            f = open(tmp, "xb")
+        except FileExistsError:  # a stale name: unlinking a symlink leaves its target
+            os.unlink(new)
+            f = open(tmp, "xb")
+        with f:
             for part in parts:
                 f.write(part)
         swap = False  # only with a regular file, not a symlink; none where lstat fails

@@ -848,6 +848,27 @@ def test_symlinks_at_output_paths_are_replaced_and_their_targets_kept(tmp_path, 
         assert sorted(Path(p).name for p in swapped) == ["x_trajectory_1.csv"]
 
 
+def test_planted_tmp_symlinks_leave_their_targets_alone(tmp_path):
+    # a symlink planted at an output's .tmp name, to a file outside the
+    # directory, is unlinked and never written through, on a first run and on
+    # a rerun: the target keeps its bytes, every output is a regular file with
+    # the bytes of a clean run, and no .tmp name is left
+    config = parse_config_text(FREE_CFG)
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    run_config(config, output_dir=whole)
+    out.mkdir()
+    victims = [(out / f"{name}.tmp", tmp_path / f"victim_{name}")
+               for name in ("report.json", "x_fields.csv")]
+    for _ in range(2):
+        for link, victim in victims:
+            victim.write_bytes(b"kept\n")
+            link.symlink_to(victim)
+        run_config(config, output_dir=out)
+        assert all(victim.read_bytes() == b"kept\n" for _, victim in victims)
+        assert not any(p.is_symlink() for p in out.iterdir())
+        assert _contents(out) == _contents(whole)
+
+
 def test_report_strings_are_escaped_as_json_dumps_escapes_them():
     # quotes, backslashes, control characters and non-ASCII letters in keys
     # and values come out as json.dumps (ASCII only) writes them; a report
@@ -1096,6 +1117,35 @@ def test_runtime_dependencies_are_numpy_only():
 
     assert names(project["dependencies"]) == ["numpy"]
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def _fresh(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the package from this tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ermakov.__file__).resolve().parent.parent)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_the_package_root_loads_nothing_but_its_version():
+    # every public name is imported from its own module; a bare import ermakov
+    # loads no other ermakov module and no numpy
+    proc = _fresh("-c", "import sys, ermakov; print(ermakov.__version__, sorted(m for m in "
+                        "sys.modules if m.startswith(('ermakov.', 'numpy'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=1) == [ermakov.__version__, "[]\n"]
+
+
+def test_each_module_imports_on_its_own():
+    # a fresh interpreter per module imports it first, so none works only
+    # because another one was imported before it; __main__ runs the catalog
+    # command.  Two interpreters at a time, one per core of a small runner.
+    modules = sorted(p.stem for p in Path(ermakov.__file__).parent.glob("*.py"))
+    runs = [("-m", "ermakov", "catalog") if m == "__main__" else ("-c", f"import ermakov.{m}")
+            for m in modules if m != "__init__"]
+    with futures.ThreadPoolExecutor(2) as pool:
+        procs = list(pool.map(lambda args: _fresh("-W", "error", *args), runs))
+    failed = {args[-1]: proc.stderr for args, proc in zip(runs, procs)
+              if proc.returncode != 0 or proc.stderr}
+    assert failed == {}
 
 
 SEEDED_PAIRS = {
