@@ -3,8 +3,10 @@
 :func:`format_real` is the rule: ``'%.17g' % x``, which round-trips every
 double.  :func:`table_chunks` streams the bytes of a table under that rule
 block by block, without formatting values one at a time.  Two threads render
-a table of several blocks, half a block each and one block ahead of the one
-handed back, so rendering holds a few MB however long the table is.
+a table of several blocks, a block per job and one ahead on each, so rendering
+holds a few MB however long the table is.  numpy drops the GIL inside each
+array pass, so the threads trade it once a pass: a whole block per job, not
+half of one, halves those hand-offs per value.
 
 Each finite nonzero |x| = f 2^e is scaled to y = |x| 10^(16 - E) in
 [1e16, 1e17) as a double-double: Dekker's exact product of f with a
@@ -21,7 +23,7 @@ are therefore those of ``format_real`` applied to every value.
 from __future__ import annotations
 
 import json
-from collections import deque
+import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,6 +38,7 @@ _P_LO, _P_HI = -293, 341
 _FRAC_BITS = 110
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 _TIE_BAND = 2.0**-30
+_THREAD = threading.local()  # a render thread's work buffer, as ``_THREAD.work``
 
 # Byte slots of one value.  Every rendering is a subsequence of this
 # template: the D (digit) and X (exponent) slots are filled in per value,
@@ -206,15 +209,20 @@ def _digits(n, words, value, t: _Tables):
     return zeros
 
 
-def _render_into(x: np.ndarray, cells: np.ndarray, at: int, patterns, t: _Tables) -> None:
-    """Write ``format_real(x[i])`` into row i of the uint8 array ``cells``.
+def _render(x: np.ndarray, work: np.ndarray, frame: np.ndarray, at: int, patterns, t: _Tables):
+    """The uint8 ``frame``'s rows repeated, ``format_real(x[i])`` in row i: their nonzero bytes.
 
-    Columns ``at`` .. ``at + _WIDTH`` of every row must hold ``_TEMPLATE``,
-    and ``at`` and the row length must be multiples of 4; those columns are
-    left holding the rendering, spread out among zero bytes.  ``patterns``
+    Columns ``at`` .. ``at + _WIDTH`` of every row of ``frame`` must hold
+    ``_TEMPLATE``, and ``at`` and the row length must be multiples of 4; the
+    rendering is written there, spread out among zero bytes.  ``patterns``
     holds the keep masks widened to the row length, 0xFF outside those columns.
+    ``work``, if not None, holds the cells and keep masks: uint8, a row per value or more.
     """
     n, big_e, special = _decimal(x, t)
+    if work is None:  # allocated past _decimal's peak
+        work = np.empty((2, len(x), frame.shape[1]), np.uint8)
+    cells, keep = work[:, : len(x)]
+    cells.reshape(-1, *frame.shape)[...] = frame
     words = cells.view(np.uint32)[:, at // 4 :]
     value = cells[:, at : at + _WIDTH]
     zeros = _digits(n, words, value, t)
@@ -222,19 +230,21 @@ def _render_into(x: np.ndarray, cells: np.ndarray, at: int, patterns, t: _Tables
     words[:, _EXP // 4] = t.exponents.take(big_e + 330)
     fixed = (big_e >= _FIXED_LO) & (big_e <= _FIXED_HI)
     row = np.where(fixed, big_e - _FIXED_LO, _EXPONENT) * 17 + (16 - zeros)
-    np.bitwise_and(cells, patterns.take(row, axis=0), out=cells)
+    patterns.take(row, axis=0, out=keep, mode="clip")  # every row is in range
+    np.bitwise_and(cells, keep, out=cells)
 
     for i in np.flatnonzero(special).tolist():
         text = format_real(float(x[i])).encode()
         value[i] = 0
         value[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells[np.not_equal(cells, 0, out=keep.view(np.bool_))]  # the masks' buffer, reused
 
 
 @lru_cache(maxsize=16)
 def _layout(names: tuple[str, ...], fmt: str):
-    """(header, frame row, at, cell, keep masks widened to the cell), read-only, per
-    (names, format).  One cell per value: its column's prefix, right-aligned at a
-    multiple of 4, the template from ``at``, and the row suffix after the last column."""
+    """(header, frame of one cell per column, at, cell, keep masks widened to the cell),
+    read-only, per (names, format).  One cell per value: its column's prefix, right-aligned
+    at a multiple of 4, the template from ``at``, and the row suffix after the last column."""
     if fmt == "csv":
         head, suffix, prefixes = ",".join(names) + "\n", "\n", [""] + [","] * (len(names) - 1)
     else:
@@ -249,7 +259,7 @@ def _layout(names: tuple[str, ...], fmt: str):
     frame[-1, at + _WIDTH : at + _WIDTH + len(suffix)] = np.frombuffer(suffix.encode(), np.uint8)
     patterns = np.pad(_tables().patterns, ((0, 0), (at, cell - at - _WIDTH)), constant_values=0xFF)
     frame.flags.writeable = patterns.flags.writeable = False  # a view of each is read-only too
-    return head.encode(), frame.ravel(), at, cell, patterns
+    return head.encode(), frame, at, cell, patterns
 
 
 def table_chunks(names: tuple[str, ...], columns, fmt: str):
@@ -257,7 +267,7 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
     per row) table of the equal-length 1-D ``columns``, every value rendered
     by :func:`format_real`: the header, then one uint8 array of whole rows per
     block of at most ``_CHUNK`` values, in order, read as slices of each column
-    (which need only a length), so no more than two blocks are held at once."""
+    (which need only a length), so no more than three blocks are held at once."""
     width = len(names)
     columns = list(columns)
     if len(columns) != width or len({len(c) for c in columns}) != 1:
@@ -266,26 +276,26 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
     t, (head, frame, at, cell, patterns) = _tables(), _layout(tuple(names), fmt)
     step, rows = max(1, _CHUNK // width), len(columns[0])
 
-    def render(start, stop):
-        block = np.stack([c[start:stop] for c in columns], axis=1, dtype=np.float64)
-        buf = np.tile(frame, len(block))
-        _render_into(block.ravel(), buf.reshape(-1, cell), at, patterns, t)
-        return buf[buf != 0]
+    def render(start):
+        block = np.stack([c[start : start + step] for c in columns], axis=1, dtype=np.float64)
+        return _render(block.ravel(), getattr(_THREAD, "work", None), frame, at, patterns, t)
 
     yield head
     if rows <= step:  # a table of one block is rendered here, with no hand-off
         if rows:
-            yield render(0, rows)
+            yield render(0)
         return
     from concurrent.futures import ThreadPoolExecutor  # only such a table pays for the import
 
-    ahead, half = deque(), -(-step // 2)
+    # Each render thread takes one of two work buffers allocated here, from this
+    # thread's malloc arena, which the next sector's pair reuses; a render thread's
+    # own arena keeps what it frees, and that pair would peak on top of it.
+    ahead, spare = [], list(np.empty((2, 2, step * width, cell), np.uint8))
     # the table's own two threads; leaving the block, on end or close, waits for every job
-    with ThreadPoolExecutor(2, thread_name_prefix="render") as pool:
+    with ThreadPoolExecutor(2, thread_name_prefix="render",
+                            initializer=lambda: setattr(_THREAD, "work", spare.pop())) as pool:
         for start in range(0, rows, step):
-            stop = min(start + step, rows)
-            ahead.append([pool.submit(render, a, min(a + half, stop))
-                          for a in range(start, stop, half)])
-            if len(ahead) > 1:  # one block ahead keeps both threads busy
-                yield np.concatenate([job.result() for job in ahead.popleft()])
-        yield np.concatenate([job.result() for job in ahead[0]])
+            ahead.append(pool.submit(render, start))
+            if len(ahead) > 2:  # a block ahead for each thread keeps both busy
+                yield ahead.pop(0).result()
+        yield from (job.result() for job in ahead)

@@ -228,6 +228,7 @@ class SectorResult:
     p: np.ndarray
     Q: np.ndarray
     invariant: np.ndarray
+    invariant_reference: float
     invariant_drift: float
     invariant_worst_q: float
     pair_condition: float
@@ -240,8 +241,8 @@ def execute_sector(
     """Run the full pipeline for one sector, with its form and trajectories."""
     pair = setup.build_pair(settings)
     amplitude = pinney_amplitude(PinneyCoefficients.of(setup.k, pair.W, setup.form), pair)
-    inv = el_invariant(amplitude)
-    drift = invariant_drift(inv, grid=pair.grid)
+    inv, c = el_invariant(amplitude), amplitude.coefficients
+    drift = invariant_drift(inv, pair.grid, 0.5 * (c.B or c.A) * pair.W**2)  # I's exact value
     omega2 = setup.profile.omega2_array(pair.grid)
     rho, m = amplitude.rho, setup.profile.m
     p = momentum_field(setup.C, rho)
@@ -260,6 +261,7 @@ def execute_sector(
         p=p,
         Q=q_pot,
         invariant=inv,
+        invariant_reference=drift.reference,
         invariant_drift=drift.drift,
         invariant_worst_q=drift.location,
         pair_condition=pair.condition(),
@@ -297,7 +299,7 @@ def _sector_report(result: SectorResult, tol: Tolerances) -> dict:
         "k": result.setup.k,
         "wronskian": pair.W,
         "coefficients": {"A": coeffs.A, "B": coeffs.B, "D": coeffs.D},
-        "invariant_reference": float(result.invariant[result.invariant.size // 2]),
+        "invariant_reference": result.invariant_reference,
         "invariant_drift": result.invariant_drift,
         "invariant_worst_q": result.invariant_worst_q,
         "pair_condition": result.pair_condition,

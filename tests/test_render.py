@@ -202,6 +202,23 @@ def test_table_of_several_blocks_builds_its_layout_before_its_threads(monkeypatc
         assert b"".join(chunks) == _expected_table(("t", "x"), columns, fmt)
     assert threads == [threading.main_thread()] * 2
 
+def test_each_render_job_is_one_whole_block(monkeypatch):
+    # a render thread takes a whole block per job, not half of one, so it
+    # trades the GIL half as often per value; the blocks still come back in order
+    jobs, kernel = [], render._render
+
+    def counted(x, *args):
+        jobs.append((x.size, threading.current_thread() is threading.main_thread()))
+        return kernel(x, *args)
+
+    monkeypatch.setattr(render, "_render", counted)
+    rows = 2 * (_CHUNK // 2) + 4099  # two full blocks of two columns, then 4099 rows
+    columns = (np.arange(rows, dtype=float), -np.arange(rows, dtype=float))
+    chunks = list(table_chunks(("t", "x"), columns, "csv"))
+    assert sorted(jobs, reverse=True) == [(_CHUNK, False)] * 2 + [(2 * rows - 2 * _CHUNK, False)]
+    assert b"".join(chunks) == _expected_table(("t", "x"), columns, "csv")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_renders_tables_of_several_blocks():
     # A forked child has none of its parent's threads; each table it renders
