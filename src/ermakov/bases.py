@@ -156,14 +156,6 @@ def weber_pair(
 # Whittaker basis (mu = 1/2)
 # ---------------------------------------------------------------------------
 
-def _horner(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """numpy's ``polyval(x, terms)`` bit for bit, in place; its start keeps the signed zeros."""
-    acc = terms[-1][:, None] + x * 0
-    for c in terms[-2::-1]:
-        np.add(np.multiply(acc, x, out=acc), c[:, None], out=acc)
-    return acc
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a sum that stops being finite raises
 def _whittaker_m_series(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kummer series S(z) = 1F1(1 - kappa; 2; z) and S'(z) on a grid z > 0.
@@ -190,7 +182,7 @@ def _whittaker_m_series(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.nda
         )
     b = np.array(b)  # S = sum b_n u^n and z_max S' = sum n b_n u^(n-1), u = z / z_max
     terms = np.stack((b, np.append(b[1:] * np.arange(1, b.size), 0.0)), axis=1)
-    acc = _horner(z / zmax, terms)
+    acc = np.polynomial.polynomial.polyval(z / zmax, terms)  # Horner's rule
     if not (math.isfinite(total) and np.isfinite(acc).all()):
         raise SeriesConvergenceError(f"Whittaker M series overflows at term {b.size - 1}")
     return acc[0], acc[1] / zmax
@@ -429,7 +421,7 @@ def mathieu_column(
     harmonics, coeffs = mathieu_coefficients(ell, parity, q, a)
     if not modified:
         terms = np.stack((coeffs, coeffs * harmonics), axis=1)  # S and -i S'
-        s = _horner(np.exp(2j * grid), terms)
+        s = np.polynomial.polynomial.polyval(np.exp(2j * grid), terms)  # Horner's rule
         s *= np.exp(1j * harmonics[0] * grid)
         y, dy = (s[0].real, -s[1].imag) if parity == "even" else (s[0].imag, s[1].real)
         return Column(grid, np.ascontiguousarray(y), np.ascontiguousarray(dy))

@@ -226,12 +226,11 @@ def el_invariant(amplitude: ErmakovAmplitude) -> np.ndarray:
 class DriftResult(NamedTuple):
     drift: float
     location: float
-    reference: float
 
 
-def invariant_drift(values: np.ndarray, grid: np.ndarray | None = None,
-                    reference: float | None = None) -> DriftResult:
-    """Max deviation of the samples from I_ref (``reference``, else their midpoint), relative to |I_ref|.
+def invariant_drift(values: np.ndarray, reference: float,
+                    grid: np.ndarray | None = None) -> DriftResult:
+    """Max deviation of the samples from I_ref = ``reference``, relative to |I_ref|.
 
     I is a sum of two nonnegative terms, so |I_ref| is their size.  Samples
     that are all 0 read 0; a zero I_ref with another sample nonzero reads inf.
@@ -239,9 +238,9 @@ def invariant_drift(values: np.ndarray, grid: np.ndarray | None = None,
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ConfigurationError("drift needs at least two samples")
-    ref = float(values[values.size // 2] if reference is None else reference)
+    ref = float(reference)
     dev = np.abs(values - ref)
     idx = int(np.argmax(dev))
     drift = float(dev[idx]) / abs(ref) if ref else (math.inf if dev[idx] else 0.0)
     where = float(grid[idx]) if grid is not None else float(idx)
-    return DriftResult(drift, where, ref)
+    return DriftResult(drift, where)

@@ -287,9 +287,8 @@ def table_chunks(names: tuple[str, ...], columns, fmt: str):
         return
     from concurrent.futures import ThreadPoolExecutor  # only such a table pays for the import
 
-    # Each render thread takes one of two work buffers allocated here, from this
-    # thread's malloc arena, which the next sector's pair reuses; a render thread's
-    # own arena keeps what it frees, and that pair would peak on top of it.
+    # each render thread takes a work buffer allocated here, in the arena the next
+    # sector's pair reuses; a render thread's arena keeps what it frees
     ahead, spare = [], list(np.empty((2, 2, step * width, cell), np.uint8))
     # the table's own two threads; leaving the block, on end or close, waits for every job
     with ThreadPoolExecutor(2, thread_name_prefix="render",

@@ -242,7 +242,8 @@ def execute_sector(
     pair = setup.build_pair(settings)
     amplitude = pinney_amplitude(PinneyCoefficients.of(setup.k, pair.W, setup.form), pair)
     inv, c = el_invariant(amplitude), amplitude.coefficients
-    drift = invariant_drift(inv, pair.grid, 0.5 * (c.B or c.A) * pair.W**2)  # I's exact value
+    reference = 0.5 * (c.B or c.A) * pair.W**2  # I's exact value
+    drift = invariant_drift(inv, reference, pair.grid)
     omega2 = setup.profile.omega2_array(pair.grid)
     rho, m = amplitude.rho, setup.profile.m
     p = momentum_field(setup.C, rho)
@@ -261,7 +262,7 @@ def execute_sector(
         p=p,
         Q=q_pot,
         invariant=inv,
-        invariant_reference=drift.reference,
+        invariant_reference=reference,
         invariant_drift=drift.drift,
         invariant_worst_q=drift.location,
         pair_condition=pair.condition(),

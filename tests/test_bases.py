@@ -436,42 +436,6 @@ def test_plain_mathieu_column_matches_the_direct_sum(ell, parity, q):
     assert np.max(np.abs(col.dy - dy)) <= 1e-14 * np.max(np.abs(dy))
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
-def test_horner_sums_match_polyval_bit_for_bit():
-    # the in-place Horner pass keeps numpy's polyval bits, signed zeros
-    # included: a pass started from the top coefficients alone (np.empty)
-    # flips one of these 600 cases
-    polyval = np.polynomial.polynomial.polyval
-    rng = np.random.default_rng(17)
-    for case in range(600):
-        n, m = rng.integers(1, 60), rng.integers(1, 200)
-        terms = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, 2))
-        zero = rng.random((n, 2)) < 0.3
-        terms[zero] = rng.choice([0.0, -0.0], zero.sum())
-        x = rng.uniform(0.0, 1.0, m)
-        x[rng.random(m) < 0.2] = rng.choice([0.0, -0.0])
-        if case % 2:  # the Mathieu sums' unit circle
-            x = np.exp(2j * rng.uniform(-7.0, 7.0, m))
-            x[rng.random(m) < 0.2] = rng.choice([0.0, -0.0, 1.0, -1.0])
-        assert np.array_equal(_bits(bases._horner(x, terms)), _bits(polyval(x, terms))), case
-
-
-@pytest.mark.parametrize("ell, parity", [(0, "even"), (1, "odd"), (2, "even"), (5, "odd")])
-def test_plain_mathieu_column_matches_polyval_bit_for_bit(ell, parity):
-    # nu = 0 included: there the odd column is a sum of sines, a signed zero
-    nu = np.concatenate(([0.0, -0.0], np.linspace(0.0, 2.0 * math.pi, 501)))
-    a = mathieu_char_value(ell, parity, 0.5)
-    col = mathieu_column(ell, 0.5, nu, parity=parity, a=a)
-    harmonics, c = mathieu_coefficients(ell, parity, 0.5, a)
-    s = np.polynomial.polynomial.polyval(np.exp(2j * nu), np.stack((c, c * harmonics), axis=1))
-    s *= np.exp(1j * harmonics[0] * nu)
-    y, dy = (s[0].real, -s[1].imag) if parity == "even" else (s[0].imag, s[1].real)
-    assert np.array_equal(_bits(col.y), _bits(y)) and np.array_equal(_bits(col.dy), _bits(dy))
-
-
 @pytest.mark.parametrize("q", [0.5, 5.0, 50.0, 1e-3])
 def test_mathieu_ladder_holds_on_every_row(q):
     # Below the order's harmonic the wanted coefficients are the minimal

@@ -206,7 +206,7 @@ def test_el_invariant_degenerate_parallel_solution():
     amp = pinney_amplitude(PinneyCoefficients(2.0, 0.0, 0.0, 0.0), defect)
     inv = el_invariant(amp)
     np.testing.assert_allclose(inv, defect.wronskian_samples() ** 2, rtol=1e-15)
-    assert invariant_drift(inv).drift > 1e-2
+    assert invariant_drift(inv, 0.5 * 2.0 * defect.W**2).drift > 1e-2
 
 
 def test_el_invariant_keeps_its_digits_across_a_wide_pair():
@@ -217,7 +217,8 @@ def test_el_invariant_keeps_its_digits_across_a_wide_pair():
     (setup,) = build_problem(spec)
     pair = setup.build_pair()
     amp = pinney_amplitude(PinneyCoefficients.of(setup.k, pair.W), pair)
-    assert invariant_drift(el_invariant(amp)).drift <= 1e-12
+    c = amp.coefficients
+    assert invariant_drift(el_invariant(amp), 0.5 * (c.B or c.A) * pair.W**2).drift <= 1e-12
     # where nothing cancels, the pair form agrees with the general formula
     xi = np.linspace(-4.0, 4.0, 801)
     pair = weber_pair(0.5, weber_profile(0.5), xi)
@@ -230,25 +231,26 @@ def test_el_invariant_keeps_its_digits_across_a_wide_pair():
 
 def test_invariant_drift_basics():
     const = np.full(101, 2.0)
-    assert invariant_drift(const).drift == 0.0
+    assert invariant_drift(const, 2.0).drift == 0.0
     bumped = const.copy()
     bumped[7] *= 1.0 + 1e-5
-    assert invariant_drift(bumped).drift >= 0.9e-5
+    assert invariant_drift(bumped, 2.0).drift >= 0.9e-5
     # relative at every scale, with no absolute switch near zero
-    assert invariant_drift(bumped * 2.0**-990).drift == invariant_drift(bumped).drift
-    assert invariant_drift(np.zeros(11)).drift == 0.0
+    assert (invariant_drift(bumped * 2.0**-990, 2.0 * 2.0**-990).drift
+            == invariant_drift(bumped, 2.0).drift)
+    assert invariant_drift(np.zeros(11), 0.0).drift == 0.0
     tiny = np.zeros(11)
     tiny[3] = 1e-300
-    assert invariant_drift(tiny).drift == math.inf
+    assert invariant_drift(tiny, 0.0).drift == math.inf
     with pytest.raises(ConfigurationError):
-        invariant_drift(np.array([1.0]))
+        invariant_drift(np.array([1.0]), 1.0)
 
 
 def test_invariant_drift_reports_location():
     grid = np.linspace(0.0, 1.0, 101)
     values = np.ones(101)
     values[80] += 1e-3
-    result = invariant_drift(values, grid=grid)
+    result = invariant_drift(values, 1.0, grid=grid)
     assert result.location == pytest.approx(grid[80])
 
 

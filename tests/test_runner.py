@@ -906,9 +906,10 @@ def test_streamed_table_memory_is_bounded_by_the_chunk(tmp_path, fmt):
 def test_streamed_group_memory_is_bounded_by_the_chunk(tmp_path, fmt):
     # Three two-column tables of 200001 rows hold 9.6 MB of float64 data.
     # Rendering them in one pass and cutting the stream into files keeps the
-    # traced peak near 5 MB; joining the group's columns first peaks at 14 MB,
-    # and joining its rendered bytes before the cut at 98 MB (csv) and 116 MB
-    # (json-lines) here.
+    # traced peak near 8.5 MB (the chunk being written, one chunk ahead on
+    # each of the two render threads, and their work buffers); joining the
+    # group's columns first peaks at 14 MB, and joining its rendered bytes
+    # before the cut at 98 MB (csv) and 116 MB (json-lines) here.
     rng = np.random.default_rng(13)
     tables = [(np.linspace(0.0, 1.0, 200_001), rng.standard_normal(200_001)) for _ in range(3)]
     b"".join(table_chunks(("x",), (np.ones(1),), fmt))  # builds the lookup tables
