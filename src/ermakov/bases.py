@@ -60,6 +60,7 @@ _CHAR_SIZE_CAP = 1024  # Mathieu ladder rows above which doubling is refused
 # Eigensolver roundoff, relative to the ladder matrix's norm: two truncations
 # closer than this agree to within the accuracy of the eigenvalues themselves.
 _EIG_FLOOR = 16.0 * np.finfo(float).eps
+_MATHIEU_TAIL = 0.25 * np.finfo(float).eps  # a Mathieu sum's dropped tail, relative to its terms
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,15 @@ def weber_pair(
 # Whittaker basis (mu = 1/2)
 # ---------------------------------------------------------------------------
 
+def _horner(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """numpy's ``polyval(x, terms)`` bit for bit, in one pass in place."""
+    acc = terms[-1][:, None] + x * 0  # as polyval starts, which keeps the signed zeros
+    for c in terms[-2::-1]:
+        acc *= x
+        np.add(c[:, None], acc, out=acc)  # polyval's operand order, for the nan signs
+    return acc
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a sum that stops being finite raises
 def _whittaker_m_series(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kummer series S(z) = 1F1(1 - kappa; 2; z) and S'(z) on a grid z > 0.
@@ -182,7 +192,7 @@ def _whittaker_m_series(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.nda
         )
     b = np.array(b)  # S = sum b_n u^n and z_max S' = sum n b_n u^(n-1), u = z / z_max
     terms = np.stack((b, np.append(b[1:] * np.arange(1, b.size), 0.0)), axis=1)
-    acc = np.polynomial.polynomial.polyval(z / zmax, terms)  # Horner's rule
+    acc = _horner(z / zmax, terms)
     if not (math.isfinite(total) and np.isfinite(acc).all()):
         raise SeriesConvergenceError(f"Whittaker M series overflows at term {b.size - 1}")
     return acc[0], acc[1] / zmax
@@ -302,12 +312,13 @@ def mathieu_char_value(ell: int, parity: str, q: float) -> float:
     matrix's norm, which grows with the truncation); the doubled value is
     returned.  Each truncation is solved by an exact dense symmetric
     eigensolver, in O(size^3) (see :func:`mathieu_char_value_truncated`), so
-    the truncation starts at 4 ell + 20 rows and is refused above 2 _CHAR_SIZE_CAP:
-    one of 2048 rows takes about 1 s and 32 MB on a 2-core x86_64 host.
+    the truncation starts at max(16, 4 ell + 12) rows and is refused above
+    2 _CHAR_SIZE_CAP: one of 2048 rows takes about 1 s and 32 MB on a 2-core
+    x86_64 host.
     """
     if not math.isfinite(q):
         raise ConfigurationError(f"Mathieu parameter q must be finite, got {q!r}")
-    size = max(32, 4 * int(ell) + 20)
+    size = max(16, 4 * int(ell) + 12)
     if size > _CHAR_SIZE_CAP:
         raise CharValueConvergenceError(
             f"order ell = {ell} needs a first truncation of {size} rows,"
@@ -416,20 +427,31 @@ def mathieu_column(
     Plain:    sum_k c_k cos(h_k nu)   or  sum_k c_k sin(h_k nu), a part of
               e^{i h_0 nu} P(e^{2i nu}), summed with its derivative by one Horner pass
     Modified: sum_k c_k cosh(h_k mu)  or  sum_k c_k sinh(h_k mu), term by term
+
+    Both sums stop at the first term whose dropped tail, sum |c_k| for y and
+    sum |c_k h_k| for y', is at most eps/4 of that sum over the whole ladder;
+    a modified term is weighted by cosh(h_k max|mu|) (DLMF section 28.4).
     """
     grid = np.asarray(grid, dtype=float)
     harmonics, coeffs = mathieu_coefficients(ell, parity, q, a)
+    weight = np.abs(coeffs)
+    if modified:
+        reach, top = float(np.max(np.abs(grid))), float(np.max(harmonics))
+        if top * reach > 700.0:
+            raise ConfigurationError(
+                "hyperbolic-sum terms would overflow on this grid; reduce the grid"
+                " extent or the coefficient count"
+            )
+        weight *= np.cosh(harmonics * reach) / np.cosh(top * reach)  # at most 1: no tail overflows
+    dropped = np.cumsum(np.stack((weight, weight * harmonics), axis=1)[::-1], axis=0)[::-1]
+    n = coeffs.size - int(np.sum((dropped <= _MATHIEU_TAIL * dropped[0]).all(axis=1)))
+    harmonics, coeffs = harmonics[:n], coeffs[:n]
     if not modified:
         terms = np.stack((coeffs, coeffs * harmonics), axis=1)  # S and -i S'
-        s = np.polynomial.polynomial.polyval(np.exp(2j * grid), terms)  # Horner's rule
+        s = _horner(np.exp(2j * grid), terms)
         s *= np.exp(1j * harmonics[0] * grid)
         y, dy = (s[0].real, -s[1].imag) if parity == "even" else (s[0].imag, s[1].real)
         return Column(grid, np.ascontiguousarray(y), np.ascontiguousarray(dy))
-    if float(np.max(harmonics)) * float(np.max(np.abs(grid))) > 700.0:
-        raise ConfigurationError(
-            "hyperbolic-sum terms would overflow on this grid; reduce the grid"
-            " extent or the coefficient count"
-        )
     f, df = (np.cosh, np.sinh) if parity == "even" else (np.sinh, np.cosh)
     y, dy = np.zeros_like(grid), np.zeros_like(grid)
     for h, c in zip(harmonics, coeffs):

@@ -24,6 +24,7 @@ own (see :mod:`ermakov.problems`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,17 +180,42 @@ def _magnus_steps(w2: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     C = cosh s and S = sinh(s)/s (cos and sin for s^2 < 0, their Taylor series
     near s^2 = 0).
     """
-    k2 = (math.sqrt(15.0) / 3.0) * h * (w2[2] - w2[0])
-    k3 = (10.0 / 3.0) * h * (w2[2] - 2.0 * w2[1] + w2[0])
-    hw = h * w2[1]
-    hk2 = h * k2
-    g = hk2 * (1 / 12 + h * (hw / 180 + k3 / 7200))
-    b = h * (1.0 + h * (hk2 * k2 / 3600 + k3 / 180))
-    c = (hw * (h * (k3 / 180 - hk2 * k2 / 3600) - 1.0) - k3 / 12
-         + h * (k3 * k3 / 3600 - k2 * k2 / 120))
-    s2 = g * g + b * c
-    cosh = 1.0 + s2 * (1 / 2 + s2 * (1 / 24 + s2 / 720))
-    sinc = 1.0 + s2 * (1 / 6 + s2 * (1 / 120 + s2 / 5040))
+    # Each temporary is updated in place by the operations of its formula, in
+    # their order (the two operands of one operation commute exactly):
+    #   g = hk2 (1/12 + h (hw/180 + k3/7200)),  b = h (1 + h (hk2 k2/3600 + k3/180)),
+    #   c = hw (h (k3/180 - hk2 k2/3600) - 1) - k3/12 + h (k3^2/3600 - k2^2/120),
+    #   cosh = 1 + s2 (1/2 + s2 (1/24 + s2/720)),  sinc = 1 + s2 (1/6 + s2 (1/120 + s2/5040))
+    k2 = w2[2] - w2[0]
+    k2 *= (math.sqrt(15.0) / 3.0) * h
+    k3 = w2[2] - 2.0 * w2[1]
+    k3 += w2[0]
+    k3 *= (10.0 / 3.0) * h
+    hw, hk2, k3_180 = h * w2[1], h * k2, k3 / 180
+    hk2k2 = hk2 * k2
+    hk2k2 /= 3600
+    g = hw / 180
+    g += k3 / 7200
+    b = hk2k2 + k3_180
+    c = k3_180 - hk2k2
+    for t, add, mul in ((g, 1 / 12, hk2), (b, 1.0, h), (c, -1.0, hw)):
+        t *= h
+        t += add
+        t *= mul
+    c -= k3 / 12
+    tail = k3 * k3
+    tail /= 3600
+    tail -= (k2 * k2) / 120
+    tail *= h
+    c += tail
+    del hk2k2, k3_180, tail  # so that the pass peaks no higher than the written-out formulas
+    s2 = g * g
+    s2 += b * c
+    cosh, sinc = s2 / 720, s2 / 5040
+    for t, inner, outer in ((cosh, 1 / 24, 1 / 2), (sinc, 1 / 120, 1 / 6)):
+        for add in (inner, outer):
+            t += add
+            t *= s2
+        t += 1.0
     big = np.abs(s2) >= _SERIES_S2
     if big.any():
         r = np.sqrt(np.abs(s2[big]))
@@ -197,11 +223,20 @@ def _magnus_steps(w2: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
         cosh[big] = np.where(grow, np.cosh(r), np.cos(r))
         sinc[big] = np.where(grow, np.sinh(r), np.sin(r)) / r
     m = np.empty((4, *s2.shape))  # filled row by row to bound the temporaries
-    m[0] = cosh + sinc * g
-    m[1] = sinc * b
-    m[2] = sinc * c
-    m[3] = cosh - sinc * g
+    np.multiply(sinc, g, out=m[0])
+    np.subtract(cosh, m[0], out=m[3])
+    m[0] += cosh
+    np.multiply(sinc, b, out=m[1])
+    np.multiply(sinc, c, out=m[2])
     return m, np.where(np.isfinite(s2), np.sqrt(np.maximum(s2, 0.0)), np.inf)
+
+
+@functools.lru_cache(maxsize=20)  # every substep count up to MAX_SUBSTEPS
+def _step_offsets(count: int) -> np.ndarray:
+    """Gauss points of ``count`` unit steps, shape (3, 1, count); read-only."""
+    offsets = np.arange(count) + _GAUSS[:, None, None]
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _cell_matrices(profile, starts, widths, count) -> tuple[np.ndarray, np.ndarray]:
@@ -214,9 +249,8 @@ def _cell_matrices(profile, starts, widths, count) -> tuple[np.ndarray, np.ndarr
     log2(count) passes.
     """
     h = widths / count
-    offsets = np.arange(count) + _GAUSS[:, None, None]  # (3, 1, count), in steps
     try:
-        w2 = profile.omega2_array((starts[:, None] + h[:, None] * offsets).ravel())
+        w2 = profile.omega2_array((starts[:, None] + h[:, None] * _step_offsets(count)).ravel())
     except (SingularEndpointError, FloatingPointError, ZeroDivisionError) as exc:
         raise IntegrationFailureError(f"frequency could not be evaluated: {exc}") from None
     w2 = w2.reshape(3, widths.size, count)
@@ -249,6 +283,28 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
         p[..., shift:] = _matmul(p[..., shift:], p[..., :-shift])
         shift *= 2
     return p
+
+
+def _anchor_propagators(cells: np.ndarray, pos: int) -> np.ndarray:
+    """Propagators from the anchor, node ``pos``, to every node: running
+    products of the cells outward and of their inverses inward.  Both sides
+    take one scan when neither is longer than _SCAN_SPLIT (padding the shorter
+    at its end with identities leaves every real prefix of the doubling passes
+    as it was); otherwise one side is scanned and stored, then the other."""
+    right = cells.shape[-1] - pos
+    phi = np.empty((*cells.shape[:-1], pos + right + 1))
+    phi[..., pos] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
+    if max(pos, right) > _SCAN_SPLIT:
+        phi[..., :pos] = _prefix_products(_adjugate(cells[..., :pos])[..., ::-1])[..., ::-1]
+        phi[..., pos + 1:] = _prefix_products(cells[..., pos:])
+        return phi
+    both = np.zeros((*cells.shape[:-1], 2, max(pos, right)))
+    both[[0, 3]] = 1.0
+    both[..., 0, :pos] = _adjugate(cells[..., :pos])[..., ::-1]
+    both[..., 1, :right] = cells[..., pos:]
+    both = _prefix_products(both)
+    phi[..., :pos], phi[..., pos + 1:] = both[..., 0, :pos][..., ::-1], both[..., 1, :right]
+    return phi
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results refine or raise below
@@ -315,11 +371,11 @@ def magnus_outward(
         # the anchor-side end of a cell is the last node reached before it
         return failure(message, np.where(right[cells], starts[cells], nodes[cells + 1]))
 
-    def converged(fine, coarse, bound):
-        """Whether each finite ``fine`` matrix meets ``bound`` against ``coarse``."""
-        estimate = np.max(np.abs(fine - coarse), axis=0) / _RICHARDSON
-        size = np.max(np.abs(fine), axis=0)
-        return np.all(np.isfinite(fine), axis=0) & (estimate <= np.maximum(bound, _ULP_FLOOR) * size)
+    def converged(fine, coarse, bound, finite):
+        """Whether each ``finite`` ``fine`` matrix meets ``bound`` against ``coarse``."""
+        estimate = np.abs(fine - coarse).max(axis=0) / _RICHARDSON
+        size = np.abs(fine).max(axis=0)
+        return finite & (estimate <= np.maximum(bound, _ULP_FLOOR) * size)
 
     def cell_pass(near, span_starts, span_widths, count):
         """Matrices across the spans of one pass; ``near`` holds, per span,
@@ -344,27 +400,26 @@ def magnus_outward(
     )
     fine, pair = new[:, :widths.size], new[:, widths.size:]
     cells = np.stack((fine, fine), axis=1)  # axis 1: final (fine, coarse) cell matrices
-    ok = converged(_matmul(fine[:, lower + 1], fine[:, lower]), pair, tol[lower] + tol[lower + 1])
+    both = _matmul(fine[:, lower + 1], fine[:, lower])
+    ok = converged(both, pair, tol[lower] + tol[lower + 1], np.isfinite(both).all(axis=0))
+    del both  # not held through the refinement and the scans
     lower = lower[ok]
     cells[:, 1, lower + 1] = _matmul(pair[:, ok], _adjugate(fine[:, lower]))
     todo = every[np.bincount(np.concatenate((lower, lower + 1)), minlength=every.size) == 0]
     coarse, grown, count = fine[:, todo], growth[todo], 2
     while todo.size:
         new, growth = cell_pass(todo, starts[todo], widths[todo], count)
-        stuck = ~np.all(np.isfinite(new), axis=0) & (np.abs(growth - grown) <= growth - _LOG_MAX)
+        finite = np.isfinite(new).all(axis=0)
+        stuck = ~finite & (np.abs(growth - grown) <= growth - _LOG_MAX)
         if stuck.any():
             raise cell_failure("cell propagator is not finite", todo[stuck])
-        done = converged(new, coarse, tol[todo])
+        done = converged(new, coarse, tol[todo], finite)
         cells[:, 0, todo[done]] = new[:, done]
         cells[:, 1, todo[done]] = coarse[:, done]
         todo, coarse, grown = todo[~done], new[:, ~done], growth[~done]
         count *= 2
 
-    # propagators from the anchor to every node, fine and coarse together
-    phi = np.empty((4, 2, nodes.size))
-    phi[..., :pos] = _prefix_products(_adjugate(cells[..., :pos])[..., ::-1])[..., ::-1]
-    phi[:, :, pos] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
-    phi[..., pos + 1:] = _prefix_products(cells[..., pos:])
+    phi = _anchor_propagators(cells, pos)  # fine and coarse together
     state, coarse_state = (
         np.concatenate((p[0] * y + p[1] * dy, p[2] * y + p[3] * dy)) for p in phi.swapaxes(0, 1)
     )

@@ -436,6 +436,31 @@ def test_plain_mathieu_column_matches_the_direct_sum(ell, parity, q):
     assert np.max(np.abs(col.dy - dy)) <= 1e-14 * np.max(np.abs(dy))
 
 
+def test_horner_sums_match_polyval_bit_for_bit():
+    # real and complex points, one- and two-column coefficient stacks, signed
+    # zeros, infinities and nans, compared bit for bit (nan signs included)
+    polyval = np.polynomial.polynomial.polyval
+    rng = np.random.default_rng(17)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    for case in range(600):
+        n, m, columns = rng.integers(1, 60), rng.integers(1, 200), 1 + case % 2
+        terms = rng.standard_normal((n, columns)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, columns))
+        special = rng.random((n, columns)) < 0.2
+        terms[special] = rng.choice(specials, special.sum())
+        if case % 4 < 2:
+            x = rng.uniform(-2.0, 2.0, m)
+            special = rng.random(m) < 0.1
+            x[special] = rng.choice(specials, special.sum())
+        else:  # the Mathieu sums' unit circle
+            x = np.exp(2j * rng.uniform(-7.0, 7.0, m))
+            special = rng.random(m) < 0.1
+            x[special] = rng.choice([0.0, -0.0, 1.0, np.inf, np.nan, complex(0.0, np.inf),
+                                     complex(-0.0, -0.0)], special.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            actual, expected = bases._horner(x, terms), polyval(x, terms)
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64)), case
+
+
 @pytest.mark.parametrize("q", [0.5, 5.0, 50.0, 1e-3])
 def test_mathieu_ladder_holds_on_every_row(q):
     # Below the order's harmonic the wanted coefficients are the minimal

@@ -481,6 +481,39 @@ def test_prefix_products_match_the_written_out_scan(monkeypatch, shape, scale):
         assert_same_doubles(got, want)
 
 
+def det_one_cells(n, seed):
+    """``n`` random determinant-1 cell matrices, fine and coarse, shape (4, 2, n)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 2.0, (2, n)) * rng.choice([-1.0, 1.0], (2, n))
+    b, c = rng.normal(size=(2, 2, n))
+    return np.stack((a, b, c, (1.0 + b * c) / a))
+
+
+@pytest.mark.parametrize("sides", [(1, 256), (256, 1), (250, 250), (0, 501), (10, 300)])
+def test_two_sided_scan_matches_two_one_sided_scans(monkeypatch, sides):
+    # the propagators from the anchor as two one-sided scans give them
+    cells, pos = det_one_cells(sum(sides), 5), sides[0]
+    inward = linear._adjugate(cells[..., :pos])[..., ::-1]
+    expected = np.empty((4, 2, cells.shape[-1] + 1))
+    expected[..., :pos] = linear._prefix_products(inward)[..., ::-1]
+    expected[..., pos] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
+    expected[..., pos + 1:] = linear._prefix_products(cells[..., pos:])
+    scans = []
+    prefix_products = linear._prefix_products
+
+    def recorded(m):
+        scans.append(m.shape)
+        return prefix_products(m)
+
+    monkeypatch.setattr(linear, "_prefix_products", recorded)
+    phi = linear._anchor_propagators(cells, pos)
+    assert np.array_equal(phi.view(np.uint64), expected.view(np.uint64))
+    if max(sides) > linear._SCAN_SPLIT:  # a side past the doubling regime: two scans
+        assert all(len(shape) == 3 for shape in scans)
+    else:
+        assert scans == [(4, 2, 2, max(sides))]
+
+
 def test_propagation_matches_the_written_out_kernel(monkeypatch):
     # every cell matrix, pairing and prefix product of a refining run, and the
     # states they give
