@@ -129,21 +129,28 @@ def trajectory(
             r2[:-1],
         ))
 
-    def cell_integral(i, d):
-        return (((c[0, i] * d / 4.0 + c[1, i] / 3.0) * d + c[2, i] / 2.0) * d + c[3, i]) * d
+    def cell_integral(ci, d):  # ci: the coefficients c[:, i] of the cells i
+        return (((ci[0] * d / 4.0 + ci[1] / 3.0) * d + ci[2] / 2.0) * d + ci[3]) * d
 
-    def cell_r2(i, d):
-        return ((c[0, i] * d + c[1, i]) * d + c[2, i]) * d + c[3, i]
+    def cell_r2(ci, d):
+        return ((ci[0] * d + ci[1]) * d + ci[2]) * d + ci[3]
 
-    def locate(x):
-        i = np.searchsorted(grid[1:-1], x, side="right")  # cell i holds x, or is an end cell
+    # cell i holds [lower[i], upper[i]): end cells open-ended, a non-finite x in none
+    lower = np.concatenate(([-np.finfo(float).max], grid[1:-1]))
+    upper = np.concatenate((grid[1:-1], [np.inf]))
+
+    def locate(x, i=None):  # (cell holding x, offset); searched only where cell i does not hold x
+        if i is None:
+            i = np.searchsorted(grid[1:-1], x, side="right")
+        elif not (held := (lower[i] <= x) & (x < upper[i])).all():
+            i[~held] = np.searchsorted(grid[1:-1], x[~held], side="right")
         return i, x - grid[i]
 
-    def S_at(x, S, row=0):  # S of the path whose node values start at S[row]
-        i, d = locate(x)
-        return S[row + i] + cell_integral(i, d), cell_r2(i, d)
+    def S_at(x, S, row=0, i=None):  # (S, rho^2, cell) of the path whose node values start at S[row]
+        i, d = locate(x, i)
+        return S[row + i] + cell_integral(ci := c[:, i], d), cell_r2(ci, d), i
 
-    cells = cell_integral(np.arange(h.size), h)
+    cells = cell_integral(c, h)
     # Nodes: samples, interior cell minima of the rho^2 cubic (which can dip
     # below zero between positive samples) and x0 itself where rho^2 falls to
     # 64 eps of its cell's larger end sample, and sign changes of rho: both
@@ -154,7 +161,7 @@ def trajectory(
         d_min = -c2 / (c1 + np.sqrt(c1**2 - 3.0 * c0 * c2))
     inner = np.flatnonzero((d_min > 0.0) & (d_min < h))
     at = np.concatenate((grid, grid[inner] + d_min[inner]))
-    r2_at = np.concatenate((r2, cell_r2(inner, d_min[inner])))
+    r2_at = np.concatenate((r2, cell_r2(c[:, inner], d_min[inner])))
     j = np.flatnonzero(np.sign(rho[1:]) * np.sign(rho[:-1]) < 0.0)
     nodes = np.concatenate((at[r2_at <= 64.0 * _EPS * r2_end[locate(at)[0]]],
                             grid[j] - rho[j] * h[j] / (rho[j + 1] - rho[j])))
@@ -170,10 +177,10 @@ def trajectory(
     for row, k_path in enumerate(k.tolist()):
         outward[0, row, grid.size - k_path :] = cells[:k_path][::-1]
         outward[1, row, k_path + 2 :] = cells[k_path + 1 :]
-    head, kk, outward = cell_integral(k, d0)[:, None], k[:, None], np.cumsum(outward, axis=2)
+    head, kk, outward = cell_integral(c[:, k], d0)[:, None], k[:, None], np.cumsum(outward, axis=2)
     S_rows = np.where(np.arange(grid.size) <= kk, -head - outward[0, :, ::-1],
                       cells[kk] - head + outward[1])
-    r2_rows = cell_r2(k, d0)
+    r2_rows = cell_r2(c[:, k], d0)
 
     def prepare(x0, t_grid, S, k, r2_0):
         """(S at the nodes, targets of S, Newton guess, x0, scale of S, nearest nodes) of a path."""
@@ -203,7 +210,8 @@ def trajectory(
                 "refine the grid there"
             )
         # S on the stretch the path can reach; flat beyond the nearest nodes
-        table = np.where(grid <= x_left, s_left, np.where(grid >= x_right, s_right, S))
+        table = (S if x_left == -np.inf and x_right == np.inf  # no node on either side
+                 else np.where(grid <= x_left, s_left, np.where(grid >= x_right, s_right, S)))
         if s_hi > table[-1] + pad * rho[-1] ** 2:
             raise PathExitsGridError(t0 + float(table[-1]) / v, hi)
         if s_lo < table[0] - pad * rho[0] ** 2:
@@ -218,8 +226,9 @@ def trajectory(
         a, b = np.maximum(a[which], lo - 2.0 * pad), np.minimum(b[which], hi + 2.0 * pad)
         x, row, live = np.minimum(np.maximum(x, a), b), which * grid.size, np.arange(x.size)
         last = np.full(x.size, np.inf)  # each sample's last |step|
+        cell = locate(x)[0]  # each sample's cell at its last evaluation
         for _ in range(_STEPS):
-            f, slope = S_at(x_live := x[live], S_rows, row[live])
+            f, slope, cell[live] = S_at(x_live := x[live], S_rows, row[live], cell[live])
             step = (f - s[live]) / slope
             x[live] = x_live - step
             if not (inside := (x >= a) & (x <= b)).all():
@@ -237,7 +246,7 @@ def trajectory(
                 break
         # x0 itself, which x0 - grid[k] can round away in a cell far wider than |x0|
         x[s == 0.0] = starts[which[s == 0.0]]
-        f, slope = S_at(x, S_rows, row)
+        f, slope, _ = S_at(x, S_rows, row, cell)
         roundoff = 64.0 * _EPS * (scale[which] + np.abs(x * slope))
         bad = ~(np.abs(f - s) <= roundoff)
         if np.any(bad):

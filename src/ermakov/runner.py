@@ -48,6 +48,7 @@ if _renameat2 is not None:  # (olddirfd, oldpath, newdirfd, newpath, flags) -> 0
     _renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p) * 2 + (ctypes.c_uint,)
     _renameat2.restype = ctypes.c_int
 _AT_FDCWD, _RENAME_EXCHANGE = -100, 2
+_DIR_FD = {os.open, os.stat, os.unlink, os.rename} <= os.supports_dir_fd  # else full paths
 
 
 @dataclass(frozen=True)
@@ -353,32 +354,39 @@ def _json_render(value, indent: int = 0) -> str:
     return _json_str(value)
 
 
-def _atomic_write(path: Path, parts) -> None:
+def _atomic_write(path: Path, parts, dir_fd: int | None = None) -> None:
     """Write the byte chunks ``parts`` to ``path`` through a ``.tmp`` file, each as it
     arrives, then swap it with a regular file at ``path`` (no ext4 writeback, unlike a
     rename over it) and unlink the old file, else ``os.replace``; a failure unlinks ``.tmp``.
-    ``.tmp`` is made anew, never opened through a symlink or a file already there."""
-    tmp = path.with_name(path.name + ".tmp")
-    new, old = os.fsencode(tmp), os.fsencode(path)
+    ``.tmp`` is made anew, never opened through a symlink or a file already there.  Given
+    ``dir_fd``, an open handle on ``path``'s directory, every call names files relative to it."""
+    dir_fd = dir_fd if _DIR_FD else None
+    old = os.fsencode(path if dir_fd is None else path.name)
+    new, flags = old + b".tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
     try:
         try:
-            f = open(tmp, "xb")
+            fd = os.open(new, flags, 0o666, dir_fd=dir_fd)
         except FileExistsError:  # a stale name: unlinking a symlink leaves its target
-            os.unlink(new)
-            f = open(tmp, "xb")
-        with f:
+            os.unlink(new, dir_fd=dir_fd)
+            fd = os.open(new, flags, 0o666, dir_fd=dir_fd)
+        try:
             for part in parts:
-                f.write(part)
+                view = memoryview(part).cast("B")
+                while view:
+                    view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         swap = False  # only with a regular file, not a symlink; none where lstat fails
         with contextlib.suppress(OSError):
-            swap = _renameat2 is not None and stat.S_ISREG(os.lstat(old).st_mode)
-        if swap and _renameat2(_AT_FDCWD, new, _AT_FDCWD, old, _RENAME_EXCHANGE) == 0:
-            os.unlink(new)  # the old file
+            swap = _renameat2 is not None and stat.S_ISREG(os.lstat(old, dir_fd=dir_fd).st_mode)
+        at = _AT_FDCWD if dir_fd is None else dir_fd
+        if swap and _renameat2(at, new, at, old, _RENAME_EXCHANGE) == 0:
+            os.unlink(new, dir_fd=dir_fd)  # the old file
         else:
-            os.replace(new, old)
+            os.replace(new, old, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
     except BaseException:
         with contextlib.suppress(OSError):
-            os.unlink(new)
+            os.unlink(new, dir_fd=dir_fd)
         raise
 
 
@@ -396,9 +404,11 @@ class _Joined:
                                for p, a in zip(self.pieces, self.starts)])
 
 
-def _write_tables(paths, names: tuple[str, ...], tables, fmt: str) -> None:
-    """Write each table (columns under ``names``) to its path with :func:`_atomic_write`,
-    all from one :func:`table_chunks` pass cut at the newline that ends each table."""
+def _write_tables(paths, names: tuple[str, ...], tables, fmt: str,
+                  dir_fd: int | None = None) -> None:
+    """Write each table (columns under ``names``) to its path with :func:`_atomic_write`
+    (through ``dir_fd``, if given), all from one :func:`table_chunks` pass cut at the
+    newline that ends each table."""
     columns = tables[0] if len(tables) == 1 else [_Joined(c) for c in zip(*tables)]
     chunks = table_chunks(names, columns, fmt)
     head = next(chunks)
@@ -418,8 +428,8 @@ def _write_tables(paths, names: tuple[str, ...], tables, fmt: str) -> None:
 
     with contextlib.closing(chunks):  # a failed write leaves no block rendering
         for path, table in zip(paths[:-1], tables):
-            _atomic_write(path, rows(len(table[0])))
-        _atomic_write(paths[-1], itertools.chain([head, rest], chunks))  # every row left
+            _atomic_write(path, rows(len(table[0])), dir_fd)
+        _atomic_write(paths[-1], itertools.chain([head, rest], chunks), dir_fd)  # every row left
 
 
 def _field_columns(result: SectorResult) -> tuple[np.ndarray, ...]:
@@ -474,17 +484,22 @@ def run_config(config: RunConfig, output_dir: str | Path):
 
     def emit(stems: list[str], names: tuple[str, ...], tables: list) -> None:
         paths = [out / f"{stem}.{suffix}" for stem in stems]
-        _write_tables(paths, names, tables, config.output_format)
+        _write_tables(paths, names, tables, config.output_format, dir_fd)
         written.extend(paths)
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            emit([f"{result.label}_fields"], FIELD_COLUMNS, [_field_columns(result)])
-            if trajs := result.trajectories:  # one render pass for the sector's paths
-                emit([f"{result.label}_trajectory_{i}" for i in range(1, len(trajs) + 1)],
-                     ("t", "x"), [(t_grid, x_t) for _, t_grid, x_t in trajs])
-        _atomic_write(out / "report.json", [(_json_render(report.as_dict()) + "\n").encode()])
+        dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)  # every write's base
+        try:
+            for result in results:
+                emit([f"{result.label}_fields"], FIELD_COLUMNS, [_field_columns(result)])
+                if trajs := result.trajectories:  # one render pass for the sector's paths
+                    emit([f"{result.label}_trajectory_{i}" for i in range(1, len(trajs) + 1)],
+                         ("t", "x"), [(t_grid, x_t) for _, t_grid, x_t in trajs])
+            _atomic_write(out / "report.json", [(_json_render(report.as_dict()) + "\n").encode()],
+                          dir_fd)
+        finally:
+            os.close(dir_fd)
         written.append(out / "report.json")
     except OSError as exc:
         raise ConfigurationError(f"cannot write to output directory {str(out)!r}: {exc}") from None

@@ -265,6 +265,63 @@ def test_trajectory_inversion_does_not_run_out_of_steps():
         finished += 1
 
 
+# float.hex of test_trajectory_keeps_cells_between_newton_steps_bit_for_bit's paths,
+# as returned when every Newton step searched every sample's cell again
+_CELL_CHANGE_PATHS = [
+    [
+        "-0x1.8000000000000p-1", "0x1.bcabf4d6e140bp-3", "0x1.635fff1c51968p-2",
+        "0x1.bf60f77392111p-2", "0x1.052dabb004700p-1", "0x1.25f9cdec4e962p-1",
+        "0x1.43e15bc971d94p-1", "0x1.5fef89bc9be6cp-1", "0x1.7ad9912878936p-1",
+        "0x1.9531bb4de3370p-1", "0x1.af92d4e4fe6d6p-1", "0x1.ca96ad424621cp-1",
+        "0x1.e6e4e3fc973ccp-1", "0x1.02acadf94976bp+0", "0x1.13a51ae31b324p+0",
+        "0x1.279cdcb79b058p+0", "0x1.41af72afbeb68p+0",
+    ],
+    [
+        "0x1.8000000000000p+0", "0x1.60c64f8a6cd57p+0", "0x1.4e4a8bc07ba9ap+0",
+        "0x1.407cba9b00047p+0", "0x1.351fd50c86fbap+0", "0x1.2b470a53f9208p+0",
+        "0x1.22784aac37b09p+0", "0x1.1a6bb487479fbp+0", "0x1.12f2fb993e72cp+0",
+        "0x1.0bee4d3d5e1cfp+0", "0x1.0546ab1869251p+0", "0x1.fdd592634c3f3p-1",
+        "0x1.f19a63685c746p-1",
+    ],
+    [
+        "-0x1.7333333333333p+1", "-0x1.6f9e61105c05bp+1", "-0x1.6c735fa62f74dp+1",
+        "-0x1.699814758b584p+1", "-0x1.66faf1037e71ep+1", "-0x1.648fa31a04c7ep+1",
+    ],
+    [
+        "0x1.6666666666666p+1", "0x1.ad2cc180ab36fp+0", "0x1.8811d8a6e7635p+0",
+        "0x1.73a32b4e0d691p+0", "0x1.65a4ee1e8464fp+0", "0x1.5afe621d27ccdp+0",
+    ],
+    [
+        "-0x1.8000000000000p+1", "-0x1.75afd64c7294dp+1", "-0x1.6e5df58036e10p+1",
+        "-0x1.689211b4bbcf2p+1", "-0x1.63ae689d842cfp+1", "-0x1.5f650198df488p+1",
+    ],
+    [
+        "0x1.8000000000000p+1", "0x1.a4f4501c924bbp+0", "0x1.76b9edbe58f8bp+0",
+        "0x1.6029fe9531319p+0", "0x1.510bbf38b9de4p+0", "0x1.4545473a903e8p+0",
+    ],
+]
+
+
+def test_trajectory_keeps_cells_between_newton_steps_bit_for_bit():
+    # rho^2 = e^(2.5 sin 2x) on 9 points spans 0.08 to 12, so Newton steps carry
+    # some samples out of the cell of their last evaluation and back: each path
+    # equals, bit for bit, the one a search per sample and step returned.  Paths
+    # start on grid nodes (both ends among them) and in both end cells, and the
+    # first travels across the grid's widest swing of rho^2.
+    grid = np.linspace(-3.0, 3.0, 9)
+    r2 = np.exp(2.5 * np.sin(2.0 * grid))
+    rho, drho2 = np.sqrt(r2), 5.0 * np.cos(2.0 * grid) * r2
+    assert {-3.0, -0.75, 1.5, 3.0} <= set(grid.tolist())
+    requests = [(-0.75, np.linspace(0.0, 10.0, 17)), (1.5, np.linspace(0.0, -3.0, 13)),
+                (-2.9, np.linspace(0.0, 0.5, 6)), (2.8, np.linspace(0.0, -0.6, 6)),
+                (-3.0, np.linspace(0.0, 1.0, 6)), (3.0, np.linspace(0.0, -1.0, 6))]
+    paths = trajectory(1.0, grid, rho, drho2, 1.0, requests)
+    assert [[float(v).hex() for v in x] for x in paths] == _CELL_CHANGE_PATHS
+    with pytest.raises(PathExitsGridError) as err:  # the same exit as before
+        trajectory(1.0, grid, rho, drho2, 1.0, [(0.0, np.linspace(0.0, 40.0, 9))])
+    assert (err.value.t_exit, err.value.x_exit) == (10.896187138423748, 3.0)
+
+
 def test_trajectory_hermite_cells_converge_at_fourth_order():
     # R^2 = e^x: t - t0 = (m/C)(e^x - e^x0), so x(t) = log(e^x0 + C t / m)
     C, m, x0 = 1.5, 2.0, 0.1

@@ -24,7 +24,7 @@ import pytest
 import ermakov
 from ermakov import fields, linear, runner
 from ermakov.cli import main
-from ermakov.errors import ConfigurationError, ConstraintViolationError
+from ermakov.errors import ConfigurationError, ConstraintViolationError, PathExitsGridError
 from ermakov.runner import (
     FIELD_COLUMNS,
     Tolerances,
@@ -621,25 +621,6 @@ def test_cli_exit_code_path_singularity(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-class _FailingFile:
-    """A file whose writes fail after the first one."""
-
-    def __init__(self, file):
-        self.file, self.writes = file, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.file.close()
-
-    def write(self, part):
-        self.writes += 1
-        if self.writes > 1:
-            raise OSError(28, "No space left on device")
-        return self.file.write(part)
-
-
 class _FailingColumn:
     """A column whose slice reaching its last row fails."""
 
@@ -700,12 +681,25 @@ def test_table_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fail
             return table_chunks(names, columns, fmt)
 
         monkeypatch.setattr(runner, "table_chunks", chunks)
-    else:
-        def open_file(path, mode):
-            file = open(path, mode)
-            return _FailingFile(file) if last[0] in path.name else file
+    else:  # the failing file's writes fail after its first one
+        os_open, os_write, writes = os.open, os.write, {}  # failing file's descriptor -> writes
 
-        monkeypatch.setattr(runner, "open", open_file, raising=False)
+        def open_fd(name, *args, **kwargs):
+            fd = os_open(name, *args, **kwargs)
+            writes.pop(fd, None)
+            if last[0] in os.fsdecode(name):
+                writes[fd] = 0
+            return fd
+
+        def write(fd, data):
+            if fd in writes:
+                writes[fd] += 1
+                if writes[fd] > 1:
+                    raise OSError(28, "No space left on device")
+            return os_write(fd, data)
+
+        monkeypatch.setattr(runner.os, "open", open_fd)
+        monkeypatch.setattr(runner.os, "write", write)
     for text, kept in ((FREE_CFG, []), (two_paths, ["x_trajectory_1.csv"])):
         whole = tmp_path / f"whole_{len(kept)}"
         rerun = shutil.copytree(whole, tmp_path / f"rerun_{len(kept)}")
@@ -867,6 +861,35 @@ def test_planted_tmp_symlinks_leave_their_targets_alone(tmp_path):
         assert all(victim.read_bytes() == b"kept\n" for _, victim in victims)
         assert not any(p.is_symlink() for p in out.iterdir())
         assert _contents(out) == _contents(whole)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd (Linux)")
+def test_runs_leave_no_file_descriptor_open(tmp_path, monkeypatch):
+    # the output directory's handle and every .tmp file's descriptor are closed
+    # after a clean run, after a write that fails (no .tmp name is left), and
+    # after an engine error raised before anything is written
+    def descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = descriptors()
+    run_config(parse_config_text(FREE_CFG), output_dir=tmp_path / "clean")
+    assert descriptors() == before
+
+    def write(fd, data):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner.os, "write", write)
+        with pytest.raises(ConfigurationError, match="cannot write to output directory"):
+            run_config(parse_config_text(FREE_CFG), output_dir=tmp_path / "failed")
+    assert descriptors() == before
+    assert list((tmp_path / "failed").iterdir()) == []
+
+    leaving = FREE_CFG.replace("0.0:5.0:51", "9.5:10.0:11")  # leaves the grid at x = 10
+    with pytest.raises(PathExitsGridError):
+        run_config(parse_config_text(leaving), output_dir=tmp_path / "engine")
+    assert descriptors() == before
+    assert not (tmp_path / "engine").exists()
 
 
 def test_report_strings_are_escaped_as_json_dumps_escapes_them():
